@@ -257,23 +257,12 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 	// gigabytes. Any other extension keeps the JSON interchange IR that
 	// allreduce-bench -schedule consumes.
 	encode := collective.Export
-	wrote := false
 	if strings.HasSuffix(path, ".plan") {
 		encode = collective.ExportBinary
-		// With a plan cache attached, the entry for this build holds the
-		// exact ExportBinary bytes (stored on a miss, validated on a
-		// hit), so the export is a stream copy — skipping a second
-		// encode+hash pass over what is ~631 MB at mesh-64x64. Any copy
-		// failure falls back to encoding.
-		if src, ok := run.CacheEntryPath(); ok {
-			wrote = copyFile(path, src) == nil
-		}
 	}
-	if !wrote {
-		writeFile(path, func(w io.Writer) error {
-			return encode(w, s)
-		})
-	}
+	writeFile(path, func(w io.Writer) error {
+		return encode(w, s)
+	})
 	// -warm-loads replays the build through the cache tiers: the first
 	// repeat decodes the on-disk entry (or hits the memory tier when
 	// -plan-mem-cache-mb is set), later repeats should be pure memory
@@ -367,23 +356,6 @@ func traceSchedule(topo *topology.Topology, trees []*collective.Tree, traceOut, 
 		})
 		log.Printf("wrote %s", linkstats)
 	}
-}
-
-func copyFile(dst, src string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	defer in.Close()
-	out, err := os.Create(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		out.Close()
-		return err
-	}
-	return out.Close()
 }
 
 func writeFile(path string, fn func(io.Writer) error) {

@@ -297,18 +297,6 @@ func (r *Run) NoteCacheKey(topo *topology.Topology, algorithm string, elems, chu
 	r.cacheKey = plancache.Key(topo, spec.Name, elems, chunks)
 }
 
-// CacheEntryPath returns the on-disk cache entry for the key noted via
-// NoteCacheKey, when a cache is attached and the entry exists. The
-// entry's bytes are the schedule's exact binary-IR export (content
-// hash included), so tools writing that IR can copy the file instead
-// of encoding and hashing the same bytes a second time.
-func (r *Run) CacheEntryPath() (string, bool) {
-	if r.Cache == nil || r.cacheKey == "" {
-		return "", false
-	}
-	return r.Cache.EntryPath(r.cacheKey)
-}
-
 // ObserveSim folds one simulation's metrics into the run: the metrics
 // endpoint accumulates the snapshot, and the report keeps the fold of
 // every simulation this run performed.

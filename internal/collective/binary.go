@@ -13,76 +13,64 @@ package collective
 // topology that hashes to the same value (ImportBinaryInto). That is
 // exactly the plan cache's situation.
 //
-// Version 2 moves validation to store time. The exporter runs the full
-// ValidateStrict pass once, then embeds (a) a sha256 content hash over
-// everything after the hash field and (b) a validation summary —
+// Validation happens at store time. The exporter runs the full
+// ValidateStrict pass once, then embeds a summary of what it proved —
 // transfer/dependency/path-hop/link counts, the coverage extent, and a
-// witness hash of the deterministic topological order. A v2 load
-// verifies the summary's cross-checks and the content hash in O(bytes)
-// instead of re-running Kahn and per-path continuity over millions of
-// transfers; BinaryImportOptions.VerifyFull restores the full pass. The
-// trust boundary is unchanged from v1: the cache directory was always
-// trusted to hold what the exporter wrote (an adversary who can write
-// arbitrary cache files could always substitute a different valid
-// schedule); the hash turns silent corruption into a rebuild.
+// witness hash of the deterministic topological order — plus sha256
+// digests over every body byte (sections.go). A load checks the digests
+// and the summary's cross-checks in O(bytes) instead of re-running Kahn
+// and per-path continuity over millions of transfers;
+// BinaryImportOptions.VerifyFull restores the full pass. The cache
+// directory was always trusted to hold what the exporter wrote (an
+// adversary who can write arbitrary cache files could always substitute
+// a different valid schedule); the digests turn silent corruption into
+// a rebuild.
 //
-// Version 3 (sections.go) makes the warm load parallel: the stream is
-// split into independently decodable sections with per-section digests
-// under a root tree hash, so ImportBinary fans decoding out across
-// BinaryImportOptions.Workers goroutines reading through an io.ReaderAt
-// — same trust model, same O(bytes) validation, divided by the worker
-// count.
-//
-// Version 1 and 2 files still decode, via the sequential path — v1
-// through the full ValidateStrict pass, v2 on its summary as before.
+// Only the current version is read. Files of an earlier version fail
+// with an error that asks for a re-export.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"time"
 
 	"multitree/internal/obs"
 	"multitree/internal/topology"
 )
 
-// BinaryIRVersion is the current binary schedule encoding version:
-// version 3 is the sectioned, parallel-decodable layout of sections.go.
-// A format change makes old cache keys unreachable (a cache miss)
-// rather than misread; files in previous versions remain decodable
-// through their original sequential paths.
+// BinaryIRVersion is the binary schedule encoding version: version 3 is
+// the sectioned, parallel-decodable layout of sections.go. Versions 1
+// and 2 were single varint streams and are no longer read. A format
+// change makes old cache keys unreachable (a cache miss) rather than
+// misread.
 const BinaryIRVersion = 3
-
-// binaryIRVersionV1 is the legacy summary-free encoding and
-// binaryIRVersionV2 the single-stream content-hash + summary encoding;
-// both are still accepted by the importer.
-const (
-	binaryIRVersionV1 = 1
-	binaryIRVersionV2 = 2
-)
 
 // binaryMagic brands binary schedule files. Distinct from both JSON
 // ('{') and anything a truncated write leaves behind.
-var binaryMagic = [4]byte{'M', 'T', 'I', 'R'}
+const binaryMagic = "MTIR"
+
+// binaryHeader is the prefix of every current file: the magic, then the
+// version as a uvarint. The root hash follows it.
+var binaryHeader = binary.AppendUvarint([]byte(binaryMagic), BinaryIRVersion)
 
 const (
 	opReduceBin = 0
 	opGatherBin = 1
 )
 
-// hashSize is sha256's digest length, the size of both the content hash
-// and the topo-order witness hash.
+// hashSize is sha256's digest length, the size of both the content
+// digests and the topo-order witness hash.
 const hashSize = sha256.Size
 
-// ValidationSummary is the store-time validation record embedded in a v2
-// binary schedule: the exact output sizes the decoder preallocates, and
-// the evidence that the full ValidateStrict pass ran when the file was
-// written.
-type ValidationSummary struct {
-	// Transfers/DepEdges/PathHops are the exact entity counts of the
-	// transfer section; the decoder sizes its arrays from them and
-	// rejects a stream that deviates.
+// summary is the store-time validation record in the meta block: the
+// exact arena sizes the decoder preallocates, and the evidence that the
+// full ValidateStrict pass ran when the file was written.
+type summary struct {
+	// Transfers/DepEdges/PathHops are the exact entity counts; the
+	// decoder sizes its arenas from them, and the section table must
+	// cover them exactly.
 	Transfers int64
 	DepEdges  int64
 	PathHops  int64
@@ -102,41 +90,21 @@ type ValidationSummary struct {
 	Witness [hashSize]byte
 }
 
-// BinaryImportOptions controls how ImportBinaryIntoOpts validates.
+// BinaryImportOptions controls how ImportBinaryInto validates.
 type BinaryImportOptions struct {
 	// VerifyFull re-runs the complete ValidateStrict pass (and checks the
-	// witness hash) even when a trusted summary is present — the
+	// witness hash) instead of trusting the stored summary — the
 	// -verify-plan escape hatch.
 	VerifyFull bool
-
-	// SizeHint, when > 0, is the byte length of the stream. It bounds the
-	// summary-driven preallocations, so a corrupt or hostile length field
-	// cannot drive an allocation larger than a small multiple of the
-	// actual file.
-	SizeHint int64
 
 	// Observer, when non-nil, brackets the materialization and validation
 	// work as the "decode" and "validate" planner phases.
 	Observer obs.PlanObserver
 
-	// Workers bounds the goroutines a v3 sectioned load fans decoding
-	// across; <= 1 decodes sequentially. Earlier format versions are
-	// single-stream and ignore it. The decoded schedule is byte-identical
-	// at any worker count.
+	// Workers bounds the goroutines the load fans section decoding
+	// across; <= 1 decodes sequentially. The decoded schedule is
+	// byte-identical at any worker count.
 	Workers int
-}
-
-// BinaryLoadInfo reports how a binary schedule load was validated.
-type BinaryLoadInfo struct {
-	Version int
-
-	// Validation is "summary" when the load was accepted on the embedded
-	// validation summary + content hash, "full" when the complete
-	// ValidateStrict pass ran (v1 file, or VerifyFull).
-	Validation string
-
-	Transfers int
-	Summary   *ValidationSummary // nil for v1 files
 }
 
 // binWriter accumulates uvarints into one growing buffer; encoding a
@@ -176,6 +144,12 @@ func (w *binWriter) uint(v uint64) {
 	w.buf = append(w.buf, w.tmp[:n]...)
 }
 
+// sint writes one zigzag-coded signed value — the encoder half of
+// sliceDecoder.sint.
+func (w *binWriter) sint(v int64) {
+	w.uint(uint64(v)<<1 ^ uint64(v>>63))
+}
+
 func (w *binWriter) str(s string) {
 	w.uint(uint64(len(s)))
 	w.room(len(s))
@@ -185,22 +159,6 @@ func (w *binWriter) str(s string) {
 func (w *binWriter) bytes(p []byte) {
 	w.room(len(p))
 	w.buf = append(w.buf, p...)
-}
-
-// timedWriter accumulates the wall time spent inside the wrapped
-// writer. Wrapping the v2 import's content hasher with it splits the
-// sequential load's cost into decode vs verification, matching the
-// per-section measurement of the v3 path.
-type timedWriter struct {
-	w  io.Writer
-	ns int64
-}
-
-func (t *timedWriter) Write(p []byte) (int, error) {
-	t0 := time.Now()
-	n, err := t.w.Write(p)
-	t.ns += time.Since(t0).Nanoseconds()
-	return n, err
 }
 
 // witnessHash folds a topological order into its sha256 witness.
@@ -241,8 +199,8 @@ func (b *linkBitmap) add(id topology.LinkID) {
 
 // summarize computes the validation summary of a schedule whose strict
 // validation just produced order.
-func summarize(s *Schedule, order []TransferID) ValidationSummary {
-	sum := ValidationSummary{Transfers: int64(len(s.Transfers)), Witness: witnessHash(order)}
+func summarize(s *Schedule, order []TransferID) summary {
+	sum := summary{Transfers: int64(len(s.Transfers)), Witness: witnessHash(order)}
 	bm := newLinkBitmap(len(s.Topo.Links()))
 	for i := range s.Transfers {
 		t := &s.Transfers[i]
@@ -260,56 +218,12 @@ func summarize(s *Schedule, order []TransferID) ValidationSummary {
 	return sum
 }
 
-// encodeBinaryBody emits everything after the header's content-hash
-// field — exactly the bytes the hash covers. Both export paths, the
-// buffered one and the streaming one, go through here, which is what
-// keeps their output byte-identical.
-func encodeBinaryBody(bw *binWriter, s *Schedule, sum ValidationSummary) {
-	bw.str(s.Algorithm)
-	bw.str(TopologyFingerprint(s.Topo))
-	bw.uint(uint64(s.Elems))
-	bw.uint(uint64(s.Steps))
-	bw.uint(uint64(sum.Transfers))
-	bw.uint(uint64(sum.DepEdges))
-	bw.uint(uint64(sum.PathHops))
-	bw.uint(uint64(sum.LinksUsed))
-	bw.uint(uint64(sum.CoveredElems))
-	bw.bytes(sum.Witness[:])
-	bw.uint(uint64(len(s.Flows)))
-	for _, r := range s.Flows {
-		bw.uint(uint64(r.Off))
-		bw.uint(uint64(r.Len))
-	}
-	for i := range s.Transfers {
-		t := &s.Transfers[i]
-		bw.uint(uint64(t.Src))
-		bw.uint(uint64(t.Dst))
-		op := uint64(opReduceBin)
-		if t.Op == Gather {
-			op = opGatherBin
-		}
-		bw.uint(op)
-		bw.uint(uint64(t.Flow))
-		bw.uint(uint64(t.Step))
-		bw.uint(uint64(len(t.Deps)))
-		for _, d := range t.Deps {
-			bw.uint(uint64(d))
-		}
-		path := s.PathOf(t)
-		bw.uint(uint64(len(path)))
-		for _, id := range path {
-			bw.uint(uint64(id))
-		}
-	}
-}
-
-// ExportBinary writes the schedule in the current binary IR (the v3
-// sectioned layout of sections.go). Like Export, every transfer's link
-// path is pinned, so the loaded schedule reproduces the exact link-level
-// behavior; unlike Export, the topology is recorded only by fingerprint.
-// The schedule is strictly validated here, at store time, and the file
-// carries the ValidationSummary + content digests that let a later load
-// trust the result without repeating the pass.
+// ExportBinary writes the schedule in the binary IR. Like Export, every
+// transfer's link path is pinned, so the loaded schedule reproduces the
+// exact link-level behavior; unlike Export, the topology is recorded
+// only by fingerprint. The schedule is strictly validated here, at store
+// time, and the file carries the summary and content digests that let a
+// later load trust the result without repeating the pass.
 //
 // When w can seek (a file), the stream is written in one pass with the
 // root hash patched at the end; non-seekable writers assemble the stream
@@ -319,681 +233,72 @@ func ExportBinary(w io.Writer, s *Schedule) error {
 	if err != nil {
 		return fmt.Errorf("collective: refusing to export invalid schedule: %w", err)
 	}
-	return exportBinaryV3(w, s, summarize(s, order))
-}
-
-// ExportBinaryV2 writes the schedule in the single-stream version-2
-// encoding: one content hash over one varint stream. Kept so tests and
-// tools can produce files that exercise the sequential compatibility
-// path; new code writes the sectioned current version via ExportBinary.
-func ExportBinaryV2(w io.Writer, s *Schedule) error {
-	order, err := s.validatedOrder(true)
-	if err != nil {
-		return fmt.Errorf("collective: refusing to export invalid schedule: %w", err)
-	}
 	sum := summarize(s, order)
 	if ws, ok := w.(io.WriteSeeker); ok {
-		return exportBinaryStreamV2(ws, s, sum)
+		return writeBinary(ws, s, sum)
 	}
-
-	bw := &binWriter{buf: make([]byte, 0, 64+16*len(s.Transfers))}
-	encodeBinaryBody(bw, s, sum)
-
-	var head binWriter
-	head.buf = append(head.buf, binaryMagic[:]...)
-	head.uint(binaryIRVersionV2)
-	contentHash := sha256.Sum256(bw.buf)
-	head.buf = append(head.buf, contentHash[:]...)
-	if _, err := w.Write(head.buf); err != nil {
+	var buf bufWriteSeeker
+	if err := writeBinary(&buf, s, sum); err != nil {
 		return err
 	}
-	_, err = w.Write(bw.buf)
+	_, err = w.Write(buf.buf)
 	return err
 }
 
-// exportBinaryStreamV2 is ExportBinaryV2's single-pass path for seekable
-// sinks: header with a zero hash placeholder, body streamed through the
-// window into MultiWriter(file, hasher), then a seek back to patch the
-// real digest over the placeholder.
-func exportBinaryStreamV2(w io.WriteSeeker, s *Schedule, sum ValidationSummary) error {
-	start, err := w.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return err
-	}
-	var head binWriter
-	head.buf = append(head.buf, binaryMagic[:]...)
-	head.uint(binaryIRVersionV2)
-	hashOff := int64(len(head.buf))
-	var placeholder [hashSize]byte
-	head.buf = append(head.buf, placeholder[:]...)
-	if _, err := w.Write(head.buf); err != nil {
-		return err
-	}
-
-	h := sha256.New()
-	bw := &binWriter{out: io.MultiWriter(w, h), buf: make([]byte, 0, 1<<18)}
-	encodeBinaryBody(bw, s, sum)
-	bw.flush()
-	if bw.err != nil {
-		return bw.err
-	}
-
-	var digest [hashSize]byte
-	h.Sum(digest[:0])
-	if _, err := w.Seek(start+hashOff, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := w.Write(digest[:]); err != nil {
-		return err
-	}
-	_, err = w.Seek(0, io.SeekEnd)
-	return err
-}
-
-// ExportBinaryV1 writes the schedule in the legacy version-1 encoding —
-// no content hash, no validation summary. Kept so tests (and any tool
-// that needs to exercise the compatibility path) can produce files that
-// take the importer's full-validation branch; new code writes the
-// current version via ExportBinary.
-func ExportBinaryV1(w io.Writer, s *Schedule) error {
-	if err := s.Validate(); err != nil {
-		return fmt.Errorf("collective: refusing to export invalid schedule: %w", err)
-	}
-	bw := &binWriter{buf: make([]byte, 0, 64+16*len(s.Transfers))}
-	bw.buf = append(bw.buf, binaryMagic[:]...)
-	bw.uint(binaryIRVersionV1)
-	bw.str(s.Algorithm)
-	bw.str(TopologyFingerprint(s.Topo))
-	bw.uint(uint64(s.Elems))
-	bw.uint(uint64(s.Steps))
-	bw.uint(uint64(len(s.Flows)))
-	for _, r := range s.Flows {
-		bw.uint(uint64(r.Off))
-		bw.uint(uint64(r.Len))
-	}
-	bw.uint(uint64(len(s.Transfers)))
-	for i := range s.Transfers {
-		t := &s.Transfers[i]
-		bw.uint(uint64(t.Src))
-		bw.uint(uint64(t.Dst))
-		op := uint64(opReduceBin)
-		if t.Op == Gather {
-			op = opGatherBin
-		}
-		bw.uint(op)
-		bw.uint(uint64(t.Flow))
-		bw.uint(uint64(t.Step))
-		bw.uint(uint64(len(t.Deps)))
-		for _, d := range t.Deps {
-			bw.uint(uint64(d))
-		}
-		path := s.PathOf(t)
-		bw.uint(uint64(len(path)))
-		for _, id := range path {
-			bw.uint(uint64(id))
-		}
-	}
-	_, err := w.Write(bw.buf)
-	return err
-}
-
-// binStream decodes uvarints from its own 256 KiB read-ahead window
-// with sticky-error semantics, so decode never materializes the whole
-// file. Varints decode straight off the buffer (binary.Uvarint on the
-// slice) instead of byte-at-a-time through an io.ByteReader — at tens
-// of millions of transfers the per-byte call overhead is the load's
-// hottest path.
-type binStream struct {
-	r   io.Reader
-	buf []byte
-	pos int
-	end int
-	eof bool
-	err error
-}
-
-func newBinStream(r io.Reader) *binStream {
-	return &binStream{r: r, buf: make([]byte, 1<<18)}
-}
-
-func (r *binStream) uint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.end-r.pos >= binary.MaxVarintLen64 {
-		v, n := binary.Uvarint(r.buf[r.pos:r.end])
-		if n <= 0 {
-			r.err = fmt.Errorf("varint overflow")
-			return 0
-		}
-		r.pos += n
-		return v
-	}
-	return r.uintSlow()
-}
-
-// uintSlow handles the window tail: fewer than MaxVarintLen64 buffered
-// bytes left, so the varint may straddle a refill or end the stream.
-func (r *binStream) uintSlow() uint64 {
-	for {
-		v, n := binary.Uvarint(r.buf[r.pos:r.end])
-		if n > 0 {
-			r.pos += n
-			return v
-		}
-		if n < 0 {
-			r.err = fmt.Errorf("varint overflow")
-			return 0
-		}
-		if r.eof {
-			r.err = fmt.Errorf("truncated varint: %w", io.ErrUnexpectedEOF)
-			return 0
-		}
-		r.fill()
-		if r.err != nil {
-			return 0
-		}
-	}
-}
-
-// fill compacts the unread tail to the front of the window and reads
-// more. It returns having made progress, hit EOF, or failed.
-func (r *binStream) fill() {
-	if r.pos > 0 {
-		copy(r.buf, r.buf[r.pos:r.end])
-		r.end -= r.pos
-		r.pos = 0
-	}
-	for tries := 0; tries < 100 && r.end < len(r.buf); tries++ {
-		n, err := r.r.Read(r.buf[r.end:])
-		r.end += n
-		if err == io.EOF {
-			r.eof = true
-			return
-		}
-		if err != nil {
-			r.err = fmt.Errorf("truncated stream: %w", err)
-			return
-		}
-		if n > 0 {
-			return
-		}
-	}
-	r.err = io.ErrNoProgress
-}
-
-// atEOF reports whether the stream has no bytes left, pulling from the
-// reader if the window is empty. On a read error it returns false and
-// leaves the error in r.err.
-func (r *binStream) atEOF() bool {
-	for r.pos == r.end {
-		if r.err != nil {
-			return false
-		}
-		if r.eof {
-			return true
-		}
-		r.fill()
-	}
-	return false
-}
-
-// intCap reads a count and rejects values beyond limit, so a corrupt
-// length cannot drive a huge allocation.
-func (r *binStream) intCap(what string, limit int64) int {
-	v := r.uint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(limit) {
-		r.err = fmt.Errorf("%s count %d exceeds limit %d", what, v, limit)
-		return 0
-	}
-	return int(v)
-}
-
-func (r *binStream) bytes(b []byte) {
-	for r.err == nil && len(b) > 0 {
-		if r.pos < r.end {
-			n := copy(b, r.buf[r.pos:r.end])
-			r.pos += n
-			b = b[n:]
-			continue
-		}
-		if r.eof {
-			r.err = fmt.Errorf("truncated stream: %w", io.ErrUnexpectedEOF)
-			return
-		}
-		r.fill()
-	}
-}
-
-func (r *binStream) str(limit int64) string {
-	n := r.intCap("string", limit)
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	r.bytes(b)
-	if r.err != nil {
-		return ""
-	}
-	return string(b)
-}
-
-// maxStringLen bounds algorithm/fingerprint strings; both are short.
-const maxStringLen = 1 << 16
-
-// ImportBinaryInto reads a binary schedule IR onto an existing topology
-// with default options: a v2/v3 file loads on its trusted validation
-// summary + content hash, a v1 file gets the full ValidateStrict pass.
-func ImportBinaryInto(r io.Reader, topo *topology.Topology) (*Schedule, error) {
-	s, _, err := ImportBinaryIntoOpts(r, topo, BinaryImportOptions{})
-	return s, err
-}
-
-// ImportBinaryIntoOpts reads a binary schedule IR onto an existing
-// topology, reporting how the load was validated. The stream is decoded
-// incrementally through a fixed read-ahead window into arrays preallocated from the
-// validation summary; nothing buffers the whole file.
-func ImportBinaryIntoOpts(r io.Reader, topo *topology.Topology, opts BinaryImportOptions) (*Schedule, BinaryLoadInfo, error) {
-	info := BinaryLoadInfo{}
-	if opts.SizeHint == 0 {
-		if sz, ok := r.(interface{ Size() int64 }); ok {
-			opts.SizeHint = sz.Size()
-		}
-	}
-	var magic [len(binaryMagic)]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil || magic != binaryMagic {
-		return nil, info, fmt.Errorf("collective: not a binary schedule file")
-	}
-	// The version varint is read byte-by-byte from the raw reader so the
-	// v2 path can start content hashing at the exact post-hash offset.
-	version, err := readRawUvarint(r)
-	if err != nil {
-		return nil, info, fmt.Errorf("collective: bad binary schedule: %w", err)
-	}
-	info.Version = int(version)
-	switch version {
-	case binaryIRVersionV1:
-		s, err := importBinaryV1(r, topo, opts)
-		if err != nil {
-			return nil, info, err
-		}
-		info.Validation = "full"
-		info.Transfers = len(s.Transfers)
-		return s, info, nil
-	case binaryIRVersionV2:
-		return importBinaryV2(r, topo, opts, info)
-	case BinaryIRVersion:
-		return importBinaryV3(r, topo, opts, info)
-	default:
-		return nil, info, fmt.Errorf("collective: unsupported binary schedule version %d (want <= %d)", version, BinaryIRVersion)
-	}
-}
-
-// readRawUvarint reads a uvarint one byte at a time from an unbuffered
-// reader.
-func readRawUvarint(r io.Reader) (uint64, error) {
-	var v uint64
-	var b [1]byte
-	for shift := 0; shift < 64; shift += 7 {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return 0, fmt.Errorf("truncated varint: %w", err)
-		}
-		v |= uint64(b[0]&0x7f) << shift
-		if b[0] < 0x80 {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("varint overflow")
-}
-
-// checkHeader verifies the fingerprint/elems header fields shared by
-// both format versions.
-func checkHeader(s *Schedule, topo *topology.Topology, fingerprint string) error {
-	if got := TopologyFingerprint(topo); got != fingerprint {
-		return fmt.Errorf("collective: topology %s does not match binary schedule (fingerprint %s, file has %s)",
-			topo.Name(), got, fingerprint)
-	}
-	if s.Elems < 1 {
-		return fmt.Errorf("collective: schedule has %d elements", s.Elems)
-	}
-	return nil
-}
-
-// importBinaryV1 decodes the legacy summary-free format. With no
-// store-time evidence to trust, the load ends in the full ValidateStrict
-// pass, exactly as version 1 always did.
-func importBinaryV1(r io.Reader, topo *topology.Topology, opts BinaryImportOptions) (*Schedule, error) {
-	o := opts.Observer
-	var decodeStart time.Time
-	transfers := 0
-	decodeEnded := false
-	endDecode := func() {
-		if o == nil || decodeEnded {
-			return
-		}
-		decodeEnded = true
-		o.PhaseEnd(obs.PhaseDecode, obs.PlanCounters{
-			Transfers:   int64(transfers),
-			DecodeNanos: time.Since(decodeStart).Nanoseconds(),
-		})
-	}
-	if o != nil {
-		o.PhaseStart(obs.PhaseDecode)
-		decodeStart = time.Now()
-	}
-	defer endDecode()
-
-	st := newBinStream(r)
-	algorithm := st.str(maxStringLen)
-	fingerprint := st.str(maxStringLen)
-	s := &Schedule{
-		Algorithm: algorithm,
-		Topo:      topo,
-		Elems:     int(st.uint()),
-		Steps:     int(st.uint()),
-	}
-	if st.err == nil {
-		if err := checkHeader(s, topo, fingerprint); err != nil {
-			return nil, err
-		}
-	}
-	// Counts are bounded by capped initial capacities plus append growth:
-	// every decoded entry consumes at least one stream byte, so memory
-	// stays proportional to the actual file size even if a corrupt count
-	// claims billions.
-	const preallocCap = 1 << 20
-	nf := st.intCap("flow", 1<<32)
-	s.Flows = make([]Range, 0, min(nf, preallocCap))
-	for i := 0; i < nf && st.err == nil; i++ {
-		s.Flows = append(s.Flows, Range{Off: int(st.uint()), Len: int(st.uint())})
-	}
-	nt := st.intCap("transfer", 1<<31-1)
-	s.Transfers = make([]Transfer, 0, min(nt, preallocCap))
-	maxStep := 0
-	for i := 0; i < nt && st.err == nil; i++ {
-		t := Transfer{
-			ID:  TransferID(i),
-			Src: topology.NodeID(st.uint()),
-			Dst: topology.NodeID(st.uint()),
-		}
-		switch op := st.uint(); op {
-		case opReduceBin:
-			t.Op = Reduce
-		case opGatherBin:
-			t.Op = Gather
-		default:
-			if st.err == nil {
-				return nil, fmt.Errorf("collective: transfer %d has unknown op %d", i, op)
-			}
-		}
-		t.Flow = int(st.uint())
-		t.Step = int(st.uint())
-		if nd := st.intCap("dep", int64(nt)); nd > 0 && st.err == nil {
-			t.Deps = make([]TransferID, nd)
-			for d := range t.Deps {
-				t.Deps[d] = TransferID(st.uint())
-			}
-		}
-		np := st.intCap("path", 1<<32)
-		if st.err == nil {
-			t.Path = make([]topology.LinkID, 0, min(np, preallocCap))
-			for h := 0; h < np && st.err == nil; h++ {
-				t.Path = append(t.Path, topology.LinkID(st.uint()))
-			}
-		}
-		if t.Step > maxStep {
-			maxStep = t.Step
-		}
-		s.Transfers = append(s.Transfers, t)
-	}
-	if st.err != nil {
-		return nil, fmt.Errorf("collective: bad binary schedule: %w", st.err)
-	}
-	if s.Steps < maxStep {
-		return nil, fmt.Errorf("collective: schedule claims %d steps but has a transfer at step %d", s.Steps, maxStep)
-	}
-	transfers = len(s.Transfers)
-	endDecode()
-	if err := validateFullObserved(s, opts.Observer); err != nil {
+// ImportBinaryInto reads a binary schedule IR of size bytes from r onto
+// an existing topology. The load is accepted on the file's stored
+// summary and content digests, or, with opts.VerifyFull, on the full
+// ValidateStrict pass. Sections are read with positioned reads and
+// decoded on up to opts.Workers goroutines into arenas sized from the
+// summary, whose claims are bounded by size before anything is
+// allocated. An *os.File with its Stat size, or a *bytes.Reader with its
+// Len, serves as r.
+func ImportBinaryInto(r io.ReaderAt, size int64, topo *topology.Topology, opts BinaryImportOptions) (*Schedule, error) {
+	ld := &loader{ra: r, topo: topo, opts: opts}
+	if err := ld.readHeader(size); err != nil {
 		return nil, err
 	}
-	return s, nil
+	return ld.load()
 }
 
-// validateFullObserved is the full load-time validation, bracketed as
-// the validate phase.
-func validateFullObserved(s *Schedule, o obs.PlanObserver) error {
-	if o != nil {
-		o.PhaseStart(obs.PhaseValidate)
-		defer func() {
-			o.PhaseEnd(obs.PhaseValidate, obs.PlanCounters{
-				Transfers:       int64(len(s.Transfers)),
-				FullValidations: 1,
-			})
-		}()
+// readHeader checks the magic and version, reads the root hash, and
+// points the loader at the body that follows.
+func (ld *loader) readHeader(size int64) error {
+	var head [len(binaryMagic) + binary.MaxVarintLen64]byte
+	n := min(max(size, 0), int64(len(head)))
+	if err := ld.readAt(head[:n], 0); err != nil {
+		return err
 	}
-	if err := s.ValidateStrict(); err != nil {
-		return fmt.Errorf("collective: binary schedule failed validation: %w", err)
+	if !bytes.HasPrefix(head[:n], binaryHeader) {
+		if !bytes.HasPrefix(head[:n], []byte(binaryMagic)) {
+			return fmt.Errorf("collective: not a binary schedule file")
+		}
+		d := &sliceDecoder{buf: head[len(binaryMagic):n]}
+		switch v := d.uint(); {
+		case d.err != nil:
+			return badSchedule("version: %w", d.err)
+		case v != BinaryIRVersion:
+			return fmt.Errorf("collective: binary schedule version %d is not supported (current is %d); re-export it", v, BinaryIRVersion)
+		}
+		// The current version spelled in more than one byte. The root
+		// hash does not cover the header, so only the exporter's spelling
+		// is accepted.
+		return badSchedule("non-canonical version field")
 	}
+	hl := int64(len(binaryHeader))
+	if size < hl+hashSize {
+		return badSchedule("truncated stream: %w", io.ErrUnexpectedEOF)
+	}
+	if err := ld.readAt(ld.root[:], hl); err != nil {
+		return err
+	}
+	ld.base, ld.size = hl+hashSize, size-hl-hashSize
 	return nil
 }
 
-// importBinaryV2 decodes the current format: everything after the
-// content-hash field streams through the hasher while it is decoded into
-// arrays preallocated from the validation summary, and the load is
-// accepted once the recomputed hash matches — O(1) validation work
-// beyond the decode itself.
-func importBinaryV2(r io.Reader, topo *topology.Topology, opts BinaryImportOptions, info BinaryLoadInfo) (*Schedule, BinaryLoadInfo, error) {
-	var want [hashSize]byte
-	if _, err := io.ReadFull(r, want[:]); err != nil {
-		return nil, info, fmt.Errorf("collective: bad binary schedule: %w", err)
-	}
-	hasher := sha256.New()
-	// The hasher is timed so the sequential load still reports the
-	// decode/verify CPU split the v3 path measures per section.
-	th := &timedWriter{w: hasher}
-	o := opts.Observer
-	var decodeStart time.Time
-	var sum ValidationSummary
-	decodeEnded := false
-	endDecode := func() {
-		if o == nil || decodeEnded {
-			return
-		}
-		decodeEnded = true
-		d := time.Since(decodeStart).Nanoseconds() - th.ns
-		if d < 0 {
-			d = 0
-		}
-		o.PhaseEnd(obs.PhaseDecode, obs.PlanCounters{Transfers: sum.Transfers, DecodeNanos: d})
-	}
-	if o != nil {
-		o.PhaseStart(obs.PhaseDecode)
-		decodeStart = time.Now()
-	}
-	defer endDecode()
-	st := newBinStream(io.TeeReader(r, th))
-
-	algorithm := st.str(maxStringLen)
-	fingerprint := st.str(maxStringLen)
-	s := &Schedule{
-		Algorithm: algorithm,
-		Topo:      topo,
-		Elems:     int(st.uint()),
-		Steps:     int(st.uint()),
-	}
-	if st.err == nil {
-		if err := checkHeader(s, topo, fingerprint); err != nil {
-			return nil, info, err
-		}
-	}
-	sum.Transfers = int64(st.uint())
-	sum.DepEdges = int64(st.uint())
-	sum.PathHops = int64(st.uint())
-	sum.LinksUsed = int64(st.uint())
-	sum.CoveredElems = int64(st.uint())
-	st.bytes(sum.Witness[:])
-	if st.err != nil {
-		return nil, info, fmt.Errorf("collective: bad binary schedule: %w", st.err)
-	}
-	// Each transfer costs >= 7 stream bytes, each dep and path hop >= 1:
-	// with a size hint, a summary whose claimed sizes could not fit in
-	// the file is rejected before anything is allocated.
-	if hint := opts.SizeHint; hint > 0 {
-		if sum.Transfers*7+sum.DepEdges+sum.PathHops > hint {
-			return nil, info, fmt.Errorf("collective: bad binary schedule: summary claims %d transfers/%d deps/%d hops in a %d-byte file",
-				sum.Transfers, sum.DepEdges, sum.PathHops, hint)
-		}
-	} else if sum.Transfers+sum.DepEdges+sum.PathHops > 1<<26 {
-		return nil, info, fmt.Errorf("collective: refusing to decode a %d-entity binary schedule without a size bound",
-			sum.Transfers+sum.DepEdges+sum.PathHops)
-	}
-	if sum.Transfers > 1<<31-1 {
-		return nil, info, fmt.Errorf("collective: bad binary schedule: %d transfers", sum.Transfers)
-	}
-
-	// One flow per tree; always dwarfed by transfers on non-trivial
-	// schedules, with a floor for degenerate ones.
-	nf := st.intCap("flow", max(sum.Transfers, 1<<16))
-	s.Flows = make([]Range, nf)
-	for i := range s.Flows {
-		s.Flows[i] = Range{Off: int(st.uint()), Len: int(st.uint())}
-	}
-
-	nt := int(sum.Transfers)
-	nodes := topology.NodeID(topo.Nodes())
-	links := len(topo.Links())
-	s.Transfers = make([]Transfer, nt)
-	depArena := make([]TransferID, sum.DepEdges)
-	pathArena := make([]topology.LinkID, sum.PathHops)
-	bm := newLinkBitmap(links)
-	dcur, pcur := 0, 0
-	maxStep := 0
-	for i := 0; i < nt && st.err == nil; i++ {
-		t := &s.Transfers[i]
-		t.ID = TransferID(i)
-		t.Src = topology.NodeID(st.uint())
-		t.Dst = topology.NodeID(st.uint())
-		if t.Src < 0 || t.Src >= nodes || t.Dst < 0 || t.Dst >= nodes {
-			return nil, info, fmt.Errorf("collective: transfer %d: endpoint out of range (%d->%d)", i, t.Src, t.Dst)
-		}
-		switch op := st.uint(); op {
-		case opReduceBin:
-			t.Op = Reduce
-		case opGatherBin:
-			t.Op = Gather
-		default:
-			if st.err == nil {
-				return nil, info, fmt.Errorf("collective: transfer %d has unknown op %d", i, op)
-			}
-		}
-		t.Flow = int(st.uint())
-		t.Step = int(st.uint())
-		if st.err == nil && (t.Flow < 0 || t.Flow >= nf) {
-			return nil, info, fmt.Errorf("collective: transfer %d: flow %d out of range", i, t.Flow)
-		}
-		nd := st.intCap("dep", sum.DepEdges-int64(dcur))
-		if nd > 0 && st.err == nil {
-			t.Deps = depArena[dcur : dcur+nd : dcur+nd]
-			dcur += nd
-			for d := range t.Deps {
-				dep := TransferID(st.uint())
-				if dep < 0 || int(dep) >= nt {
-					if st.err == nil {
-						return nil, info, fmt.Errorf("collective: transfer %d: dep %d out of range", i, dep)
-					}
-				}
-				t.Deps[d] = dep
-			}
-		}
-		np := st.intCap("path", sum.PathHops-int64(pcur))
-		if st.err == nil {
-			t.Path = pathArena[pcur : pcur+np : pcur+np]
-			pcur += np
-			for h := range t.Path {
-				id := topology.LinkID(st.uint())
-				if id < 0 || int(id) >= links {
-					if st.err == nil {
-						return nil, info, fmt.Errorf("collective: transfer %d: path link %d out of range", i, id)
-					}
-				}
-				t.Path[h] = id
-				bm.add(id)
-			}
-		}
-		if t.Step > maxStep {
-			maxStep = t.Step
-		}
-	}
-	if st.err == nil && !st.atEOF() {
-		// atEOF found live bytes — unless it failed reading, which is
-		// the stickier error.
-		if st.err == nil {
-			st.err = fmt.Errorf("trailing data after schedule")
-		}
-	}
-	if st.err != nil {
-		return nil, info, fmt.Errorf("collective: bad binary schedule: %w", st.err)
-	}
-
-	// Summary validation: the cheap decode-time cross-checks, then the
-	// content hash that proves the stream is bit-for-bit what store-time
-	// validation accepted.
-	endDecode()
-	if o != nil && !opts.VerifyFull {
-		o.PhaseStart(obs.PhaseValidate)
-	}
-	err := func() error {
-		if int64(dcur) != sum.DepEdges || int64(pcur) != sum.PathHops {
-			return fmt.Errorf("collective: bad binary schedule: summary claims %d deps/%d hops, stream has %d/%d",
-				sum.DepEdges, sum.PathHops, dcur, pcur)
-		}
-		if bm.count != sum.LinksUsed {
-			return fmt.Errorf("collective: bad binary schedule: summary claims %d links used, stream has %d", sum.LinksUsed, bm.count)
-		}
-		if s.Steps < maxStep {
-			return fmt.Errorf("collective: schedule claims %d steps but has a transfer at step %d", s.Steps, maxStep)
-		}
-		if nt > 0 && s.Elems > 0 && sum.CoveredElems != int64(s.Elems) {
-			return fmt.Errorf("collective: bad binary schedule: summary covers %d of %d elements", sum.CoveredElems, s.Elems)
-		}
-		var got [hashSize]byte
-		hasher.Sum(got[:0])
-		if got != want {
-			return fmt.Errorf("collective: bad binary schedule: content hash mismatch (corrupt or tampered entry)")
-		}
-		return nil
-	}()
-	if o != nil && !opts.VerifyFull {
-		c := obs.PlanCounters{Transfers: int64(nt), VerifyNanos: th.ns}
-		if err == nil {
-			c.SummaryValidations = 1
-		}
-		o.PhaseEnd(obs.PhaseValidate, c)
-	}
-	if err != nil {
-		return nil, info, err
-	}
-
-	info.Summary = &sum
-	info.Transfers = nt
-	if opts.VerifyFull {
-		if err := verifyFullV2(s, &sum, o); err != nil {
-			return nil, info, err
-		}
-		info.Validation = "full"
-		return s, info, nil
-	}
-	info.Validation = "summary"
-	return s, info, nil
-}
-
-// verifyFullV2 is the -verify-plan path: the complete ValidateStrict
-// pass plus a recomputation of the stored topological-order witness.
-func verifyFullV2(s *Schedule, sum *ValidationSummary, o obs.PlanObserver) error {
+// verifyFull is the -verify-plan path: the complete ValidateStrict pass
+// plus a recomputation of the stored topological-order witness.
+func verifyFull(s *Schedule, sum *summary, o obs.PlanObserver) error {
 	if o != nil {
 		o.PhaseStart(obs.PhaseValidate)
 		defer func() {

@@ -2,6 +2,10 @@ package collective_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -11,6 +15,22 @@ import (
 	"multitree/internal/ring"
 	"multitree/internal/topology"
 )
+
+// buildTorus is the MultiTree schedule most binary-IR tests encode.
+func buildTorus(t *testing.T) (*topology.Topology, *collective.Schedule) {
+	t.Helper()
+	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
+	s, err := core.Build(topo, 1<<12, core.DefaultOptions(topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo, s
+}
+
+// importBytes loads an in-memory binary schedule onto topo.
+func importBytes(b []byte, topo *topology.Topology, opts collective.BinaryImportOptions) (*collective.Schedule, error) {
+	return collective.ImportBinaryInto(bytes.NewReader(b), int64(len(b)), topo, opts)
+}
 
 // TestBinaryRoundTrip: the binary IR is lossless against the JSON
 // interchange IR — a schedule sent through ExportBinary/ImportBinaryInto
@@ -32,7 +52,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if err := collective.ExportBinary(&bin, orig); err != nil {
 			t.Fatal(err)
 		}
-		imp, err := collective.ImportBinaryInto(bytes.NewReader(bin.Bytes()), topo)
+		imp, err := importBytes(bin.Bytes(), topo, collective.BinaryImportOptions{})
 		if err != nil {
 			t.Fatalf("%s: binary import: %v", orig.Algorithm, err)
 		}
@@ -55,18 +75,36 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinaryFormatPinned pins the encoder's bytes across commits: the
+// sha256 of each export must equal the value recorded when the format
+// last changed. A mismatch makes every stored cache entry and .plan file
+// unreadable garbage under an unchanged BinaryIRVersion; a deliberate
+// format change bumps the version and records new values here.
+func TestBinaryFormatPinned(t *testing.T) {
+	topo, mt := buildTorus(t)
+	for _, c := range []struct {
+		s    *collective.Schedule
+		want string
+	}{
+		{mt, "f0857f7b2c826a356b16f8b4e593e51fd2aef60202b560840fb031303c591207"},
+		{ring.Build(topo, 1<<12), "b80615873d4c443c735252cebbb92426c9db2030c6ab3138d7c272a1d7e157ea"},
+	} {
+		h := sha256.New()
+		if err := collective.ExportBinary(h, c.s); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: export sha256 = %s, want %s", c.s.Algorithm, got, c.want)
+		}
+	}
+}
+
 // TestBinaryStreamMatchesBuffered: the seekable hash-while-write path
 // (what the plan cache's Put drives through an *os.File) must produce
-// exactly the bytes of the buffered path — same digest field included —
-// and import cleanly. The two paths share the body encoder; this pins
-// the header/hash-patching plumbing around it.
+// exactly the bytes of the buffered path — root hash included — and load
+// back through the file itself.
 func TestBinaryStreamMatchesBuffered(t *testing.T) {
-	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
-	const elems = 1 << 12
-	s, err := core.Build(topo, elems, core.DefaultOptions(topo))
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo, s := buildTorus(t)
 	var buffered bytes.Buffer
 	if err := collective.ExportBinary(&buffered, s); err != nil {
 		t.Fatal(err)
@@ -86,14 +124,15 @@ func TestBinaryStreamMatchesBuffered(t *testing.T) {
 	if !bytes.Equal(buffered.Bytes(), streamed) {
 		t.Fatal("streaming export bytes differ from buffered export")
 	}
-	if _, err := collective.ImportBinaryInto(bytes.NewReader(streamed), topo); err != nil {
+	if _, err := collective.ImportBinaryInto(f, int64(len(streamed)), topo, collective.BinaryImportOptions{}); err != nil {
 		t.Fatalf("streamed export does not import: %v", err)
 	}
 }
 
 // TestBinaryImportRejects covers the rejection paths that matter for a
-// cache that must never serve a wrong plan: foreign files, version
-// drift, topology mismatch, and truncation anywhere in the stream.
+// cache that must never serve a wrong plan: foreign files, files of any
+// other format version, topology mismatch, and truncation anywhere in
+// the stream.
 func TestBinaryImportRejects(t *testing.T) {
 	torus := topology.Torus(4, 4, topology.DefaultLinkConfig())
 	mesh := topology.Mesh(4, 4, topology.DefaultLinkConfig())
@@ -102,28 +141,163 @@ func TestBinaryImportRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	file := buf.Bytes()
+	load := func(b []byte, topo *topology.Topology) error {
+		_, err := importBytes(b, topo, collective.BinaryImportOptions{})
+		return err
+	}
 
-	if _, err := collective.ImportBinaryInto(bytes.NewReader(file), torus); err != nil {
+	if err := load(file, torus); err != nil {
 		t.Fatalf("baseline file rejected: %v", err)
 	}
-	if _, err := collective.ImportBinaryInto(bytes.NewReader(file), mesh); err == nil {
+	if err := load(file, mesh); err == nil {
 		t.Fatal("accepted a mesh for a torus schedule")
 	} else if !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if _, err := collective.ImportBinaryInto(bytes.NewReader([]byte(`{"version": 1}`)), torus); err == nil {
+	if err := load([]byte(`{"version": 1}`), torus); err == nil {
 		t.Fatal("accepted a JSON file as binary")
 	}
-	wrongVersion := append([]byte(nil), file...)
-	wrongVersion[4] = 99 // version varint follows the 4-byte magic
-	if _, err := collective.ImportBinaryInto(bytes.NewReader(wrongVersion), torus); err == nil {
-		t.Fatal("accepted an unknown format version")
-	} else if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("unexpected error: %v", err)
+	// The version varint follows the 4-byte magic. Versions 1 and 2 are
+	// the retired single-stream formats; 300 is a two-byte varint.
+	for _, v := range []uint64{1, 2, 4, 99, 300} {
+		bad := append(binary.AppendUvarint([]byte("MTIR"), v), file[5:]...)
+		err := load(bad, torus)
+		if err == nil {
+			t.Fatalf("accepted format version %d", v)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", v)) || !strings.Contains(msg, "re-export") {
+			t.Fatalf("version %d: error %q does not name the version and ask for a re-export", v, msg)
+		}
 	}
-	for _, cut := range []int{len(file) / 4, len(file) / 2, len(file) - 1} {
-		if _, err := collective.ImportBinaryInto(bytes.NewReader(file[:cut]), torus); err == nil {
+	// Version 3 spelled in two bytes, and a varint that overflows.
+	for _, head := range [][]byte{{0x83, 0x00}, bytes.Repeat([]byte{0xff}, 11)} {
+		bad := append(append([]byte("MTIR"), head...), file[5:]...)
+		if err := load(bad, torus); err == nil {
+			t.Fatalf("accepted version field % x", head)
+		}
+	}
+	for _, cut := range []int{0, 3, 5, len(file) / 4, len(file) / 2, len(file) - 1} {
+		if err := load(file[:cut], torus); err == nil {
 			t.Fatalf("accepted a file truncated to %d bytes", cut)
 		}
 	}
+}
+
+// legacyRing is the schedule the recorded legacy files in testdata hold:
+// ring.Build(torus-4x4, 256), written by the last encoders of versions 1
+// and 2.
+func legacyRing() (*topology.Topology, *collective.Schedule) {
+	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
+	return topo, ring.Build(topo, 256)
+}
+
+// requireLegacyRejected loads a recorded legacy file sequentially, fanned
+// out, and under VerifyFull, and requires every load to fail with an
+// error that names the file's version and asks for a re-export.
+func requireLegacyRejected(t *testing.T, name string, version uint64) {
+	t.Helper()
+	file, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file[:5], binary.AppendUvarint([]byte("MTIR"), version)) {
+		t.Fatalf("%s: header % x is not a version-%d header", name, file[:5], version)
+	}
+	topo, _ := legacyRing()
+	for _, opts := range []collective.BinaryImportOptions{{}, {Workers: 8}, {VerifyFull: true}} {
+		_, err := importBytes(file, topo, opts)
+		if err == nil {
+			t.Fatalf("%s: %+v: version-%d file accepted", name, opts, version)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", version)) || !strings.Contains(msg, "re-export") {
+			t.Fatalf("%s: %+v: error %q does not name version %d and ask for a re-export", name, opts, msg, version)
+		}
+	}
+}
+
+// TestBinaryV1Compat: a real version-1 file is refused, never decoded as
+// some other schedule. The refusal names the version and asks for a
+// re-export, and VerifyFull cannot rescue it.
+func TestBinaryV1Compat(t *testing.T) {
+	requireLegacyRejected(t, "ring-v1.plan", 1)
+}
+
+// TestBinaryV2ToV3RoundTrip walks the migration that a refused
+// version-2 file asks for. The recorded v2 file is rejected with a
+// re-export error. Re-exporting the same build writes a current file,
+// which loads and reproduces the schedule byte for byte.
+func TestBinaryV2ToV3RoundTrip(t *testing.T) {
+	requireLegacyRejected(t, "ring-v2.plan", 2)
+	topo, s := legacyRing()
+	var v3 bytes.Buffer
+	if err := collective.ExportBinary(&v3, s); err != nil {
+		t.Fatal(err)
+	}
+	if want := binary.AppendUvarint([]byte("MTIR"), collective.BinaryIRVersion); !bytes.HasPrefix(v3.Bytes(), want) {
+		t.Fatalf("re-export header % x, want % x", v3.Bytes()[:5], want)
+	}
+	got, err := importBytes(v3.Bytes(), topo, collective.BinaryImportOptions{})
+	if err != nil {
+		t.Fatalf("re-exported file does not load: %v", err)
+	}
+	var want, have bytes.Buffer
+	if err := collective.Export(&want, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := collective.Export(&have, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), have.Bytes()) {
+		t.Fatal("re-exported file loads a different schedule")
+	}
+}
+
+// TestTreesToScheduleParallelDeterministic: the lowered schedule — and
+// therefore its binary IR, content hash included — is byte-identical at
+// every worker count.
+func TestTreesToScheduleParallelDeterministic(t *testing.T) {
+	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
+	trees, err := core.BuildTrees(topo, core.DefaultOptions(topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	for _, workers := range []int{1, 2, 3, 8, 64} {
+		s, err := collective.TreesToScheduleParallel(core.Algorithm, topo, 1<<12, trees, workers, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := collective.ExportBinary(&buf, s); err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			want = buf
+			continue
+		}
+		if !bytes.Equal(want.Bytes(), buf.Bytes()) {
+			t.Fatalf("workers=%d lowers to different bytes than workers=1", workers)
+		}
+	}
+}
+
+// FuzzImportBinary feeds arbitrary bytes to the decoder as a torus-4x4
+// schedule. It must never panic, and any input it accepts must re-export
+// to exactly those bytes: a schedule has one spelling in the format, so
+// nothing outside the digests can vary unnoticed.
+func FuzzImportBinary(f *testing.F) {
+	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := importBytes(data, topo, collective.BinaryImportOptions{Workers: 2})
+		if err != nil {
+			return
+		}
+		var re bytes.Buffer
+		if err := collective.ExportBinary(&re, s); err != nil {
+			t.Fatalf("accepted input does not re-export: %v", err)
+		}
+		if !bytes.Equal(re.Bytes(), data) {
+			t.Fatalf("accepted %d bytes that re-export to %d different bytes", len(data), re.Len())
+		}
+	})
 }

@@ -1,38 +1,40 @@
 package collective_test
 
-// Tests of the version-3 sectioned binary IR: parallel-decode
-// invariance (the materialized schedule is byte-identical at every
-// worker count), tamper rejection on the parallel path, cross-version
-// round trips with v2 entries, and the non-seekable fallback.
+// Tests of the sectioned binary IR's trust and parallel-decode
+// machinery: the materialized schedule is byte-identical at every worker
+// count, every single-bit flip is rejected sequentially and fanned out, and the
+// VerifyFull escape hatch runs the full validation pass.
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 
 	"multitree/internal/collective"
+	"multitree/internal/obs"
 )
 
-// TestBinaryV3ParallelDecodeInvariance: importing one v3 file at any
-// worker count materializes the same schedule — pinned by re-exporting
-// each load and comparing bytes, content hash included.
+// TestBinaryV3ParallelDecodeInvariance: importing one file at any worker
+// count materializes the same schedule — pinned by re-exporting each
+// load and comparing bytes, root hash included. Each load is accepted on
+// its stored summary, whose cross-checks prove the summary's counts
+// describe the decoded schedule, and the trusted result still passes the
+// full validation.
 func TestBinaryV3ParallelDecodeInvariance(t *testing.T) {
-	topo, s := buildV2(t)
+	topo, s := buildTorus(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		got, info, err := collective.ImportBinaryIntoOpts(bytes.NewReader(good), topo,
-			collective.BinaryImportOptions{Workers: workers})
+		prof := obs.NewPlanProfile()
+		got, err := importBytes(good, topo, collective.BinaryImportOptions{Workers: workers, Observer: prof})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if info.Version != collective.BinaryIRVersion || info.Validation != "summary" {
-			t.Fatalf("workers=%d: info = %+v, want v%d summary-validated",
-				workers, info, collective.BinaryIRVersion)
+		if c := validateCounters(prof); c.SummaryValidations != 1 || c.FullValidations != 0 {
+			t.Fatalf("workers=%d: validate counters %+v, want one summary validation", workers, c)
 		}
 		var re bytes.Buffer
 		if err := collective.ExportBinary(&re, got); err != nil {
@@ -47,16 +49,25 @@ func TestBinaryV3ParallelDecodeInvariance(t *testing.T) {
 	}
 }
 
-// TestBinaryV3TamperRejectedParallel sweeps a single-bit flip across
-// the whole v3 body — meta, every section, footer, trailer — and
-// requires the parallel decoder to reject every variant. Flips that
-// keep the sections decodable must be caught by a digest ("content
-// hash mismatch"), and the sweep must engage that backstop at least
-// once. This is the sequential sweep of TestBinaryV2NoSingleBitFlipAccepted
-// run against the fan-out path, where a missed check would race instead
-// of fail.
-func TestBinaryV3TamperRejectedParallel(t *testing.T) {
-	topo, s := buildV2(t)
+// validateCounters returns the counters a load reported for its
+// validate phase.
+func validateCounters(p *obs.PlanProfile) obs.PlanCounters {
+	for _, ph := range p.Phases() {
+		if ph.Phase == obs.PhaseValidate {
+			return ph.Counters
+		}
+	}
+	return obs.PlanCounters{}
+}
+
+// sweepBitFlips flips one bit at a time across the whole body of an
+// export (meta, every section, footer, trailer) and requires the decoder
+// to reject every variant. Flips that keep the sections decodable must be
+// caught by a digest ("content hash mismatch"), and the sweep must
+// engage that backstop at least once.
+func sweepBitFlips(t *testing.T, opts collective.BinaryImportOptions) {
+	t.Helper()
+	topo, s := buildTorus(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
@@ -65,28 +76,42 @@ func TestBinaryV3TamperRejectedParallel(t *testing.T) {
 	// Body starts after magic(4) + version varint(1) + root hash(32).
 	const bodyOff = 4 + 1 + 32
 	hashCaught := 0
+	// Step a few bytes at a time to keep the sweep fast; the sampled
+	// offsets still cover every region of the body.
 	for off := bodyOff; off < len(good); off += 3 {
 		bad := bytes.Clone(good)
 		bad[off] ^= 0x01
-		_, _, err := collective.ImportBinaryIntoOpts(bytes.NewReader(bad), topo,
-			collective.BinaryImportOptions{Workers: 8})
+		_, err := importBytes(bad, topo, opts)
 		if err == nil {
-			t.Fatalf("bit flip at offset %d accepted", off)
+			t.Fatalf("%+v: bit flip at offset %d accepted", opts, off)
 		}
 		if strings.Contains(err.Error(), "content hash mismatch") {
 			hashCaught++
 		}
 	}
 	if hashCaught == 0 {
-		t.Fatal("no flip was caught by a content digest; the backstop never engaged")
+		t.Fatalf("%+v: no flip was caught by a content digest; the backstop never engaged", opts)
 	}
+}
+
+// TestBinaryV2NoSingleBitFlipAccepted: the bit-flip sweep against the
+// default, sequential load.
+func TestBinaryV2NoSingleBitFlipAccepted(t *testing.T) {
+	sweepBitFlips(t, collective.BinaryImportOptions{})
+}
+
+// TestBinaryV3TamperRejectedParallel: the bit-flip sweep against a load
+// fanned out over eight workers, where a missed check would race
+// instead of fail.
+func TestBinaryV3TamperRejectedParallel(t *testing.T) {
+	sweepBitFlips(t, collective.BinaryImportOptions{Workers: 8})
 }
 
 // TestBinaryV3RootHashCoversTrailer: flipping root-hash bytes
 // themselves must also reject — the stored root no longer matches the
 // recomputed one.
 func TestBinaryV3RootHashCoversTrailer(t *testing.T) {
-	topo, s := buildV2(t)
+	topo, s := buildTorus(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
@@ -94,97 +119,28 @@ func TestBinaryV3RootHashCoversTrailer(t *testing.T) {
 	for _, off := range []int{5, 20, 36} { // first, middle, last hash byte
 		bad := bytes.Clone(buf.Bytes())
 		bad[off] ^= 0x80
-		if _, _, err := collective.ImportBinaryIntoOpts(bytes.NewReader(bad), topo,
-			collective.BinaryImportOptions{Workers: 4}); err == nil {
+		if _, err := importBytes(bad, topo, collective.BinaryImportOptions{Workers: 4}); err == nil {
 			t.Fatalf("flip in stored root hash at offset %d accepted", off)
 		}
 	}
 }
 
-// TestBinaryV2ToV3RoundTrip: a legacy v2 entry still loads (stream
-// path, summary-validated), and re-encoding that load as v3 yields a
-// schedule that round-trips byte-identically — the upgrade path a cache
-// rebuild takes.
-func TestBinaryV2ToV3RoundTrip(t *testing.T) {
-	topo, s := buildV2(t)
-	var v2 bytes.Buffer
-	if err := collective.ExportBinaryV2(&v2, s); err != nil {
-		t.Fatal(err)
-	}
-	fromV2, info, err := collective.ImportBinaryIntoOpts(bytes.NewReader(v2.Bytes()), topo,
-		collective.BinaryImportOptions{Workers: 8}) // Workers must be ignored on v2
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != 2 || info.Validation != "summary" {
-		t.Fatalf("info = %+v, want version 2, summary-validated", info)
-	}
-	var v3 bytes.Buffer
-	if err := collective.ExportBinary(&v3, fromV2); err != nil {
-		t.Fatal(err)
-	}
-	fromV3, info3, err := collective.ImportBinaryIntoOpts(bytes.NewReader(v3.Bytes()), topo,
-		collective.BinaryImportOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info3.Version != collective.BinaryIRVersion {
-		t.Fatalf("round-tripped version = %d, want %d", info3.Version, collective.BinaryIRVersion)
-	}
-	var want, have bytes.Buffer
-	if err := collective.ExportBinary(&want, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := collective.ExportBinary(&have, fromV3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want.Bytes(), have.Bytes()) {
-		t.Fatal("v2 -> v3 round trip changed the schedule")
-	}
-}
-
-// TestBinaryV3StreamFallback: a v3 file arriving on a plain io.Reader
-// (no ReaderAt/Seeker — a network stream, a pipe) still loads via the
-// buffered fallback, identically to the random-access path.
-func TestBinaryV3StreamFallback(t *testing.T) {
-	topo, s := buildV2(t)
-	var buf bytes.Buffer
-	if err := collective.ExportBinary(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	got, info, err := collective.ImportBinaryIntoOpts(
-		struct{ io.Reader }{bytes.NewReader(buf.Bytes())}, topo,
-		collective.BinaryImportOptions{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != collective.BinaryIRVersion {
-		t.Fatalf("version = %d, want %d", info.Version, collective.BinaryIRVersion)
-	}
-	var re bytes.Buffer
-	if err := collective.ExportBinary(&re, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), re.Bytes()) {
-		t.Fatal("stream-fallback load re-exports to different bytes")
-	}
-}
-
-// TestBinaryV3VerifyFull: the escape hatch still forces the complete
-// validation pass on the sectioned format.
+// TestBinaryV3VerifyFull: the escape hatch forces the complete
+// validation pass, witness hash included, in place of the summary
+// check.
 func TestBinaryV3VerifyFull(t *testing.T) {
-	topo, s := buildV2(t)
+	topo, s := buildTorus(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	_, info, err := collective.ImportBinaryIntoOpts(bytes.NewReader(buf.Bytes()), topo,
-		collective.BinaryImportOptions{VerifyFull: true, Workers: 8})
-	if err != nil {
+	prof := obs.NewPlanProfile()
+	if _, err := importBytes(buf.Bytes(), topo,
+		collective.BinaryImportOptions{VerifyFull: true, Workers: 8, Observer: prof}); err != nil {
 		t.Fatal(err)
 	}
-	if info.Validation != "full" {
-		t.Fatalf("validation = %q, want full", info.Validation)
+	if c := validateCounters(prof); c.FullValidations != 1 || c.SummaryValidations != 0 {
+		t.Fatalf("validate counters %+v, want one full validation", c)
 	}
 }
 
@@ -192,15 +148,14 @@ func TestBinaryV3VerifyFull(t *testing.T) {
 // inside the trailer, the footer, a section — must reject, never hang
 // or mis-decode.
 func TestBinaryV3Truncated(t *testing.T) {
-	topo, s := buildV2(t)
+	topo, s := buildTorus(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
 	for _, n := range []int{len(good) - 1, len(good) - 8, len(good) - 17, len(good) / 2, 40} {
-		if _, _, err := collective.ImportBinaryIntoOpts(bytes.NewReader(good[:n]), topo,
-			collective.BinaryImportOptions{Workers: 4}); err == nil {
+		if _, err := importBytes(good[:n], topo, collective.BinaryImportOptions{Workers: 4}); err == nil {
 			t.Fatalf("truncation to %d of %d bytes accepted", n, len(good))
 		}
 	}
@@ -209,7 +164,7 @@ func TestBinaryV3Truncated(t *testing.T) {
 // TestScheduleMemBytes: the memory-cache cost function scales with the
 // schedule's actual contents and never returns zero for a real plan.
 func TestScheduleMemBytes(t *testing.T) {
-	_, s := buildV2(t)
+	_, s := buildTorus(t)
 	got := s.MemBytes()
 	if got <= 0 {
 		t.Fatalf("MemBytes = %d, want > 0", got)

@@ -1,9 +1,8 @@
 package collective
 
-// Binary IR version 3: the sectioned layout that makes warm plan loads
-// parallel. Where v2 is one varint stream hashed end to end — inherently
-// sequential to decode — v3 splits the schedule into independently
-// decodable sections and stripes:
+// The binary IR's sectioned layout, which makes warm plan loads
+// parallel: the schedule is split into independently decodable sections
+// and stripes.
 //
 //	magic "MTIR" | uvarint version=3 | root sha256[32]
 //	meta        (algorithm, fingerprint, elems, steps, summary, flow count)
@@ -41,11 +40,9 @@ package collective
 // measured no better under deltas and stay absolute.
 //
 // Loads read through an io.ReaderAt (plain pread per section, no shared
-// cursor, no mmap); readers that cannot seek fall back to one in-memory
-// copy of the body.
+// cursor, no mmap).
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -58,7 +55,7 @@ import (
 	"multitree/internal/topology"
 )
 
-// Section kinds of the v3 footer table.
+// Section kinds of the footer table.
 const (
 	secFlows     = 0 // flow ranges; exactly one section
 	secTransfers = 1 // fixed transfer records (src,dst,op,flow,step,ndeps,nhops)
@@ -74,15 +71,17 @@ const (
 // footer stays in the tens of kilobytes.
 const transfersPerStripe = 1 << 17
 
-// v3TrailerLen is the fixed trailer: footer offset + footer length as
+// trailerLen is the fixed trailer: footer offset + footer length as
 // little-endian uint64s, in body coordinates (byte 0 = first meta byte).
-const v3TrailerLen = 16
+const trailerLen = 16
 
-// maxV3Sections and maxV3MetaLen bound hostile table/meta claims before
-// anything is allocated from them.
+// maxSections and maxMetaLen bound hostile table/meta claims before
+// anything is allocated from them; maxStringLen bounds the algorithm and
+// fingerprint strings, both short.
 const (
-	maxV3Sections = 1 << 20
-	maxV3MetaLen  = 1 << 20
+	maxSections  = 1 << 20
+	maxMetaLen   = 1 << 20
+	maxStringLen = 1 << 16
 )
 
 // sectionEntry is one row of the footer table.
@@ -98,9 +97,9 @@ type sectionEntry struct {
 }
 
 // sliceDecoder decodes uvarints from a fully buffer-resident section.
-// Unlike binStream there is no window to refill, so the common case — a
-// one-byte varint — inlines to a bounds check and a compare; section
-// decode throughput is what the warm-load budget is spent on.
+// There is no window to refill, so the common case — a one-byte varint —
+// inlines to a bounds check and a compare; section decode throughput is
+// what the warm-load budget is spent on.
 type sliceDecoder struct {
 	buf []byte
 	pos int
@@ -214,7 +213,7 @@ func (c *countWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// bufWriteSeeker adapts the streaming v3 exporter to non-seekable sinks:
+// bufWriteSeeker adapts the streaming exporter to non-seekable sinks:
 // the stream assembles in memory, then ships in one Write. Only the
 // hash-patch seek is ever used, so the implementation stays minimal.
 type bufWriteSeeker struct {
@@ -251,16 +250,10 @@ func (b *bufWriteSeeker) Seek(off int64, whence int) (int64, error) {
 	return b.pos, nil
 }
 
-// encodeMetaV3 renders the meta block: everything the loader needs
+// encodeMeta renders the meta block: everything the loader needs
 // before it can size arenas and fan out — header fields, the validation
 // summary, and the flow count (flow data itself is a section).
-// sint writes one zigzag-coded signed value — the encoder half of
-// sliceDecoder.sint.
-func (w *binWriter) sint(v int64) {
-	w.uint(uint64(v)<<1 ^ uint64(v>>63))
-}
-
-func encodeMetaV3(s *Schedule, sum ValidationSummary) []byte {
+func encodeMeta(s *Schedule, sum summary) []byte {
 	bw := &binWriter{buf: make([]byte, 0, 256)}
 	bw.str(s.Algorithm)
 	bw.str(TopologyFingerprint(s.Topo))
@@ -276,8 +269,8 @@ func encodeMetaV3(s *Schedule, sum ValidationSummary) []byte {
 	return bw.buf
 }
 
-// encodeFooterV3 renders the section table.
-func encodeFooterV3(entries []sectionEntry) []byte {
+// encodeFooter renders the section table.
+func encodeFooter(entries []sectionEntry) []byte {
 	bw := &binWriter{buf: make([]byte, 0, 64+48*len(entries))}
 	bw.uint(uint64(len(entries)))
 	for i := range entries {
@@ -294,11 +287,11 @@ func encodeFooterV3(entries []sectionEntry) []byte {
 	return bw.buf
 }
 
-// encodeV3Sections streams the section data — flows first, then each
+// encodeSections streams the section data — flows first, then each
 // transfer stripe followed by its dep and path-hop stripes — recording
 // byte ranges and per-section digests as it goes. Section bytes never
 // materialize beyond the bounded window.
-func encodeV3Sections(cw *countWriter, s *Schedule, sum ValidationSummary) ([]sectionEntry, error) {
+func encodeSections(cw *countWriter, s *Schedule, sum summary) ([]sectionEntry, error) {
 	window := make([]byte, 0, 1<<18)
 	var entries []sectionEntry
 	h := sha256.New()
@@ -392,54 +385,36 @@ func encodeV3Sections(cw *countWriter, s *Schedule, sum ValidationSummary) ([]se
 	return entries, nil
 }
 
-// exportBinaryV3 writes the current sectioned format. Seekable sinks
-// stream in one pass with the root hash patched at the end, exactly like
-// the v2 exporter; everything else assembles in memory first. Both paths
-// emit identical bytes.
-func exportBinaryV3(w io.Writer, s *Schedule, sum ValidationSummary) error {
-	if ws, ok := w.(io.WriteSeeker); ok {
-		return exportBinaryV3Stream(ws, s, sum)
-	}
-	var buf bufWriteSeeker
-	if err := exportBinaryV3Stream(&buf, s, sum); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.buf)
-	return err
-}
-
-func exportBinaryV3Stream(w io.WriteSeeker, s *Schedule, sum ValidationSummary) error {
+// writeBinary streams the whole file in one pass: header with a zero
+// root placeholder, meta, sections, footer and trailer, then a seek back
+// to patch the root hash over the placeholder.
+func writeBinary(w io.WriteSeeker, s *Schedule, sum summary) error {
 	start, err := w.Seek(0, io.SeekCurrent)
 	if err != nil {
 		return err
 	}
-	var head binWriter
-	head.buf = append(head.buf, binaryMagic[:]...)
-	head.uint(BinaryIRVersion)
-	hashOff := int64(len(head.buf))
-	var placeholder [hashSize]byte
-	head.buf = append(head.buf, placeholder[:]...)
-	if _, err := w.Write(head.buf); err != nil {
+	head := append(append([]byte(nil), binaryHeader...), make([]byte, hashSize)...)
+	if _, err := w.Write(head); err != nil {
 		return err
 	}
 
 	// Everything below goes through the counting writer, so section byte
 	// offsets land directly in body coordinates (0 = first meta byte).
 	cw := &countWriter{w: w}
-	meta := encodeMetaV3(s, sum)
+	meta := encodeMeta(s, sum)
 	if _, err := cw.Write(meta); err != nil {
 		return err
 	}
-	entries, err := encodeV3Sections(cw, s, sum)
+	entries, err := encodeSections(cw, s, sum)
 	if err != nil {
 		return err
 	}
 	footOff := cw.n
-	footer := encodeFooterV3(entries)
+	footer := encodeFooter(entries)
 	if _, err := cw.Write(footer); err != nil {
 		return err
 	}
-	var trailer [v3TrailerLen]byte
+	var trailer [trailerLen]byte
 	binary.LittleEndian.PutUint64(trailer[0:], uint64(footOff))
 	binary.LittleEndian.PutUint64(trailer[8:], uint64(len(footer)))
 	if _, err := cw.Write(trailer[:]); err != nil {
@@ -454,7 +429,7 @@ func exportBinaryV3Stream(w io.WriteSeeker, s *Schedule, sum ValidationSummary) 
 	h.Write(footer)
 	var root [hashSize]byte
 	h.Sum(root[:0])
-	if _, err := w.Seek(start+hashOff, io.SeekStart); err != nil {
+	if _, err := w.Seek(start+int64(len(binaryHeader)), io.SeekStart); err != nil {
 		return err
 	}
 	if _, err := w.Write(root[:]); err != nil {
@@ -464,48 +439,12 @@ func exportBinaryV3Stream(w io.WriteSeeker, s *Schedule, sum ValidationSummary) 
 	return err
 }
 
-// readerAtSeeker is what the parallel import path needs: positioned
-// reads for concurrent sections, seeks to locate the trailer. *os.File
-// and *bytes.Reader both qualify.
-type readerAtSeeker interface {
-	io.ReaderAt
-	io.Seeker
-}
-
-// importBinaryV3 decodes the sectioned format: verify the root over
+// loader carries the shared state of one import: verify the root over
 // meta+footer, size every arena from the summary, then fan the sections
 // out across opts.Workers goroutines — each a pread, a digest check, and
 // a buffer-resident varint decode into its disjoint slice of the shared
 // arenas.
-func importBinaryV3(r io.Reader, topo *topology.Topology, opts BinaryImportOptions, info BinaryLoadInfo) (*Schedule, BinaryLoadInfo, error) {
-	ld := &v3Loader{topo: topo, opts: opts}
-	if _, err := io.ReadFull(r, ld.root[:]); err != nil {
-		return nil, info, fmt.Errorf("collective: bad binary schedule: %w", err)
-	}
-	if rs, ok := r.(readerAtSeeker); ok {
-		base, err := rs.Seek(0, io.SeekCurrent)
-		if err == nil {
-			var end int64
-			end, err = rs.Seek(0, io.SeekEnd)
-			ld.base, ld.size = base, end-base
-		}
-		if err != nil {
-			return nil, info, fmt.Errorf("collective: bad binary schedule: %w", err)
-		}
-		ld.ra = rs
-	} else {
-		body, err := io.ReadAll(r)
-		if err != nil {
-			return nil, info, fmt.Errorf("collective: bad binary schedule: %w", err)
-		}
-		ld.ra = bytes.NewReader(body)
-		ld.size = int64(len(body))
-	}
-	return ld.load(info)
-}
-
-// v3Loader carries the shared state of one sectioned import.
-type v3Loader struct {
+type loader struct {
 	topo *topology.Topology
 	opts BinaryImportOptions
 	root [hashSize]byte
@@ -514,7 +453,7 @@ type v3Loader struct {
 	size int64 // body bytes, trailer included
 
 	s       *Schedule
-	sum     ValidationSummary
+	sum     summary
 	nf      int
 	entries []sectionEntry
 	depEnd  []int64 // per transfers stripe: exclusive dep arena bound
@@ -535,7 +474,7 @@ func badSchedule(format string, args ...any) error {
 	return fmt.Errorf("collective: bad binary schedule: "+format, args...)
 }
 
-func (ld *v3Loader) readAt(p []byte, off int64) error {
+func (ld *loader) readAt(p []byte, off int64) error {
 	_, err := ld.ra.ReadAt(p, ld.base+off)
 	if err != nil {
 		return badSchedule("truncated stream: %w", err)
@@ -543,18 +482,18 @@ func (ld *v3Loader) readAt(p []byte, off int64) error {
 	return nil
 }
 
-func (ld *v3Loader) load(info BinaryLoadInfo) (*Schedule, BinaryLoadInfo, error) {
+func (ld *loader) load() (*Schedule, error) {
 	t0 := time.Now()
 	meta, err := ld.readTable()
 	if err != nil {
-		return nil, info, err
+		return nil, err
 	}
 	ld.verifyNs.Add(time.Since(t0).Nanoseconds())
 	if err := ld.parseMeta(meta); err != nil {
-		return nil, info, err
+		return nil, err
 	}
 	if err := ld.planSections(); err != nil {
-		return nil, info, err
+		return nil, err
 	}
 
 	o := ld.opts.Observer
@@ -569,47 +508,42 @@ func (ld *v3Loader) load(info BinaryLoadInfo) (*Schedule, BinaryLoadInfo, error)
 		})
 	}
 	if err != nil {
-		return nil, info, err
+		return nil, err
 	}
 
-	if o != nil && !ld.opts.VerifyFull {
+	// The summary path reports the cross-checks as its validate phase;
+	// the full path reports the ValidateStrict pass that follows them.
+	summaryPhase := o != nil && !ld.opts.VerifyFull
+	if summaryPhase {
 		o.PhaseStart(obs.PhaseValidate)
 	}
 	err = ld.crossCheck()
-	if o != nil && !ld.opts.VerifyFull {
+	if summaryPhase {
 		c := obs.PlanCounters{Transfers: ld.sum.Transfers, VerifyNanos: ld.verifyNs.Load()}
 		if err == nil {
 			c.SummaryValidations = 1
 		}
 		o.PhaseEnd(obs.PhaseValidate, c)
 	}
+	if err == nil && ld.opts.VerifyFull {
+		err = verifyFull(ld.s, &ld.sum, o)
+	}
 	if err != nil {
-		return nil, info, err
+		return nil, err
 	}
-
-	info.Summary = &ld.sum
-	info.Transfers = len(ld.s.Transfers)
-	if ld.opts.VerifyFull {
-		if err := verifyFullV2(ld.s, &ld.sum, o); err != nil {
-			return nil, info, err
-		}
-		info.Validation = "full"
-		return ld.s, info, nil
-	}
-	info.Validation = "summary"
-	return ld.s, info, nil
+	return ld.s, nil
 }
 
 // readTable locates and parses the footer, pins every byte of the body
 // to a structural role, and verifies the root hash — after which any
 // surviving corruption must be confined to section bytes, where the
 // per-section digests catch it. Returns the meta block bytes.
-func (ld *v3Loader) readTable() ([]byte, error) {
-	if ld.size < v3TrailerLen {
+func (ld *loader) readTable() ([]byte, error) {
+	if ld.size < trailerLen {
 		return nil, badSchedule("truncated stream: %w", io.ErrUnexpectedEOF)
 	}
-	var tr [v3TrailerLen]byte
-	if err := ld.readAt(tr[:], ld.size-v3TrailerLen); err != nil {
+	var tr [trailerLen]byte
+	if err := ld.readAt(tr[:], ld.size-trailerLen); err != nil {
 		return nil, err
 	}
 	footOff := binary.LittleEndian.Uint64(tr[0:8])
@@ -618,8 +552,8 @@ func (ld *v3Loader) readTable() ([]byte, error) {
 	// anywhere, so a tampered trailer cannot point at a forged table
 	// hidden inside the stream without the contiguity checks below
 	// failing.
-	if footLen == 0 || footLen > uint64(ld.size)-v3TrailerLen ||
-		footOff != uint64(ld.size)-v3TrailerLen-footLen {
+	if footLen == 0 || footLen > uint64(ld.size)-trailerLen ||
+		footOff != uint64(ld.size)-trailerLen-footLen {
 		return nil, badSchedule("section table out of place")
 	}
 	footer := make([]byte, footLen)
@@ -628,7 +562,8 @@ func (ld *v3Loader) readTable() ([]byte, error) {
 	}
 
 	d := &sliceDecoder{buf: footer}
-	n := d.intCap("section", min(maxV3Sections, int64(footLen)))
+	// Each entry costs at least seven one-byte varints and a digest.
+	n := d.intCap("section", min(maxSections, int64(footLen)/(7+hashSize)))
 	if d.err == nil && n == 0 {
 		return nil, badSchedule("no sections")
 	}
@@ -655,7 +590,7 @@ func (ld *v3Loader) readTable() ([]byte, error) {
 	// together with the root hash over meta||footer this accounts for
 	// every body byte exactly once.
 	metaLen := entries[0].byteOff
-	if metaLen > maxV3MetaLen {
+	if metaLen > maxMetaLen {
 		return nil, badSchedule("meta block of %d bytes", metaLen)
 	}
 	at := metaLen
@@ -686,10 +621,10 @@ func (ld *v3Loader) readTable() ([]byte, error) {
 	return meta, nil
 }
 
-// parseMeta decodes the meta block and applies the same header and
-// summary-size hygiene as the v2 path — with the advantage that the
-// body size is known exactly, not hinted.
-func (ld *v3Loader) parseMeta(meta []byte) error {
+// parseMeta decodes the meta block, checks the header fields against
+// the live topology, and bounds the summary's claimed sizes by the body
+// size.
+func (ld *loader) parseMeta(meta []byte) error {
 	d := &sliceDecoder{buf: meta}
 	algorithm := d.str(maxStringLen)
 	fingerprint := d.str(maxStringLen)
@@ -715,8 +650,12 @@ func (ld *v3Loader) parseMeta(meta []byte) error {
 	if d.err != nil {
 		return badSchedule("%w", d.err)
 	}
-	if err := checkHeader(s, ld.topo, fingerprint); err != nil {
-		return err
+	if got := TopologyFingerprint(ld.topo); got != fingerprint {
+		return fmt.Errorf("collective: topology %s does not match binary schedule (fingerprint %s, file has %s)",
+			ld.topo.Name(), got, fingerprint)
+	}
+	if s.Elems < 1 {
+		return fmt.Errorf("collective: schedule has %d elements", s.Elems)
 	}
 	// Each transfer record costs >= 7 section bytes, each dep and path
 	// hop >= 1: a summary whose claimed sizes could not fit in the body
@@ -732,7 +671,7 @@ func (ld *v3Loader) parseMeta(meta []byte) error {
 // planSections checks that each kind's sections tile its element space
 // exactly and derives the per-transfers-stripe arena bounds from the
 // aux-offset chain.
-func (ld *v3Loader) planSections() error {
+func (ld *loader) planSections() error {
 	ld.depEnd = make([]int64, len(ld.entries))
 	ld.pathEnd = make([]int64, len(ld.entries))
 	var flowSections int
@@ -802,7 +741,7 @@ func (ld *v3Loader) planSections() error {
 // decodeAll allocates the arenas and fans section decoding out across
 // the workers, then merges per-entry results deterministically: the
 // lowest-indexed section's error wins regardless of scheduling.
-func (ld *v3Loader) decodeAll() error {
+func (ld *loader) decodeAll() error {
 	workers := ld.opts.Workers
 	if workers < 1 {
 		workers = 1
@@ -829,7 +768,7 @@ func (ld *v3Loader) decodeAll() error {
 // decodeSection loads, verifies and decodes one section into its
 // disjoint region of the shared arrays. buf is the worker's reusable
 // read buffer.
-func (ld *v3Loader) decodeSection(w, i int, buf *[]byte) error {
+func (ld *loader) decodeSection(w, i int, buf *[]byte) error {
 	e := &ld.entries[i]
 	if int64(e.byteLen) > int64(cap(*buf)) {
 		*buf = make([]byte, e.byteLen)
@@ -869,7 +808,7 @@ func (ld *v3Loader) decodeSection(w, i int, buf *[]byte) error {
 	return err
 }
 
-func (ld *v3Loader) decodeFlows(d *sliceDecoder, e *sectionEntry) error {
+func (ld *loader) decodeFlows(d *sliceDecoder, e *sectionEntry) error {
 	for j := uint64(0); j < e.elemCount; j++ {
 		off := d.uint()
 		length := d.uint()
@@ -878,7 +817,7 @@ func (ld *v3Loader) decodeFlows(d *sliceDecoder, e *sectionEntry) error {
 	return nil
 }
 
-func (ld *v3Loader) decodeTransfers(d *sliceDecoder, e *sectionEntry, i int) error {
+func (ld *loader) decodeTransfers(d *sliceDecoder, e *sectionEntry, i int) error {
 	nodes := topology.NodeID(ld.topo.Nodes())
 	dcur, pcur := int64(e.auxDep), int64(e.auxPath)
 	dEnd, pEnd := ld.depEnd[i], ld.pathEnd[i]
@@ -946,7 +885,7 @@ func (ld *v3Loader) decodeTransfers(d *sliceDecoder, e *sectionEntry, i int) err
 	return nil
 }
 
-func (ld *v3Loader) decodeDeps(d *sliceDecoder, e *sectionEntry) error {
+func (ld *loader) decodeDeps(d *sliceDecoder, e *sectionEntry) error {
 	nt := ld.sum.Transfers
 	var prev int64
 	for j := uint64(0); j < e.elemCount; j++ {
@@ -963,7 +902,7 @@ func (ld *v3Loader) decodeDeps(d *sliceDecoder, e *sectionEntry) error {
 	return nil
 }
 
-func (ld *v3Loader) decodePaths(d *sliceDecoder, e *sectionEntry, w int) error {
+func (ld *loader) decodePaths(d *sliceDecoder, e *sectionEntry, w int) error {
 	links := uint64(len(ld.topo.Links()))
 	bm := ld.bitmaps[w]
 	if bm == nil {
@@ -986,9 +925,9 @@ func (ld *v3Loader) decodePaths(d *sliceDecoder, e *sectionEntry, w int) error {
 
 // crossCheck is the post-join summary validation: the per-worker link
 // bitmaps union to the summary's distinct-link count, steps bound the
-// decoded maximum, and coverage matches — the same cross-checks the v2
-// path runs, minus the ones the section tables enforce structurally.
-func (ld *v3Loader) crossCheck() error {
+// decoded maximum, and coverage matches. The dep and hop counts need no
+// check here: the section tables enforce them structurally.
+func (ld *loader) crossCheck() error {
 	var merged *linkBitmap
 	for _, bm := range ld.bitmaps {
 		if bm == nil {

@@ -1,16 +1,22 @@
 package collective
 
-// Internal differential tests for the hand-rolled varint decoder in
-// sections.go. The slow path must match encoding/binary.Uvarint
-// bit-for-bit — including the 10th-byte overflow rule — because the
-// encoder writes with binary.PutUvarint and the v3 wire format's
-// tamper rejection depends on every out-of-spec byte sequence being
-// an error, not a silent wrap.
+// Internal tests of the binary IR. The hand-rolled varint decoder's slow
+// path must match encoding/binary.Uvarint bit-for-bit — including the
+// 10th-byte overflow rule — because the encoder writes with
+// binary.PutUvarint and the wire format's tamper rejection depends on
+// every out-of-spec byte sequence being an error, not a silent wrap. The
+// witness test needs a forged summary, which only the encoder's
+// internals can write, and the summary test reads the summary the loader
+// decoded, which only its internals hold.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
+
+	"multitree/internal/topology"
 )
 
 // varintCorpus mixes boundary values with a deterministic LCG sweep so
@@ -93,5 +99,84 @@ func TestSliceDecoderRejectsWhatStdRejects(t *testing.T) {
 	d := &sliceDecoder{buf: max}
 	if got := d.uint(); d.err != nil || got != math.MaxUint64 {
 		t.Fatalf("max encoding: got %#x, err %v", got, d.err)
+	}
+}
+
+// TestBinaryV2SummaryLoad: a default load is accepted on the stored
+// validation summary, and the summary the loader read describes the
+// schedule exactly: the counts it sized its arenas from are the
+// schedule's own, recounted here. The trusted result still passes the
+// full validation.
+func TestBinaryV2SummaryLoad(t *testing.T) {
+	topo := topology.Mesh(2, 2, topology.DefaultLinkConfig())
+	s, err := TreesToSchedule("unit", topo, 400, []*Tree{chainTree()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := ExportBinary(&file, s); err != nil {
+		t.Fatal(err)
+	}
+	ld := &loader{ra: bytes.NewReader(file.Bytes()), topo: topo}
+	if err := ld.readHeader(int64(file.Len())); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ld.load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var deps, hops int64
+	links := map[topology.LinkID]bool{}
+	for i := range s.Transfers {
+		deps += int64(len(s.Transfers[i].Deps))
+		path := s.PathOf(&s.Transfers[i])
+		hops += int64(len(path))
+		for _, id := range path {
+			links[id] = true
+		}
+	}
+	sum := ld.sum
+	if sum.Transfers != int64(len(s.Transfers)) || sum.DepEdges != deps || sum.PathHops != hops {
+		t.Fatalf("summary %+v does not match schedule (%d transfers, %d deps, %d hops)",
+			sum, len(s.Transfers), deps, hops)
+	}
+	if sum.LinksUsed != int64(len(links)) || sum.CoveredElems != int64(s.Elems) {
+		t.Fatalf("summary uses %d links covering %d elems, schedule uses %d covering %d",
+			sum.LinksUsed, sum.CoveredElems, len(links), s.Elems)
+	}
+	if err := got.ValidateStrict(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVerifyFullChecksWitness: a file whose digests are all consistent
+// but whose summary records a different topological-order witness loads
+// on its summary; only the VerifyFull pass recomputes the witness and
+// rejects it.
+func TestVerifyFullChecksWitness(t *testing.T) {
+	topo := topology.Mesh(2, 2, topology.DefaultLinkConfig())
+	s, err := TreesToSchedule("unit", topo, 400, []*Tree{chainTree()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := s.validatedOrder(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := summarize(s, order)
+	sum.Witness[0] ^= 1
+	var file bufWriteSeeker
+	if err := writeBinary(&file, s, sum); err != nil {
+		t.Fatal(err)
+	}
+	load := func(full bool) error {
+		_, err := ImportBinaryInto(bytes.NewReader(file.buf), int64(len(file.buf)), topo, BinaryImportOptions{VerifyFull: full})
+		return err
+	}
+	if err := load(false); err != nil {
+		t.Fatalf("summary load rejected a digest-consistent file: %v", err)
+	}
+	if err := load(true); err == nil || !strings.Contains(err.Error(), "witness") {
+		t.Fatalf("VerifyFull load: err = %v, want a witness mismatch", err)
 	}
 }

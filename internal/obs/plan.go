@@ -49,9 +49,9 @@ const (
 
 	// PhaseValidate is schedule validation at binary-IR load time: either
 	// the O(1) summary + content-hash check of a trusted cache load or the
-	// full ValidateStrict pass (-verify-plan, or a v1 entry with no
-	// summary). It nests inside cache-lookup on warm loads, splitting the
-	// load cost into decode vs validate.
+	// full ValidateStrict pass (-verify-plan). It nests inside
+	// cache-lookup on warm loads, splitting the load cost into decode vs
+	// validate.
 	PhaseValidate
 
 	// PhaseShardMerge is the commit-replay merge of sharded tree growth:

@@ -11,13 +11,12 @@
 //
 //	<dir>/<sha256 of the canonical key material>.plan
 //
-// Loads stream through collective.ImportBinaryIntoOpts. A current-version
-// entry carries the exporter's validation summary and content hash, so a
-// hit is verified in O(bytes) — fingerprint match, summary cross-checks,
-// sha256 over the stream — instead of re-running the full DAG/path
-// validation over millions of transfers; Cache.VerifyFull restores the
-// full pass, and legacy (previous-version) entries always get it. Either
-// way a corrupted, tampered, or stale entry is deleted, logged, and
+// A hit is trusted on the entry's store-time validation summary and
+// sha256 digests: the load checks the fingerprint, the summary
+// cross-checks and every digest in O(bytes) instead of re-running the
+// full DAG/path validation over millions of transfers, and
+// Cache.VerifyFull restores the full pass. A corrupted or tampered entry,
+// or one in an earlier binary-IR version, is deleted, logged, and
 // reported as a miss — never an error — so one bad file costs one
 // rebuild. Stores write to a temp file and rename, so concurrent writers
 // (a parallel sweep planning several sizes) and crashes can never leave
@@ -57,9 +56,9 @@ type Stats struct {
 	Evictions    int64
 
 	// SummaryLoads counts hits accepted on the entry's embedded
-	// validation summary + content hash; FullLoads counts hits that ran
-	// the complete ValidateStrict pass (legacy-version entries, or
-	// VerifyFull). SummaryLoads + FullLoads == Hits.
+	// validation summary + content digests; FullLoads counts hits that
+	// ran the complete ValidateStrict pass (VerifyFull). SummaryLoads +
+	// FullLoads == Hits.
 	SummaryLoads int64
 	FullLoads    int64
 }
@@ -129,19 +128,6 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".plan")
 }
 
-// EntryPath returns the on-disk path of key's entry and whether the
-// entry currently exists. Entries are content-addressed, written
-// atomically, and hold the exporter's exact ExportBinary bytes — so a
-// caller that just built or loaded the keyed schedule may stream-copy
-// the file in place of re-encoding the identical IR.
-func (c *Cache) EntryPath(key string) (string, bool) {
-	p := c.path(key)
-	if _, err := os.Stat(p); err != nil {
-		return "", false
-	}
-	return p, true
-}
-
 func (c *Cache) logf(format string, args ...any) {
 	if c.Log != nil {
 		c.Log(format, args...)
@@ -152,16 +138,9 @@ func (c *Cache) logf(format string, args ...any) {
 // IR bytes read. ok = false is a miss, never an error: the entry was
 // absent, unreadable, or failed validation; invalid entries are deleted
 // and logged so one corrupt file costs one rebuild, not every future
-// run. Equivalent to GetObserved with a nil observer.
+// run. Equivalent to GetOpts with zero options.
 func (c *Cache) Get(key string, topo *topology.Topology) (s *collective.Schedule, bytesRead int64, ok bool) {
-	return c.GetObserved(key, topo, nil)
-}
-
-// GetObserved is Get with planner-phase observation: the entry's
-// validation work (summary check or full pass) reports to o as the
-// validate phase. Equivalent to GetOpts with only Observer set.
-func (c *Cache) GetObserved(key string, topo *topology.Topology, o obs.PlanObserver) (s *collective.Schedule, bytesRead int64, ok bool) {
-	return c.GetOpts(key, topo, GetOptions{Observer: o})
+	return c.GetOpts(key, topo, GetOptions{})
 }
 
 // GetOptions tunes one cache load. The zero value is a plain
@@ -170,18 +149,16 @@ type GetOptions struct {
 	// Observer receives the load's planner phases (decode, validate).
 	Observer obs.PlanObserver
 
-	// Workers bounds the decode fan-out for current-version entries,
-	// exactly as collective.BinaryImportOptions.Workers: sections of the
-	// entry decode concurrently on up to Workers goroutines, and the
+	// Workers bounds the decode fan-out, exactly as
+	// collective.BinaryImportOptions.Workers: sections of the entry
+	// decode concurrently on up to Workers goroutines, and the
 	// materialized schedule is byte-identical at any count. <= 1 decodes
-	// sequentially; legacy entry versions ignore it.
+	// sequentially.
 	Workers int
 }
 
-// GetOpts is Get with per-load options. The entry streams from disk
-// through a bounded buffer — or, for current-version entries with
-// Workers > 1, is read section-by-section in parallel; nothing
-// materializes the whole file.
+// GetOpts is Get with per-load options. The entry is read section by
+// section with positioned reads; nothing materializes the whole file.
 func (c *Cache) GetOpts(key string, topo *topology.Topology, opts GetOptions) (s *collective.Schedule, bytesRead int64, ok bool) {
 	f, err := os.Open(c.path(key))
 	if err != nil {
@@ -193,16 +170,14 @@ func (c *Cache) GetOpts(key string, topo *topology.Topology, opts GetOptions) (s
 		return nil, 0, false
 	}
 	defer f.Close()
-	var size int64
-	if info, err := f.Stat(); err == nil {
-		size = info.Size()
+	fi, err := f.Stat()
+	if err == nil {
+		s, err = collective.ImportBinaryInto(f, fi.Size(), topo, collective.BinaryImportOptions{
+			VerifyFull: c.VerifyFull,
+			Observer:   opts.Observer,
+			Workers:    opts.Workers,
+		})
 	}
-	s, li, err := collective.ImportBinaryIntoOpts(f, topo, collective.BinaryImportOptions{
-		VerifyFull: c.VerifyFull,
-		SizeHint:   size,
-		Observer:   opts.Observer,
-		Workers:    opts.Workers,
-	})
 	if err != nil {
 		c.logf("plancache: discarding invalid entry %s: %v (rebuilding)", key, err)
 		os.Remove(c.path(key))
@@ -213,6 +188,7 @@ func (c *Cache) GetOpts(key string, topo *topology.Topology, opts GetOptions) (s
 	// failed refresh (read-only cache dir) must not stay silent — it
 	// quietly degrades LRU into evict-hottest, since the entries being
 	// hit keep their stale mtimes.
+	size := fi.Size()
 	now := time.Now()
 	if err := os.Chtimes(c.path(key), now, now); err != nil {
 		c.logf("plancache: cannot refresh mtime of %s: %v (LRU may evict hot entries)", key, err)
@@ -220,10 +196,10 @@ func (c *Cache) GetOpts(key string, topo *topology.Topology, opts GetOptions) (s
 	c.count(func(st *Stats) {
 		st.Hits++
 		st.BytesRead += size
-		if li.Validation == "summary" {
-			st.SummaryLoads++
-		} else {
+		if c.VerifyFull {
 			st.FullLoads++
+		} else {
+			st.SummaryLoads++
 		}
 	})
 	return s, size, true

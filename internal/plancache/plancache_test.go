@@ -83,49 +83,75 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestCorruptEntryFallsBack: a damaged entry is deleted, logged, and
-// reported as a miss.
+// TestCorruptEntryFallsBack: a damaged entry, or one written in a
+// retired binary-IR version, is deleted, logged, and reported as a miss;
+// the build that follows re-plans and stores a loadable entry.
 func TestCorruptEntryFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	c, err := plancache.Open(dir, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var warnings []string
-	c.Log = func(format string, args ...any) {
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-	}
 	topo := topology.Torus(4, 4, cfg())
-	s := build(t, topo, 1024)
-	key := plancache.Key(topo, "multitree", 1024, 0)
-	if _, err := c.Put(key, s); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, key+".plan")
-	if err := os.WriteFile(path, []byte("MTIR\x01mangled garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c.Get(key, topo); ok {
-		t.Fatal("corrupt entry served as a hit")
-	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "discarding invalid entry") {
-		t.Fatalf("warnings = %q, want one discard warning", warnings)
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt entry not deleted")
-	}
-	// The slot is clean again: a re-store round-trips.
-	if _, err := c.Put(key, s); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c.Get(key, topo); !ok {
-		t.Fatal("miss after re-store")
+	for _, tc := range []struct {
+		name  string
+		plant func(good []byte) []byte
+		want  string // in the discard warning
+	}{
+		{"garbage", func([]byte) []byte { return []byte("MTIR\x03mangled garbage") }, "discarding invalid entry"},
+		// The header of a version-2 entry: magic, version 2, content hash.
+		{"version 2", func(good []byte) []byte {
+			stale := bytes.Clone(good)
+			stale[4] = 2
+			return stale
+		}, "re-export"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := plancache.Open(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var warnings []string
+			c.Log = func(format string, args ...any) {
+				warnings = append(warnings, fmt.Sprintf(format, args...))
+			}
+			opts := algorithms.Options{Cache: c}
+			if _, err := algorithms.Build(topo, "multitree", 1024, opts); err != nil {
+				t.Fatal(err)
+			}
+			key := plancache.Key(topo, "multitree", 1024, 0)
+			path := filepath.Join(dir, key+".plan")
+			good, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.plant(good), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := c.Get(key, topo); ok {
+				t.Fatal("invalid entry served as a hit")
+			}
+			if len(warnings) != 1 || !strings.Contains(warnings[0], "discarding invalid entry") ||
+				!strings.Contains(warnings[0], tc.want) {
+				t.Fatalf("warnings = %q, want one discard warning mentioning %q", warnings, tc.want)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatal("invalid entry not deleted")
+			}
+			// The rebuild path: the next build misses, re-plans and
+			// stores an entry that loads again.
+			if _, err := algorithms.Build(topo, "multitree", 1024, opts); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := c.Get(key, topo); !ok {
+				t.Fatal("miss after rebuild")
+			}
+			if st := c.Stats(); st.Misses != 3 || st.Hits != 1 {
+				t.Fatalf("stats = %+v, want 3 misses (cold, invalid, rebuild) and 1 hit", st)
+			}
+		})
 	}
 }
 
 // TestWrongTopologyMisses: an entry keyed for one fabric never loads
-// onto another (ImportBinaryInto's fingerprint check), even if probed with a
-// mismatched key.
+// onto another (collective.ImportBinaryInto's fingerprint check), even if
+// probed with a mismatched key.
 func TestWrongTopologyMisses(t *testing.T) {
 	c, err := plancache.Open(t.TempDir(), 0)
 	if err != nil {

@@ -114,7 +114,7 @@ func (c *PlanCache) Dir() string { return c.c.Dir() }
 // PlanCacheStats is a snapshot of a cache's traffic counters.
 // SummaryLoads counts hits accepted on the entry's store-time validation
 // summary + content hash; FullLoads counts hits that re-ran the complete
-// schedule validation (legacy entries, or VerifyFull).
+// schedule validation (VerifyFull).
 type PlanCacheStats struct {
 	Hits         int64
 	Misses       int64
