@@ -42,12 +42,11 @@
 // live planner progress with an ETA on stderr, auto-detecting terminals
 // so CI logs get plain line-buffered output.
 //
-// Planning large fabrics: -plan-workers N grows MultiTree's trees on N
-// goroutines, -plan-shards N partitions growth across fabric shards
-// (the schedule is byte-identical for every count of either), and
-// -plan-cache DIR keeps built schedules in a content-addressed on-disk
-// cache, so repeat runs load a validated plan in milliseconds instead of
-// re-planning for minutes:
+// Planning large fabrics: -plan-workers N runs MultiTree's eccentricity
+// and lowering passes on N goroutines (the schedule is byte-identical
+// for every count), and -plan-cache DIR keeps built schedules in a
+// content-addressed on-disk cache, so repeat runs load a validated plan
+// in milliseconds instead of re-planning for minutes:
 //
 //	allreduce-bench -algo multitree -topo mesh-32x32 -engine fluid \
 //	    -plan-cache ~/.cache/multitree-plans -plan-workers 4
@@ -149,8 +148,7 @@ func main() {
 		planCache     = flag.String("plan-cache", "", "content-addressed plan cache directory: schedules load from it when present and are stored after a fresh build")
 		planCacheMax  = flag.String("plan-cache-max-bytes", "", "evict least-recently-used plan-cache entries above this size (e.g. 256MiB); empty or 0 leaves the cache uncapped")
 		planMemMB     = flag.Int64("plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: repeated builds of one plan (sweeps, resilience re-plans) skip disk and decode; <= 0 off")
-		planWorkers   = flag.Int("plan-workers", 1, "parallel tree-growth workers for the MultiTree planner and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
-		planShards    = flag.Int("plan-shards", 1, "sharded tree growth for the MultiTree planner (geometric root partition); the schedule built is byte-identical for every value")
+		planWorkers   = flag.Int("plan-workers", 1, "planner workers for MultiTree's eccentricity and lowering passes (tree growth stays sequential) and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
 		verifyPlan    = flag.Bool("verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
 		progressMode  = flag.String("progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
 		metricsAddr   = flag.String("metrics-addr", "", "serve Prometheus metrics at this address (e.g. :9464) during the run")
@@ -199,7 +197,7 @@ func main() {
 		MetricsAddr:  *metricsAddr, MetricsLinger: *metricsLinger,
 		CPUProfile: *cpuProfile, MemProfile: *memProfile,
 		PlanCacheDir: *planCache, PlanCacheMaxBytes: cacheMax, PlanMemCacheMB: *planMemMB,
-		PlanWorkers: *planWorkers, PlanShards: *planShards, VerifyPlan: *verifyPlan,
+		PlanWorkers: *planWorkers, VerifyPlan: *verifyPlan,
 	})
 	if err != nil {
 		log.Fatal(err)

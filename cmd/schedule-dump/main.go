@@ -33,11 +33,10 @@
 // -report writes the versioned run report, -planprofile the planner
 // phase CSV, -progress live planner progress on stderr, and
 // -cpuprofile/-memprofile the pprof profiles. So do the planner-scaling
-// flags: -plan-workers N grows trees in parallel and -plan-shards N
-// grows them in fabric shards (the schedule is byte-identical for every
-// count of either), and -plan-cache DIR makes -export load a
-// previously built schedule from the content-addressed cache instead of
-// re-planning it. Warm loads scale too: -plan-workers also fans the
+// flags: -plan-workers N runs the planner's eccentricity and lowering
+// passes in parallel (the schedule is byte-identical for every count),
+// and -plan-cache DIR makes -export load a previously built schedule
+// from the content-addressed cache instead of re-planning it. Warm loads scale too: -plan-workers also fans the
 // binary-IR section decode across cores, -plan-mem-cache-mb N keeps
 // decoded plans in process so repeats skip disk entirely, and
 // -warm-loads N replays the load through the cache tiers to measure it.
@@ -97,8 +96,7 @@ func main() {
 		planCache    = flag.String("plan-cache", "", "content-addressed plan cache directory for -export: schedules load from it when present and are stored after a fresh build")
 		planMemMB    = flag.Int64("plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: repeated loads of one plan skip disk and decode entirely; <= 0 off")
 		warmLoads    = flag.Int("warm-loads", 0, "after -export, re-load the plan this many more times through the cache tiers (exercises warm serving; counts land in the run report)")
-		planWorkers  = flag.Int("plan-workers", 1, "parallel tree-growth workers for the MultiTree planner and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
-		planShards   = flag.Int("plan-shards", 1, "sharded tree growth for the MultiTree planner (geometric root partition); the schedule built is byte-identical for every value")
+		planWorkers  = flag.Int("plan-workers", 1, "planner workers for MultiTree's eccentricity and lowering passes (tree growth stays sequential) and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
 		verifyPlan   = flag.Bool("verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
 	)
 	flag.Parse()
@@ -118,7 +116,7 @@ func main() {
 		ProgressMode: *progressMode,
 		CPUProfile:   *cpuProfile, MemProfile: *memProfile,
 		PlanCacheDir: *planCache, PlanMemCacheMB: *planMemMB,
-		PlanWorkers: *planWorkers, PlanShards: *planShards, VerifyPlan: *verifyPlan,
+		PlanWorkers: *planWorkers, VerifyPlan: *verifyPlan,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -20,8 +20,8 @@
 // The shared observability flags of allreduce-bench also apply here:
 // -report writes the versioned run report, -progress live planner
 // progress on stderr, and -cpuprofile/-memprofile the pprof profiles —
-// as do the planner-scaling flags -plan-workers (parallel tree growth),
-// -plan-shards (sharded tree growth) and -plan-cache (content-addressed
+// as do the planner-scaling flags -plan-workers (parallel eccentricity,
+// lowering and plan-decode passes) and -plan-cache (content-addressed
 // on-disk schedule cache).
 package main
 
@@ -68,8 +68,7 @@ func main() {
 		progressMode = flag.String("progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
 		planCache    = flag.String("plan-cache", "", "content-addressed plan cache directory: gradient all-reduce schedules load from it when present and are stored after a fresh build")
 		planMemMB    = flag.Int64("plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: the per-layer builds that share one plan skip disk and decode; <= 0 off")
-		planWorkers  = flag.Int("plan-workers", 1, "parallel tree-growth workers for the MultiTree planner and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
-		planShards   = flag.Int("plan-shards", 1, "sharded tree growth for the MultiTree planner (geometric root partition); the schedule built is byte-identical for every value")
+		planWorkers  = flag.Int("plan-workers", 1, "planner workers for MultiTree's eccentricity and lowering passes (tree growth stays sequential) and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
 		verifyPlan   = flag.Bool("verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
 	)
 	flag.Parse()
@@ -91,7 +90,7 @@ func main() {
 		ProgressMode: *progressMode,
 		CPUProfile:   *cpuProfile, MemProfile: *memProfile,
 		PlanCacheDir: *planCache, PlanMemCacheMB: *planMemMB,
-		PlanWorkers: *planWorkers, PlanShards: *planShards, VerifyPlan: *verifyPlan,
+		PlanWorkers: *planWorkers, VerifyPlan: *verifyPlan,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -220,7 +219,6 @@ func printLayerProfile(topo *topology.Topology, name string, run *cliutil.Run) {
 	opts := core.DefaultOptions(topo)
 	opts.Observer = run.PlanObserver()
 	opts.Workers = run.BuildOptions().Workers
-	opts.Shards = run.BuildOptions().Shards
 	trees, err := core.BuildTrees(topo, opts)
 	if err != nil {
 		log.Fatal(err)

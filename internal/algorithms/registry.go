@@ -41,17 +41,11 @@ type Options struct {
 	// (dbtree); <= 0 selects the algorithm's default.
 	Chunks int
 
-	// Workers bounds planner parallelism for algorithms with a parallel
-	// construction path (multitree's speculative tree growth); <= 1 means
-	// sequential. The schedule built is identical for every value.
+	// Workers bounds planner parallelism for algorithms with parallel
+	// passes (multitree's eccentricities and lowering) and the section
+	// decode of cached plans; <= 1 means sequential. The schedule built
+	// is identical for every value.
 	Workers int
-
-	// Shards partitions multitree's root set geometrically and grows
-	// each shard's trees on its own goroutine against a private link
-	// pool, merged deterministically; <= 1 means unsharded. Like
-	// Workers, the schedule built is identical for every value, so
-	// Shards is not part of the cache key.
-	Shards int
 
 	// Cache, when non-nil, is probed before construction and updated
 	// after it (see Build). Only schedule-shaping inputs enter the cache

@@ -151,8 +151,7 @@ type Config struct {
 	PlanCacheDir      string // -plan-cache: content-addressed plan cache directory
 	PlanCacheMaxBytes int64  // -plan-cache-max-bytes: LRU size cap, <= 0 uncapped
 	PlanMemCacheMB    int64  // -plan-mem-cache-mb: in-process decoded-plan LRU cap, <= 0 off
-	PlanWorkers       int    // -plan-workers: parallel tree growth + lowering + IR decode, <= 1 sequential
-	PlanShards        int    // -plan-shards: sharded tree growth (geometric root partition), <= 1 off
+	PlanWorkers       int    // -plan-workers: parallel eccentricities + lowering + IR decode, <= 1 sequential
 	VerifyPlan        bool   // -verify-plan: full re-validation of cache hits
 }
 
@@ -213,9 +212,6 @@ func StartRun(cfg Config) (*Run, error) {
 	if cfg.PlanWorkers > 1 {
 		r.Option("plan_workers", fmt.Sprintf("%d", cfg.PlanWorkers))
 	}
-	if cfg.PlanShards > 1 {
-		r.Option("plan_shards", fmt.Sprintf("%d", cfg.PlanShards))
-	}
 	if cfg.MetricsAddr != "" {
 		r.Prom = obs.NewPromHandler()
 		r.Prom.SetPlanProfile(r.Profile)
@@ -250,12 +246,11 @@ func (r *Run) PlanObserver() obs.PlanObserver {
 
 // BuildOptions returns the planner options to thread into schedule
 // builds: the run's observer fan-out, the plan cache, and the worker
-// and shard counts. Callers set per-build knobs (Chunks) on the
+// count. Callers set per-build knobs (Chunks) on the
 // returned value.
 func (r *Run) BuildOptions() algorithms.Options {
 	return algorithms.Options{
 		Workers:  r.cfg.PlanWorkers,
-		Shards:   r.cfg.PlanShards,
 		Cache:    r.Cache,
 		MemCache: r.MemCache,
 		Observer: r.PlanObserver(),

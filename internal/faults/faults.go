@@ -159,7 +159,9 @@ func ParseSpec(spec string) (*Plan, error) {
 				f.Down = true
 			case strings.HasPrefix(effect, "bw="):
 				scale, err := strconv.ParseFloat(effect[3:], 64)
-				if err != nil || scale <= 0 || scale >= 1 {
+				// NaN fails every comparison, so the range test alone
+				// would accept it, and String would print it as lat+0.
+				if err != nil || math.IsNaN(scale) || scale <= 0 || scale >= 1 {
 					return nil, fmt.Errorf("faults: clause %q needs bw=<scale> with 0 < scale < 1", clause)
 				}
 				f.BWScale = scale

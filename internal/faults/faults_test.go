@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -51,6 +52,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"link:0:down",          // not a pair
 		"link:0-1:bw=1.5",      // scale out of range
 		"link:0-1:bw=0",        // scale out of range
+		"link:0-1:bw=NaN",      // not a number
+		"link:0-1:bw=-Inf",     // not finite
 		"link:0-1:lat+0",       // zero latency
 		"link:0-1@5:down",      // bad time suffix
 		"node:3:bw=0.5",        // nodes only go down
@@ -67,6 +70,26 @@ func TestParseSpecErrors(t *testing.T) {
 	if err != nil || !p.Empty() {
 		t.Errorf("blank spec: got %v, %+v", err, p)
 	}
+}
+
+// FuzzParseSpec feeds arbitrary specs to the parser. It must never
+// panic, and every plan it accepts must survive the String round trip
+// that Plan.String promises: re-parsing the rendered spec yields an equal
+// plan.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		back, err := ParseSpec(p.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) renders as %q, which does not parse: %v", spec, p.String(), err)
+		}
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("ParseSpec(%q) = %+v, but its rendering %q parses to %+v", spec, p, p.String(), back)
+		}
+	})
 }
 
 func TestApplyEmptyPlanIsIdentity(t *testing.T) {

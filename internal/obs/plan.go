@@ -54,11 +54,10 @@ const (
 	// validate.
 	PhaseValidate
 
-	// PhaseShardMerge is the commit-replay merge of sharded tree growth:
-	// replaying the per-shard speculative turns against the live link pool
-	// in global turn order. It nests inside tree-growth, one run per
-	// round, so its share of the growth wall measures how much of the
-	// sharded build is serial merge work vs parallel search.
+	// PhaseShardMerge is a retired slot that nothing emits: it was the
+	// merge of the sharded tree-growth engine, which is gone. The slot
+	// stays so PhaseDecode keeps its id, and because the benchmark's
+	// trace adapter still names the constant.
 	PhaseShardMerge
 
 	// PhaseDecode is binary-IR materialization at load time: reading the
@@ -89,8 +88,6 @@ func (p PlanPhase) String() string {
 		return "cache-lookup"
 	case PhaseValidate:
 		return "validate"
-	case PhaseShardMerge:
-		return "shard-merge"
 	case PhaseDecode:
 		return "decode"
 	}
@@ -157,13 +154,6 @@ type PlanCounters struct {
 	SummaryValidations int64
 	FullValidations    int64
 
-	// ShardTurns/ShardReplays count sharded-growth merge turns and the
-	// subset whose speculative search read a link that earlier turns had
-	// claimed differently, forcing a replay against the live pool
-	// (shard-merge). The replay ratio is the sharding overhead.
-	ShardTurns   int64
-	ShardReplays int64
-
 	// DecodeNanos/VerifyNanos split a binary-IR load's CPU time between
 	// varint materialization and content-digest verification (decode /
 	// validate). Both sum per-worker time, so on a parallel v3 load they
@@ -197,8 +187,6 @@ func (c *PlanCounters) Add(other PlanCounters) {
 	c.CacheBytes += other.CacheBytes
 	c.SummaryValidations += other.SummaryValidations
 	c.FullValidations += other.FullValidations
-	c.ShardTurns += other.ShardTurns
-	c.ShardReplays += other.ShardReplays
 	c.DecodeNanos += other.DecodeNanos
 	c.VerifyNanos += other.VerifyNanos
 	c.MemCacheHits += other.MemCacheHits
@@ -448,10 +436,6 @@ func (p *PlanProfile) Report() *PlanReport {
 
 			SummaryValidations: ph.Counters.SummaryValidations,
 			FullValidations:    ph.Counters.FullValidations,
-			ShardTurns:         ph.Counters.ShardTurns,
-			ShardReplays:       ph.Counters.ShardReplays,
-			ShardCleanCommits:  ph.Counters.ShardTurns - ph.Counters.ShardReplays,
-			ShardReplayShare:   shardReplayShare(ph.Counters),
 			DecodeNanos:        ph.Counters.DecodeNanos,
 			VerifyNanos:        ph.Counters.VerifyNanos,
 			MemCacheHits:       ph.Counters.MemCacheHits,
@@ -461,32 +445,22 @@ func (p *PlanProfile) Report() *PlanReport {
 	return rep
 }
 
-// shardReplayShare is the replayed fraction of shard-merge turns — the
-// number the contention-aware-turn-order work tunes against.
-func shardReplayShare(c PlanCounters) float64 {
-	if c.ShardTurns == 0 {
-		return 0
-	}
-	return float64(c.ShardReplays) / float64(c.ShardTurns)
-}
-
 // WriteCSV writes the phase breakdown as CSV: one row per phase that ran,
 // with wall time, its share of the planner total, and every counter. This
 // is the format of the committed results/plan-profile-*.csv artifacts.
 func (p *PlanProfile) WriteCSV(w io.Writer) error {
 	rep := p.Report()
-	if _, err := fmt.Fprintln(w, "phase,runs,wall_ns,share,steps,trees_grown,nodes_attached,searches,search_misses,links_scanned,link_conflicts,links_allocated,transfers,dep_edges,path_hops,table_entries,cache_hits,cache_misses,cache_bytes,summary_validations,full_validations,shard_turns,shard_replays,decode_ns,verify_ns,mem_cache_hits,mem_cache_misses"); err != nil {
+	if _, err := fmt.Fprintln(w, "phase,runs,wall_ns,share,steps,trees_grown,nodes_attached,searches,search_misses,links_scanned,link_conflicts,links_allocated,transfers,dep_edges,path_hops,table_entries,cache_hits,cache_misses,cache_bytes,summary_validations,full_validations,decode_ns,verify_ns,mem_cache_hits,mem_cache_misses"); err != nil {
 		return err
 	}
 	for _, ph := range rep.Phases {
-		if _, err := fmt.Fprintf(w, "%s,%d,%d,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+		if _, err := fmt.Fprintf(w, "%s,%d,%d,%.4f,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
 			ph.Phase, ph.Runs, ph.WallNanos, ph.Share,
 			ph.Steps, ph.TreesGrown, ph.NodesAttached,
 			ph.Searches, ph.SearchMisses, ph.LinksScanned, ph.LinkConflicts,
 			ph.LinksAllocated, ph.Transfers, ph.DepEdges, ph.PathHops, ph.TableEntries,
 			ph.CacheHits, ph.CacheMisses, ph.CacheBytes,
 			ph.SummaryValidations, ph.FullValidations,
-			ph.ShardTurns, ph.ShardReplays,
 			ph.DecodeNanos, ph.VerifyNanos,
 			ph.MemCacheHits, ph.MemCacheMisses); err != nil {
 			return err
@@ -571,12 +545,6 @@ func (p *Progress) pipeline() string {
 
 // PhaseStart implements PlanObserver.
 func (p *Progress) PhaseStart(ph PlanPhase) {
-	if ph == PhaseShardMerge {
-		// Per-round micro-phase nested inside tree-growth: a start/done
-		// pair per round would flood the non-interactive log. The profile
-		// keeps its numbers; the progress stream skips it.
-		return
-	}
 	t := p.clock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -590,9 +558,6 @@ func (p *Progress) PhaseStart(ph PlanPhase) {
 
 // PhaseEnd implements PlanObserver.
 func (p *Progress) PhaseEnd(ph PlanPhase, c PlanCounters) {
-	if ph == PhaseShardMerge {
-		return
-	}
 	t := p.clock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -628,8 +593,6 @@ func (p *Progress) detail(ph PlanPhase, c PlanCounters) string {
 			mode = "summary"
 		}
 		return fmt.Sprintf(" (%d transfers, %s)", c.Transfers, mode)
-	case PhaseShardMerge:
-		return fmt.Sprintf(" (%d turns, %d replays)", c.ShardTurns, c.ShardReplays)
 	}
 	return ""
 }
@@ -641,9 +604,6 @@ func (p *Progress) detail(ph PlanPhase, c PlanCounters) string {
 // bypasses the throttle so the final 100% line always lands before the
 // phase's PhaseEnd.
 func (p *Progress) PlanProgress(ph PlanPhase, done, total int64) {
-	if ph == PhaseShardMerge {
-		return
-	}
 	t := p.clock()
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -218,23 +218,6 @@ func TestProgressDegenerateSamples(t *testing.T) {
 	}
 }
 
-func TestProgressIgnoresShardMerge(t *testing.T) {
-	var buf bytes.Buffer
-	p := NewProgress(&buf, false)
-	clk := &fakeClock{t: time.Unix(1000, 0), step: time.Second}
-	p.now = clk.now
-
-	// shard-merge runs once per growth round; a start/done pair each
-	// time would flood a non-interactive log.
-	for i := 0; i < 100; i++ {
-		p.PhaseStart(PhaseShardMerge)
-		p.PhaseEnd(PhaseShardMerge, PlanCounters{ShardTurns: 10, ShardReplays: 1})
-	}
-	if buf.Len() != 0 {
-		t.Fatalf("shard-merge phases should not print:\n%s", buf.String())
-	}
-}
-
 func TestProgressInteractive(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProgress(&buf, true)

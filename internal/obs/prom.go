@@ -133,9 +133,6 @@ func (h *PromHandler) WriteProm(w io.Writer) error {
 		p.metric("multitree_plan_path_hops_total", "counter", "Pinned path hops emitted by lowering.", nil, float64(c.PathHops))
 		p.metric("multitree_plan_summary_validations_total", "counter", "Binary-IR loads accepted by validation summary + content hash.", nil, float64(c.SummaryValidations))
 		p.metric("multitree_plan_full_validations_total", "counter", "Binary-IR loads validated by the full ValidateStrict pass.", nil, float64(c.FullValidations))
-		p.metric("multitree_plan_shard_turns_total", "counter", "Sharded-growth merge turns committed.", nil, float64(c.ShardTurns))
-		p.metric("multitree_plan_shard_replays_total", "counter", "Merge turns replayed against the live link pool after a speculation conflict.", nil, float64(c.ShardReplays))
-		p.metric("multitree_plan_shard_clean_commits_total", "counter", "Merge turns whose speculative result committed without a replay.", nil, float64(c.ShardTurns-c.ShardReplays))
 		p.metric("multitree_plan_decode_cpu_seconds_total", "counter", "Summed per-worker CPU spent decoding binary-IR sections into schedules.", nil, float64(c.DecodeNanos)/1e9)
 		p.metric("multitree_plan_verify_cpu_seconds_total", "counter", "Summed per-worker CPU spent verifying binary-IR content digests.", nil, float64(c.VerifyNanos)/1e9)
 		p.metric("multitree_plan_mem_cache_hits_total", "counter", "Decoded-plan memory-cache probes that returned a materialized schedule.", nil, float64(c.MemCacheHits))

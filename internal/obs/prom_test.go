@@ -95,8 +95,6 @@ func TestPromHandlerSimAndPlan(t *testing.T) {
 	p.PhaseStart(PhaseTreeGrowth)
 	p.PlanProgress(PhaseTreeGrowth, 30, 60)
 	p.PhaseEnd(PhaseTreeGrowth, PlanCounters{Steps: 4, NodesAttached: 30, Searches: 40, SearchMisses: 10, LinksScanned: 200, LinkConflicts: 50, LinksAllocated: 60})
-	p.PhaseStart(PhaseShardMerge)
-	p.PhaseEnd(PhaseShardMerge, PlanCounters{ShardTurns: 10, ShardReplays: 3})
 	p.PhaseStart(PhaseDecode)
 	p.PhaseEnd(PhaseDecode, PlanCounters{DecodeNanos: 2e9, VerifyNanos: 1e9, MemCacheHits: 5, MemCacheMisses: 2})
 	p.Pipeline(1, 3)
@@ -127,10 +125,6 @@ func TestPromHandlerSimAndPlan(t *testing.T) {
 	}
 	if s["multitree_plan_pipeline_done"] != 1 || s["multitree_plan_pipeline_total"] != 3 {
 		t.Fatalf("pipeline gauges: %v", s)
-	}
-	if s["multitree_plan_shard_turns_total"] != 10 || s["multitree_plan_shard_replays_total"] != 3 ||
-		s["multitree_plan_shard_clean_commits_total"] != 7 {
-		t.Fatalf("shard counters: %v", s)
 	}
 	if s["multitree_plan_decode_cpu_seconds_total"] != 2 || s["multitree_plan_verify_cpu_seconds_total"] != 1 {
 		t.Fatalf("decode/verify cpu counters: %v", s)

@@ -15,16 +15,20 @@ import (
 // current struct (v2 added the additive plan_cache section; v3 added the
 // validate phase counters and cache validation-mode counts; v4 added the
 // decode/verify split, the shard-merge replay share, and the decoded-plan
-// memory-cache counters — so v1 through v3 reports still decode).
-const RunReportSchema = "multitree-runreport/v4"
+// memory-cache counters; v5 dropped the four shard_* phase fields with
+// the sharded growth engine). v1 through v4 reports still decode as long
+// as they carry no shard_* field.
+const RunReportSchema = "multitree-runreport/v5"
 
-// RunReportSchemaV1 through RunReportSchemaV3 are previous schema
-// identifiers, still accepted by DecodeRunReport: their fields are strict
-// subsets of the current struct.
+// RunReportSchemaV1 through RunReportSchemaV4 are previous schema
+// identifiers, still accepted by DecodeRunReport: the fields a report
+// written without sharded growth carries are a subset of the current
+// struct.
 const (
 	RunReportSchemaV1 = "multitree-runreport/v1"
 	RunReportSchemaV2 = "multitree-runreport/v2"
 	RunReportSchemaV3 = "multitree-runreport/v3"
+	RunReportSchemaV4 = "multitree-runreport/v4"
 )
 
 // RunReport is the machine-readable record of one CLI run: environment,
@@ -137,16 +141,6 @@ type PhaseReport struct {
 
 	SummaryValidations int64 `json:"summary_validations,omitempty"`
 	FullValidations    int64 `json:"full_validations,omitempty"`
-
-	ShardTurns   int64 `json:"shard_turns,omitempty"`
-	ShardReplays int64 `json:"shard_replays,omitempty"`
-
-	// ShardCleanCommits is ShardTurns - ShardReplays — merge turns whose
-	// speculative result committed without a replay — and
-	// ShardReplayShare the replayed fraction, the contention signal the
-	// ROADMAP's turn-order work tunes against.
-	ShardCleanCommits int64   `json:"shard_clean_commits,omitempty"`
-	ShardReplayShare  float64 `json:"shard_replay_share,omitempty"`
 
 	// DecodeNanos/VerifyNanos split a binary-IR load's summed per-worker
 	// CPU between varint materialization and digest verification.
@@ -284,7 +278,9 @@ func DecodeRunReport(r io.Reader) (*RunReport, error) {
 	if err := dec.Decode(&rep); err != nil {
 		return nil, fmt.Errorf("obs: invalid run report: %w", err)
 	}
-	if rep.Schema != RunReportSchema && rep.Schema != RunReportSchemaV1 && rep.Schema != RunReportSchemaV2 && rep.Schema != RunReportSchemaV3 {
+	switch rep.Schema {
+	case RunReportSchema, RunReportSchemaV1, RunReportSchemaV2, RunReportSchemaV3, RunReportSchemaV4:
+	default:
 		return nil, fmt.Errorf("obs: run report schema %q, want %q", rep.Schema, RunReportSchema)
 	}
 	var extra json.RawMessage

@@ -64,10 +64,23 @@ func TestDecodeRunReportRejects(t *testing.T) {
 		"missing schema": `{"tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1}}`,
 		"trailing data":  `{"schema":"multitree-runreport/v1","tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1}} {"another":true}`,
 		"not json":       `phase,runs\n`,
+		// v4 is still accepted, but not with the fields v5 dropped.
+		"v4 shard field": `{"schema":"multitree-runreport/v4","tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1},"planner":{"total_ns":1,"phases":[{"phase":"tree-growth","runs":1,"wall_ns":1,"share":1,"shard_turns":10}]}}`,
 	}
 	for name, in := range cases {
 		if _, err := DecodeRunReport(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: decode accepted invalid input", name)
+		}
+	}
+}
+
+// TestDecodeRunReportAcceptsOlderSchemas pins that every earlier schema
+// still decodes when it carries only fields the current struct has.
+func TestDecodeRunReportAcceptsOlderSchemas(t *testing.T) {
+	for _, schema := range []string{RunReportSchemaV1, RunReportSchemaV2, RunReportSchemaV3, RunReportSchemaV4, RunReportSchema} {
+		in := `{"schema":"` + schema + `","tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1},"planner":{"total_ns":1,"phases":[{"phase":"tree-growth","runs":1,"wall_ns":1,"share":1,"searches":5}]}}`
+		if _, err := DecodeRunReport(strings.NewReader(in)); err != nil {
+			t.Errorf("%s: %v", schema, err)
 		}
 	}
 }

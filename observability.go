@@ -172,9 +172,9 @@ func (c *PlanMemCache) Stats() PlanMemCacheStats {
 // change the schedule built, only how fast it is produced and what is
 // recorded along the way. The zero value is exactly BuildSchedule.
 type PlanOptions struct {
-	// Workers bounds planner parallelism for algorithms with a parallel
-	// construction path (MultiTree's speculative tree growth); <= 1 means
-	// sequential.
+	// Workers bounds planner parallelism for algorithms with parallel
+	// passes (MultiTree's eccentricities and lowering) and the section
+	// decode of cached plans; <= 1 means sequential.
 	Workers int
 
 	// Cache, when non-nil, is probed before planning and updated after.

@@ -29,7 +29,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 BASELINE=results/BENCH_pr10.json
-DEFAULT_BENCH='^(BenchmarkFig9a_Torus|BenchmarkPacketEngineSteadyState|BenchmarkTraceOverhead|BenchmarkFluidSweep_Torus8x8|BenchmarkFluidEngineSteadyState|BenchmarkPlanMesh16x16|BenchmarkPlanCacheWarmLoad|BenchmarkWarmLoadMesh32x32Parallel|BenchmarkMemCacheHit|BenchmarkLowerMesh32x32|BenchmarkGrowShardedMesh32x32)$'
+DEFAULT_BENCH='^(BenchmarkFig9a_Torus|BenchmarkPacketEngineSteadyState|BenchmarkTraceOverhead|BenchmarkFluidSweep_Torus8x8|BenchmarkFluidEngineSteadyState|BenchmarkPlanMesh16x16|BenchmarkPlanCacheWarmLoad|BenchmarkWarmLoadMesh32x32Parallel|BenchmarkMemCacheHit|BenchmarkLowerMesh32x32)$'
 NS_FACTOR=${NS_FACTOR:-4}
 
 mode=record
