@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"multitree/internal/collective"
@@ -71,6 +72,7 @@ type fluidFlow struct {
 	start   float64 // activation time, for trace spans
 
 	step     int32 // lockstep step, cached from the transfer
+	seq      int32 // readiness order under lockstep, stamped by becomeReady
 	depsLeft int
 	state    flowState
 }
@@ -78,7 +80,8 @@ type fluidFlow struct {
 type flowState uint8
 
 const (
-	fsWaiting  flowState = iota // deps or node step pending
+	fsWaiting  flowState = iota // deps pending, or ready and about to activate
+	fsParked                    // deps met, node's step gate closed (lockstep)
 	fsActive                    // injecting
 	fsInFlight                  // injected, traversing the path
 	fsDone
@@ -179,12 +182,15 @@ func (h *tevHeap) siftDown(i int) {
 }
 
 // nodeClock tracks one node's lockstep progress through its active steps.
+// steps, stepCnt and stepOff are views into arenas shared by all nodes,
+// built once in init.
 type nodeClock struct {
-	steps   []int // sorted distinct steps at which the node sends
-	stepCnt []int // sends per entry of steps, precomputed in init
-	idx     int   // index of the current active step; len(steps) when done
-	entered bool  // node has entered steps[idx]
-	pending int   // not-yet-injected sends in the current step
+	steps   []int   // sorted distinct steps at which the node sends
+	stepCnt []int   // sends per entry of steps
+	stepOff []int32 // per entry of steps: start of its sends in fluidState.sends
+	idx     int     // index of the current active step; len(steps) when done
+	entered bool    // node has entered steps[idx]; its gate is open
+	pending int     // not-yet-injected sends in the current step
 	entry   float64
 	injEnd  float64 // completion time of the slowest injection this step
 }
@@ -207,14 +213,20 @@ type fluidState struct {
 	flt *faults.Compiled
 	now float64
 
-	flows  []fluidFlow
-	succ   [][]int32
-	busy   []float64 // fractional busy time per link, rounded once at report
-	linkBW []float64 // base link bandwidths, cached from the topology
+	flows   []fluidFlow
+	succOff []int32   // transfer i's dependents are succ[succOff[i]:succOff[i+1]]
+	succ    []int32   // dependents of every transfer, each transfer's in id order
+	busy    []float64 // fractional busy time per link, rounded once at report
+	linkBW  []float64 // base link bandwidths, cached from the topology
 
-	active     []int32 // indices of fsActive flows
-	ready      []int32 // deps satisfied, waiting to activate (step gate)
-	still      []int32 // activateReady scratch, ping-ponged with ready
+	active []int32 // indices of fsActive flows
+	// ready holds the transfers whose deps are met and whose step gate is
+	// open, as readyKeys; the next activateReady promotes them in
+	// readiness order. A transfer that becomes ready behind a closed gate
+	// is parked instead (fsParked) and joins ready when enterStep opens
+	// its gate.
+	ready      []uint64
+	still      []uint64 // releases deferred to the next pass; ping-ponged with ready
 	ratesDirty bool
 	done       int
 
@@ -223,7 +235,14 @@ type fluidState struct {
 	lockstep bool
 	estStep  float64
 	clocks   []nodeClock
-	sends    [][]int32 // per node: transfer ids it sends, sorted by (step, id)
+	sends    []int32 // transfer ids grouped by source node, each node's sorted by (step, id)
+
+	// Activation-order bookkeeping under lockstep. Releases must reach
+	// activateReady in readiness order, which is the order a rescan of
+	// every ready transfer would visit them in.
+	readySeq      int32 // next readiness sequence number
+	passSeq       int32 // sequence number of the transfer being promoted; -1 between passes
+	readyUnsorted bool  // ready may be out of readiness order
 
 	res          *Result
 	payloadTotal int64
@@ -268,6 +287,7 @@ type fluidState struct {
 
 	noIncremental bool // test knob: force full progressive filling
 	reuseHits     int  // fills skipped by tryRateReuse this run, for tests
+	gateChecks    int  // stepGateOpen evaluations this run, for tests
 }
 
 const fluidEps = 1e-6
@@ -291,7 +311,6 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 	st.s, st.cfg, st.tr, st.flt = s, cfg, cfg.Tracer, flt
 	st.lockstep = cfg.Lockstep
 	st.flows = make([]fluidFlow, n)
-	st.succ = make([][]int32, n)
 	st.busy = make([]float64, nLinks)
 	st.cnt = make([]int32, nLinks)
 	st.minStep = make([]int32, nLinks)
@@ -322,9 +341,6 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 		f.wire = float64(cfg.WireBytes(s.Bytes(t)))
 		f.latency = float64(s.Topo.PathLatency(f.path))
 		f.step = int32(t.Step)
-		for _, d := range t.Deps {
-			st.succ[d] = append(st.succ[d], int32(i))
-		}
 		if f.wire > maxWire {
 			maxWire = f.wire
 		}
@@ -332,36 +348,107 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 		st.wireTotal += int64(f.wire)
 	}
 	st.estStep = maxWire / minBW
-
+	st.initSucc()
 	if st.lockstep {
-		nNodes := s.Topo.Nodes()
-		st.clocks = make([]nodeClock, nNodes)
-		st.sends = make([][]int32, nNodes)
-		for i := range s.Transfers {
-			src := int(s.Transfers[i].Src)
-			st.sends[src] = append(st.sends[src], int32(i))
-		}
-		for node := range st.sends {
-			ids := st.sends[node]
-			// Stable sort by (step, id); transfers were appended in id
-			// order, so an insertion sort on step keeps id order.
-			for i := 1; i < len(ids); i++ {
-				for j := i; j > 0 && s.Transfers[ids[j]].Step < s.Transfers[ids[j-1]].Step; j-- {
-					ids[j], ids[j-1] = ids[j-1], ids[j]
-				}
-			}
-			c := &st.clocks[node]
-			last := -1
-			for _, id := range ids {
-				if step := s.Transfers[id].Step; step != last {
-					c.steps = append(c.steps, step)
-					c.stepCnt = append(c.stepCnt, 0)
-					last = step
-				}
-				c.stepCnt[len(c.stepCnt)-1]++
-			}
+		st.initClocks()
+	}
+}
+
+// initSucc builds the dependents of every transfer in CSR form: one
+// counting pass over the deps sizes succOff, one more fills succ in id
+// order.
+func (st *fluidState) initSucc() {
+	ts := st.s.Transfers
+	st.succOff = make([]int32, len(ts)+1)
+	for i := range ts {
+		for _, d := range ts[i].Deps {
+			st.succOff[d+1]++
 		}
 	}
+	for i := range ts {
+		st.succOff[i+1] += st.succOff[i]
+	}
+	st.succ = make([]int32, st.succOff[len(ts)])
+	next := make([]int32, len(ts))
+	copy(next, st.succOff)
+	for i := range ts {
+		for _, d := range ts[i].Deps {
+			st.succ[next[d]] = int32(i)
+			next[d]++
+		}
+	}
+}
+
+// initClocks lays out each node's sends in (step, id) order and its step
+// list, in time linear in the schedule: an LSD radix sort of the transfer
+// ids on step, then a stable distribution by source node. The sort takes
+// 16-bit digits: one counting pass for any real schedule, and bounded
+// scratch for an imported one, whose steps are bounded only from below.
+// Every node's steps, counts and segment offsets are views into three
+// shared arenas.
+func (st *fluidState) initClocks() {
+	ts := st.s.Transfers
+	order := make([]int32, len(ts))
+	lo, hi := math.MaxInt, math.MinInt
+	for i := range ts {
+		order[i] = int32(i)
+		lo, hi = min(lo, ts[i].Step), max(hi, ts[i].Step)
+	}
+	span := uint64(hi - lo) // wraps correctly for any int range
+	for shift := uint(0); shift < 64 && (shift == 0 || span>>shift > 0); shift += 16 {
+		digits := int(min(span>>shift+1, 1<<16))
+		order, _ = countingSort(order, digits, func(id int32) int {
+			return int(uint64(ts[id].Step-lo) >> shift & 0xffff)
+		})
+	}
+	nNodes := st.s.Topo.Nodes()
+	sends, nodeOff := countingSort(order, nNodes, func(id int32) int { return int(ts[id].Src) })
+	st.sends = sends
+
+	var steps, stepCnt []int
+	var stepOff []int32
+	nodeSeg := make([]int, nNodes+1)
+	for node := 0; node < nNodes; node++ {
+		nodeSeg[node] = len(steps)
+		for i := nodeOff[node]; i < nodeOff[node+1]; i++ {
+			step := ts[sends[i]].Step
+			if i == nodeOff[node] || step != steps[len(steps)-1] {
+				steps = append(steps, step)
+				stepCnt = append(stepCnt, 0)
+				stepOff = append(stepOff, i)
+			}
+			stepCnt[len(stepCnt)-1]++
+		}
+	}
+	nodeSeg[nNodes] = len(steps)
+	st.clocks = make([]nodeClock, nNodes)
+	for node := range st.clocks {
+		a, b := nodeSeg[node], nodeSeg[node+1]
+		c := &st.clocks[node]
+		c.steps, c.stepCnt, c.stepOff = steps[a:b:b], stepCnt[a:b:b], stepOff[a:b:b]
+	}
+}
+
+// countingSort orders ids stably by key, which must lie in [0, nKeys),
+// in O(len(ids) + nKeys). Key k's run starts at off[k] in the result;
+// off[nKeys] == len(ids).
+func countingSort(ids []int32, nKeys int, key func(int32) int) (out, off []int32) {
+	off = make([]int32, nKeys+1)
+	for _, id := range ids {
+		off[key(id)+1]++
+	}
+	for k := 0; k < nKeys; k++ {
+		off[k+1] += off[k]
+	}
+	next := make([]int32, nKeys)
+	copy(next, off)
+	out = make([]int32, len(ids))
+	for _, id := range ids {
+		k := key(id)
+		out[next[k]] = id
+		next[k]++
+	}
+	return out, off
 }
 
 // reset restores the mutable state for a fresh deterministic run while
@@ -373,6 +460,10 @@ func (st *fluidState) reset() {
 	st.done = 0
 	st.ratesDirty = false
 	st.reuseHits = 0
+	st.gateChecks = 0
+	st.readySeq = 0
+	st.passSeq = -1
+	st.readyUnsorted = false
 	for i := range st.flows {
 		f := &st.flows[i]
 		f.rem = f.wire
@@ -435,14 +526,7 @@ func (st *fluidState) seed() {
 	}
 	for i := range st.flows {
 		if st.flows[i].depsLeft == 0 {
-			st.ready = append(st.ready, int32(i))
-			if st.tr != nil {
-				st.tr.Emit(obs.Event{
-					Kind: obs.EvTransferReady, At: 0, Transfer: int32(i),
-					Node: int32(st.s.Transfers[i].Src),
-					Flow: int32(st.s.Transfers[i].Flow), Step: int32(st.s.Transfers[i].Step),
-				})
-			}
+			st.becomeReady(int32(i))
 		}
 	}
 	st.activateReady()
@@ -510,33 +594,89 @@ func (st *fluidState) enterStep(node int, at float64) {
 		})
 	}
 	c.pending = c.stepCnt[c.idx]
+	st.releaseStep(c)
 }
 
 // stepGateOpen reports whether lockstep permits transfer id to inject now.
 func (st *fluidState) stepGateOpen(id int32) bool {
-	if !st.lockstep {
-		return true
-	}
+	st.gateChecks++
 	t := &st.s.Transfers[id]
 	c := &st.clocks[t.Src]
 	return c.entered && c.idx < len(c.steps) && c.steps[c.idx] == t.Step
 }
 
-// activateReady promotes ready transfers whose step gate is open into
-// active flows (or, for zero-byte flows, straight to in-flight). The
-// not-yet-releasable remainder is kept in a scratch slice ping-ponged
-// with ready so the filter allocates nothing in steady state.
+// becomeReady handles a transfer whose last dependency was delivered.
+// Under lockstep it stamps the readiness order and tests the step gate
+// once: behind a closed gate the transfer parks until enterStep releases
+// it. A gate, once open, stays open until every send of its step has
+// injected, so a transfer queued in ready never needs a second test.
+func (st *fluidState) becomeReady(id int32) {
+	t := &st.s.Transfers[id]
+	if st.tr != nil {
+		st.tr.Emit(obs.Event{
+			Kind: obs.EvTransferReady, At: st.now, Transfer: id,
+			Node: int32(t.Src), Flow: int32(t.Flow), Step: int32(t.Step),
+		})
+	}
+	f := &st.flows[id]
+	if st.lockstep {
+		f.seq = st.readySeq
+		st.readySeq++
+		if !st.stepGateOpen(id) {
+			f.state = fsParked
+			return
+		}
+	}
+	st.ready = append(st.ready, readyKey(f, id))
+}
+
+// readyKey packs a transfer's readiness order above its id, so sorting
+// keys sorts transfers by readiness.
+func readyKey(f *fluidFlow, id int32) uint64 {
+	return uint64(f.seq)<<32 | uint64(id)
+}
+
+// releaseStep queues the parked transfers of node clock c's current step,
+// whose gate has just opened; it scans only that step's segment of sends.
+// During an activation pass, releases keep the order a rescan of every
+// ready transfer would have found them in: one later in readiness order
+// than the transfer being promoted joins this pass, an earlier one (the
+// rescan has already passed it) waits for the next.
+func (st *fluidState) releaseStep(c *nodeClock) {
+	off := c.stepOff[c.idx]
+	for _, id := range st.sends[off : off+int32(c.stepCnt[c.idx])] {
+		f := &st.flows[id]
+		if f.state != fsParked {
+			continue
+		}
+		f.state = fsWaiting
+		if f.seq < st.passSeq {
+			st.still = append(st.still, readyKey(f, id))
+			continue
+		}
+		st.ready = append(st.ready, readyKey(f, id))
+		st.readyUnsorted = true
+	}
+}
+
+// activateReady promotes the ready transfers, in readiness order, into
+// active flows (or, for zero-byte flows, straight to in-flight). A
+// zero-byte injection can open another step gate mid-pass; releaseStep
+// then appends to ready (re-sorted before the next promotion) or defers
+// to still, which is ping-ponged with ready so the pass allocates nothing
+// in steady state.
 func (st *fluidState) activateReady() {
 	if len(st.ready) == 0 {
 		return
 	}
-	still := st.still[:0]
-	for _, id := range st.ready {
-		if !st.stepGateOpen(id) {
-			still = append(still, id)
-			continue
+	for i := 0; i < len(st.ready); i++ {
+		if st.readyUnsorted {
+			st.readyUnsorted = false
+			slices.Sort(st.ready[i:])
 		}
+		id := int32(uint32(st.ready[i]))
 		f := &st.flows[id]
+		st.passSeq = f.seq
 		f.start = st.now
 		if st.tr != nil {
 			t := &st.s.Transfers[id]
@@ -557,9 +697,10 @@ func (st *fluidState) activateReady() {
 		st.pendingNew = append(st.pendingNew, id)
 		st.ratesDirty = true
 	}
-	old := st.ready
-	st.ready = still
-	st.still = old[:0]
+	st.passSeq = -1
+	// Deferred releases arrive in gate-opening order, not readiness order.
+	st.readyUnsorted = len(st.still) > 1
+	st.ready, st.still = st.still, st.ready[:0]
 }
 
 // allocOcc pops a free occupancy node or grows the arena.
@@ -756,18 +897,11 @@ func (st *fluidState) processTimed(res *Result) {
 					Node: int32(t.Dst), Flow: int32(t.Flow), Step: int32(t.Step),
 				})
 			}
-			for _, nxt := range st.succ[id] {
+			for _, nxt := range st.succ[st.succOff[id]:st.succOff[id+1]] {
 				nf := &st.flows[nxt]
 				nf.depsLeft--
 				if nf.depsLeft == 0 {
-					st.ready = append(st.ready, nxt)
-					if st.tr != nil {
-						t := &st.s.Transfers[nxt]
-						st.tr.Emit(obs.Event{
-							Kind: obs.EvTransferReady, At: st.now, Transfer: nxt,
-							Node: int32(t.Src), Flow: int32(t.Flow), Step: int32(t.Step),
-						})
-					}
+					st.becomeReady(nxt)
 				}
 			}
 		case tevStepEntry: // deferred node step entry
@@ -844,7 +978,7 @@ func (st *fluidState) stallError() error {
 					fmt.Fprintf(&sb, " t%d", d)
 				}
 			}
-		case f.state == fsWaiting:
+		case f.state == fsParked:
 			fmt.Fprintf(&sb, "; t%d ready, step %d gate closed at node %d",
 				id, st.s.Transfers[id].Step, st.s.Transfers[id].Src)
 		default: // fsActive at rate 0 forever

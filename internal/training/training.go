@@ -155,10 +155,3 @@ func (c Config) Overlapped(net model.Network) (Breakdown, error) {
 	b.Overlap = b.Comm - b.Exposed
 	return b, nil
 }
-
-func max(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
-}
