@@ -167,32 +167,34 @@ func main() {
 		printPhase(ds, collective.Gather)
 	}
 
+	// The charts, the trace and the tables share one lowering at 64
+	// elements per node.
+	var wide *collective.Schedule
+	lowered := func() *collective.Schedule {
+		if wide == nil {
+			wide, err = collective.TreesToSchedule(core.Algorithm, topo, topo.Nodes()*64, trees)
+			if err != nil {
+				log.Fatal(err)
+			}
+		}
+		return wide
+	}
+
 	if *util {
 		fmt.Println()
-		for _, alg := range []string{"ring", "multitree"} {
-			var us *collective.Schedule
-			if alg == "ring" {
-				us = ring.Build(topo, topo.Nodes()*64)
-			} else {
-				us, err = collective.TreesToSchedule(core.Algorithm, topo, topo.Nodes()*64, trees)
-				if err != nil {
-					log.Fatal(err)
-				}
-			}
-			fmt.Println(collective.UtilizationChart(us, 50))
-		}
+		fmt.Println(collective.UtilizationChart(ring.Build(topo, topo.Nodes()*64), 50))
+		fmt.Println(collective.UtilizationChart(lowered(), 50))
 	}
 
 	if *traceOut != "" || *linkstats != "" {
-		traceSchedule(topo, trees, *traceOut, *linkstats, *bin)
+		traceSchedule(lowered(), *traceOut, *linkstats, *bin)
 	}
 
 	if *tables {
-		nt, err := ni.CompileObserved(trees, topo.Nodes(), run.PlanObserver())
+		nt, err := ni.CompileScheduleObserved(lowered(), run.PlanObserver())
 		if err != nil {
 			log.Fatal(err)
 		}
-		nt.Bind(topo.Nodes()*64, topo.Nodes())
 		fmt.Println("\nAll-reduce schedule tables (Fig. 5):")
 		for _, tab := range nt.PerNode {
 			fmt.Println(tab.String())
@@ -313,11 +315,7 @@ func parseSize(s string) (int64, error) {
 // under tracing, then replays the compiled Fig. 5 tables through the
 // Fig. 6 NI machine with the same recorder, so the export shows both the
 // network's link timelines and the NIs' table walks.
-func traceSchedule(topo *topology.Topology, trees []*collective.Tree, traceOut, linkstats string, bin float64) {
-	sched, err := collective.TreesToSchedule(core.Algorithm, topo, topo.Nodes()*64, trees)
-	if err != nil {
-		log.Fatal(err)
-	}
+func traceSchedule(sched *collective.Schedule, traceOut, linkstats string, bin float64) {
 	rec := &obs.Recorder{}
 	cfg := network.DefaultConfig()
 	cfg.Tracer = rec
@@ -325,11 +323,11 @@ func traceSchedule(topo *topology.Topology, trees []*collective.Tree, traceOut, 
 	if err != nil {
 		log.Fatal(err)
 	}
-	nt, err := ni.Compile(trees, topo.Nodes())
+	nt, err := ni.CompileSchedule(sched)
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := ni.NewMachine(nt, topo.Nodes())
+	m := ni.NewMachine(nt, len(sched.Flows))
 	m.Trace = rec
 	rounds, err := m.Run()
 	if err != nil {

@@ -45,13 +45,12 @@ func main() {
 	a := collective.Analyze(sched)
 	fmt.Printf("\nschedule: %s\n", a)
 
-	// Compile the Fig. 5 schedule tables and run the Fig. 6 NI state
-	// machine on them.
-	tables, err := ni.Compile(trees, topo.Nodes())
+	// Compile the Fig. 5 schedule tables from the transfer DAG and run
+	// the Fig. 6 NI state machine on them.
+	tables, err := ni.CompileSchedule(sched)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tables.Bind(1024, topo.Nodes())
 	fmt.Println("\nFig. 5: per-accelerator schedule tables")
 	for _, tab := range tables.PerNode {
 		fmt.Println(tab.String())

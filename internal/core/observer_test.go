@@ -131,11 +131,7 @@ func TestPlanProfilePhases(t *testing.T) {
 	}
 
 	// The NI compilation joins the same profile as its own phase.
-	trees, err := collective.TreesFromSchedule(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts, err := ni.CompileObserved(trees, n, p)
+	ts, err := ni.CompileScheduleObserved(s, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,15 +10,28 @@ import (
 	"multitree/internal/topology"
 )
 
+// compile grows the trees with the paper's literal first-parent
+// allocation, lowers them at 1024 elements and compiles the tables.
 func compile(t *testing.T, topo *topology.Topology) *ni.Tables {
 	t.Helper()
 	trees, err := core.BuildTrees(topo, core.Options{})
 	if err != nil {
 		t.Fatalf("BuildTrees(%s): %v", topo.Name(), err)
 	}
-	tables, err := ni.Compile(trees, topo.Nodes())
+	return compileTrees(t, topo, trees, 1024)
+}
+
+// compileTrees lowers trees to a schedule of elems elements and compiles
+// its tables.
+func compileTrees(t *testing.T, topo *topology.Topology, trees []*collective.Tree, elems int) *ni.Tables {
+	t.Helper()
+	s, err := collective.TreesToSchedule(core.Algorithm, topo, elems, trees)
 	if err != nil {
-		t.Fatalf("Compile(%s): %v", topo.Name(), err)
+		t.Fatalf("TreesToSchedule(%s): %v", topo.Name(), err)
+	}
+	tables, err := ni.CompileSchedule(s)
+	if err != nil {
+		t.Fatalf("CompileSchedule(%s): %v", topo.Name(), err)
 	}
 	return tables
 }
@@ -75,12 +88,16 @@ func TestTableStructure(t *testing.T) {
 	}
 }
 
-// TestBind checks DMA descriptor assignment.
+// TestBind checks the DMA descriptors the compiler binds from the
+// schedule's flow segments.
 func TestBind(t *testing.T) {
 	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
-	tables := compile(t, topo)
+	trees, err := core.BuildTrees(topo, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const elems = 1003
-	tables.Bind(elems, topo.Nodes())
+	tables := compileTrees(t, topo, trees, elems)
 	covered := 0
 	seen := map[int]collective.Range{}
 	for _, e := range tables.PerNode[0].Entries {
@@ -150,10 +167,7 @@ func TestWideDependencyChaining(t *testing.T) {
 	if maxKids <= ni.MaxChildren {
 		t.Skipf("trees never exceed %d children (max %d); chaining not exercised", ni.MaxChildren, maxKids)
 	}
-	tables, err := ni.Compile(trees, topo.Nodes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := compileTrees(t, topo, trees, 1024)
 	m := ni.NewMachine(tables, topo.Nodes())
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -171,10 +185,7 @@ func TestCompileShortestPathTrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tables, err := ni.Compile(trees, topo.Nodes())
-		if err != nil {
-			t.Fatalf("%s: %v", topo.Name(), err)
-		}
+		tables := compileTrees(t, topo, trees, 1024)
 		m := ni.NewMachine(tables, topo.Nodes())
 		if _, err := m.Run(); err != nil {
 			t.Errorf("%s: %v", topo.Name(), err)

@@ -2,18 +2,17 @@
 // all-reduce schedule table (Fig. 5), and the schedule-management state
 // machine of Fig. 6 — timestep counter, lockstep down-counter, opcode
 // decoder, and dependency clearing. The tables are compiled from the
-// spanning trees Algorithm 1 constructs; one table per node, two entries
-// per tree (one Reduce for the reduce-scatter phase, one Gather for the
-// all-gather phase), plus NOPs for the steps a node sits out.
+// transfer DAG of a schedule whose flows are the spanning trees Algorithm
+// 1 constructs; one table per node, two entries per tree (one Reduce for
+// the reduce-scatter phase, one Gather for the all-gather phase), plus
+// NOPs for the steps a node sits out.
 package ni
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"multitree/internal/collective"
-	"multitree/internal/obs"
 	"multitree/internal/topology"
 )
 
@@ -36,20 +35,9 @@ type Entry struct {
 	Step     int
 
 	// StartAddr and Size describe the gradient chunk in node memory, in
-	// elements. They are filled by Bind for a concrete gradient size.
+	// elements: the flow's segment of the schedule being compiled.
 	StartAddr int
 	Size      int
-}
-
-// childCount returns the number of valid children slots.
-func (e *Entry) childCount() int {
-	n := 0
-	for _, c := range e.Children {
-		if c != Nil {
-			n++
-		}
-	}
-	return n
 }
 
 // Table is one node's all-reduce schedule table.
@@ -62,181 +50,6 @@ type Table struct {
 type Tables struct {
 	PerNode []Table
 	Steps   int // steps per phase (reduce-scatter == all-gather == Steps)
-}
-
-// Compile converts the spanning trees of Algorithm 1 into per-node
-// schedule tables. For every tree, each non-root node gets one Reduce
-// entry (send to parent, after its children's Reduces arrive) and each
-// node with children gets one Gather entry per child-step group; NOP
-// entries fill the steps a node does not send in, to hold the lockstep.
-func Compile(trees []*collective.Tree, nodes int) (*Tables, error) {
-	return CompileObserved(trees, nodes, nil)
-}
-
-// CompileObserved is Compile bracketed as the ni-compile phase of a
-// PlanObserver: phase boundaries plus the compiled entry count (NOPs
-// included — they occupy table rows). A nil observer is exactly Compile.
-func CompileObserved(trees []*collective.Tree, nodes int, o obs.PlanObserver) (*Tables, error) {
-	if o == nil {
-		return compile(trees, nodes)
-	}
-	o.PhaseStart(obs.PhaseNICompile)
-	ts, err := compile(trees, nodes)
-	var c obs.PlanCounters
-	if ts != nil {
-		for n := range ts.PerNode {
-			c.TableEntries += int64(len(ts.PerNode[n].Entries))
-		}
-	}
-	o.PhaseEnd(obs.PhaseNICompile, c)
-	return ts, err
-}
-
-func compile(trees []*collective.Tree, nodes int) (*Tables, error) {
-	tot := 0
-	for _, tr := range trees {
-		if err := tr.Validate(); err != nil {
-			return nil, err
-		}
-		if h := tr.Height(); h > tot {
-			tot = h
-		}
-	}
-	ts := &Tables{Steps: tot}
-	ts.PerNode = make([]Table, nodes)
-	for n := range ts.PerNode {
-		ts.PerNode[n].Node = topology.NodeID(n)
-	}
-	for _, tr := range trees {
-		children := tr.Children()
-		for node := 0; node < nodes; node++ {
-			id := topology.NodeID(node)
-			// Reduce entry: send to parent at the reversed step; the
-			// children this node must hear from first are its dependency
-			// set.
-			if id != tr.Root {
-				step := tot - tr.AGStep[id] + 1
-				// A node with more than MaxChildren children spreads the
-				// dependency vector across chained entries of the same
-				// (flow, step); the issue logic treats them as one unit.
-				kids := children[id]
-				for first := true; first || len(kids) > 0; first = false {
-					e := Entry{
-						Op:     collective.Reduce,
-						FlowID: tr.Flow,
-						Parent: tr.Parent[id],
-						Step:   step,
-					}
-					n := len(kids)
-					if n > MaxChildren {
-						n = MaxChildren
-					}
-					fillChildren(&e, kids[:n])
-					kids = kids[n:]
-					ts.PerNode[node].Entries = append(ts.PerNode[node].Entries, e)
-					if len(kids) == 0 {
-						break
-					}
-				}
-			}
-			// Gather entries: one per distinct child step, since children
-			// attached at different tree levels are served in different
-			// steps.
-			kids := children[id]
-			for i := 0; i < len(kids); {
-				step := tr.AGStep[kids[i]]
-				e := Entry{
-					Op:     collective.Gather,
-					FlowID: tr.Flow,
-					Parent: Nil,
-					Step:   tot + step,
-				}
-				if id != tr.Root {
-					e.Parent = tr.Parent[id]
-				}
-				slot := 0
-				for i < len(kids) && tr.AGStep[kids[i]] == step {
-					if slot == MaxChildren {
-						return nil, fmt.Errorf(
-							"ni: node %d tree %d step %d has more than %d same-step children",
-							id, tr.Flow, step, MaxChildren)
-					}
-					e.Children[slot] = kids[i]
-					slot++
-					i++
-				}
-				for ; slot < MaxChildren; slot++ {
-					e.Children[slot] = Nil
-				}
-				ts.PerNode[node].Entries = append(ts.PerNode[node].Entries, e)
-			}
-		}
-	}
-	for n := range ts.PerNode {
-		entries := ts.PerNode[n].Entries
-		sort.SliceStable(entries, func(a, b int) bool {
-			if entries[a].Step != entries[b].Step {
-				return entries[a].Step < entries[b].Step
-			}
-			return entries[a].FlowID < entries[b].FlowID
-		})
-		ts.PerNode[n].Entries = insertNOPs(entries, 2*tot)
-	}
-	return ts, nil
-}
-
-// fillChildren populates an entry's Children slots with the node's own
-// children in the tree — the reduces it must receive before issuing.
-func fillChildren(e *Entry, kids []topology.NodeID) {
-	for i := range e.Children {
-		if i < len(kids) {
-			e.Children[i] = kids[i]
-		} else {
-			e.Children[i] = Nil
-		}
-	}
-}
-
-// insertNOPs fills step gaps with NOP entries so the timestep counter
-// advances through idle steps via the lockstep down-counter.
-func insertNOPs(entries []Entry, totalSteps int) []Entry {
-	var out []Entry
-	next := 1
-	emitNOPs := func(upto int) {
-		for ; next < upto; next++ {
-			out = append(out, Entry{
-				Op: collective.NOP, FlowID: -1, Parent: Nil,
-				Children: [MaxChildren]topology.NodeID{Nil, Nil, Nil, Nil},
-				Step:     next,
-			})
-		}
-	}
-	for _, e := range entries {
-		emitNOPs(e.Step)
-		out = append(out, e)
-		if e.Step >= next {
-			next = e.Step + 1
-		}
-	}
-	emitNOPs(totalSteps + 1)
-	return out
-}
-
-// Bind fills StartAddr and Size for a concrete gradient of elems elements
-// partitioned across the flows, mirroring how the processor programs the
-// DMA descriptors at initialization.
-func (ts *Tables) Bind(elems, flows int) {
-	parts := collective.Partition(elems, flows)
-	for n := range ts.PerNode {
-		for i := range ts.PerNode[n].Entries {
-			e := &ts.PerNode[n].Entries[i]
-			if e.Op == collective.NOP {
-				continue
-			}
-			e.StartAddr = parts[e.FlowID].Off
-			e.Size = parts[e.FlowID].Len
-		}
-	}
 }
 
 // EntryBits returns the storage cost of one entry in bits: a 4-bit
