@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"multitree/internal/accel"
+	"multitree/internal/algorithms"
 	"multitree/internal/collective"
 	"multitree/internal/core"
 	"multitree/internal/experiments"
@@ -43,7 +44,7 @@ func benchAllReduce(b *testing.B, spec string, dataBytes int64, engine experimen
 			b.ReportAllocs()
 			var p experiments.AllReducePoint
 			for i := 0; i < b.N; i++ {
-				p, err = experiments.MeasureAllReduce(topo, alg, dataBytes, engine)
+				p, err = experiments.MeasureAllReduce(topo, alg, dataBytes, engine, algorithms.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -449,15 +450,15 @@ func BenchmarkAblation_NCCLThreshold(b *testing.B) {
 			b.ReportAllocs()
 			var oracle, mtree float64
 			for i := 0; i < b.N; i++ {
-				r, err := experiments.MeasureAllReduce(topo, experiments.AlgSpec{Name: "ring"}, bytes, experiments.Fluid)
+				r, err := experiments.MeasureAllReduce(topo, experiments.AlgSpec{Name: "ring"}, bytes, experiments.Fluid, algorithms.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				d, err := experiments.MeasureAllReduce(topo, experiments.AlgSpec{Name: "dbtree"}, bytes, experiments.Fluid)
+				d, err := experiments.MeasureAllReduce(topo, experiments.AlgSpec{Name: "dbtree"}, bytes, experiments.Fluid, algorithms.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				m, err := experiments.MeasureAllReduce(topo, experiments.AlgSpec{Name: "multitree"}, bytes, experiments.Fluid)
+				m, err := experiments.MeasureAllReduce(topo, experiments.AlgSpec{Name: "multitree"}, bytes, experiments.Fluid, algorithms.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -529,7 +530,7 @@ func BenchmarkAblation_GradientFusion(b *testing.B) {
 				Net:          network.MessageConfig(),
 				FusionBytes:  fusion,
 				Build: func(tp *topology.Topology, elems int) (*collective.Schedule, error) {
-					return experiments.BuildSchedule(tp, "multitree", elems)
+					return algorithms.Build(tp, "multitree", elems, algorithms.Options{})
 				},
 			}
 			net, err := model.ByName("Transformer")
@@ -656,7 +657,7 @@ func BenchmarkFluidSweep_Torus8x8(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, alg := range experiments.Algorithms(topo) {
-		s, err := experiments.BuildSchedule(topo, alg.Name, (1<<20)/4)
+		s, err := algorithms.Build(topo, alg.Name, (1<<20)/4, algorithms.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -776,7 +777,7 @@ func BenchmarkPlanCacheWarmLoad(b *testing.B) {
 	b.ResetTimer()
 	var bytesRead int64
 	for i := 0; i < b.N; i++ {
-		got, n, ok := cache.Get(key, topo)
+		got, n, ok := cache.Get(key, topo, plancache.GetOptions{})
 		if !ok {
 			b.Fatal("warm cache missed")
 		}
@@ -818,7 +819,7 @@ func BenchmarkWarmLoadMesh32x32Parallel(b *testing.B) {
 	b.ResetTimer()
 	var bytesRead int64
 	for i := 0; i < b.N; i++ {
-		got, n, ok := cache.GetOpts(key, topo, plancache.GetOptions{Workers: runtime.GOMAXPROCS(0)})
+		got, n, ok := cache.Get(key, topo, plancache.GetOptions{Workers: runtime.GOMAXPROCS(0)})
 		if !ok {
 			b.Fatal("warm cache missed")
 		}

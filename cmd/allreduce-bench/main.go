@@ -140,21 +140,13 @@ func main() {
 		maxFail    = flag.Int("maxfail", 2, "resilience mode: largest failed-link count")
 		seed       = flag.Int64("seed", 42, "resilience mode: seed for the deterministic failed-link draw")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
-
-		reportPath    = flag.String("report", "", "write a structured run report (versioned JSON) to this file")
-		planCSV       = flag.String("planprofile", "", "write the planner phase-profile CSV to this file")
-		planCache     = flag.String("plan-cache", "", "content-addressed plan cache directory: schedules load from it when present and are stored after a fresh build")
-		planCacheMax  = flag.String("plan-cache-max-bytes", "", "evict least-recently-used plan-cache entries above this size (e.g. 256MiB); empty or 0 leaves the cache uncapped")
-		planMemMB     = flag.Int64("plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: repeated builds of one plan (sweeps, resilience re-plans) skip disk and decode; <= 0 off")
-		planWorkers   = flag.Int("plan-workers", 1, "planner workers for MultiTree's eccentricity and lowering passes (tree growth stays sequential) and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
-		verifyPlan    = flag.Bool("verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
-		progressMode  = flag.String("progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
-		metricsAddr   = flag.String("metrics-addr", "", "serve Prometheus metrics at this address (e.g. :9464) during the run")
-		metricsLinger = flag.Duration("metrics-linger", 0, "keep the metrics endpoint up this long after the run completes")
-		validatePath  = flag.String("validate-report", "", "strictly validate a run report file and exit (the CI check)")
+		planCacheMax = flag.String("plan-cache-max-bytes", "", "evict least-recently-used plan-cache entries above this size (e.g. 256MiB); empty or 0 leaves the cache uncapped")
+		validatePath = flag.String("validate-report", "", "strictly validate a run report file and exit (the CI check)")
 	)
+	cfg := cliutil.RegisterFlags(flag.CommandLine)
+	flag.StringVar(&cfg.PlanCSVPath, "planprofile", "", "write the planner phase-profile CSV to this file")
+	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve Prometheus metrics at this address (e.g. :9464) during the run")
+	flag.DurationVar(&cfg.MetricsLinger, "metrics-linger", 0, "keep the metrics endpoint up this long after the run completes")
 	flag.Parse()
 
 	if *validatePath != "" {
@@ -182,23 +174,15 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	cacheMax := int64(0)
 	if *planCacheMax != "" {
 		v, err := parseSize(*planCacheMax)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cacheMax = v
+		cfg.PlanCacheMaxBytes = v
 	}
-	run, err := cliutil.StartRun(cliutil.Config{
-		Tool: "allreduce-bench", Mode: mode,
-		ReportPath: *reportPath, PlanCSVPath: *planCSV,
-		ProgressMode: *progressMode,
-		MetricsAddr:  *metricsAddr, MetricsLinger: *metricsLinger,
-		CPUProfile: *cpuProfile, MemProfile: *memProfile,
-		PlanCacheDir: *planCache, PlanCacheMaxBytes: cacheMax, PlanMemCacheMB: *planMemMB,
-		PlanWorkers: *planWorkers, VerifyPlan: *verifyPlan,
-	})
+	cfg.Tool, cfg.Mode = "allreduce-bench", mode
+	run, err := cliutil.StartRun(*cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -396,7 +380,7 @@ func runSingle(algo, topoSpec, size, engineName, faultSpec string, replan bool, 
 	if plan.Empty() {
 		plan = nil
 	}
-	tr, err := experiments.TraceAllReduceOpts(topo, alg, dataBytes, engine, bin, plan, run.BuildOptions())
+	tr, err := experiments.TraceAllReduce(topo, alg, dataBytes, engine, bin, plan, run.BuildOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -536,7 +520,7 @@ func runFig9(fig, topoOverride, maxSz, engineName string, workers int, jsonOut b
 		if err != nil {
 			log.Fatal(err)
 		}
-		points, err := experiments.Fig9ParallelOpts(topo, experiments.Fig9Sizes(maxBytes), engine, workers, run.BuildOptions())
+		points, err := experiments.Fig9(topo, experiments.Fig9Sizes(maxBytes), engine, workers, run.BuildOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

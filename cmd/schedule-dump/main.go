@@ -88,17 +88,10 @@ func main() {
 		export    = flag.String("export", "", "write the -algo schedule as a versioned IR file and exit (.plan extension selects the compact binary IR; anything else the JSON interchange IR)")
 		faultSpec = flag.String("faults", "", "fault spec for -export; re-plan on the degraded fabric (e.g. link:3-7:down,node:12:down)")
 
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile   = flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
-		reportPath   = flag.String("report", "", "write a structured run report (versioned JSON) to this file")
-		planCSV      = flag.String("planprofile", "", "write the planner phase-profile CSV to this file")
-		progressMode = flag.String("progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
-		planCache    = flag.String("plan-cache", "", "content-addressed plan cache directory for -export: schedules load from it when present and are stored after a fresh build")
-		planMemMB    = flag.Int64("plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: repeated loads of one plan skip disk and decode entirely; <= 0 off")
-		warmLoads    = flag.Int("warm-loads", 0, "after -export, re-load the plan this many more times through the cache tiers (exercises warm serving; counts land in the run report)")
-		planWorkers  = flag.Int("plan-workers", 1, "planner workers for MultiTree's eccentricity and lowering passes (tree growth stays sequential) and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
-		verifyPlan   = flag.Bool("verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
+		warmLoads = flag.Int("warm-loads", 0, "after -export, re-load the plan this many more times through the cache tiers (exercises warm serving; counts land in the run report)")
 	)
+	cfg := cliutil.RegisterFlags(flag.CommandLine)
+	flag.StringVar(&cfg.PlanCSVPath, "planprofile", "", "write the planner phase-profile CSV to this file")
 	flag.Parse()
 
 	topo, err := topospec.Parse(*topoStr)
@@ -110,14 +103,8 @@ func main() {
 	if *export != "" {
 		mode = "export"
 	}
-	run, err := cliutil.StartRun(cliutil.Config{
-		Tool: "schedule-dump", Mode: mode,
-		ReportPath: *reportPath, PlanCSVPath: *planCSV,
-		ProgressMode: *progressMode,
-		CPUProfile:   *cpuProfile, MemProfile: *memProfile,
-		PlanCacheDir: *planCache, PlanMemCacheMB: *planMemMB,
-		PlanWorkers: *planWorkers, VerifyPlan: *verifyPlan,
-	})
+	cfg.Tool, cfg.Mode = "schedule-dump", mode
+	run, err := cliutil.StartRun(*cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -134,7 +121,7 @@ func main() {
 	}
 	opts := core.DefaultOptions(topo)
 	opts.Observer = run.PlanObserver()
-	opts.Workers = *planWorkers
+	opts.Workers = cfg.PlanWorkers
 	trees, err := core.BuildTrees(topo, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -147,7 +134,7 @@ func main() {
 		fmt.Println("  " + tr.String())
 	}
 
-	sched, err := collective.TreesToScheduleParallel(core.Algorithm, topo, topo.Nodes()*4, trees, *planWorkers, run.PlanObserver())
+	sched, err := collective.TreesToScheduleParallel(core.Algorithm, topo, topo.Nodes()*4, trees, cfg.PlanWorkers, run.PlanObserver())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -61,16 +61,8 @@ func main() {
 		traceOut  = flag.String("trace", "", "write a Chrome-trace JSON (ui.perfetto.dev) of the model's gradient all-reduce")
 		linkstats = flag.String("linkstats", "", "write per-link binned utilization CSV of the gradient all-reduce")
 		bin       = flag.Float64("bin", 1000, "utilization histogram bin width in cycles for -linkstats")
-
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
-		memProfile   = flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
-		reportPath   = flag.String("report", "", "write a structured run report (versioned JSON) to this file")
-		progressMode = flag.String("progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
-		planCache    = flag.String("plan-cache", "", "content-addressed plan cache directory: gradient all-reduce schedules load from it when present and are stored after a fresh build")
-		planMemMB    = flag.Int64("plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: the per-layer builds that share one plan skip disk and decode; <= 0 off")
-		planWorkers  = flag.Int("plan-workers", 1, "planner workers for MultiTree's eccentricity and lowering passes (tree growth stays sequential) and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
-		verifyPlan   = flag.Bool("verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
 	)
+	cfg := cliutil.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	topo, err := topospec.Parse(*topoStr)
@@ -84,14 +76,8 @@ func main() {
 	case *traceOut != "" || *linkstats != "":
 		mode = "trace"
 	}
-	run, err := cliutil.StartRun(cliutil.Config{
-		Tool: "train-sim", Mode: mode,
-		ReportPath:   *reportPath,
-		ProgressMode: *progressMode,
-		CPUProfile:   *cpuProfile, MemProfile: *memProfile,
-		PlanCacheDir: *planCache, PlanMemCacheMB: *planMemMB,
-		PlanWorkers: *planWorkers, VerifyPlan: *verifyPlan,
-	})
+	cfg.Tool, cfg.Mode = "train-sim", mode
+	run, err := cliutil.StartRun(*cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -163,7 +149,7 @@ func traceGradientAllReduce(topo *topology.Topology, modelName, algo, traceOut, 
 		log.Fatalf("algorithm %q does not support %s", spec.Name, topo.Name())
 	}
 	alg := experiments.AlgSpec{Name: algo, Msg: msg}
-	tr, err := experiments.TraceAllReduceOpts(topo, alg, net.GradientBytes(), experiments.Fluid, bin, nil, run.BuildOptions())
+	tr, err := experiments.TraceAllReduce(topo, alg, net.GradientBytes(), experiments.Fluid, bin, nil, run.BuildOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestPublicReduceScatterAllGather(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := multitree.BuildSchedule(topo, multitree.MultiTree, 256<<10)
+	ar, err := multitree.BuildSchedule(topo, multitree.MultiTree, 256<<10, multitree.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPublicSubsetAllReduce(t *testing.T) {
 
 func TestPublicEnergyEstimate(t *testing.T) {
 	topo := multitree.NewTorus(4, 4)
-	s, err := multitree.BuildSchedule(topo, multitree.MultiTree, 4<<20)
+	s, err := multitree.BuildSchedule(topo, multitree.MultiTree, 4<<20, multitree.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

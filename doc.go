@@ -17,7 +17,7 @@
 // Quick start:
 //
 //	topo := multitree.NewTorus(8, 8)
-//	sched, _ := multitree.BuildSchedule(topo, multitree.MultiTree, 64<<20)
+//	sched, _ := multitree.BuildSchedule(topo, multitree.MultiTree, 64<<20, multitree.PlanOptions{})
 //	res, _ := sched.Simulate(multitree.SimOptions{MessageBased: true})
 //	fmt.Printf("%.1f GB/s\n", res.BandwidthGBps)
 package multitree

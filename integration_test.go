@@ -26,7 +26,7 @@ func TestEndToEndMatrix(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/%s", topo.Name(), alg), func(t *testing.T) {
-				s, err := multitree.BuildSchedule(topo, alg, 64<<10)
+				s, err := multitree.BuildSchedule(topo, alg, 64<<10, multitree.PlanOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}

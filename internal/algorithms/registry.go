@@ -209,11 +209,15 @@ func Supporting(topo *topology.Topology) []Spec {
 // "multitree" and "multitree-msg" share one entry (they build identical
 // schedules; only the simulator's flow control differs). A miss builds
 // fresh and stores back into every configured tier. Cache traffic is
-// reported to opts.Observer under obs.PhaseCacheLookup.
+// reported to opts.Observer under obs.PhaseCacheLookup. Fewer than one
+// element (a data size below collective.WordSize bytes) is an error.
 func Build(topo *topology.Topology, name string, elems int, opts Options) (*collective.Schedule, error) {
 	spec, _, err := Resolve(name)
 	if err != nil {
 		return nil, err
+	}
+	if elems < 1 {
+		return nil, fmt.Errorf("algorithms: %s needs at least one %d-byte element, got %d", name, collective.WordSize, elems)
 	}
 	if opts.Cache == nil && opts.MemCache == nil {
 		return spec.Build(topo, elems, opts)
@@ -234,7 +238,7 @@ func Build(topo *topology.Topology, name string, elems int, opts Options) (*coll
 		memMiss = 1
 	}
 	if opts.Cache != nil {
-		got, n, ok := opts.Cache.GetOpts(key, topo, plancache.GetOptions{
+		got, n, ok := opts.Cache.Get(key, topo, plancache.GetOptions{
 			Observer: o,
 			Workers:  opts.Workers,
 		})

@@ -92,3 +92,19 @@ func TestBuildErrorsOnUnsupported(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildRejectsSubElement: every registered algorithm, and the -msg
+// variant, refuses fewer than one element with an error.
+func TestBuildRejectsSubElement(t *testing.T) {
+	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
+	names := append(algorithms.Names(), "multitree"+algorithms.MsgSuffix)
+	for _, name := range names {
+		for _, elems := range []int{0, -1} {
+			if s, err := algorithms.Build(topo, name, elems, algorithms.Options{}); err == nil {
+				t.Errorf("%s at %d elems built %d transfers, want an error", name, elems, len(s.Transfers))
+			} else if !strings.Contains(err.Error(), "element") {
+				t.Errorf("%s at %d elems: error %q does not name the element minimum", name, elems, err)
+			}
+		}
+	}
+}

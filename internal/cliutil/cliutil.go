@@ -1,13 +1,14 @@
 // Package cliutil is the observability plumbing shared by the cmd/
 // tools: pprof profile management, terminal detection for progress
 // output, structured run-report writing with strict re-validation, and
-// the Prometheus metrics listener. Every tool wires the same flags to
-// the same behaviors, so a run report from train-sim validates with the
-// same decoder as one from allreduce-bench.
+// the Prometheus metrics listener. Every tool registers the same run
+// flags (RegisterFlags) for the same behaviors, so a run report from
+// train-sim validates with the same decoder as one from allreduce-bench.
 package cliutil
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"log"
 	"net"
@@ -153,6 +154,23 @@ type Config struct {
 	PlanMemCacheMB    int64  // -plan-mem-cache-mb: in-process decoded-plan LRU cap, <= 0 off
 	PlanWorkers       int    // -plan-workers: parallel eccentricities + lowering + IR decode, <= 1 sequential
 	VerifyPlan        bool   // -verify-plan: full re-validation of cache hits
+}
+
+// RegisterFlags declares on fs the run flags every tool shares —
+// profiles, the run report, progress and the plan-cache tiers — and
+// returns the Config they fill when fs is parsed. Tools add their own
+// flags (and set Tool and Mode) on the returned value.
+func RegisterFlags(fs *flag.FlagSet) *Config {
+	c := &Config{}
+	fs.StringVar(&c.CPUProfile, "cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
+	fs.StringVar(&c.MemProfile, "memprofile", "", "write an allocation profile taken at exit to this file")
+	fs.StringVar(&c.ReportPath, "report", "", "write a structured run report (versioned JSON) to this file")
+	fs.StringVar(&c.ProgressMode, "progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
+	fs.StringVar(&c.PlanCacheDir, "plan-cache", "", "content-addressed plan cache directory: schedules load from it when present and are stored after a fresh build")
+	fs.Int64Var(&c.PlanMemCacheMB, "plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: repeated builds and loads of one plan skip disk and decode; <= 0 off")
+	fs.IntVar(&c.PlanWorkers, "plan-workers", 1, "planner workers for MultiTree's eccentricity and lowering passes (tree growth stays sequential) and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
+	fs.BoolVar(&c.VerifyPlan, "verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
+	return c
 }
 
 // Run is one invocation's live observability state: the report being

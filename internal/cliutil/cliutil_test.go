@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"flag"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -156,5 +157,49 @@ func TestRunDisabled(t *testing.T) {
 	}
 	if err := run.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRegisterFlags pins the shared flag surface every tool gets: exactly
+// these names with these defaults, each filling its Config field.
+func TestRegisterFlags(t *testing.T) {
+	fs := flag.NewFlagSet("tool", flag.ContinueOnError)
+	cfg := RegisterFlags(fs)
+	want := map[string]string{
+		"cpuprofile":        "",
+		"memprofile":        "",
+		"report":            "",
+		"progress":          "auto",
+		"plan-cache":        "",
+		"plan-mem-cache-mb": "0",
+		"plan-workers":      "1",
+		"verify-plan":       "false",
+	}
+	got := map[string]string{}
+	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
+	if len(got) != len(want) {
+		t.Errorf("registered %d flags %v, want %d", len(got), got, len(want))
+	}
+	for name, def := range want {
+		if d, ok := got[name]; !ok || d != def {
+			t.Errorf("-%s: default %q (defined %v), want %q", name, d, ok, def)
+		}
+	}
+	if *cfg != (Config{ProgressMode: "auto", PlanWorkers: 1}) {
+		t.Errorf("defaults fill %+v", *cfg)
+	}
+	err := fs.Parse([]string{
+		"-cpuprofile", "c", "-memprofile", "m", "-report", "r", "-progress", "off",
+		"-plan-cache", "d", "-plan-mem-cache-mb", "64", "-plan-workers", "4", "-verify-plan",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCfg := Config{
+		CPUProfile: "c", MemProfile: "m", ReportPath: "r", ProgressMode: "off",
+		PlanCacheDir: "d", PlanMemCacheMB: 64, PlanWorkers: 4, VerifyPlan: true,
+	}
+	if *cfg != wantCfg {
+		t.Errorf("parsed flags fill %+v, want %+v", *cfg, wantCfg)
 	}
 }

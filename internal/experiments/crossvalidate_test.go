@@ -29,7 +29,7 @@ func TestScheduleIRCrossValidation(t *testing.T) {
 		for _, alg := range algorithms.Supporting(topo) {
 			covered++
 			t.Run(spec+"/"+alg.Name, func(t *testing.T) {
-				orig, err := BuildSchedule(topo, alg.Name, elems)
+				orig, err := algorithms.Build(topo, alg.Name, elems, algorithms.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"testing"
 
+	"multitree/internal/algorithms"
 	"multitree/internal/collective"
 	"multitree/internal/network"
 	"multitree/internal/obs"
@@ -25,7 +26,7 @@ func TestEngineDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range []string{"ring", "multitree"} {
-			s, err := BuildSchedule(topo, alg, elems)
+			s, err := algorithms.Build(topo, alg, elems, algorithms.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,7 +61,7 @@ func TestPacketSimReuseDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildSchedule(topo, "multitree", (256<<10)/collective.WordSize)
+	s, err := algorithms.Build(topo, "multitree", (256<<10)/collective.WordSize, algorithms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestFluidSimReuseDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildSchedule(topo, "multitree", (256<<10)/collective.WordSize)
+	s, err := algorithms.Build(topo, "multitree", (256<<10)/collective.WordSize, algorithms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"multitree/internal/collective"
 	"multitree/internal/core"
 	"multitree/internal/network"
-	"multitree/internal/obs"
 	"multitree/internal/ring"
 	"multitree/internal/ring2d"
 	"multitree/internal/topology"
@@ -69,27 +68,6 @@ func Algorithms(topo *topology.Topology) []AlgSpec {
 	return specs
 }
 
-// BuildSchedule resolves the named algorithm through the central registry
-// and constructs its schedule. A "-msg" suffix selects message-based flow
-// control in the simulator and shares the base algorithm's schedule.
-func BuildSchedule(topo *topology.Topology, name string, elems int) (*collective.Schedule, error) {
-	return algorithms.Build(topo, name, elems, algorithms.Options{})
-}
-
-// BuildScheduleObserved is BuildSchedule with planner observability: the
-// observer receives phase boundaries, counters and progress while the
-// schedule is constructed. Nil behaves exactly like BuildSchedule.
-func BuildScheduleObserved(topo *topology.Topology, name string, elems int, o obs.PlanObserver) (*collective.Schedule, error) {
-	return algorithms.Build(topo, name, elems, algorithms.Options{Observer: o})
-}
-
-// BuildScheduleOpts is BuildSchedule with the full planner option set:
-// observability, parallel construction, and the plan cache. The schedule
-// built is identical for every option combination.
-func BuildScheduleOpts(topo *topology.Topology, name string, elems int, opts algorithms.Options) (*collective.Schedule, error) {
-	return algorithms.Build(topo, name, elems, opts)
-}
-
 // AllReducePoint is one measurement of Fig. 9/10. The JSON tags define
 // the machine-readable result format of allreduce-bench -json, consumed
 // by perf-trajectory tracking.
@@ -111,36 +89,29 @@ type AllReducePoint struct {
 	PlanNanos int64 `json:"plan_ns,omitempty"`
 }
 
-// MeasureAllReduce simulates one (topology, algorithm, size) point.
-func MeasureAllReduce(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine) (AllReducePoint, error) {
-	return MeasureAllReduceObserved(topo, alg, dataBytes, engine, nil)
+// MeasureAllReduce simulates one (topology, algorithm, size) point. The
+// zero opts is a plain, uncached, unobserved build; with a plan cache
+// attached, PlanNanos still reports the point's true schedule-acquisition
+// cost — a hit makes it milliseconds instead of minutes.
+func MeasureAllReduce(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, opts algorithms.Options) (AllReducePoint, error) {
+	p, _, err := measure(topo, alg, dataBytes, engine, network.DefaultConfig(), opts)
+	return p, err
 }
 
-// MeasureAllReduceObserved is MeasureAllReduce reporting schedule
-// construction into a PlanObserver. Nil behaves exactly like
-// MeasureAllReduce; either way the point's PlanNanos carries the
-// construction share of WallNanos.
-func MeasureAllReduceObserved(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, o obs.PlanObserver) (AllReducePoint, error) {
-	return MeasureAllReduceOpts(topo, alg, dataBytes, engine, algorithms.Options{Observer: o})
-}
-
-// MeasureAllReduceOpts is MeasureAllReduce with the full planner option
-// set (observer, workers, plan cache). With a cache attached, PlanNanos
-// still reports the point's true schedule-acquisition cost — a hit makes
-// it milliseconds instead of minutes, which is the point.
-func MeasureAllReduceOpts(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, opts algorithms.Options) (AllReducePoint, error) {
+// measure is the build→simulate→point body shared by MeasureAllReduce
+// and TraceAllReduce, which differ only in the engine configuration they
+// pass (tracer, faults) and in what they return.
+func measure(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, cfg network.Config, opts algorithms.Options) (AllReducePoint, *collective.Schedule, error) {
 	start := time.Now()
-	elems := int(dataBytes / collective.WordSize)
-	s, err := BuildScheduleOpts(topo, alg.Name, elems, opts)
+	s, err := algorithms.Build(topo, alg.Name, int(dataBytes/collective.WordSize), opts)
 	if err != nil {
-		return AllReducePoint{}, err
+		return AllReducePoint{}, nil, err
 	}
 	planned := time.Now()
-	cfg := network.DefaultConfig()
 	cfg.MessageBased = alg.Msg
 	res, err := engine.run(s, cfg)
 	if err != nil {
-		return AllReducePoint{}, err
+		return AllReducePoint{}, nil, err
 	}
 	return AllReducePoint{
 		Topology:      topo.Name(),
@@ -150,7 +121,7 @@ func MeasureAllReduceOpts(topo *topology.Topology, alg AlgSpec, dataBytes int64,
 		BandwidthGBps: res.BandwidthBytesPerCycle(dataBytes),
 		WallNanos:     time.Since(start).Nanoseconds(),
 		PlanNanos:     planned.Sub(start).Nanoseconds(),
-	}, nil
+	}, s, nil
 }
 
 // Fig9Sizes returns the §VI-A sweep: 32 KiB doubling to maxBytes
@@ -164,39 +135,15 @@ func Fig9Sizes(maxBytes int64) []int64 {
 }
 
 // Fig9 sweeps every applicable algorithm over the data sizes on one
-// topology, emitting each point to the callback as it completes.
-func Fig9(topo *topology.Topology, sizes []int64, engine Engine, emit func(AllReducePoint)) error {
-	points, err := Fig9Parallel(topo, sizes, engine, 1)
-	if err != nil {
-		return err
-	}
-	for _, p := range points {
-		emit(p)
-	}
-	return nil
-}
-
-// Fig9Parallel runs the same sweep across a worker pool (simulations of
-// different points are independent; topologies are safe for concurrent
-// reads). Results come back in deterministic (algorithm, size) order
-// regardless of completion order.
-func Fig9Parallel(topo *topology.Topology, sizes []int64, engine Engine, workers int) ([]AllReducePoint, error) {
-	return Fig9ParallelObserved(topo, sizes, engine, workers, nil)
-}
-
-// Fig9ParallelObserved is Fig9Parallel with planner observability: all
-// workers report into the one observer (PlanProfile handles overlapping
-// same-phase runs by charging the union interval). Nil behaves exactly
-// like Fig9Parallel.
-func Fig9ParallelObserved(topo *topology.Topology, sizes []int64, engine Engine, workers int, o obs.PlanObserver) ([]AllReducePoint, error) {
-	return Fig9ParallelOpts(topo, sizes, engine, workers, algorithms.Options{Observer: o})
-}
-
-// Fig9ParallelOpts is Fig9Parallel with the full planner option set. A
-// shared plan cache pays off twice here: the "-msg" variant of each
-// point hits the entry its base variant stored (they share one
-// schedule), and a re-run of the sweep hits everything.
-func Fig9ParallelOpts(topo *topology.Topology, sizes []int64, engine Engine, workers int, opts algorithms.Options) ([]AllReducePoint, error) {
+// topology across a worker pool (simulations of different points are
+// independent; topologies are safe for concurrent reads). Results come
+// back in deterministic (algorithm, size) order regardless of completion
+// order. All workers share opts: one observer sees every build (a
+// PlanProfile charges overlapping same-phase runs their union interval),
+// and a shared plan cache pays off twice — the "-msg" variant of each
+// point hits the entry its base variant stored, and a re-run of the
+// sweep hits everything.
+func Fig9(topo *topology.Topology, sizes []int64, engine Engine, workers int, opts algorithms.Options) ([]AllReducePoint, error) {
 	if workers < 1 {
 		workers = 1
 	}
@@ -220,7 +167,7 @@ func Fig9ParallelOpts(topo *topology.Topology, sizes []int64, engine Engine, wor
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				p, err := MeasureAllReduceOpts(topo, j.alg, j.bytes, engine, opts)
+				p, err := MeasureAllReduce(topo, j.alg, j.bytes, engine, opts)
 				if err != nil {
 					errs[j.idx] = fmt.Errorf("%s/%s/%d: %w", topo.Name(), j.alg.Name, j.bytes, err)
 					continue
@@ -270,7 +217,7 @@ func Fig10(torusFor func(int) (*topology.Topology, error), nodeCounts []int) ([]
 		}
 		dataBytes := int64(375*n) << 10
 		for _, alg := range algs {
-			p, err := MeasureAllReduce(topo, alg, dataBytes, Fluid)
+			p, err := MeasureAllReduce(topo, alg, dataBytes, Fluid, algorithms.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %d/%s: %w", n, alg.Name, err)
 			}
@@ -306,7 +253,7 @@ func StrongScaling(torusFor func(int) (*topology.Topology, error), nodeCounts []
 			return nil, err
 		}
 		for _, alg := range algs {
-			p, err := MeasureAllReduce(topo, alg, dataBytes, Fluid)
+			p, err := MeasureAllReduce(topo, alg, dataBytes, Fluid, algorithms.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("strong scaling %d/%s: %w", n, alg.Name, err)
 			}
@@ -358,7 +305,7 @@ func Table1(topos []*topology.Topology, elems int) ([]Table1Row, error) {
 			if alg.Msg {
 				continue // flow control does not change the schedule
 			}
-			s, err := BuildSchedule(topo, alg.Name, elems)
+			s, err := algorithms.Build(topo, alg.Name, elems, algorithms.Options{})
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,11 @@
 package experiments_test
 
 import (
+	"bytes"
 	"testing"
 
+	"multitree/internal/algorithms"
+	"multitree/internal/collective"
 	"multitree/internal/experiments"
 	"multitree/internal/topology"
 	"multitree/internal/topospec"
@@ -45,12 +48,13 @@ func TestAlgorithmsPerTopology(t *testing.T) {
 // bandwidth-bound size on a Torus.
 func TestFig9ShapeTorus(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
-	bw := map[string]float64{}
-	err := experiments.Fig9(topo, []int64{4 << 20}, experiments.Fluid, func(p experiments.AllReducePoint) {
-		bw[p.Algorithm] = p.BandwidthGBps
-	})
+	points, err := experiments.Fig9(topo, []int64{4 << 20}, experiments.Fluid, 1, algorithms.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	bw := map[string]float64{}
+	for _, p := range points {
+		bw[p.Algorithm] = p.BandwidthGBps
 	}
 	if !(bw["multitree"] > bw["2d-ring"] && bw["2d-ring"] > bw["ring"] && bw["ring"] > bw["dbtree"]) {
 		t.Errorf("bandwidth ordering wrong: %v", bw)
@@ -172,16 +176,16 @@ func itoa(n int) string {
 	return string(b)
 }
 
-// TestFig9ParallelMatchesSerial: the worker pool returns the same points
-// in the same order as the serial sweep (run under -race in CI).
+// TestFig9ParallelMatchesSerial: an 8-worker pool returns the same points
+// in the same order as the 1-worker sweep (run under -race in CI).
 func TestFig9ParallelMatchesSerial(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
 	sizes := []int64{32 << 10, 128 << 10}
-	serial, err := experiments.Fig9Parallel(topo, sizes, experiments.Fluid, 1)
+	serial, err := experiments.Fig9(topo, sizes, experiments.Fluid, 1, algorithms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := experiments.Fig9Parallel(topo, sizes, experiments.Fluid, 8)
+	parallel, err := experiments.Fig9(topo, sizes, experiments.Fluid, 8, algorithms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +198,46 @@ func TestFig9ParallelMatchesSerial(t *testing.T) {
 		a.PlanNanos, b.PlanNanos = 0, 0
 		if a != b {
 			t.Errorf("point %d differs: %+v vs %+v", i, a, b)
+		}
+	}
+}
+
+// TestMeasureRejectsSubElement: a data size below one element is an
+// error on the measurement path too, not a 0-element schedule's point.
+func TestMeasureRejectsSubElement(t *testing.T) {
+	topo := topology.Torus(4, 4, cfg())
+	p, err := experiments.MeasureAllReduce(topo, experiments.AlgSpec{Name: "ring"}, 2, experiments.Fluid, algorithms.Options{})
+	if err == nil {
+		t.Fatalf("2-byte all-reduce accepted: %+v", p)
+	}
+}
+
+// TestScheduleBuilderMatchesRegistry: the training builder's cached-tree
+// path serves "multitree" and "multitree-msg" alike, and every layer size
+// it lowers exports the same bytes as a fresh registry build.
+func TestScheduleBuilderMatchesRegistry(t *testing.T) {
+	topo := topology.Torus(4, 4, cfg())
+	export := func(s *collective.Schedule) []byte {
+		var b bytes.Buffer
+		if err := collective.Export(&b, s); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, name := range []string{"multitree", "multitree-msg", "ring"} {
+		build := experiments.ScheduleBuilder(name)
+		for _, elems := range []int{1, 1000, 65536} {
+			got, err := build(topo, elems)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := algorithms.Build(topo, name, elems, algorithms.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(export(got), export(want)) {
+				t.Errorf("%s at %d elems: builder and registry schedules differ", name, elems)
+			}
 		}
 	}
 }

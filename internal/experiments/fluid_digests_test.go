@@ -14,6 +14,7 @@ import (
 	"hash"
 	"testing"
 
+	"multitree/internal/algorithms"
 	"multitree/internal/collective"
 	"multitree/internal/network"
 	"multitree/internal/obs"
@@ -84,7 +85,7 @@ func TestFluidLockstepDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := BuildSchedule(topo, c.alg, c.elems)
+			s, err := algorithms.Build(topo, c.alg, c.elems, algorithms.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

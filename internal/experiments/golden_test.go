@@ -118,7 +118,7 @@ func TestGoldenEngineDigests(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, alg := range algorithms.Supporting(topo) {
-			s, err := BuildSchedule(topo, alg.Name, elems)
+			s, err := algorithms.Build(topo, alg.Name, elems, algorithms.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

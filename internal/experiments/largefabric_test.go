@@ -10,6 +10,7 @@ import (
 	"math"
 	"testing"
 
+	"multitree/internal/algorithms"
 	"multitree/internal/network"
 	"multitree/internal/topospec"
 )
@@ -19,7 +20,7 @@ func TestLargeFabricCrossEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BuildSchedule(topo, "multitree", (256<<10)/4)
+	s, err := algorithms.Build(topo, "multitree", (256<<10)/4, algorithms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

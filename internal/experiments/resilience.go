@@ -64,7 +64,7 @@ func Resilience(topo *topology.Topology, maxFailed int, seed int64, dataBytes in
 				continue
 			}
 			for _, e := range []Engine{Fluid, Packet} {
-				p, err := MeasureAllReduce(deg.Topo, alg, dataBytes, e)
+				p, err := MeasureAllReduce(deg.Topo, alg, dataBytes, e, algorithms.Options{})
 				if err != nil {
 					return nil, fmt.Errorf("resilience: %d failures, %s/%s: %w", failed, alg.Name, e, err)
 				}

@@ -95,7 +95,7 @@ func TestMultiTreeReplanAvoidsFailedLinks(t *testing.T) {
 		failed[[2]int{a, b}] = true
 	}
 
-	s, err := BuildSchedule(deg.Topo, core.Algorithm, (256<<10)/4)
+	s, err := algorithms.Build(deg.Topo, core.Algorithm, (256<<10)/4, algorithms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
-	"time"
 
 	"multitree/internal/algorithms"
 	"multitree/internal/collective"
@@ -32,59 +30,22 @@ func (tr *TracedResult) WriteChromeTrace(w io.Writer) error {
 
 // TraceAllReduce measures one (topology, algorithm, size) point like
 // MeasureAllReduce while recording every simulation event and streaming
-// it into a metrics collector with binCycles-wide utilization bins.
-func TraceAllReduce(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64) (*TracedResult, error) {
-	return TraceAllReduceFaulty(topo, alg, dataBytes, engine, binCycles, nil)
-}
-
-// TraceAllReduceFaulty is TraceAllReduce with engine-layer fault
-// injection: the plan's faults activate mid-flight during the traced run
-// (EvLinkFault events land in the recording), without re-planning the
-// schedule around them.
-func TraceAllReduceFaulty(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64, plan *faults.Plan) (*TracedResult, error) {
-	return TraceAllReduceObserved(topo, alg, dataBytes, engine, binCycles, plan, nil)
-}
-
-// TraceAllReduceObserved is TraceAllReduceFaulty reporting schedule
-// construction into a PlanObserver, so traced runs carry the same planner
-// phase breakdown as plain measurements. Nil behaves identically.
-func TraceAllReduceObserved(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64, plan *faults.Plan, po obs.PlanObserver) (*TracedResult, error) {
-	return TraceAllReduceOpts(topo, alg, dataBytes, engine, binCycles, plan, algorithms.Options{Observer: po})
-}
-
-// TraceAllReduceOpts is TraceAllReduceFaulty with the full planner option
-// set (observer, workers, plan cache).
-func TraceAllReduceOpts(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64, plan *faults.Plan, opts algorithms.Options) (*TracedResult, error) {
-	elems := int(dataBytes / collective.WordSize)
-	if elems < 1 {
-		return nil, fmt.Errorf("experiments: data size %d bytes is below one %d-byte element", dataBytes, collective.WordSize)
-	}
-	start := time.Now()
-	s, err := BuildScheduleOpts(topo, alg.Name, elems, opts)
-	if err != nil {
-		return nil, err
-	}
-	planned := time.Now()
+// it into a metrics collector with binCycles-wide utilization bins. A
+// non-nil plan injects engine-layer faults: they activate mid-flight
+// during the traced run (EvLinkFault events land in the recording),
+// without re-planning the schedule around them.
+func TraceAllReduce(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64, plan *faults.Plan, opts algorithms.Options) (*TracedResult, error) {
 	rec := &obs.Recorder{}
 	met := obs.NewMetrics(binCycles)
 	cfg := network.DefaultConfig()
-	cfg.MessageBased = alg.Msg
 	cfg.Faults = plan
 	cfg.Tracer = obs.Tee(rec, met)
-	res, err := engine.run(s, cfg)
+	p, s, err := measure(topo, alg, dataBytes, engine, cfg, opts)
 	if err != nil {
 		return nil, err
 	}
 	return &TracedResult{
-		Point: AllReducePoint{
-			Topology:      topo.Name(),
-			Algorithm:     alg.Name,
-			DataBytes:     dataBytes,
-			Cycles:        uint64(res.Cycles),
-			BandwidthGBps: res.BandwidthBytesPerCycle(dataBytes),
-			WallNanos:     time.Since(start).Nanoseconds(),
-			PlanNanos:     planned.Sub(start).Nanoseconds(),
-		},
+		Point:   p,
 		Sched:   s,
 		Meta:    network.TraceMetaFor(s, ""),
 		Events:  rec,

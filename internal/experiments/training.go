@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"multitree/internal/accel"
+	"multitree/internal/algorithms"
 	"multitree/internal/collective"
 	"multitree/internal/core"
 	"multitree/internal/model"
@@ -54,7 +56,7 @@ func Fig11(topo *topology.Topology, overlapped bool) ([]Fig11Row, error) {
 				Accel:        accel.Default(),
 				BatchPerNode: 16,
 				Net:          netConfig(alg),
-				Build:        builderFor(alg.Name),
+				Build:        ScheduleBuilder(alg.Name),
 			}
 			var (
 				b   training.Breakdown
@@ -99,17 +101,17 @@ func netConfig(alg AlgSpec) network.Config {
 	return cfg
 }
 
-// builderFor returns a ScheduleBuilder, caching MultiTree's trees per
-// topology so per-layer schedules reuse one Algorithm 1 run (§V-A: the
-// schedules are computed once and reused across epochs).
-func builderFor(name string) training.ScheduleBuilder {
-	base := name
-	if base == core.Algorithm+"-msg" {
-		base = core.Algorithm
-	}
-	if base != core.Algorithm {
+// ScheduleBuilder returns the training loop's builder for the named
+// algorithm. MultiTree (with or without "-msg") grows its trees once per
+// topology and lowers every layer's size from them — the paper's
+// deployment model, where "the schedules are computed once during
+// initialization and loaded to network interfaces for reuse in the
+// iterative training epochs" (§V-A). Every other algorithm builds each
+// layer's schedule through the registry.
+func ScheduleBuilder(name string) training.ScheduleBuilder {
+	if strings.TrimSuffix(name, algorithms.MsgSuffix) != core.Algorithm {
 		return func(topo *topology.Topology, elems int) (*collective.Schedule, error) {
-			return BuildSchedule(topo, base, elems)
+			return algorithms.Build(topo, name, elems, algorithms.Options{})
 		}
 	}
 	cache := map[*topology.Topology][]*collective.Tree{}

@@ -134,15 +134,6 @@ func (c *Cache) logf(format string, args ...any) {
 	}
 }
 
-// Get loads the entry for key onto topo, returning the schedule and the
-// IR bytes read. ok = false is a miss, never an error: the entry was
-// absent, unreadable, or failed validation; invalid entries are deleted
-// and logged so one corrupt file costs one rebuild, not every future
-// run. Equivalent to GetOpts with zero options.
-func (c *Cache) Get(key string, topo *topology.Topology) (s *collective.Schedule, bytesRead int64, ok bool) {
-	return c.GetOpts(key, topo, GetOptions{})
-}
-
 // GetOptions tunes one cache load. The zero value is a plain
 // single-threaded load.
 type GetOptions struct {
@@ -157,9 +148,13 @@ type GetOptions struct {
 	Workers int
 }
 
-// GetOpts is Get with per-load options. The entry is read section by
-// section with positioned reads; nothing materializes the whole file.
-func (c *Cache) GetOpts(key string, topo *topology.Topology, opts GetOptions) (s *collective.Schedule, bytesRead int64, ok bool) {
+// Get loads the entry for key onto topo, returning the schedule and the
+// IR bytes read. ok = false is a miss, never an error: the entry was
+// absent, unreadable, or failed validation; invalid entries are deleted
+// and logged so one corrupt file costs one rebuild, not every future
+// run. The entry is read section by section with positioned reads;
+// nothing materializes the whole file.
+func (c *Cache) Get(key string, topo *topology.Topology, opts GetOptions) (s *collective.Schedule, bytesRead int64, ok bool) {
 	f, err := os.Open(c.path(key))
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {

@@ -37,13 +37,13 @@ func TestRoundTrip(t *testing.T) {
 	s := build(t, topo, 1024)
 	key := plancache.Key(topo, "multitree", 1024, 0)
 
-	if _, _, ok := c.Get(key, topo); ok {
+	if _, _, ok := c.Get(key, topo, plancache.GetOptions{}); ok {
 		t.Fatal("hit on an empty cache")
 	}
 	if _, err := c.Put(key, s); err != nil {
 		t.Fatal(err)
 	}
-	got, _, ok := c.Get(key, topo)
+	got, _, ok := c.Get(key, topo, plancache.GetOptions{})
 	if !ok {
 		t.Fatal("miss after Put")
 	}
@@ -124,7 +124,7 @@ func TestCorruptEntryFallsBack(t *testing.T) {
 			if err := os.WriteFile(path, tc.plant(good), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, ok := c.Get(key, topo); ok {
+			if _, _, ok := c.Get(key, topo, plancache.GetOptions{}); ok {
 				t.Fatal("invalid entry served as a hit")
 			}
 			if len(warnings) != 1 || !strings.Contains(warnings[0], "discarding invalid entry") ||
@@ -139,7 +139,7 @@ func TestCorruptEntryFallsBack(t *testing.T) {
 			if _, err := algorithms.Build(topo, "multitree", 1024, opts); err != nil {
 				t.Fatal(err)
 			}
-			if _, _, ok := c.Get(key, topo); !ok {
+			if _, _, ok := c.Get(key, topo, plancache.GetOptions{}); !ok {
 				t.Fatal("miss after rebuild")
 			}
 			if st := c.Stats(); st.Misses != 3 || st.Hits != 1 {
@@ -163,7 +163,7 @@ func TestWrongTopologyMisses(t *testing.T) {
 	if _, err := c.Put(key, build(t, torus, 1024)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get(key, mesh); ok {
+	if _, _, ok := c.Get(key, mesh, plancache.GetOptions{}); ok {
 		t.Fatal("torus entry loaded onto a mesh")
 	}
 }
@@ -193,7 +193,7 @@ func TestEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, ok := c.Get(keys[2], topo); !ok {
+	if _, _, ok := c.Get(keys[2], topo, plancache.GetOptions{}); !ok {
 		t.Fatal("just-written entry evicted")
 	}
 	left, err := filepath.Glob(filepath.Join(dir, "*.plan"))
@@ -224,13 +224,13 @@ func TestOwnWriteSurvivesTinyCap(t *testing.T) {
 	if _, err := c.Put(k1, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get(k1, topo); !ok {
+	if _, _, ok := c.Get(k1, topo, plancache.GetOptions{}); !ok {
 		t.Fatal("store evicted its own entry under a tiny cap")
 	}
 	if _, err := c.Put(k2, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get(k2, topo); !ok {
+	if _, _, ok := c.Get(k2, topo, plancache.GetOptions{}); !ok {
 		t.Fatal("second store evicted its own entry")
 	}
 	left, err := filepath.Glob(filepath.Join(dir, "*.plan"))

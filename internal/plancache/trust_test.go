@@ -31,7 +31,7 @@ func TestSummaryValidatedHit(t *testing.T) {
 	if _, err := c.Put(key, build(t, topo, 1024)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get(key, topo); !ok {
+	if _, _, ok := c.Get(key, topo, plancache.GetOptions{}); !ok {
 		t.Fatal("miss after Put")
 	}
 	st := c.Stats()
@@ -54,7 +54,7 @@ func TestVerifyFullHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := obs.NewPlanProfile()
-	if _, _, ok := c.GetOpts(key, topo, plancache.GetOptions{Observer: prof}); !ok {
+	if _, _, ok := c.Get(key, topo, plancache.GetOptions{Observer: prof}); !ok {
 		t.Fatal("miss after Put")
 	}
 	st := c.Stats()
@@ -99,7 +99,7 @@ func TestStaleVersionFullValidation(t *testing.T) {
 	if err := os.WriteFile(path, stale, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get(key, topo); ok {
+	if _, _, ok := c.Get(key, topo, plancache.GetOptions{}); ok {
 		t.Fatal("stale-version entry served as a hit")
 	}
 	if st := c.Stats(); st.FullLoads != 0 || st.Misses != 1 {
@@ -114,7 +114,7 @@ func TestStaleVersionFullValidation(t *testing.T) {
 	if _, err := c.Put(key, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get(key, topo); !ok {
+	if _, _, ok := c.Get(key, topo, plancache.GetOptions{}); !ok {
 		t.Fatal("miss after re-store")
 	}
 	if st := c.Stats(); st.Hits != 1 || st.FullLoads != 1 {
@@ -156,7 +156,7 @@ func TestTamperedEntryRebuilt(t *testing.T) {
 	if err := os.WriteFile(path, bad, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get(key, topo); ok {
+	if _, _, ok := c.Get(key, topo, plancache.GetOptions{}); ok {
 		t.Fatal("tampered entry served as a hit")
 	}
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "discarding invalid entry") {
@@ -169,7 +169,7 @@ func TestTamperedEntryRebuilt(t *testing.T) {
 	if _, err := c.Put(key, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.Get(key, topo); !ok {
+	if _, _, ok := c.Get(key, topo, plancache.GetOptions{}); !ok {
 		t.Fatal("miss after re-store")
 	}
 	st := c.Stats()

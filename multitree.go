@@ -124,10 +124,25 @@ type Schedule struct {
 
 // BuildSchedule constructs the all-reduce schedule of an algorithm for
 // dataBytes of gradient (rounded down to whole 4-byte elements) on a
-// topology. BuildScheduleProfiled additionally records where the
-// planner spent its time.
-func BuildSchedule(t *Topology, alg Algorithm, dataBytes int64) (*Schedule, error) {
-	return BuildScheduleProfiled(t, alg, dataBytes, nil)
+// topology. The zero PlanOptions is a plain build; its fields add
+// parallel construction, the plan-cache tiers and profiling, and the
+// schedule built is byte-identical for every combination.
+func BuildSchedule(t *Topology, alg Algorithm, dataBytes int64, opt PlanOptions) (*Schedule, error) {
+	aopts := algorithms.Options{Workers: opt.Workers}
+	if opt.Profile != nil {
+		aopts.Observer = opt.Profile.p
+	}
+	if opt.Cache != nil {
+		aopts.Cache = opt.Cache.c
+	}
+	if opt.MemCache != nil {
+		aopts.MemCache = opt.MemCache.c
+	}
+	s, err := algorithms.Build(t.t, string(alg), int(dataBytes/collective.WordSize), aopts)
+	if err != nil {
+		return nil, err
+	}
+	return &Schedule{s: s}, nil
 }
 
 // Algorithm returns the schedule's algorithm name.
@@ -171,7 +186,7 @@ func (s *Schedule) Verify() error {
 // rebuild reconstructs the same algorithm's schedule at a smaller size.
 func rebuild(s *collective.Schedule, elems int) (*collective.Schedule, error) {
 	t := &Topology{t: s.Topo}
-	ns, err := BuildSchedule(t, Algorithm(s.Algorithm), int64(elems)*collective.WordSize)
+	ns, err := BuildSchedule(t, Algorithm(s.Algorithm), int64(elems)*collective.WordSize, PlanOptions{})
 	if err != nil {
 		return nil, err
 	}

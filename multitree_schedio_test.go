@@ -11,7 +11,7 @@ import (
 // through the public API without the original Topology object.
 func TestPublicExportImport(t *testing.T) {
 	topo := NewTorus(4, 4)
-	orig, err := BuildSchedule(topo, MultiTree, 1<<18)
+	orig, err := BuildSchedule(topo, MultiTree, 1<<18, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

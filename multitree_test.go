@@ -50,7 +50,7 @@ func TestBuildAndVerifyAllAlgorithms(t *testing.T) {
 		if !topo.Supports(alg) {
 			continue
 		}
-		s, err := multitree.BuildSchedule(topo, alg, 64<<10)
+		s, err := multitree.BuildSchedule(topo, alg, 64<<10, multitree.PlanOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -65,14 +65,14 @@ func TestBuildAndVerifyAllAlgorithms(t *testing.T) {
 
 func TestBuildScheduleErrors(t *testing.T) {
 	topo := multitree.NewTorus(4, 4)
-	if _, err := multitree.BuildSchedule(topo, "gossip", 1024); err == nil {
+	if _, err := multitree.BuildSchedule(topo, "gossip", 1024, multitree.PlanOptions{}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
-	if _, err := multitree.BuildSchedule(topo, multitree.Ring, 2); err == nil {
+	if _, err := multitree.BuildSchedule(topo, multitree.Ring, 2, multitree.PlanOptions{}); err == nil {
 		t.Error("sub-element data size accepted")
 	}
 	fattree := multitree.NewFatTree(4, 4, 4)
-	if _, err := multitree.BuildSchedule(fattree, multitree.Ring2D, 1024); err == nil {
+	if _, err := multitree.BuildSchedule(fattree, multitree.Ring2D, 1024, multitree.PlanOptions{}); err == nil {
 		t.Error("2d-ring on fat-tree accepted")
 	}
 }
@@ -81,7 +81,7 @@ func TestBuildScheduleErrors(t *testing.T) {
 // materialize the full vectors.
 func TestVerifyCapsLargeSchedules(t *testing.T) {
 	topo := multitree.NewTorus(4, 4)
-	s, err := multitree.BuildSchedule(topo, multitree.MultiTree, 64<<20)
+	s, err := multitree.BuildSchedule(topo, multitree.MultiTree, 64<<20, multitree.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestVerifyCapsLargeSchedules(t *testing.T) {
 
 func TestSimulateBothEngines(t *testing.T) {
 	topo := multitree.NewTorus(4, 4)
-	s, err := multitree.BuildSchedule(topo, multitree.MultiTree, 256<<10)
+	s, err := multitree.BuildSchedule(topo, multitree.MultiTree, 256<<10, multitree.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSimulateBothEngines(t *testing.T) {
 // Simulate on every run, for both engines.
 func TestSimulatorReuse(t *testing.T) {
 	topo := multitree.NewTorus(4, 4)
-	s, err := multitree.BuildSchedule(topo, multitree.MultiTree, 256<<10)
+	s, err := multitree.BuildSchedule(topo, multitree.MultiTree, 256<<10, multitree.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestMultiTreeWinsProperty(t *testing.T) {
 		nx := 2 + 2*(int(a)%3) // 2, 4, 6
 		ny := 2 + 2*(int(b)%3)
 		topo := multitree.NewTorus(nx, ny)
-		mt, err := multitree.BuildSchedule(topo, multitree.MultiTree, 2<<20)
+		mt, err := multitree.BuildSchedule(topo, multitree.MultiTree, 2<<20, multitree.PlanOptions{})
 		if err != nil {
 			return false
 		}
-		rg, err := multitree.BuildSchedule(topo, multitree.Ring, 2<<20)
+		rg, err := multitree.BuildSchedule(topo, multitree.Ring, 2<<20, multitree.PlanOptions{})
 		if err != nil {
 			return false
 		}
@@ -227,7 +227,7 @@ func TestCustomTopologyAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := multitree.BuildSchedule(topo, multitree.MultiTree, 1<<20)
+	s, err := multitree.BuildSchedule(topo, multitree.MultiTree, 1<<20, multitree.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +248,11 @@ func TestCustomTopologyAPI(t *testing.T) {
 func TestCustomLinkConfig(t *testing.T) {
 	slow := multitree.NewTorusLinks(4, 4, multitree.LinkConfig{BandwidthGBps: 8, LatencyNs: 300})
 	fast := multitree.NewTorus(4, 4)
-	ss, err := multitree.BuildSchedule(slow, multitree.Ring, 4<<20)
+	ss, err := multitree.BuildSchedule(slow, multitree.Ring, 4<<20, multitree.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := multitree.BuildSchedule(fast, multitree.Ring, 4<<20)
+	fs, err := multitree.BuildSchedule(fast, multitree.Ring, 4<<20, multitree.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,8 @@
 package multitree
 
 import (
-	"fmt"
 	"io"
 
-	"multitree/internal/algorithms"
-	"multitree/internal/collective"
 	"multitree/internal/network"
 	"multitree/internal/obs"
 	"multitree/internal/plancache"
@@ -56,8 +53,8 @@ func (s *Schedule) SimulateTraced(opt SimOptions) (SimResult, *Trace, error) {
 // PlanProfile records where a schedule build spends its time: wall time
 // and work counters per planner phase (tree growth, variant scoring,
 // schedule lowering). Obtain one with NewPlanProfile, build through
-// BuildScheduleProfiled, then export the breakdown. A profile may span
-// several builds; phases accumulate.
+// BuildSchedule with PlanOptions{Profile: p}, then export the
+// breakdown. A profile may span several builds; phases accumulate.
 type PlanProfile struct {
 	p *obs.PlanProfile
 }
@@ -80,13 +77,6 @@ func (p *PlanProfile) WriteCSV(w io.Writer) error { return p.p.WriteCSV(w) }
 // completed out of the announced total. Safe to poll from another
 // goroutine while a profiled build runs.
 func (p *PlanProfile) Progress() (completed, total int) { return p.p.PipelineProgress() }
-
-// BuildScheduleProfiled is BuildSchedule reporting phase timings and
-// work counters into the profile. The schedule built is byte-identical
-// to the unprofiled one; a nil profile is exactly BuildSchedule.
-func BuildScheduleProfiled(t *Topology, alg Algorithm, dataBytes int64, p *PlanProfile) (*Schedule, error) {
-	return BuildScheduleOptions(t, alg, dataBytes, PlanOptions{Profile: p})
-}
 
 // PlanCache is an open content-addressed on-disk cache of built
 // schedules: planning a large fabric costs minutes, loading its plan
@@ -168,9 +158,9 @@ func (c *PlanMemCache) Stats() PlanMemCacheStats {
 	return PlanMemCacheStats(c.c.Stats())
 }
 
-// PlanOptions tunes how BuildScheduleOptions plans: none of its fields
-// change the schedule built, only how fast it is produced and what is
-// recorded along the way. The zero value is exactly BuildSchedule.
+// PlanOptions tunes how BuildSchedule plans: none of its fields change
+// the schedule built, only how fast it is produced and what is recorded
+// along the way. The zero value is a plain build.
 type PlanOptions struct {
 	// Workers bounds planner parallelism for algorithms with parallel
 	// passes (MultiTree's eccentricities and lowering) and the section
@@ -187,29 +177,4 @@ type PlanOptions struct {
 	// Profile, when non-nil, accumulates phase timings and work counters
 	// (including cache lookups) across builds.
 	Profile *PlanProfile
-}
-
-// BuildScheduleOptions is BuildSchedule with planner tuning: parallel
-// construction, a plan cache, and profiling. The schedule built is
-// byte-identical for every option combination.
-func BuildScheduleOptions(t *Topology, alg Algorithm, dataBytes int64, opt PlanOptions) (*Schedule, error) {
-	elems := int(dataBytes / collective.WordSize)
-	if elems < 1 {
-		return nil, fmt.Errorf("multitree: data size %d bytes is below one element", dataBytes)
-	}
-	aopts := algorithms.Options{Workers: opt.Workers}
-	if opt.Profile != nil {
-		aopts.Observer = opt.Profile.p
-	}
-	if opt.Cache != nil {
-		aopts.Cache = opt.Cache.c
-	}
-	if opt.MemCache != nil {
-		aopts.MemCache = opt.MemCache.c
-	}
-	s, err := algorithms.Build(t.t, string(alg), elems, aopts)
-	if err != nil {
-		return nil, err
-	}
-	return &Schedule{s: s}, nil
 }

@@ -2,12 +2,10 @@ package multitree
 
 import (
 	"multitree/internal/accel"
-	"multitree/internal/collective"
-	"multitree/internal/core"
+	"multitree/internal/experiments"
 	"multitree/internal/model"
 	"multitree/internal/network"
 	"multitree/internal/sim"
-	"multitree/internal/topology"
 	"multitree/internal/training"
 )
 
@@ -96,7 +94,7 @@ func SimulateTraining(t *Topology, alg Algorithm, modelName string, opt Training
 		Accel:        accel.Default(),
 		BatchPerNode: opt.BatchPerNode,
 		Net:          opt.Sim.internal(),
-		Build:        scheduleBuilder(alg),
+		Build:        experiments.ScheduleBuilder(string(alg)),
 	}
 	if opt.Sim.PacketLevel {
 		cfg.Engine = network.SimulatePackets
@@ -123,36 +121,6 @@ func SimulateTraining(t *Topology, alg Algorithm, modelName string, opt Training
 		OverlapCycles:  uint64(b.Overlap),
 		TotalCycles:    uint64(b.Total),
 	}, nil
-}
-
-// scheduleBuilder adapts an Algorithm to the training package's builder.
-// For MultiTree the schedule trees are built once per topology and reused
-// for every layer size — the paper's deployment model, where "the
-// schedules are computed once during initialization and loaded to network
-// interfaces for reuse in the iterative training epochs" (§V-A).
-func scheduleBuilder(alg Algorithm) training.ScheduleBuilder {
-	if alg != MultiTree {
-		return func(topo *topology.Topology, elems int) (*collective.Schedule, error) {
-			s, err := BuildSchedule(&Topology{t: topo}, alg, int64(elems)*collective.WordSize)
-			if err != nil {
-				return nil, err
-			}
-			return s.s, nil
-		}
-	}
-	cache := map[*topology.Topology][]*collective.Tree{}
-	return func(topo *topology.Topology, elems int) (*collective.Schedule, error) {
-		trees, ok := cache[topo]
-		if !ok {
-			var err error
-			trees, err = core.BuildTrees(topo, core.DefaultOptions(topo))
-			if err != nil {
-				return nil, err
-			}
-			cache[topo] = trees
-		}
-		return collective.TreesToSchedule(core.Algorithm, topo, elems, trees)
-	}
 }
 
 func simTime(ns int) sim.Time { return sim.Time(ns) }
