@@ -28,14 +28,13 @@
 //	allreduce-bench -fig 9a -engine fluid -cpuprofile cpu.out
 //
 // Every mode can emit a structured run report and a planner phase
-// breakdown, and serve live Prometheus metrics while it works:
+// breakdown:
 //
 //	allreduce-bench -algo multitree -topo mesh-16x16 -report run.json
 //	allreduce-bench -algo multitree -topo mesh-16x16 -planprofile phases.csv
-//	allreduce-bench -fig 9a -metrics-addr :9464 -metrics-linger 30s
 //	allreduce-bench -validate-report run.json
 //
-// -report writes the versioned multitree-runreport/v2 JSON (environment,
+// -report writes the versioned multitree-runreport/v5 JSON (environment,
 // topology fingerprint, planner phase wall times, engine counters,
 // plan-vs-compile-vs-simulate wall split); -validate-report strictly
 // re-decodes one and exits non-zero on any deviation. -progress prints
@@ -145,8 +144,6 @@ func main() {
 	)
 	cfg := cliutil.RegisterFlags(flag.CommandLine)
 	flag.StringVar(&cfg.PlanCSVPath, "planprofile", "", "write the planner phase-profile CSV to this file")
-	flag.StringVar(&cfg.MetricsAddr, "metrics-addr", "", "serve Prometheus metrics at this address (e.g. :9464) during the run")
-	flag.DurationVar(&cfg.MetricsLinger, "metrics-linger", 0, "keep the metrics endpoint up this long after the run completes")
 	flag.Parse()
 
 	if *validatePath != "" {

@@ -253,8 +253,8 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 	// -warm-loads replays the build through the cache tiers: the first
 	// repeat decodes the on-disk entry (or hits the memory tier when
 	// -plan-mem-cache-mb is set), later repeats should be pure memory
-	// hits. The counters land in the run report and /metrics, making the
-	// warm-serving profile of one plan measurable from the CLI.
+	// hits. The counters land in the run report, making the warm-serving
+	// profile of one plan measurable from the CLI.
 	for i := 0; i < warmLoads; i++ {
 		if _, err := algorithms.Build(topo, spec.Name, elems, run.BuildOptions()); err != nil {
 			log.Fatal(err)

@@ -1,9 +1,9 @@
 // Package cliutil is the observability plumbing shared by the cmd/
 // tools: pprof profile management, terminal detection for progress
-// output, structured run-report writing with strict re-validation, and
-// the Prometheus metrics listener. Every tool registers the same run
-// flags (RegisterFlags) for the same behaviors, so a run report from
-// train-sim validates with the same decoder as one from allreduce-bench.
+// output, and structured run-report writing with strict re-validation.
+// Every tool registers the same run flags (RegisterFlags) for the same
+// behaviors, so a run report from train-sim validates with the same
+// decoder as one from allreduce-bench.
 package cliutil
 
 import (
@@ -11,8 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -93,22 +91,6 @@ func ProgressFor(mode string) (*obs.Progress, error) {
 	return nil, fmt.Errorf("bad progress mode %q (want auto, on or off)", mode)
 }
 
-// ServeMetrics mounts h at /metrics on addr and serves it in the
-// background. It fails fast on an unbindable address (instead of dying
-// asynchronously mid-run) and returns the resolved URL — useful with
-// ":0" — plus a stop function that closes the listener.
-func ServeMetrics(addr string, h http.Handler) (url string, stop func(), err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("metrics listener: %w", err)
-	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", h)
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	return fmt.Sprintf("http://%s/metrics", ln.Addr()), func() { srv.Close() }, nil
-}
-
 // WriteRunReport validates the report through the strict decoder before
 // anything lands on disk, so a tool can never emit a file its own
 // validator rejects.
@@ -144,9 +126,6 @@ type Config struct {
 
 	ProgressMode string // -progress: auto, on, off
 
-	MetricsAddr   string        // -metrics-addr: serve Prometheus /metrics
-	MetricsLinger time.Duration // -metrics-linger: keep serving after the run
-
 	CPUProfile, MemProfile string // -cpuprofile / -memprofile
 
 	PlanCacheDir      string // -plan-cache: content-addressed plan cache directory
@@ -174,15 +153,13 @@ func RegisterFlags(fs *flag.FlagSet) *Config {
 }
 
 // Run is one invocation's live observability state: the report being
-// assembled, the planner profile and progress reporter feeding it, and
-// the metrics endpoint scraping it. Zero-config runs cost nothing: no
-// profile is allocated, PlanObserver returns nil, and Finish only stops
-// the (also disabled) profilers.
+// assembled and the planner profile and progress reporter feeding it.
+// Zero-config runs cost nothing: no profile is allocated, PlanObserver
+// returns nil, and Finish only stops the (also disabled) profilers.
 type Run struct {
 	Report   *obs.RunReport
 	Profile  *obs.PlanProfile
 	Progress *obs.Progress
-	Prom     *obs.PromHandler
 	Cache    *plancache.Cache
 	MemCache *plancache.MemCache
 
@@ -191,7 +168,6 @@ type Run struct {
 	start        time.Time
 	startAlloc   uint64
 	stopProfiles func()
-	stopMetrics  func()
 }
 
 // StartRun wires up the requested surfaces and starts the clocks.
@@ -206,7 +182,7 @@ func StartRun(cfg Config) (*Run, error) {
 	r.Progress = p
 	// The profile exists only when something consumes it, keeping the
 	// default planner path on its proven nil-observer fast path.
-	if cfg.ReportPath != "" || cfg.PlanCSVPath != "" || cfg.MetricsAddr != "" {
+	if cfg.ReportPath != "" || cfg.PlanCSVPath != "" {
 		r.Profile = obs.NewPlanProfile()
 	}
 	if cfg.PlanCacheDir != "" {
@@ -229,17 +205,6 @@ func StartRun(cfg Config) (*Run, error) {
 	}
 	if cfg.PlanWorkers > 1 {
 		r.Option("plan_workers", fmt.Sprintf("%d", cfg.PlanWorkers))
-	}
-	if cfg.MetricsAddr != "" {
-		r.Prom = obs.NewPromHandler()
-		r.Prom.SetPlanProfile(r.Profile)
-		url, stop, err := ServeMetrics(cfg.MetricsAddr, r.Prom)
-		if err != nil {
-			r.stopProfiles()
-			return nil, err
-		}
-		r.stopMetrics = stop
-		log.Printf("serving Prometheus metrics on %s", url)
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -310,34 +275,11 @@ func (r *Run) NoteCacheKey(topo *topology.Topology, algorithm string, elems, chu
 	r.cacheKey = plancache.Key(topo, spec.Name, elems, chunks)
 }
 
-// ObserveSim folds one simulation's metrics into the run: the metrics
-// endpoint accumulates the snapshot, and the report keeps the fold of
-// every simulation this run performed.
+// ObserveSim records the run's one simulation in the report. Every
+// tool simulates at most once per invocation, so the report's sim
+// section describes exactly one run.
 func (r *Run) ObserveSim(m *obs.Metrics) {
-	if m == nil {
-		return
-	}
-	if r.Prom != nil {
-		r.Prom.ObserveSim(m.Snapshot())
-	}
-	sr := obs.SimReportFrom(m)
-	if r.Report.Sim == nil {
-		r.Report.Sim = sr
-		return
-	}
-	acc := r.Report.Sim
-	acc.Events += sr.Events
-	acc.StepEnters += sr.StepEnters
-	if sr.EngineQueueMax > acc.EngineQueueMax {
-		acc.EngineQueueMax = sr.EngineQueueMax
-	}
-	acc.LinkBusyCycles += sr.LinkBusyCycles
-	if sr.LinksActive > acc.LinksActive {
-		acc.LinksActive = sr.LinksActive
-	}
-	acc.NIEntriesIssued += sr.NIEntriesIssued
-	acc.NIDepsCleared += sr.NIDepsCleared
-	acc.NILockstepNOPs += sr.NILockstepNOPs
+	r.Report.Sim = obs.SimReportFrom(m)
 }
 
 // SetTopology records the fabric a run planned on, fingerprint included
@@ -363,10 +305,9 @@ func (r *Run) Option(key, value string) {
 }
 
 // Finish seals the report (wall split, planner phases, allocation
-// growth), writes the requested artifacts, lingers on the metrics
-// endpoint if asked, and stops the profilers. Like the profiles,
-// log.Fatal error paths exit before reaching it, so reports describe
-// completed runs only.
+// growth), writes the requested artifacts, and stops the profilers.
+// Like the profiles, log.Fatal error paths exit before reaching it, so
+// reports describe completed runs only.
 func (r *Run) Finish() error {
 	total := time.Since(r.start).Nanoseconds()
 	if r.Report.Wall == nil {
@@ -403,9 +344,6 @@ func (r *Run) Finish() error {
 			pc.MemEntries = mst.Entries
 		}
 		r.Report.PlanCache = &pc
-		if r.Prom != nil {
-			r.Prom.ObservePlanCache(pc)
-		}
 	}
 	if r.Report.Sim != nil {
 		var ms runtime.MemStats
@@ -431,13 +369,6 @@ func (r *Run) Finish() error {
 			return err
 		}
 		log.Printf("wrote %s", r.cfg.ReportPath)
-	}
-	if r.stopMetrics != nil {
-		if r.cfg.MetricsLinger > 0 {
-			log.Printf("metrics endpoint lingering %s for scrapes", r.cfg.MetricsLinger)
-			time.Sleep(r.cfg.MetricsLinger)
-		}
-		r.stopMetrics()
 	}
 	r.stopProfiles()
 	return nil

@@ -2,7 +2,6 @@ package cliutil
 
 import (
 	"flag"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,31 +66,9 @@ func TestWriteAndValidateRunReport(t *testing.T) {
 	}
 }
 
-func TestServeMetrics(t *testing.T) {
-	h := obs.NewPromHandler()
-	url, stop, err := ServeMetrics("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	buf := make([]byte, 1<<16)
-	n, _ := resp.Body.Read(buf)
-	body := string(buf[:n])
-	if !strings.Contains(body, "multitree_up 1") {
-		t.Errorf("scrape missing multitree_up:\n%s", body)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Errorf("content type %q", ct)
-	}
-}
-
 // TestRunLifecycle drives a full StartRun/Finish cycle: observer
-// fan-out, sim fold, report and plan CSV on disk, both validating.
+// fan-out, the observed sim, report and plan CSV on disk, both
+// validating.
 func TestRunLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	reportPath := filepath.Join(dir, "report.json")
@@ -115,10 +92,10 @@ func TestRunLifecycle(t *testing.T) {
 
 	m := obs.NewMetrics(0)
 	m.Emit(obs.Event{Kind: obs.EvStepEnter})
+	m.Emit(obs.Event{Kind: obs.EvStepEnter})
 	run.ObserveSim(m)
-	run.ObserveSim(m) // folds accumulate
-	if run.Report.Sim.StepEnters != 2 {
-		t.Errorf("sim fold StepEnters = %d, want 2", run.Report.Sim.StepEnters)
+	if run.Report.Sim == nil || run.Report.Sim.StepEnters != 2 || run.Report.Sim.Events != 2 {
+		t.Errorf("observed sim = %+v, want 2 events, 2 step enters", run.Report.Sim)
 	}
 
 	if err := run.Finish(); err != nil {

@@ -80,13 +80,28 @@ func TestObserverDoesNotChangeSchedule(t *testing.T) {
 	}
 }
 
+// progressRecorder is a PlanObserver keeping the latest PlanProgress
+// sample, so tests can pin what the planner emits to live reporters.
+type progressRecorder struct {
+	phase       obs.PlanPhase
+	done, total int64
+}
+
+func (r *progressRecorder) PhaseStart(obs.PlanPhase)                 {}
+func (r *progressRecorder) PhaseEnd(obs.PlanPhase, obs.PlanCounters) {}
+func (r *progressRecorder) Pipeline(int, int)                        {}
+func (r *progressRecorder) PlanProgress(ph obs.PlanPhase, done, total int64) {
+	r.phase, r.done, r.total = ph, done, total
+}
+
 // TestPlanProfilePhases checks the recorded breakdown of an observed
 // build: phase set, counter arithmetic, progress and pipeline end state.
 func TestPlanProfilePhases(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
 	n := topo.Nodes()
 	p := obs.NewPlanProfile()
-	s, err := Build(topo, 1<<12, Options{Observer: p})
+	rec := &progressRecorder{}
+	s, err := Build(topo, 1<<12, Options{Observer: obs.TeePlan(p, rec)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,9 +136,8 @@ func TestPlanProfilePhases(t *testing.T) {
 
 	// Lowering emits progress after tree growth, so the final sample is
 	// the lowering phase completing all transfers.
-	phase, done, total := p.Progress()
-	if phase != obs.PhaseLowering || done != total || total != int64(len(s.Transfers)) {
-		t.Errorf("final progress %v %d/%d", phase, done, total)
+	if rec.phase != obs.PhaseLowering || rec.done != rec.total || rec.total != int64(len(s.Transfers)) {
+		t.Errorf("final progress %v %d/%d", rec.phase, rec.done, rec.total)
 	}
 	pdone, ptotal := p.PipelineProgress()
 	if ptotal == 0 || pdone != ptotal {

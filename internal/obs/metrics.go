@@ -135,50 +135,6 @@ func growBins(s []float64, idx int) []float64 {
 // Events returns the number of events folded in.
 func (m *Metrics) Events() int64 { return m.events }
 
-// MetricsSnapshot is a value copy of a Metrics collector's scalar
-// aggregates — the shape the Prometheus handler and the RunReport sim
-// section consume. Taking a snapshot at a quiescent point (after a run)
-// decouples serving from the unsynchronized hot-path collector.
-type MetricsSnapshot struct {
-	Events         int64
-	StepEnters     int64
-	EngineQueueMax int64
-
-	// LinkBusyCycles sums busy-equivalent cycles over all links;
-	// LinksActive counts links that carried any traffic.
-	LinkBusyCycles float64
-	LinksActive    int
-
-	NIEntriesIssued int64 // summed over nodes
-	NIDepsCleared   int64
-	NILockstepNOPs  int64
-}
-
-// Snapshot aggregates the collector's state into a value copy. Do not
-// call concurrently with Emit; Metrics is not synchronized (the emit
-// path stays allocation- and lock-free).
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		Events:         m.events,
-		StepEnters:     m.stepEnters,
-		EngineQueueMax: m.queueMax,
-		NILockstepNOPs: m.niNOPs,
-	}
-	for _, b := range m.linkBusy {
-		s.LinkBusyCycles += b
-		if b > 0 {
-			s.LinksActive++
-		}
-	}
-	for _, v := range m.niIssued {
-		s.NIEntriesIssued += v
-	}
-	for _, v := range m.niCleared {
-		s.NIDepsCleared += v
-	}
-	return s
-}
-
 // LinkBusy returns the total busy-equivalent cycles per link (indexed by
 // link id; links beyond the highest seen are absent).
 func (m *Metrics) LinkBusy() []float64 { return m.linkBusy }

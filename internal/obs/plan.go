@@ -21,8 +21,8 @@ import (
 // means not even a time.Now call.
 
 // PlanPhase identifies one named phase of the plan -> compile pipeline.
-// The names are stable: they key the RunReport phase breakdown, the
-// Prometheus phase label, and the committed plan-profile CSVs.
+// The names are stable: they key the RunReport phase breakdown and the
+// committed plan-profile CSVs.
 type PlanPhase uint8
 
 const (
@@ -289,10 +289,6 @@ type PlanProfile struct {
 	depth  [NumPlanPhases]int   // concurrently-open runs per phase
 	openAt [NumPlanPhases]int64 // start of the current open interval
 
-	progressPhase PlanPhase
-	progressDone  int64
-	progressTotal int64
-
 	pipelineDone  int
 	pipelineTotal int
 
@@ -348,25 +344,15 @@ func (p *PlanProfile) PhaseEnd(ph PlanPhase, c PlanCounters) {
 	p.mu.Unlock()
 }
 
-// PlanProgress implements PlanObserver.
-func (p *PlanProfile) PlanProgress(ph PlanPhase, done, total int64) {
-	p.mu.Lock()
-	p.progressPhase, p.progressDone, p.progressTotal = ph, done, total
-	p.mu.Unlock()
-}
+// PlanProgress implements PlanObserver. The profile aggregates whole
+// phases only; within-phase samples are for live reporters (Progress).
+func (p *PlanProfile) PlanProgress(PlanPhase, int64, int64) {}
 
 // Pipeline implements PlanObserver.
 func (p *PlanProfile) Pipeline(completed, total int) {
 	p.mu.Lock()
 	p.pipelineDone, p.pipelineTotal = completed, total
 	p.mu.Unlock()
-}
-
-// Progress returns the latest within-phase progress sample.
-func (p *PlanProfile) Progress() (phase PlanPhase, done, total int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.progressPhase, p.progressDone, p.progressTotal
 }
 
 // PipelineProgress returns the latest completed/total phase-execution

@@ -49,9 +49,6 @@ func TestPlanProfileAggregates(t *testing.T) {
 	if got := p.TotalWallNanos(); got != int64(2*time.Second) {
 		t.Fatalf("total wall %d, want 2s", got)
 	}
-	if ph, done, total := p.Progress(); ph != PhaseTreeGrowth || done != 5 || total != 10 {
-		t.Fatalf("progress = %v %d/%d", ph, done, total)
-	}
 	if done, total := p.PipelineProgress(); done != 2 || total != 2 {
 		t.Fatalf("pipeline = %d/%d", done, total)
 	}

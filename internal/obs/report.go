@@ -240,22 +240,33 @@ func NewRunReport(tool, mode string) *RunReport {
 	return &RunReport{Schema: RunReportSchema, Tool: tool, Mode: mode, Env: CaptureEnv()}
 }
 
-// SimReportFrom folds a Metrics collector into the report shape.
+// SimReportFrom aggregates a Metrics collector into the report shape:
+// the one place the sim counters are listed. Do not call concurrently
+// with Emit; Metrics is not synchronized (the emit path stays
+// allocation- and lock-free).
 func SimReportFrom(m *Metrics) *SimReport {
 	if m == nil {
 		return nil
 	}
-	s := m.Snapshot()
-	return &SimReport{
-		Events:          s.Events,
-		StepEnters:      s.StepEnters,
-		EngineQueueMax:  s.EngineQueueMax,
-		LinkBusyCycles:  s.LinkBusyCycles,
-		LinksActive:     s.LinksActive,
-		NIEntriesIssued: s.NIEntriesIssued,
-		NIDepsCleared:   s.NIDepsCleared,
-		NILockstepNOPs:  s.NILockstepNOPs,
+	s := &SimReport{
+		Events:         m.events,
+		StepEnters:     m.stepEnters,
+		EngineQueueMax: m.queueMax,
+		NILockstepNOPs: m.niNOPs,
 	}
+	for _, b := range m.linkBusy {
+		s.LinkBusyCycles += b
+		if b > 0 {
+			s.LinksActive++
+		}
+	}
+	for _, v := range m.niIssued {
+		s.NIEntriesIssued += v
+	}
+	for _, v := range m.niCleared {
+		s.NIDepsCleared += v
+	}
+	return s
 }
 
 // Write emits the report as indented JSON.

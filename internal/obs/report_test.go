@@ -98,3 +98,33 @@ func TestSimReportFrom(t *testing.T) {
 		t.Fatalf("sim report: %+v", s)
 	}
 }
+
+// FuzzDecodeRunReport feeds arbitrary bytes to the strict decoder behind
+// -validate-report. It must never panic, and an accepted report must
+// re-encode to a fixed point: writing the decoded report and decoding it
+// again writes the same bytes. Bytes rather than DeepEqual, because
+// omitempty drops an empty "points": [] that decoded as non-nil. Seeds
+// live in testdata/fuzz/FuzzDecodeRunReport: a report from each tool
+// and mode, a v1 report, and rejected ones.
+func FuzzDecodeRunReport(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := DecodeRunReport(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once, twice bytes.Buffer
+		if err := rep.Write(&once); err != nil {
+			t.Fatalf("accepted report does not write: %v", err)
+		}
+		back, err := DecodeRunReport(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-written report rejected: %v\n%s", err, once.Bytes())
+		}
+		if err := back.Write(&twice); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("report is not a fixed point:\n%s\nvs\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
+}

@@ -11,6 +11,16 @@ import (
 	"multitree/internal/topology"
 )
 
+// MaxNodes and MaxLinks bound the end nodes and directed links a spec
+// may describe, so a hostile size fails here instead of allocating in a
+// constructor. Both sit far above the largest fabric the tools plan,
+// mesh-64x64 (4096 nodes, 16128 links), and MaxLinks admits every
+// grid at MaxNodes.
+const (
+	MaxNodes = 1 << 16
+	MaxLinks = 1 << 19
+)
+
 // Kinds returns the recognized spec shapes in display order, for CLI
 // usage strings and unknown-kind errors.
 func Kinds() []string {
@@ -51,6 +61,9 @@ func Parse(spec string) (*topology.Topology, error) {
 		if err := checkDims(spec, nx, ny); err != nil {
 			return nil, err
 		}
+		if err := checkSize(spec, product(MaxNodes, nx, ny), 4, 0); err != nil {
+			return nil, err
+		}
 		if kind == "torus" {
 			return topology.Torus(nx, ny, cfg), nil
 		}
@@ -69,6 +82,9 @@ func Parse(spec string) (*topology.Topology, error) {
 			d[i] = v
 		}
 		if err := checkDims(spec, d[0], d[1], d[2]); err != nil {
+			return nil, err
+		}
+		if err := checkSize(spec, product(MaxNodes, d[0], d[1], d[2]), 6, 0); err != nil {
 			return nil, err
 		}
 		if kind == "torus3d" {
@@ -92,6 +108,12 @@ func Parse(spec string) (*topology.Topology, error) {
 		if err := checkDragonfly(spec, d[0], d[1], d[2]); err != nil {
 			return nil, err
 		}
+		// NIC cables, each group's router clique, one cable per group pair.
+		g, r := d[0], d[1]
+		cliques := product(MaxLinks, g, r, r-1) + product(MaxLinks, g, g-1)
+		if err := checkSize(spec, product(MaxNodes, d[0], d[1], d[2]), 2, cliques); err != nil {
+			return nil, err
+		}
 		return topology.Dragonfly(d[0], d[1], d[2], cfg), nil
 	case "fattree":
 		n, err := strconv.Atoi(arg)
@@ -100,6 +122,10 @@ func Parse(spec string) (*topology.Topology, error) {
 		}
 		if n < 4 {
 			return nil, fmt.Errorf("topospec: fat-tree size %d is too small; need at least 4 nodes", n)
+		}
+		// NIC cables plus leaf-spine cables: 2n directed links each.
+		if err := checkSize(spec, n, 4, 0); err != nil {
+			return nil, err
 		}
 		switch n {
 		case 16:
@@ -125,6 +151,10 @@ func Parse(spec string) (*topology.Topology, error) {
 		if n < 8 || n%8 != 0 {
 			return nil, fmt.Errorf("topospec: bigraph size %d is not a positive multiple of 8", n)
 		}
+		// NIC cables plus the full bipartite layer of n/8 x n/8 cables.
+		if err := checkSize(spec, n, 2, 2*product(MaxLinks, n/8, n/8)); err != nil {
+			return nil, err
+		}
 		return topology.BiGraph(n/8, 4, cfg), nil
 	}
 	return nil, fmt.Errorf("topospec: unknown topology kind %q (known kinds: %s)", kind, Usage())
@@ -139,6 +169,33 @@ func checkDims(spec string, dims ...int) error {
 		}
 	}
 	return nil
+}
+
+// checkSize rejects a spec over MaxNodes end nodes, or over MaxLinks
+// directed links: perNode links for every node plus extra. The node
+// bound is checked first, so perNode*nodes cannot overflow; extra comes
+// from product, which saturates.
+func checkSize(spec string, nodes, perNode, extra int) error {
+	if nodes > MaxNodes {
+		return fmt.Errorf("topospec: %q has more than %d nodes", spec, MaxNodes)
+	}
+	if perNode*nodes+extra > MaxLinks {
+		return fmt.Errorf("topospec: %q has more than %d links", spec, MaxLinks)
+	}
+	return nil
+}
+
+// product multiplies non-negative factors, saturating at limit+1 so
+// hostile sizes cannot overflow.
+func product(limit int, factors ...int) int {
+	p := 1
+	for _, f := range factors {
+		if p != 0 && f > limit/p {
+			return limit + 1
+		}
+		p *= f
+	}
+	return p
 }
 
 // checkDragonfly mirrors the dragonfly constructor's panic conditions as

@@ -32,7 +32,13 @@ func TestParseGood(t *testing.T) {
 }
 
 func TestParseBad(t *testing.T) {
-	for _, spec := range []string{"", "torus", "torus-4", "ring-8", "mesh-axb", "bigraph-30", "fattree-x"} {
+	for _, spec := range []string{
+		"", "torus", "torus-4", "ring-8", "mesh-axb", "bigraph-30", "fattree-x",
+		// Hostile sizes: overflow, billions of nodes, or quadratic links.
+		"fattree-9223372036854775807", "mesh-100000x100000", "torus-65536x65536",
+		"torus3d-4096x4096x4096", "dragonfly-2x100000x100000", "dragonfly-2x32768x1",
+		"bigraph-65536",
+	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) did not error", spec)
 		}
@@ -115,4 +121,20 @@ func TestParseExtendedFabrics(t *testing.T) {
 			t.Errorf("Parse(%q) did not error", bad)
 		}
 	}
+}
+
+// FuzzParse feeds arbitrary specs to the parser. It must never panic or
+// hang, and every spec it accepts must build a topology within the
+// MaxNodes and MaxLinks caps. Seeds live in testdata/fuzz/FuzzParse.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		topo, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		if topo.Nodes() > MaxNodes || len(topo.Links()) > MaxLinks {
+			t.Fatalf("Parse(%q) = %d nodes, %d links; caps %d, %d",
+				spec, topo.Nodes(), len(topo.Links()), MaxNodes, MaxLinks)
+		}
+	})
 }
