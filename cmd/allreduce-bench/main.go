@@ -172,7 +172,7 @@ func main() {
 		os.Exit(2)
 	}
 	if *planCacheMax != "" {
-		v, err := parseSize(*planCacheMax)
+		v, err := cliutil.ParseSize(*planCacheMax)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func runSingle(algo, topoSpec, size, engineName, faultSpec string, replan bool, 
 	if err != nil {
 		log.Fatal(err)
 	}
-	dataBytes, err := parseSize(size)
+	dataBytes, err := cliutil.ParseSize(size)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -414,17 +414,17 @@ func runSingle(algo, topoSpec, size, engineName, faultSpec string, replan bool, 
 	}
 
 	if traceOut != "" {
-		writeFile(traceOut, tr.WriteChromeTrace)
+		cliutil.WriteFile(traceOut, tr.WriteChromeTrace)
 		log.Printf("wrote %s (open in ui.perfetto.dev)", traceOut)
 	}
 	if linkstats != "" {
-		writeFile(linkstats, func(w io.Writer) error {
+		cliutil.WriteFile(linkstats, func(w io.Writer) error {
 			return tr.Metrics.WriteLinkCSV(w, tr.Meta.LinkNames)
 		})
 		log.Printf("wrote %s", linkstats)
 	}
 	if steputil != "" {
-		writeFile(steputil, func(w io.Writer) error {
+		cliutil.WriteFile(steputil, func(w io.Writer) error {
 			return writeStepUtil(w, tr)
 		})
 		log.Printf("wrote %s", steputil)
@@ -456,20 +456,6 @@ func writeStepUtil(w io.Writer, tr *experiments.TracedResult) error {
 	return nil
 }
 
-func writeFile(path string, fn func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-}
-
 // normalizeTopoSpec accepts the dashless shorthand "torus4x4" for
 // "torus-4x4" by inserting a dash before the first digit run.
 func normalizeTopoSpec(spec string) string {
@@ -492,7 +478,7 @@ func runFig9(fig, topoOverride, maxSz, engineName string, workers int, jsonOut b
 	if topoOverride != "" {
 		specs = strings.Split(topoOverride, ",")
 	}
-	maxBytes, err := parseSize(maxSz)
+	maxBytes, err := cliutil.ParseSize(maxSz)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -553,7 +539,7 @@ func runResilience(topoSpec, size string, maxFail int, seed int64, jsonOut bool,
 	if err != nil {
 		log.Fatal(err)
 	}
-	dataBytes, err := parseSize(size)
+	dataBytes, err := cliutil.ParseSize(size)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -611,21 +597,4 @@ func runTable1(topoOverride string) {
 			r.Algorithm, r.Topology, r.Steps, r.BandwidthOverhead, r.MaxLinkOverlap, r.MaxHops,
 			r.MaxLinkOverlap <= 1)
 	}
-}
-
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "KiB"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "KiB")
-	case strings.HasSuffix(s, "MiB"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "MiB")
-	case strings.HasSuffix(s, "GiB"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "GiB")
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return v * mult, nil
 }

@@ -51,8 +51,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
-	"strconv"
 	"strings"
 
 	"multitree/internal/algorithms"
@@ -222,7 +220,7 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 	if !spec.Supports(topo) {
 		log.Fatalf("algorithm %q does not support %s", spec.Name, topo.Name())
 	}
-	dataBytes, err := parseSize(size)
+	dataBytes, err := cliutil.ParseSize(size)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -247,7 +245,7 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 	if strings.HasSuffix(path, ".plan") {
 		encode = collective.ExportBinary
 	}
-	writeFile(path, func(w io.Writer) error {
+	cliutil.WriteFile(path, func(w io.Writer) error {
 		return encode(w, s)
 	})
 	// -warm-loads replays the build through the cache tiers: the first
@@ -280,24 +278,6 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 		path, s.Algorithm, topo.Name(), len(s.Transfers), dataBytes, hint)
 }
 
-// parseSize accepts plain byte counts and KiB/MiB/GiB suffixes.
-func parseSize(s string) (int64, error) {
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "KiB"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "KiB")
-	case strings.HasSuffix(s, "MiB"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "MiB")
-	case strings.HasSuffix(s, "GiB"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "GiB")
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
-	if err != nil || v <= 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return v * mult, nil
-}
-
 // traceSchedule simulates the MultiTree schedule with the fluid engine
 // under tracing, then replays the compiled Fig. 5 tables through the
 // Fig. 6 NI machine with the same recorder, so the export shows both the
@@ -324,13 +304,13 @@ func traceSchedule(sched *collective.Schedule, traceOut, linkstats string, bin f
 		res.Cycles, rounds, len(rec.Events))
 	meta := network.TraceMetaFor(sched, "")
 	if traceOut != "" {
-		writeFile(traceOut, func(w io.Writer) error {
+		cliutil.WriteFile(traceOut, func(w io.Writer) error {
 			return obs.WriteChromeTrace(w, meta, rec.Events)
 		})
 		log.Printf("wrote %s (open in ui.perfetto.dev)", traceOut)
 	}
 	if linkstats != "" {
-		writeFile(linkstats, func(w io.Writer) error {
+		cliutil.WriteFile(linkstats, func(w io.Writer) error {
 			met := obs.NewMetrics(bin)
 			for _, ev := range rec.Events {
 				met.Emit(ev)
@@ -338,20 +318,6 @@ func traceSchedule(sched *collective.Schedule, traceOut, linkstats string, bin f
 			return met.WriteLinkCSV(w, meta.LinkNames)
 		})
 		log.Printf("wrote %s", linkstats)
-	}
-}
-
-func writeFile(path string, fn func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
 	}
 }
 

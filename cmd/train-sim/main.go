@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"os"
 	"strings"
 
 	"multitree/internal/accel"
@@ -169,28 +168,14 @@ func traceGradientAllReduce(topo *topology.Topology, modelName, algo, traceOut, 
 	fmt.Printf("%s gradient all-reduce: %s on %s, %d bytes, %d cycles, %.2f GB/s, %d events\n",
 		net.Name, p.Algorithm, p.Topology, p.DataBytes, p.Cycles, p.BandwidthGBps, len(tr.Events.Events))
 	if traceOut != "" {
-		writeFile(traceOut, tr.WriteChromeTrace)
+		cliutil.WriteFile(traceOut, tr.WriteChromeTrace)
 		log.Printf("wrote %s (open in ui.perfetto.dev)", traceOut)
 	}
 	if linkstats != "" {
-		writeFile(linkstats, func(w io.Writer) error {
+		cliutil.WriteFile(linkstats, func(w io.Writer) error {
 			return tr.Metrics.WriteLinkCSV(w, tr.Meta.LinkNames)
 		})
 		log.Printf("wrote %s", linkstats)
-	}
-}
-
-func writeFile(path string, fn func(io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package cliutil is the observability plumbing shared by the cmd/
-// tools: pprof profile management, terminal detection for progress
-// output, and structured run-report writing with strict re-validation.
+// Package cliutil is the plumbing shared by the cmd/ tools: pprof
+// profile management, terminal detection for progress output, structured
+// run-report writing with strict re-validation, size parsing and output
+// file writing.
 // Every tool registers the same run flags (RegisterFlags) for the same
 // behaviors, so a run report from train-sim validates with the same
 // decoder as one from allreduce-bench.
@@ -10,10 +11,14 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
+	"strings"
 	"time"
 
 	"multitree/internal/algorithms"
@@ -114,6 +119,42 @@ func ValidateRunReport(path string) (*obs.RunReport, error) {
 	}
 	defer f.Close()
 	return obs.DecodeRunReport(f)
+}
+
+// ParseSize parses a byte count with an optional KiB, MiB or GiB suffix,
+// such as "64", "256KiB" or "1GiB". Negative sizes and sizes past int64
+// are rejected.
+func ParseSize(s string) (int64, error) {
+	num, mult := s, int64(1)
+	switch {
+	case strings.HasSuffix(s, "KiB"):
+		num, mult = strings.TrimSuffix(s, "KiB"), 1<<10
+	case strings.HasSuffix(s, "MiB"):
+		num, mult = strings.TrimSuffix(s, "MiB"), 1<<20
+	case strings.HasSuffix(s, "GiB"):
+		num, mult = strings.TrimSuffix(s, "GiB"), 1<<30
+	}
+	v, err := strconv.ParseInt(strings.TrimSpace(num), 10, 64)
+	if err != nil || v < 0 || v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	return v * mult, nil
+}
+
+// WriteFile creates path, lets fn write it, and closes it, exiting the
+// tool on any error.
+func WriteFile(path string, fn func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // Config selects the observability surfaces of one tool invocation,

@@ -180,3 +180,40 @@ func TestRegisterFlags(t *testing.T) {
 		t.Errorf("parsed flags fill %+v, want %+v", *cfg, wantCfg)
 	}
 }
+
+// TestParseSize: suffixes scale, and negative or int64-overflowing sizes
+// are rejected instead of wrapping (17179869185GiB used to read as 1 GiB,
+// 9000000000GiB as a negative size).
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"64", 64, true},
+		{"0", 0, true},
+		{"256KiB", 256 << 10, true},
+		{"8MiB", 8 << 20, true},
+		{" 2 GiB", 2 << 30, true},
+		{"8589934591GiB", 8589934591 << 30, true}, // the largest whole GiB count
+		{"9223372036854775807", 1<<63 - 1, true},
+		{"8589934592GiB", 0, false},
+		{"17179869185GiB", 0, false},
+		{"9000000000GiB", 0, false},
+		{"9223372036854775808", 0, false},
+		{"-1", 0, false},
+		{"-1KiB", 0, false},
+		{"", 0, false},
+		{"KiB", 0, false},
+		{"1.5MiB", 0, false},
+		{"1TiB", 0, false},
+	} {
+		got, err := ParseSize(tc.in)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("ParseSize(%q) = %d, want an error", tc.in, got)
+		}
+	}
+}

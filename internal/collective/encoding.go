@@ -19,6 +19,7 @@ import (
 
 	"multitree/internal/sim"
 	"multitree/internal/topology"
+	"multitree/internal/topospec"
 )
 
 // IRVersion is the current schedule interchange format version. Import
@@ -197,6 +198,13 @@ func decodeIR(r io.Reader) (*scheduleJSON, error) {
 func rebuildTopology(tj *topoJSON) (*topology.Topology, error) {
 	if tj.Nodes < 1 || tj.Switches < 0 {
 		return nil, fmt.Errorf("collective: schedule topology has %d nodes, %d switches", tj.Nodes, tj.Switches)
+	}
+	// Bound the vertex count before NewCustom allocates per vertex: no
+	// topology spec has more than topospec.MaxNodes end nodes, and a
+	// connected fabric has a link per vertex beyond the first.
+	if tj.Nodes > topospec.MaxNodes || tj.Switches > len(tj.Links)+1-tj.Nodes {
+		return nil, fmt.Errorf("collective: schedule topology has %d nodes, %d switches and %d links (at most %d nodes, links+1 vertices)",
+			tj.Nodes, tj.Switches, len(tj.Links), topospec.MaxNodes)
 	}
 	vertices := tj.Nodes + tj.Switches
 	cb := topology.NewCustom(tj.Name, tj.Nodes, tj.Switches)

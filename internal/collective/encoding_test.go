@@ -183,6 +183,20 @@ func TestImportRejectsMalformed(t *testing.T) {
 			wantErr: "uncovered",
 		},
 		{
+			name: "vertex count beyond the links",
+			mutate: func(m map[string]any) {
+				m["topology"].(map[string]any)["nodes"] = 4000000000000
+			},
+			wantErr: "4000000000000 nodes",
+		},
+		{
+			name: "switch count beyond the links",
+			mutate: func(m map[string]any) {
+				m["topology"].(map[string]any)["switches"] = 1 << 40
+			},
+			wantErr: "1099511627776 switches",
+		},
+		{
 			name: "self transfer",
 			mutate: func(m map[string]any) {
 				tr := transfer(m, 0)
@@ -209,4 +223,33 @@ func TestImportRejectsMalformed(t *testing.T) {
 	if _, err := collective.Import(bytes.NewReader(file)); err != nil {
 		t.Fatalf("baseline file rejected: %v", err)
 	}
+}
+
+// FuzzImport feeds arbitrary bytes to the JSON IR importer. It must never
+// panic or exhaust memory, and a schedule it accepts must export to a
+// fixed point: the export re-imports and re-exports to the same bytes.
+// The JSON format admits many spellings of one schedule (whitespace, key
+// order), so the fixed point starts at the first export, not the input.
+func FuzzImport(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := collective.Import(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := collective.Export(&first, s); err != nil {
+			t.Fatalf("accepted input does not export: %v", err)
+		}
+		again, err := collective.Import(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("export of an accepted input does not re-import: %v", err)
+		}
+		var second bytes.Buffer
+		if err := collective.Export(&second, again); err != nil {
+			t.Fatalf("re-imported schedule does not export: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("export is not a fixed point: %d bytes, then %d", first.Len(), second.Len())
+		}
+	})
 }

@@ -15,4 +15,4 @@ func RunWithRegisterChecks(t *testing.T, s *collective.Schedule, cfg Config) boo
 }
 
 // GateChecks reports how many step-gate tests the last Run of fs made.
-func GateChecks(fs *FluidSim) int { return fs.st.gateChecks }
+func GateChecks(fs *FluidSim) int { return fs.st.ls.gateChecks }

@@ -121,6 +121,38 @@ func TestFaultLinkDownStalls(t *testing.T) {
 	}
 }
 
+// TestLockstepStallReport: under lockstep, node 0's step-1 transfer is
+// stuck behind a dead link, so its dependency-free step-2 transfer stays
+// parked. Both engines' stall reports name the closed gate and the step
+// the node is stuck at.
+func TestLockstepStallReport(t *testing.T) {
+	s := collective.NewSchedule("unit", torus4x4(), 4096, 2)
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
+	s.Add(collective.Transfer{Src: 0, Dst: 4, Op: collective.Gather, Flow: 1, Step: 2})
+	cfg := network.DefaultConfig() // lockstep on
+	cfg.Faults = mustPlan(t, "link:0-1:down")
+
+	for _, eng := range []struct {
+		name  string
+		run   func(*collective.Schedule, network.Config) (*network.Result, error)
+		stuck string
+	}{
+		{"fluid", network.SimulateFluid, "t0 at rate 0 across failed link n0->n1"},
+		{"packet", network.SimulatePackets, "stranded at failed link n0->n1"},
+	} {
+		_, err := eng.run(s, cfg)
+		if err == nil {
+			t.Fatalf("%s: lockstep run across a dead link succeeded", eng.name)
+		}
+		msg := err.Error()
+		for _, want := range []string{"0/2", eng.stuck, "t1 ready, step 2 gate closed at node 0", "node 0 stuck at step 1"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("%s stall error %q missing %q", eng.name, msg, want)
+			}
+		}
+	}
+}
+
 // TestFaultMidFlight: a link that dies mid-serialization strands the
 // remaining bytes/packets; the fault time is honored (the run does not
 // fail before it) and the stall report names the failed link.

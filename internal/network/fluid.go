@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -181,20 +180,6 @@ func (h *tevHeap) siftDown(i int) {
 	}
 }
 
-// nodeClock tracks one node's lockstep progress through its active steps.
-// steps, stepCnt and stepOff are views into arenas shared by all nodes,
-// built once in init.
-type nodeClock struct {
-	steps   []int   // sorted distinct steps at which the node sends
-	stepCnt []int   // sends per entry of steps
-	stepOff []int32 // per entry of steps: start of its sends in fluidState.sends
-	idx     int     // index of the current active step; len(steps) when done
-	entered bool    // node has entered steps[idx]; its gate is open
-	pending int     // not-yet-injected sends in the current step
-	entry   float64
-	injEnd  float64 // completion time of the slowest injection this step
-}
-
 // occNode is one (flow, link) occupancy in the intrusive per-link lists
 // that back the incremental rate registers. Nodes live in fluidState.occ
 // and are identified by index; prev/next thread the link's list,
@@ -213,11 +198,10 @@ type fluidState struct {
 	flt *faults.Compiled
 	now float64
 
-	flows   []fluidFlow
-	succOff []int32   // transfer i's dependents are succ[succOff[i]:succOff[i+1]]
-	succ    []int32   // dependents of every transfer, each transfer's in id order
-	busy    []float64 // fractional busy time per link, rounded once at report
-	linkBW  []float64 // base link bandwidths, cached from the topology
+	flows  []fluidFlow
+	succ   dependents
+	busy   []float64 // fractional busy time per link, rounded once at report
+	linkBW []float64 // base link bandwidths, cached from the topology
 
 	active []int32 // indices of fsActive flows
 	// ready holds the transfers whose deps are met and whose step gate is
@@ -232,10 +216,7 @@ type fluidState struct {
 
 	events tevHeap
 
-	lockstep bool
-	estStep  float64
-	clocks   []nodeClock
-	sends    []int32 // transfer ids grouped by source node, each node's sorted by (step, id)
+	ls *lockstep[float64] // nil unless Config.Lockstep
 
 	// Activation-order bookkeeping under lockstep. Releases must reach
 	// activateReady in readiness order, which is the order a rescan of
@@ -287,7 +268,6 @@ type fluidState struct {
 
 	noIncremental bool // test knob: force full progressive filling
 	reuseHits     int  // fills skipped by tryRateReuse this run, for tests
-	gateChecks    int  // stepGateOpen evaluations this run, for tests
 }
 
 const fluidEps = 1e-6
@@ -309,7 +289,6 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 	n := len(s.Transfers)
 	nLinks := len(s.Topo.Links())
 	st.s, st.cfg, st.tr, st.flt = s, cfg, cfg.Tracer, flt
-	st.lockstep = cfg.Lockstep
 	st.flows = make([]fluidFlow, n)
 	st.busy = make([]float64, nLinks)
 	st.cnt = make([]int32, nLinks)
@@ -347,108 +326,10 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 		st.payloadTotal += s.Bytes(t)
 		st.wireTotal += int64(f.wire)
 	}
-	st.estStep = maxWire / minBW
-	st.initSucc()
-	if st.lockstep {
-		st.initClocks()
+	st.succ = newDependents(s.Transfers)
+	if cfg.Lockstep {
+		st.ls = newLockstep(s, maxWire/minBW, false)
 	}
-}
-
-// initSucc builds the dependents of every transfer in CSR form: one
-// counting pass over the deps sizes succOff, one more fills succ in id
-// order.
-func (st *fluidState) initSucc() {
-	ts := st.s.Transfers
-	st.succOff = make([]int32, len(ts)+1)
-	for i := range ts {
-		for _, d := range ts[i].Deps {
-			st.succOff[d+1]++
-		}
-	}
-	for i := range ts {
-		st.succOff[i+1] += st.succOff[i]
-	}
-	st.succ = make([]int32, st.succOff[len(ts)])
-	next := make([]int32, len(ts))
-	copy(next, st.succOff)
-	for i := range ts {
-		for _, d := range ts[i].Deps {
-			st.succ[next[d]] = int32(i)
-			next[d]++
-		}
-	}
-}
-
-// initClocks lays out each node's sends in (step, id) order and its step
-// list, in time linear in the schedule: an LSD radix sort of the transfer
-// ids on step, then a stable distribution by source node. The sort takes
-// 16-bit digits: one counting pass for any real schedule, and bounded
-// scratch for an imported one, whose steps are bounded only from below.
-// Every node's steps, counts and segment offsets are views into three
-// shared arenas.
-func (st *fluidState) initClocks() {
-	ts := st.s.Transfers
-	order := make([]int32, len(ts))
-	lo, hi := math.MaxInt, math.MinInt
-	for i := range ts {
-		order[i] = int32(i)
-		lo, hi = min(lo, ts[i].Step), max(hi, ts[i].Step)
-	}
-	span := uint64(hi - lo) // wraps correctly for any int range
-	for shift := uint(0); shift < 64 && (shift == 0 || span>>shift > 0); shift += 16 {
-		digits := int(min(span>>shift+1, 1<<16))
-		order, _ = countingSort(order, digits, func(id int32) int {
-			return int(uint64(ts[id].Step-lo) >> shift & 0xffff)
-		})
-	}
-	nNodes := st.s.Topo.Nodes()
-	sends, nodeOff := countingSort(order, nNodes, func(id int32) int { return int(ts[id].Src) })
-	st.sends = sends
-
-	var steps, stepCnt []int
-	var stepOff []int32
-	nodeSeg := make([]int, nNodes+1)
-	for node := 0; node < nNodes; node++ {
-		nodeSeg[node] = len(steps)
-		for i := nodeOff[node]; i < nodeOff[node+1]; i++ {
-			step := ts[sends[i]].Step
-			if i == nodeOff[node] || step != steps[len(steps)-1] {
-				steps = append(steps, step)
-				stepCnt = append(stepCnt, 0)
-				stepOff = append(stepOff, i)
-			}
-			stepCnt[len(stepCnt)-1]++
-		}
-	}
-	nodeSeg[nNodes] = len(steps)
-	st.clocks = make([]nodeClock, nNodes)
-	for node := range st.clocks {
-		a, b := nodeSeg[node], nodeSeg[node+1]
-		c := &st.clocks[node]
-		c.steps, c.stepCnt, c.stepOff = steps[a:b:b], stepCnt[a:b:b], stepOff[a:b:b]
-	}
-}
-
-// countingSort orders ids stably by key, which must lie in [0, nKeys),
-// in O(len(ids) + nKeys). Key k's run starts at off[k] in the result;
-// off[nKeys] == len(ids).
-func countingSort(ids []int32, nKeys int, key func(int32) int) (out, off []int32) {
-	off = make([]int32, nKeys+1)
-	for _, id := range ids {
-		off[key(id)+1]++
-	}
-	for k := 0; k < nKeys; k++ {
-		off[k+1] += off[k]
-	}
-	next := make([]int32, nKeys)
-	copy(next, off)
-	out = make([]int32, len(ids))
-	for _, id := range ids {
-		k := key(id)
-		out[next[k]] = id
-		next[k]++
-	}
-	return out, off
 }
 
 // reset restores the mutable state for a fresh deterministic run while
@@ -460,7 +341,6 @@ func (st *fluidState) reset() {
 	st.done = 0
 	st.ratesDirty = false
 	st.reuseHits = 0
-	st.gateChecks = 0
 	st.readySeq = 0
 	st.passSeq = -1
 	st.readyUnsorted = false
@@ -490,10 +370,8 @@ func (st *fluidState) reset() {
 	for i := range st.flowOcc {
 		st.flowOcc[i] = -1
 	}
-	for node := range st.clocks {
-		c := &st.clocks[node]
-		c.idx, c.entered, c.pending = 0, false, 0
-		c.entry, c.injEnd = 0, 0
+	if st.ls != nil {
+		st.ls.reset()
 	}
 	st.res.Cycles = 0
 	st.res.PayloadBytes = st.payloadTotal
@@ -506,21 +384,18 @@ func (st *fluidState) reset() {
 	}
 }
 
-// seed arms the fault timeline, enters each node's first lockstep step
-// (leading NOPs stall like any other gap, §IV-A: a node whose first send
-// is at step s waits s-1 estimated steps, keeping all nodes' step clocks
-// aligned without global synchronization), releases dependency-free
-// transfers and computes the initial rates.
+// seed arms the fault timeline, enters each node's first lockstep step,
+// releases dependency-free transfers and computes the initial rates.
 func (st *fluidState) seed() {
 	if st.flt != nil {
 		for i, ch := range st.flt.Changes() {
 			st.events.push(timedEvent{at: float64(ch.At), kind: tevFault, id: i})
 		}
 	}
-	if st.lockstep {
-		for node := range st.clocks {
-			if c := &st.clocks[node]; len(c.steps) > 0 {
-				st.enterStep(node, float64(c.steps[0]-1)*st.estStep)
+	if st.ls != nil {
+		for node := range st.ls.clocks {
+			if at, ok := st.ls.firstEntry(node); ok {
+				st.enterStep(node, at)
 			}
 		}
 	}
@@ -546,7 +421,7 @@ func (st *fluidState) run() (*Result, error) {
 	for st.done < n {
 		tNext := st.nextEventTime()
 		if math.IsInf(tNext, 1) {
-			return nil, st.stallError()
+			return nil, stallError("fluid", st.s, st.done, st.ls, st)
 		}
 		st.advanceTo(tNext)
 		st.processInjections(res)
@@ -570,39 +445,20 @@ func (st *fluidState) run() (*Result, error) {
 	return res, nil
 }
 
-// enterStep moves node into its next active step. NOP gaps between the
-// previous and next active step each stall the estimated step time
-// (§IV-A); the entry may therefore land in the future, in which case a
-// timed event defers it.
+// enterStep moves node into its next active step at time at, which NOP
+// gaps may put in the future; a timed event then defers the entry.
 func (st *fluidState) enterStep(node int, at float64) {
-	c := &st.clocks[node]
-	if c.idx >= len(c.steps) {
-		return
-	}
 	if at > st.now+fluidEps {
-		c.entered = false
 		st.events.push(timedEvent{at: at, kind: tevStepEntry, id: node})
 		return
 	}
-	c.entered = true
-	c.entry = st.now
-	c.injEnd = st.now
-	step := c.steps[c.idx]
+	step := st.ls.enter(node, st.now)
 	if st.tr != nil {
 		st.tr.Emit(obs.Event{
 			Kind: obs.EvStepEnter, At: st.now, Node: int32(node), Step: int32(step),
 		})
 	}
-	c.pending = c.stepCnt[c.idx]
-	st.releaseStep(c)
-}
-
-// stepGateOpen reports whether lockstep permits transfer id to inject now.
-func (st *fluidState) stepGateOpen(id int32) bool {
-	st.gateChecks++
-	t := &st.s.Transfers[id]
-	c := &st.clocks[t.Src]
-	return c.entered && c.idx < len(c.steps) && c.steps[c.idx] == t.Step
+	st.releaseStep(&st.ls.clocks[node])
 }
 
 // becomeReady handles a transfer whose last dependency was delivered.
@@ -619,10 +475,10 @@ func (st *fluidState) becomeReady(id int32) {
 		})
 	}
 	f := &st.flows[id]
-	if st.lockstep {
+	if st.ls != nil {
 		f.seq = st.readySeq
 		st.readySeq++
-		if !st.stepGateOpen(id) {
+		if !st.ls.open(id) {
 			f.state = fsParked
 			return
 		}
@@ -642,9 +498,9 @@ func readyKey(f *fluidFlow, id int32) uint64 {
 // ready transfer would have found them in: one later in readiness order
 // than the transfer being promoted joins this pass, an earlier one (the
 // rescan has already passed it) waits for the next.
-func (st *fluidState) releaseStep(c *nodeClock) {
+func (st *fluidState) releaseStep(c *nodeClock[float64]) {
 	off := c.stepOff[c.idx]
-	for _, id := range st.sends[off : off+int32(c.stepCnt[c.idx])] {
+	for _, id := range st.ls.sends[off : off+int32(c.stepCnt[c.idx])] {
 		f := &st.flows[id]
 		if f.state != fsParked {
 			continue
@@ -785,31 +641,13 @@ func (st *fluidState) injected(id int32) {
 		}
 	}
 	st.events.push(timedEvent{at: st.now + lat, kind: tevArrival, id: int(id)})
-	if !st.lockstep {
+	if st.ls == nil {
 		return
 	}
 	node := int(st.s.Transfers[id].Src)
-	c := &st.clocks[node]
-	if st.now > c.injEnd {
-		c.injEnd = st.now
+	if at, next := st.ls.injected(node, st.now); next {
+		st.enterStep(node, at)
 	}
-	c.pending--
-	if c.pending == 0 {
-		st.advanceNodeStep(node)
-	}
-}
-
-// advanceNodeStep moves a node past its completed step, charging estStep
-// stalls for skipped (NOP) steps before the next active one.
-func (st *fluidState) advanceNodeStep(node int) {
-	c := &st.clocks[node]
-	prev := c.steps[c.idx]
-	c.idx++
-	if c.idx >= len(c.steps) {
-		return
-	}
-	gap := c.steps[c.idx] - prev - 1
-	st.enterStep(node, c.injEnd+float64(gap)*st.estStep)
 }
 
 // nextEventTime returns the earliest pending event: an active flow's
@@ -897,7 +735,7 @@ func (st *fluidState) processTimed(res *Result) {
 					Node: int32(t.Dst), Flow: int32(t.Flow), Step: int32(t.Step),
 				})
 			}
-			for _, nxt := range st.succ[st.succOff[id]:st.succOff[id+1]] {
+			for _, nxt := range st.succ.of(id) {
 				nf := &st.flows[nxt]
 				nf.depsLeft--
 				if nf.depsLeft == 0 {
@@ -949,65 +787,27 @@ func (st *fluidState) linkCap(l topology.LinkID) float64 {
 	return st.flt.Bandwidth(l, base, st.now)
 }
 
-// stallError describes why no transfer can make progress: the overall
-// counts, then the first few blocked transfers with their unmet
-// dependencies (or the failed link pinning them at rate 0, or the closed
-// step gate), and under lockstep the first stuck node/step — enough to
-// diagnose fault-induced stalls without a trace.
-func (st *fluidState) stallError() error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "network: fluid simulation stalled with %d/%d transfers done (%s on %s)",
-		st.done, len(st.flows), st.s.Algorithm, st.s.Topo.Name())
-	const maxList = 3
-	listed, blocked := 0, 0
-	for id := range st.flows {
-		f := &st.flows[id]
-		if f.state == fsDone || f.state == fsInFlight {
-			continue
-		}
-		blocked++
-		if listed == maxList {
-			continue
-		}
-		listed++
-		switch {
-		case f.state == fsWaiting && f.depsLeft > 0:
-			fmt.Fprintf(&sb, "; t%d waiting on", id)
-			for _, d := range st.s.Transfers[id].Deps {
-				if st.flows[d].state != fsDone {
-					fmt.Fprintf(&sb, " t%d", d)
-				}
-			}
-		case f.state == fsParked:
-			fmt.Fprintf(&sb, "; t%d ready, step %d gate closed at node %d",
-				id, st.s.Transfers[id].Step, st.s.Transfers[id].Src)
-		default: // fsActive at rate 0 forever
-			fmt.Fprintf(&sb, "; t%d at rate 0", id)
-			if st.flt != nil {
-				for _, l := range f.path {
-					if at, down := st.flt.DownAt(l); down && float64(at) <= st.now+fluidEps {
-						lk := st.s.Topo.Link(l)
-						fmt.Fprintf(&sb, " across failed link %s->%s",
-							st.s.Topo.VertexName(lk.Src), st.s.Topo.VertexName(lk.Dst))
-						break
-					}
-				}
-			}
-		}
+// stallReason classifies transfer id for the stall report; a flow
+// active at the stall is pinned at rate 0.
+func (st *fluidState) stallReason(id int) stallReason {
+	switch f := &st.flows[id]; {
+	case f.state == fsDone:
+		return delivered
+	case f.state == fsInFlight:
+		return inFlight
+	case f.state == fsWaiting && f.depsLeft > 0:
+		return depsPending
+	case f.state == fsParked:
+		return gateClosed
 	}
-	if blocked > listed {
-		fmt.Fprintf(&sb, "; and %d more", blocked-listed)
+	return linkStuck
+}
+
+func (st *fluidState) describeStuck(sb *strings.Builder, id int) {
+	sb.WriteString(" at rate 0")
+	if l := failedLink(st.flt, st.s.Topo, st.flows[id].path, st.now+fluidEps); l != "" {
+		sb.WriteString(" across failed link " + l)
 	}
-	if st.lockstep {
-		for node := range st.clocks {
-			c := &st.clocks[node]
-			if c.idx < len(c.steps) {
-				fmt.Fprintf(&sb, "; node %d stuck at step %d", node, c.steps[c.idx])
-				break
-			}
-		}
-	}
-	return fmt.Errorf("%s", sb.String())
 }
 
 // recomputeRates assigns rates to active flows: when step-priority

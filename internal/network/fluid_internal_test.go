@@ -48,16 +48,16 @@ func TestFluidDeferredStepEntry(t *testing.T) {
 	cfg := DefaultConfig() // lockstep on
 
 	st := newFluidState(s, cfg, nil)
-	c := &st.clocks[0]
+	c := &st.ls.clocks[0]
 	if c.entered {
 		t.Fatal("node 0 entered step 3 at time 0; its entry should be deferred")
 	}
 	// Node 1 sends at step 1: no gap, entered immediately.
-	if !st.clocks[1].entered {
+	if !st.ls.clocks[1].entered {
 		t.Error("node 1 should have entered step 1 at time 0")
 	}
 	// The deferral is a tevStepEntry heap event at (3-1)*estStep.
-	want := 2 * st.estStep
+	want := 2 * st.ls.estStep
 	found := false
 	for _, ev := range st.events.ev {
 		if ev.kind == tevStepEntry && ev.id == 0 {
@@ -89,14 +89,14 @@ func TestFluidClockLayout(t *testing.T) {
 		s.Add(collective.Transfer{Src: src, Dst: src + 4, Op: collective.Gather, Step: step})
 	}
 	st := newFluidState(s, DefaultConfig(), nil)
-	for node := range st.clocks {
-		c := &st.clocks[node]
+	for node := range st.ls.clocks {
+		c := &st.ls.clocks[node]
 		covered := 0
 		for k, step := range c.steps {
 			if k > 0 && step <= c.steps[k-1] {
 				t.Fatalf("node %d: steps %v not strictly increasing", node, c.steps)
 			}
-			seg := st.sends[c.stepOff[k] : c.stepOff[k]+int32(c.stepCnt[k])]
+			seg := st.ls.sends[c.stepOff[k] : c.stepOff[k]+int32(c.stepCnt[k])]
 			for j, id := range seg {
 				if tr := s.Transfers[id]; int(tr.Src) != node || tr.Step != step || (j > 0 && id <= seg[j-1]) {
 					t.Fatalf("node %d step %d: segment %v out of (step, id) order", node, step, seg)
@@ -235,8 +235,8 @@ func checkParked(t *testing.T, st *fluidState) {
 			continue
 		}
 		open := true
-		if st.lockstep {
-			c := &st.clocks[tr.Src]
+		if ls := st.ls; ls != nil {
+			c := &ls.clocks[tr.Src]
 			open = c.entered && c.idx < len(c.steps) && c.steps[c.idx] == tr.Step
 		}
 		if parked := f.state == fsParked; parked == open {

@@ -3,7 +3,6 @@ package network
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"multitree/internal/collective"
@@ -134,70 +133,31 @@ func (p *PacketSim) Run() (*Result, error) {
 	ps.seed()
 	ps.eng.Run()
 	if ps.done != len(ps.s.Transfers) {
-		return nil, ps.stallError()
+		return nil, stallError("packet", ps.s, ps.done, ps.ls, ps)
 	}
 	ps.res.Cycles = ps.eng.Now()
 	return ps.res, nil
 }
 
-// stallError describes why the event queue drained with transfers
-// outstanding: the overall counts, the first few blocked transfers with
-// their unmet dependencies (or the failed link stranding their packets,
-// or the closed step gate), and under lockstep the first stuck
-// node/step.
-func (ps *packetSim) stallError() error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "network: packet simulation stalled with %d/%d transfers done (%s on %s)",
-		ps.done, len(ps.s.Transfers), ps.s.Algorithm, ps.s.Topo.Name())
-	const maxList = 3
-	listed, blocked := 0, 0
-	for id := range ps.s.Transfers {
-		if ps.doneT[id] {
-			continue
-		}
-		blocked++
-		if listed == maxList {
-			continue
-		}
-		listed++
-		switch {
-		case ps.depsLeft[id] > 0:
-			fmt.Fprintf(&sb, "; t%d waiting on", id)
-			for _, d := range ps.s.Transfers[id].Deps {
-				if !ps.doneT[d] {
-					fmt.Fprintf(&sb, " t%d", d)
-				}
-			}
-		case ps.pktsLeft[id] > 0:
-			fmt.Fprintf(&sb, "; t%d has %d packet(s) stranded", id, ps.pktsLeft[id])
-			if ps.flt != nil {
-				for _, l := range ps.paths[id] {
-					if at, down := ps.flt.DownAt(l); down && at <= ps.eng.Now() {
-						lk := ps.s.Topo.Link(l)
-						fmt.Fprintf(&sb, " at failed link %s->%s",
-							ps.s.Topo.VertexName(lk.Src), ps.s.Topo.VertexName(lk.Dst))
-						break
-					}
-				}
-			}
-		default:
-			fmt.Fprintf(&sb, "; t%d ready, step %d gate closed at node %d",
-				id, ps.s.Transfers[id].Step, ps.s.Transfers[id].Src)
-		}
+// stallReason classifies transfer id for the stall report: released
+// transfers with packets outstanding are stranded, the others parked.
+func (ps *packetSim) stallReason(id int) stallReason {
+	switch {
+	case ps.doneT[id]:
+		return delivered
+	case ps.depsLeft[id] > 0:
+		return depsPending
+	case ps.pktsLeft[id] > 0:
+		return linkStuck
 	}
-	if blocked > listed {
-		fmt.Fprintf(&sb, "; and %d more", blocked-listed)
+	return gateClosed
+}
+
+func (ps *packetSim) describeStuck(sb *strings.Builder, id int) {
+	fmt.Fprintf(sb, " has %d packet(s) stranded", ps.pktsLeft[id])
+	if l := failedLink(ps.flt, ps.s.Topo, ps.paths[id], float64(ps.eng.Now())); l != "" {
+		sb.WriteString(" at failed link " + l)
 	}
-	if ps.lockstep {
-		for node := range ps.clocks {
-			c := &ps.clocks[node]
-			if c.idx < len(c.steps) {
-				fmt.Fprintf(&sb, "; node %d stuck at step %d", node, c.steps[c.idx])
-				break
-			}
-		}
-	}
-	return fmt.Errorf("%s", sb.String())
 }
 
 type packetSim struct {
@@ -209,7 +169,7 @@ type packetSim struct {
 	flt *faults.Compiled
 
 	depsLeft []int
-	succ     [][]int32
+	succ     dependents
 	paths    [][]topology.LinkID // per transfer, resolved once
 	pktsLeft []int               // packets not yet delivered, per transfer
 	toInject []int               // packets not yet across the first link, per transfer
@@ -233,21 +193,7 @@ type packetSim struct {
 	bufFree []int64
 	bufCap  int64
 
-	// Lockstep state (same semantics as the fluid engine).
-	lockstep bool
-	estStep  sim.Time
-	clocks   []pktNodeClock
-	sends    [][]int32
-	waiting  [][]int32 // per node: dep-satisfied transfers parked for their step
-	scratch  []int32   // reused by enterStep to drain waiting without aliasing
-}
-
-type pktNodeClock struct {
-	steps   []int
-	idx     int
-	entered bool
-	pending int
-	injEnd  sim.Time
+	ls *lockstep[sim.Time] // nil unless Config.Lockstep
 }
 
 // init builds the immutable schedule-derived state. Mutable state is set
@@ -261,7 +207,7 @@ func (ps *packetSim) init(s *collective.Schedule, cfg Config) {
 		LinkBusy:     make([]sim.Time, nl),
 	}
 	ps.depsLeft = make([]int, n)
-	ps.succ = make([][]int32, n)
+	ps.succ = newDependents(s.Transfers)
 	ps.paths = make([][]topology.LinkID, n)
 	ps.pktsLeft = make([]int, n)
 	ps.toInject = make([]int, n)
@@ -269,7 +215,6 @@ func (ps *packetSim) init(s *collective.Schedule, cfg Config) {
 	ps.linkBusy = make([]bool, nl)
 	ps.linkQueue = make([]pktRing, nl)
 	ps.bufFree = make([]int64, nl)
-	ps.lockstep = cfg.Lockstep
 	ps.eng.Trace = cfg.Tracer
 	ps.eng.Dispatch = ps.dispatch
 	ps.bufCap = int64(cfg.VCs) * int64(cfg.VCDepthFlits) * int64(cfg.FlitBytes)
@@ -281,9 +226,6 @@ func (ps *packetSim) init(s *collective.Schedule, cfg Config) {
 	}
 	for i := range s.Transfers {
 		t := &s.Transfers[i]
-		for _, d := range t.Deps {
-			ps.succ[d] = append(ps.succ[d], int32(i))
-		}
 		ps.paths[i] = s.PathOf(t)
 		w := cfg.WireBytes(s.Bytes(t))
 		if w > maxWire {
@@ -292,30 +234,8 @@ func (ps *packetSim) init(s *collective.Schedule, cfg Config) {
 		ps.payloadTotal += s.Bytes(t)
 		ps.wireTotal += w
 	}
-	ps.estStep = sim.Time(math.Ceil(float64(maxWire) / minBW))
-
-	if ps.lockstep {
-		nNodes := s.Topo.Nodes()
-		ps.clocks = make([]pktNodeClock, nNodes)
-		ps.sends = make([][]int32, nNodes)
-		ps.waiting = make([][]int32, nNodes)
-		for i := range s.Transfers {
-			ps.sends[s.Transfers[i].Src] = append(ps.sends[s.Transfers[i].Src], int32(i))
-		}
-		for node := range ps.sends {
-			ids := ps.sends[node]
-			sort.SliceStable(ids, func(a, b int) bool {
-				return s.Transfers[ids[a]].Step < s.Transfers[ids[b]].Step
-			})
-			c := &ps.clocks[node]
-			last := -1
-			for _, id := range ids {
-				if st := s.Transfers[id].Step; st != last {
-					c.steps = append(c.steps, st)
-					last = st
-				}
-			}
-		}
+	if cfg.Lockstep {
+		ps.ls = newLockstep(s, sim.Time(math.Ceil(float64(maxWire)/minBW)), true)
 	}
 }
 
@@ -343,10 +263,8 @@ func (ps *packetSim) reset() {
 	ps.pkts = ps.pkts[:0]
 	ps.freeHead = -1
 	ps.done = 0
-	for i := range ps.clocks {
-		c := &ps.clocks[i]
-		c.idx, c.entered, c.pending, c.injEnd = 0, false, 0, 0
-		ps.waiting[i] = ps.waiting[i][:0]
+	if ps.ls != nil {
+		ps.ls.reset()
 	}
 }
 
@@ -412,16 +330,14 @@ func (ps *packetSim) seed() {
 			ps.eng.ScheduleKind(ch.At, evLinkFault, int32(i), 0)
 		}
 	}
-	if ps.lockstep {
-		for node := range ps.clocks {
-			c := &ps.clocks[node]
-			if len(c.steps) == 0 {
-				continue
-			}
-			// Leading NOPs stall like any other gap (§IV-A).
-			if gap := sim.Time(c.steps[0]-1) * ps.estStep; gap > 0 {
-				ps.eng.ScheduleKind(gap, evEnterStep, int32(node), 0)
-			} else {
+	if ps.ls != nil {
+		for node := range ps.ls.clocks {
+			at, ok := ps.ls.firstEntry(node)
+			switch {
+			case !ok:
+			case at > 0:
+				ps.eng.ScheduleKind(at, evEnterStep, int32(node), 0)
+			default:
 				ps.enterStep(node)
 			}
 		}
@@ -443,12 +359,9 @@ func (ps *packetSim) release(id int32) {
 			Node: int32(t.Src), Flow: int32(t.Flow), Step: int32(t.Step),
 		})
 	}
-	if ps.lockstep {
-		c := &ps.clocks[t.Src]
-		if !(c.entered && c.idx < len(c.steps) && c.steps[c.idx] == t.Step) {
-			ps.waiting[t.Src] = append(ps.waiting[t.Src], id)
-			return
-		}
+	if ps.ls != nil && !ps.ls.open(id) {
+		ps.ls.park(id)
+		return
 	}
 	ps.inject(id)
 }
@@ -610,7 +523,7 @@ func (ps *packetSim) delivered(id int32) {
 			Node: int32(t.Dst), Flow: int32(t.Flow), Step: int32(t.Step),
 		})
 	}
-	for _, nxt := range ps.succ[id] {
+	for _, nxt := range ps.succ.of(id) {
 		ps.depsLeft[nxt]--
 		if ps.depsLeft[nxt] == 0 {
 			ps.release(nxt)
@@ -618,54 +531,30 @@ func (ps *packetSim) delivered(id int32) {
 	}
 }
 
-// enterStep opens a node's lockstep gate for its current step and releases
-// parked transfers. The parked list is drained through a reused scratch
-// buffer so releases that re-park (for a later step) append to the
-// waiting slice without aliasing the iteration.
+// enterStep opens a node's lockstep gate for its current step and
+// re-releases its parked transfers in the order they parked: those of
+// this step inject, the others park again.
 func (ps *packetSim) enterStep(node int) {
-	c := &ps.clocks[node]
-	c.entered = true
-	c.injEnd = ps.eng.Now()
-	step := c.steps[c.idx]
+	step := ps.ls.enter(node, ps.eng.Now())
 	if ps.tr != nil {
 		ps.tr.Emit(obs.Event{
 			Kind: obs.EvStepEnter, At: float64(ps.eng.Now()),
 			Node: int32(node), Step: int32(step),
 		})
 	}
-	c.pending = 0
-	for _, id := range ps.sends[node] {
-		if ps.s.Transfers[id].Step == step {
-			c.pending++
-		}
-	}
-	ps.scratch = append(ps.scratch[:0], ps.waiting[node]...)
-	ps.waiting[node] = ps.waiting[node][:0]
-	for _, id := range ps.scratch {
+	for _, id := range ps.ls.unpark(node) {
 		ps.release(id)
 	}
 }
 
 // injectionDone advances the node's lockstep clock once all sends of its
-// current step have left the NI, charging estStep stalls for NOP gaps.
+// current step have left the NI. The next step's entry is an event even
+// when no NOP gap delays it.
 func (ps *packetSim) injectionDone(node int) {
-	if !ps.lockstep {
+	if ps.ls == nil {
 		return
 	}
-	c := &ps.clocks[node]
-	if now := ps.eng.Now(); now > c.injEnd {
-		c.injEnd = now
+	if at, next := ps.ls.injected(node, ps.eng.Now()); next {
+		ps.eng.ScheduleKind(at, evEnterStep, int32(node), 0)
 	}
-	c.pending--
-	if c.pending > 0 {
-		return
-	}
-	prev := c.steps[c.idx]
-	c.idx++
-	if c.idx >= len(c.steps) {
-		return
-	}
-	gap := sim.Time(c.steps[c.idx]-prev-1) * ps.estStep
-	c.entered = false
-	ps.eng.ScheduleKind(c.injEnd+gap, evEnterStep, int32(node), 0)
 }

@@ -101,71 +101,71 @@ func (p PlanPhase) String() string {
 type PlanCounters struct {
 	// Steps is the number of construction time steps completed
 	// (tree-growth) — fresh-topology rounds of Algorithm 1 line 6.
-	Steps int64
+	Steps int64 `json:"steps,omitempty"`
 
 	// TreesGrown is the number of schedule trees grown to full
 	// membership.
-	TreesGrown int64
+	TreesGrown int64 `json:"trees_grown,omitempty"`
 
 	// NodesAttached is the number of (tree, node) attachments made — the
 	// unit of tree-growth progress; the total is trees x (nodes-1).
-	NodesAttached int64
+	NodesAttached int64 `json:"nodes_attached,omitempty"`
 
 	// Searches counts BFS child searches attempted (Algorithm 1 line 10
 	// turns); SearchMisses counts the searches that found no free path —
 	// the conflict-set rejections that make dense steps expensive.
-	Searches     int64
-	SearchMisses int64
+	Searches     int64 `json:"searches,omitempty"`
+	SearchMisses int64 `json:"search_misses,omitempty"`
 
 	// LinksScanned counts directed links examined across all searches;
 	// LinkConflicts counts links skipped because another tree had already
 	// claimed them within the step — the link-occupancy contention that
 	// drives SearchMisses.
-	LinksScanned  int64
-	LinkConflicts int64
+	LinksScanned  int64 `json:"links_scanned,omitempty"`
+	LinkConflicts int64 `json:"link_conflicts,omitempty"`
 
 	// LinksAllocated counts links claimed for tree edges (path hops).
-	LinksAllocated int64
+	LinksAllocated int64 `json:"links_allocated,omitempty"`
 
 	// Transfers is the number of schedule transfers emitted (lowering) or
 	// validated (validate).
-	Transfers int64
+	Transfers int64 `json:"transfers,omitempty"`
 
 	// DepEdges/PathHops count the dependency edges and pinned path hops
 	// emitted with those transfers (lowering) — together they are the
 	// lowering output size the arena allocator provisions.
-	DepEdges int64
-	PathHops int64
+	DepEdges int64 `json:"dep_edges,omitempty"`
+	PathHops int64 `json:"path_hops,omitempty"`
 
 	// TableEntries is the number of NI schedule-table entries compiled
 	// (ni-compile).
-	TableEntries int64
+	TableEntries int64 `json:"table_entries,omitempty"`
 
 	// CacheHits/CacheMisses count plan-cache probes (cache-lookup) that
 	// returned a validated schedule / fell through to a build; CacheBytes
 	// is the IR bytes moved for them (read on hits, written on store).
-	CacheHits   int64
-	CacheMisses int64
-	CacheBytes  int64
+	CacheHits   int64 `json:"cache_hits,omitempty"`
+	CacheMisses int64 `json:"cache_misses,omitempty"`
+	CacheBytes  int64 `json:"cache_bytes,omitempty"`
 
 	// SummaryValidations/FullValidations count binary-IR loads accepted by
 	// the O(1) validation summary + content hash vs. loads that ran the
 	// full ValidateStrict pass (validate).
-	SummaryValidations int64
-	FullValidations    int64
+	SummaryValidations int64 `json:"summary_validations,omitempty"`
+	FullValidations    int64 `json:"full_validations,omitempty"`
 
 	// DecodeNanos/VerifyNanos split a binary-IR load's CPU time between
 	// varint materialization and content-digest verification (decode /
 	// validate). Both sum per-worker time, so on a parallel v3 load they
 	// can exceed the phase wall.
-	DecodeNanos int64
-	VerifyNanos int64
+	DecodeNanos int64 `json:"decode_ns,omitempty"`
+	VerifyNanos int64 `json:"verify_ns,omitempty"`
 
 	// MemCacheHits/MemCacheMisses count decoded-plan memory-cache probes
 	// (cache-lookup): a hit returns the already-materialized schedule and
 	// skips disk and decode entirely.
-	MemCacheHits   int64
-	MemCacheMisses int64
+	MemCacheHits   int64 `json:"mem_cache_hits,omitempty"`
+	MemCacheMisses int64 `json:"mem_cache_misses,omitempty"`
 }
 
 // Add accumulates other into c.
@@ -400,32 +400,11 @@ func (p *PlanProfile) Report() *PlanReport {
 			share = float64(ph.WallNanos) / float64(rep.TotalNanos)
 		}
 		rep.Phases = append(rep.Phases, PhaseReport{
-			Phase:          ph.Phase.String(),
-			Runs:           ph.Runs,
-			WallNanos:      ph.WallNanos,
-			Share:          share,
-			Steps:          ph.Counters.Steps,
-			TreesGrown:     ph.Counters.TreesGrown,
-			NodesAttached:  ph.Counters.NodesAttached,
-			Searches:       ph.Counters.Searches,
-			SearchMisses:   ph.Counters.SearchMisses,
-			LinksScanned:   ph.Counters.LinksScanned,
-			LinkConflicts:  ph.Counters.LinkConflicts,
-			LinksAllocated: ph.Counters.LinksAllocated,
-			Transfers:      ph.Counters.Transfers,
-			DepEdges:       ph.Counters.DepEdges,
-			PathHops:       ph.Counters.PathHops,
-			TableEntries:   ph.Counters.TableEntries,
-			CacheHits:      ph.Counters.CacheHits,
-			CacheMisses:    ph.Counters.CacheMisses,
-			CacheBytes:     ph.Counters.CacheBytes,
-
-			SummaryValidations: ph.Counters.SummaryValidations,
-			FullValidations:    ph.Counters.FullValidations,
-			DecodeNanos:        ph.Counters.DecodeNanos,
-			VerifyNanos:        ph.Counters.VerifyNanos,
-			MemCacheHits:       ph.Counters.MemCacheHits,
-			MemCacheMisses:     ph.Counters.MemCacheMisses,
+			Phase:        ph.Phase.String(),
+			Runs:         ph.Runs,
+			WallNanos:    ph.WallNanos,
+			Share:        share,
+			PlanCounters: ph.Counters,
 		})
 	}
 	return rep

@@ -116,41 +116,14 @@ type PlanReport struct {
 }
 
 // PhaseReport is one planner phase's aggregate: wall time, its share of
-// the planner total, and the counters meaningful for the phase.
+// the planner total, and the counters meaningful for the phase (zero
+// counters are omitted).
 type PhaseReport struct {
 	Phase     string  `json:"phase"`
 	Runs      int64   `json:"runs"`
 	WallNanos int64   `json:"wall_ns"`
 	Share     float64 `json:"share"`
-
-	Steps          int64 `json:"steps,omitempty"`
-	TreesGrown     int64 `json:"trees_grown,omitempty"`
-	NodesAttached  int64 `json:"nodes_attached,omitempty"`
-	Searches       int64 `json:"searches,omitempty"`
-	SearchMisses   int64 `json:"search_misses,omitempty"`
-	LinksScanned   int64 `json:"links_scanned,omitempty"`
-	LinkConflicts  int64 `json:"link_conflicts,omitempty"`
-	LinksAllocated int64 `json:"links_allocated,omitempty"`
-	Transfers      int64 `json:"transfers,omitempty"`
-	DepEdges       int64 `json:"dep_edges,omitempty"`
-	PathHops       int64 `json:"path_hops,omitempty"`
-	TableEntries   int64 `json:"table_entries,omitempty"`
-	CacheHits      int64 `json:"cache_hits,omitempty"`
-	CacheMisses    int64 `json:"cache_misses,omitempty"`
-	CacheBytes     int64 `json:"cache_bytes,omitempty"`
-
-	SummaryValidations int64 `json:"summary_validations,omitempty"`
-	FullValidations    int64 `json:"full_validations,omitempty"`
-
-	// DecodeNanos/VerifyNanos split a binary-IR load's summed per-worker
-	// CPU between varint materialization and digest verification.
-	DecodeNanos int64 `json:"decode_ns,omitempty"`
-	VerifyNanos int64 `json:"verify_ns,omitempty"`
-
-	// MemCacheHits/MemCacheMisses count decoded-plan memory-cache probes
-	// during cache-lookup.
-	MemCacheHits   int64 `json:"mem_cache_hits,omitempty"`
-	MemCacheMisses int64 `json:"mem_cache_misses,omitempty"`
+	PlanCounters
 }
 
 // PlanCacheReport records one run's traffic against the content-addressed

@@ -17,8 +17,10 @@ func sampleReport() *RunReport {
 	r.Planner = &PlanReport{
 		TotalNanos: 2e9,
 		Phases: []PhaseReport{
-			{Phase: "tree-growth", Runs: 1, WallNanos: 15e8, Share: 0.75, Steps: 12, NodesAttached: 60},
-			{Phase: "lowering", Runs: 1, WallNanos: 5e8, Share: 0.25, Transfers: 120},
+			{Phase: "tree-growth", Runs: 1, WallNanos: 15e8, Share: 0.75,
+				PlanCounters: PlanCounters{Steps: 12, NodesAttached: 60}},
+			{Phase: "lowering", Runs: 1, WallNanos: 5e8, Share: 0.25,
+				PlanCounters: PlanCounters{Transfers: 120}},
 		},
 	}
 	r.Sim = &SimReport{Engine: "fluid", Events: 4096, Cycles: 12345, BandwidthGBps: 99.5}

@@ -6,11 +6,9 @@
 // The engine is built for an allocation-free steady state: the event queue
 // is a value-based 4-ary min-heap of small typed records ordered by
 // (At, seq), so scheduling allocates nothing once the heap's backing array
-// has grown to the simulation's high-water mark. Hot paths schedule typed
-// events (a Kind plus two int32 arguments) that the engine hands to a
-// single Dispatch function, avoiding both closure allocation and
-// interface boxing; the closure-based Schedule/After API remains as a
-// compatibility shim for cold paths and tests.
+// has grown to the simulation's high-water mark. Every event is typed (a
+// Kind plus two int32 arguments) and handed to a single Dispatch
+// function, avoiding both closure allocation and interface boxing.
 package sim
 
 import (
@@ -20,21 +18,16 @@ import (
 // Time is a simulation timestamp in clock cycles.
 type Time uint64
 
-// Kind identifies a typed event for the dispatch fast path. Kind values
-// are defined by the engine's user; kindClosure (0) is reserved for
-// events scheduled through the closure shim.
+// Kind identifies a typed event. Kind values are defined by the
+// engine's user.
 type Kind uint8
 
-const kindClosure Kind = 0
-
-// event is one queued record. Typed events carry (kind, a, b) and a nil
-// fn; closure events carry fn with kind == kindClosure. seq breaks ties
-// so that events scheduled earlier at the same cycle run first, keeping
-// runs deterministic regardless of heap shape.
+// event is one queued record. seq breaks ties so that events scheduled
+// earlier at the same cycle run first, keeping runs deterministic
+// regardless of heap shape.
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
 	kind Kind
 	a, b int32
 }
@@ -46,9 +39,8 @@ type Engine struct {
 	nextID uint64
 	heap   []event
 
-	// Dispatch receives typed events scheduled with ScheduleKind/AfterKind.
-	// It must be set before the first typed event fires; closure-only users
-	// can leave it nil.
+	// Dispatch receives the events scheduled with ScheduleKind/AfterKind.
+	// It must be set before the first event fires.
 	Dispatch func(kind Kind, a, b int32)
 
 	// Trace, when non-nil, receives an EvEngineQueue sample (pending-event
@@ -60,25 +52,11 @@ type Engine struct {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Schedule enqueues fn to run at absolute time at. Scheduling in the past
-// (at < Now) runs the event at the current time instead; this keeps
-// zero-latency feedback loops well defined.
-func (e *Engine) Schedule(at Time, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.push(event{at: at, seq: e.nextID, fn: fn})
-	e.nextID++
-}
-
-// After enqueues fn to run delay cycles from now.
-func (e *Engine) After(delay Time, fn func()) {
-	e.Schedule(e.now+delay, fn)
-}
-
-// ScheduleKind enqueues a typed event for Dispatch at absolute time at,
-// with the same past-clamping as Schedule. It allocates nothing once the
-// heap's backing array has reached the run's high-water mark.
+// ScheduleKind enqueues a typed event for Dispatch at absolute time at.
+// Scheduling in the past (at < Now) runs the event at the current time
+// instead; this keeps zero-latency feedback loops well defined. It
+// allocates nothing once the heap's backing array has reached the run's
+// high-water mark.
 func (e *Engine) ScheduleKind(at Time, kind Kind, a, b int32) {
 	if at < e.now {
 		at = e.now
@@ -100,9 +78,6 @@ func (e *Engine) Pending() int { return len(e.heap) }
 // without reallocating. Sequence numbering restarts, so a reset run is
 // cycle- and order-identical to a fresh one.
 func (e *Engine) Reset() {
-	for i := range e.heap {
-		e.heap[i].fn = nil
-	}
 	e.heap = e.heap[:0]
 	e.now = 0
 	e.nextID = 0
@@ -117,11 +92,7 @@ func (e *Engine) Step() bool {
 	ev := e.heap[0]
 	e.pop()
 	e.now = ev.at
-	if ev.fn != nil {
-		ev.fn()
-	} else {
-		e.Dispatch(ev.kind, ev.a, ev.b)
-	}
+	e.Dispatch(ev.kind, ev.a, ev.b)
 	if e.Trace != nil {
 		e.Trace.Emit(obs.Event{
 			Kind: obs.EvEngineQueue, At: float64(e.now), Bytes: int64(len(e.heap)),
@@ -172,12 +143,10 @@ func (e *Engine) push(ev event) {
 	}
 }
 
-// pop removes the minimum record, clearing the vacated slot's closure so
-// the backing array never pins dead captures.
+// pop removes the minimum record.
 func (e *Engine) pop() {
 	n := len(e.heap) - 1
 	e.heap[0] = e.heap[n]
-	e.heap[n].fn = nil
 	e.heap = e.heap[:n]
 	if n > 1 {
 		e.siftDown()

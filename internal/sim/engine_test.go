@@ -5,31 +5,44 @@ import (
 	"testing/quick"
 )
 
+// stamp is one dispatched event: its time and first argument.
+type stamp struct {
+	at Time
+	a  int32
+}
+
+// record installs a Dispatch on e that logs every event it runs.
+func record(e *Engine) *[]stamp {
+	var got []stamp
+	e.Dispatch = func(_ Kind, a, _ int32) { got = append(got, stamp{e.Now(), a}) }
+	return &got
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	var e Engine
-	var got []int
-	e.Schedule(30, func() { got = append(got, 3) })
-	e.Schedule(10, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 2) })
+	got := record(&e)
+	e.ScheduleKind(30, 1, 3, 0)
+	e.ScheduleKind(10, 1, 1, 0)
+	e.ScheduleKind(20, 1, 2, 0)
 	if end := e.Run(); end != 30 {
 		t.Errorf("final time = %d, want 30", end)
 	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("events ran in order %v", got)
+	want := []stamp{{10, 1}, {20, 2}, {30, 3}}
+	if len(*got) != 3 || (*got)[0] != want[0] || (*got)[1] != want[1] || (*got)[2] != want[2] {
+		t.Errorf("events ran as %v, want %v", *got, want)
 	}
 }
 
 func TestTieBreakFIFO(t *testing.T) {
 	var e Engine
-	var got []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5, func() { got = append(got, i) })
+	got := record(&e)
+	for i := int32(0); i < 10; i++ {
+		e.ScheduleKind(5, 1, i, 0)
 	}
 	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-time events reordered: %v", got)
+	for i, v := range *got {
+		if v.a != int32(i) {
+			t.Fatalf("same-time events reordered: %v", *got)
 		}
 	}
 }
@@ -37,39 +50,63 @@ func TestTieBreakFIFO(t *testing.T) {
 func TestAfterAndNesting(t *testing.T) {
 	var e Engine
 	var at []Time
-	e.After(10, func() {
+	e.Dispatch = func(kind Kind, _, _ int32) {
 		at = append(at, e.Now())
-		e.After(5, func() { at = append(at, e.Now()) })
-	})
+		if kind == 1 {
+			e.AfterKind(5, 2, 0, 0)
+		}
+	}
+	e.AfterKind(10, 1, 0, 0)
 	e.Run()
 	if len(at) != 2 || at[0] != 10 || at[1] != 15 {
-		t.Errorf("nested After times = %v, want [10 15]", at)
+		t.Errorf("nested AfterKind times = %v, want [10 15]", at)
 	}
 }
 
+// TestSchedulePastClampsToNow: an event scheduled before the current
+// time, between runs, runs at the current time.
 func TestSchedulePastClampsToNow(t *testing.T) {
 	var e Engine
+	got := record(&e)
+	e.ScheduleKind(100, 1, 0, 0)
+	e.Run()
+	e.ScheduleKind(50, 1, 1, 0)
+	e.Run()
+	if len(*got) != 2 || (*got)[1] != (stamp{100, 1}) {
+		t.Errorf("events ran as %v, want the past one clamped to 100", *got)
+	}
+}
+
+// TestTypedPastClampsToNow: an event a handler schedules in the past runs
+// at the handler's time.
+func TestTypedPastClampsToNow(t *testing.T) {
+	var e Engine
 	ran := Time(0)
-	e.Schedule(100, func() {
-		e.Schedule(50, func() { ran = e.Now() })
-	})
+	e.Dispatch = func(kind Kind, _, _ int32) {
+		if kind == 1 {
+			e.ScheduleKind(50, 2, 0, 0)
+			return
+		}
+		ran = e.Now()
+	}
+	e.ScheduleKind(100, 1, 0, 0)
 	e.Run()
 	if ran != 100 {
-		t.Errorf("past event ran at %d, want clamped to 100", ran)
+		t.Errorf("past typed event ran at %d, want clamped to 100", ran)
 	}
 }
 
 func TestRunUntil(t *testing.T) {
 	var e Engine
-	count := 0
+	got := record(&e)
 	for i := Time(1); i <= 10; i++ {
-		e.Schedule(i*10, func() { count++ })
+		e.ScheduleKind(i*10, 1, 0, 0)
 	}
 	if drained := e.RunUntil(50); drained {
 		t.Error("RunUntil(50) claims drained with events pending")
 	}
-	if count != 5 {
-		t.Errorf("ran %d events by t=50, want 5", count)
+	if len(*got) != 5 {
+		t.Errorf("ran %d events by t=50, want 5", len(*got))
 	}
 	if e.Pending() != 5 {
 		t.Errorf("%d pending, want 5", e.Pending())
@@ -77,8 +114,8 @@ func TestRunUntil(t *testing.T) {
 	if !e.RunUntil(1000) {
 		t.Error("RunUntil(1000) should drain")
 	}
-	if count != 10 {
-		t.Errorf("ran %d events total, want 10", count)
+	if len(*got) != 10 {
+		t.Errorf("ran %d events total, want 10", len(*got))
 	}
 }
 
@@ -94,18 +131,17 @@ func TestStepEmpty(t *testing.T) {
 func TestTimeMonotonic(t *testing.T) {
 	f := func(delays []uint16) bool {
 		var e Engine
-		var seen []Time
+		seen := record(&e)
 		for _, d := range delays {
-			at := Time(d)
-			e.Schedule(at, func() { seen = append(seen, e.Now()) })
+			e.ScheduleKind(Time(d), 1, 0, 0)
 		}
 		e.Run()
-		for i := 1; i < len(seen); i++ {
-			if seen[i] < seen[i-1] {
+		for i := 1; i < len(*seen); i++ {
+			if (*seen)[i].at < (*seen)[i-1].at {
 				return false
 			}
 		}
-		return len(seen) == len(delays)
+		return len(*seen) == len(delays)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -137,35 +173,6 @@ func TestTypedDispatch(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("event %d = %+v, want %+v", i, got[i], want[i])
 		}
-	}
-}
-
-// TestTypedClosureInterleaving: a shared seq counter keeps typed and
-// closure events in exact scheduling order at equal timestamps.
-func TestTypedClosureInterleaving(t *testing.T) {
-	var e Engine
-	var got []int32
-	e.Dispatch = func(kind Kind, a, b int32) { got = append(got, a) }
-	e.ScheduleKind(5, 1, 0, 0)
-	e.Schedule(5, func() { got = append(got, 1) })
-	e.ScheduleKind(5, 1, 2, 0)
-	e.Schedule(5, func() { got = append(got, 3) })
-	e.Run()
-	for i, v := range got {
-		if v != int32(i) {
-			t.Fatalf("mixed same-time events reordered: %v", got)
-		}
-	}
-}
-
-func TestTypedPastClampsToNow(t *testing.T) {
-	var e Engine
-	ran := Time(0)
-	e.Dispatch = func(kind Kind, a, b int32) { ran = e.Now() }
-	e.Schedule(100, func() { e.ScheduleKind(50, 1, 0, 0) })
-	e.Run()
-	if ran != 100 {
-		t.Errorf("past typed event ran at %d, want clamped to 100", ran)
 	}
 }
 
@@ -229,38 +236,31 @@ func TestTypedScheduleZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestHeapOrderProperty: mixed typed and closure events at random times
-// always dispatch in nondecreasing (time, schedule-order) order.
+// TestHeapOrderProperty: events at random times always dispatch in
+// nondecreasing (time, schedule-order) order, whether scheduled at an
+// absolute time or after a delay.
 func TestHeapOrderProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
 		var e Engine
-		type stamp struct {
-			at  Time
-			seq int32
-		}
-		var seen []stamp
-		e.Dispatch = func(kind Kind, a, b int32) {
-			seen = append(seen, stamp{e.Now(), a})
-		}
+		seen := record(&e)
 		for i, d := range delays {
 			if i%2 == 0 {
 				e.ScheduleKind(Time(d), 1, int32(i), 0)
 			} else {
-				i := int32(i)
-				at := Time(d)
-				e.Schedule(at, func() { seen = append(seen, stamp{e.Now(), i}) })
+				e.AfterKind(Time(d), 2, int32(i), 0)
 			}
 		}
 		e.Run()
-		for i := 1; i < len(seen); i++ {
-			if seen[i].at < seen[i-1].at {
+		got := *seen
+		for i := 1; i < len(got); i++ {
+			if got[i].at < got[i-1].at {
 				return false
 			}
-			if seen[i].at == seen[i-1].at && seen[i].seq < seen[i-1].seq {
+			if got[i].at == got[i-1].at && got[i].a < got[i-1].a {
 				return false
 			}
 		}
-		return len(seen) == len(delays)
+		return len(got) == len(delays)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
