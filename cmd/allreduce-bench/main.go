@@ -344,7 +344,7 @@ func emitJSON(v any) {
 // reason as Fig. 9: its per-packet link occupancy gives the most honest
 // timelines; -engine fluid selects the flow-level engine.
 func runSingle(algo, topoSpec, size, engineName, faultSpec string, replan bool, traceOut, linkstats, steputil string, bin float64, jsonOut bool, run *cliutil.Run) {
-	topo, err := topospec.Parse(normalizeTopoSpec(topoSpec))
+	topo, err := topospec.Parse(topoSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -456,15 +456,6 @@ func writeStepUtil(w io.Writer, tr *experiments.TracedResult) error {
 	return nil
 }
 
-// normalizeTopoSpec accepts the dashless shorthand "torus4x4" for
-// "torus-4x4" by inserting a dash before the first digit run.
-func normalizeTopoSpec(spec string) string {
-	if i := strings.IndexFunc(spec, func(r rune) bool { return r >= '0' && r <= '9' }); i > 0 && spec[i-1] != '-' {
-		return spec[:i] + "-" + spec[i:]
-	}
-	return spec
-}
-
 func runFig9(fig, topoOverride, maxSz, engineName string, workers int, jsonOut bool, run *cliutil.Run) {
 	specs := map[string][]string{
 		"9a": {"torus-4x4", "torus-8x8"},
@@ -535,7 +526,7 @@ func runFig9(fig, topoOverride, maxSz, engineName string, workers int, jsonOut b
 // links on one topology: deterministic connectivity-preserving failure
 // draws, every algorithm re-planned on the degraded fabric, both engines.
 func runResilience(topoSpec, size string, maxFail int, seed int64, jsonOut bool, run *cliutil.Run) {
-	topo, err := topospec.Parse(normalizeTopoSpec(topoSpec))
+	topo, err := topospec.Parse(topoSpec)
 	if err != nil {
 		log.Fatal(err)
 	}

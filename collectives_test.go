@@ -116,3 +116,35 @@ func TestPublicEnergyEstimate(t *testing.T) {
 			msg.PacketEvents, pkt.PacketEvents)
 	}
 }
+
+// TestVerifyChecksBuiltCollective: Verify checks the semantics of the
+// collective each facade builder produced — a subset all-reduce over its
+// members, a reduce-scatter, an all-gather, an all-to-all — not an
+// all-reduce over every node.
+func TestVerifyChecksBuiltCollective(t *testing.T) {
+	for _, topo := range []*multitree.Topology{multitree.NewTorus(4, 4), multitree.NewFatTree(4, 4, 4)} {
+		builds := []struct {
+			name  string
+			build func() (*multitree.Schedule, error)
+		}{
+			{"all-reduce", func() (*multitree.Schedule, error) {
+				return multitree.BuildSchedule(topo, multitree.MultiTree, 128<<10, multitree.PlanOptions{})
+			}},
+			{"subset", func() (*multitree.Schedule, error) {
+				return multitree.BuildSubsetAllReduce(topo, []int{0, 2, 8, 10}, 128<<10)
+			}},
+			{"reduce-scatter", func() (*multitree.Schedule, error) { return multitree.BuildReduceScatter(topo, 128<<10) }},
+			{"all-gather", func() (*multitree.Schedule, error) { return multitree.BuildAllGather(topo, 128<<10) }},
+			{"all-to-all", func() (*multitree.Schedule, error) { return multitree.BuildAllToAll(topo, 1<<10) }},
+		}
+		for _, b := range builds {
+			s, err := b.build()
+			if err != nil {
+				t.Fatalf("%s %s: %v", topo.Name(), b.name, err)
+			}
+			if err := s.Verify(); err != nil {
+				t.Errorf("%s %s: %v", topo.Name(), b.name, err)
+			}
+		}
+	}
+}

@@ -58,6 +58,11 @@ func main() {
 
 	fmt.Printf("%-28s %-7s %-10s %-10s %s\n", "collective", "steps", "transfers", "cycles", "contention-free")
 	for _, op := range ops {
+		// Execute each schedule on synthetic data and check the
+		// collective's semantics before reporting its numbers.
+		if err := op.sched.Verify(); err != nil {
+			log.Fatalf("%s: %v", op.name, err)
+		}
 		res, err := op.sched.Simulate(multitree.SimOptions{MessageBased: true})
 		if err != nil {
 			log.Fatal(err)

@@ -2,7 +2,6 @@ package collective
 
 import (
 	"fmt"
-	"sort"
 
 	"multitree/internal/topology"
 )
@@ -130,21 +129,4 @@ func StepHistogram(s *Schedule) []int {
 		h[s.Transfers[i].Step]++
 	}
 	return h
-}
-
-// SortTransfersByStep returns transfer indices ordered by (step, id),
-// used by pretty-printers.
-func SortTransfersByStep(s *Schedule) []int {
-	idx := make([]int, len(s.Transfers))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		ta, tb := &s.Transfers[idx[a]], &s.Transfers[idx[b]]
-		if ta.Step != tb.Step {
-			return ta.Step < tb.Step
-		}
-		return ta.ID < tb.ID
-	})
-	return idx
 }

@@ -17,78 +17,43 @@ import (
 // it completes, node i holds the fully reduced flow-i segment (and stale
 // copies of the rest). Steps run 1..tot.
 func BuildReduceScatter(topo *topology.Topology, elems int, opts Options) (*collective.Schedule, error) {
-	trees, err := BuildTrees(topo, opts)
-	if err != nil {
-		return nil, err
-	}
-	full, err := collective.TreesToSchedule(Algorithm+"-rs", topo, elems, trees)
-	if err != nil {
-		return nil, err
-	}
-	return phaseOnly(full, collective.Reduce), nil
+	return buildPhase(Algorithm+"-rs", topo, elems, opts, collective.Reduce)
 }
 
 // BuildAllGather constructs only the broadcast phase: it assumes node i
 // already holds the final flow-i segment and distributes all segments to
 // all nodes. Steps run 1..tot.
 func BuildAllGather(topo *topology.Topology, elems int, opts Options) (*collective.Schedule, error) {
+	return buildPhase(Algorithm+"-ag", topo, elems, opts, collective.Gather)
+}
+
+// buildPhase lowers the all-reduce trees and keeps one phase of it.
+func buildPhase(alg string, topo *topology.Topology, elems int, opts Options, op collective.Op) (*collective.Schedule, error) {
 	trees, err := BuildTrees(topo, opts)
 	if err != nil {
 		return nil, err
 	}
-	s := collective.NewSchedule(Algorithm+"-ag", topo, elems, len(trees))
-	tot := 0
-	for _, tr := range trees {
-		if h := tr.Height(); h > tot {
-			tot = h
-		}
+	full, err := collective.TreesToSchedule(alg, topo, elems, trees)
+	if err != nil {
+		return nil, err
 	}
-	for _, tr := range trees {
-		type edge struct {
-			child topology.NodeID
-			step  int
-		}
-		var edges []edge
-		for node := range tr.Parent {
-			if topology.NodeID(node) != tr.Root {
-				edges = append(edges, edge{topology.NodeID(node), tr.AGStep[node]})
-			}
-		}
-		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].step != edges[j].step {
-				return edges[i].step < edges[j].step
-			}
-			return edges[i].child < edges[j].child
-		})
-		gatherInto := make([]collective.TransferID, len(tr.Parent))
-		for i := range gatherInto {
-			gatherInto[i] = -1
-		}
-		for _, e := range edges {
-			p := tr.Parent[e.child]
-			var deps []collective.TransferID
-			if p != tr.Root && gatherInto[p] >= 0 {
-				deps = []collective.TransferID{gatherInto[p]}
-			}
-			gatherInto[e.child] = s.Add(collective.Transfer{
-				Src: p, Dst: e.child, Op: collective.Gather, Flow: tr.Flow,
-				Step: e.step, Deps: deps, Path: tr.Path[e.child],
-			})
-		}
-	}
-	s.Steps = tot
-	return s, nil
+	return phaseOnly(full, op), nil
 }
 
 // phaseOnly extracts one opcode's transfers into a fresh schedule,
 // remapping ids and dropping cross-phase dependencies (which, for the
-// reduce phase, never point into the gather phase).
+// reduce phase, never point into the gather phase). The gather phase,
+// steps tot+1..2tot of the full schedule, shifts down to 1..tot.
 func phaseOnly(full *collective.Schedule, op collective.Op) *collective.Schedule {
 	out := &collective.Schedule{
 		Algorithm: full.Algorithm,
 		Topo:      full.Topo,
 		Elems:     full.Elems,
 		Flows:     full.Flows,
+	}
+	shift := 0
+	if op == collective.Gather {
+		shift = full.Steps / 2
 	}
 	remap := make([]collective.TransferID, len(full.Transfers))
 	for i := range remap {
@@ -106,6 +71,7 @@ func phaseOnly(full *collective.Schedule, op collective.Op) *collective.Schedule
 			}
 		}
 		t.Deps = deps
+		t.Step -= shift
 		t.ID = 0
 		remap[i] = out.Add(t)
 	}

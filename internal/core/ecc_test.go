@@ -22,14 +22,14 @@ func disconnectedPair() *topology.Topology {
 // produced, which under-scored exactly the roots that cannot grow a
 // full tree.
 func TestEccentricitiesUnreachableSentinel(t *testing.T) {
-	ecc := eccentricities(disconnectedPair(), 1)
+	ecc := eccentricities(disconnectedPair(), nil, 1)
 	for i, e := range ecc {
 		if e != EccUnreachable {
 			t.Fatalf("node %d: ecc %d, want EccUnreachable on a split fabric", i, e)
 		}
 	}
 	// A connected fabric keeps real values.
-	for i, e := range eccentricities(topology.Mesh(4, 4, cfg()), 1) {
+	for i, e := range eccentricities(topology.Mesh(4, 4, cfg()), nil, 1) {
 		if e < 0 {
 			t.Fatalf("node %d: sentinel on a connected mesh", i)
 		}
@@ -69,7 +69,7 @@ func TestEccentricitiesIncrementalExact(t *testing.T) {
 		if got == nil {
 			t.Fatalf("%s: incremental pass refused a direct symmetric fabric", topo.Name())
 		}
-		s := newEccScratch(topo)
+		s := newEccScratch(topo, nil)
 		for src := 0; src < topo.Nodes(); src++ {
 			if want := s.from(src); got[src] != want {
 				t.Fatalf("%s node %d: incremental ecc %d, want %d", topo.Name(), src, got[src], want)

@@ -10,12 +10,13 @@ import (
 	"multitree/internal/topology"
 )
 
-// This file is the tree-growth engine behind BuildTrees: Algorithm 1's
-// main loop over a word-packed per-step link pool, with memoized search
-// failures. Each round gives every unfinished tree one turn in order,
-// and each turn commits before the next tree searches — the paper's
-// sequential greedy, run as written. Memoization only skips work whose
-// outcome is already proven, so the trees are exactly the greedy's.
+// This file is the tree-growth engine behind BuildTrees and
+// BuildSubsetTrees: Algorithm 1's main loop over a word-packed per-step
+// link pool, with memoized search failures. Each round gives every
+// unfinished tree one turn in order, and each turn commits before the
+// next tree searches — the paper's sequential greedy, run as written.
+// Memoization only skips work whose outcome is already proven, so the
+// trees are exactly the greedy's.
 //
 // Three facts carry all of the pruning, each a consequence of the same
 // step invariant (within a time step the link pool only shrinks, a tree
@@ -37,21 +38,22 @@ import (
 type growth struct {
 	topo *topology.Topology
 	opts Options
-	n, k int
+	k    int // trees
+	span int // nodes in a complete tree: every node, or a subset's member count
 
-	trees   []*collective.Tree
-	inTree  [][]bool
-	members []int
-	parents [][]topology.NodeID // usable as parents (added in previous steps), in addition order
-	pending [][]topology.NodeID // added during the current step, merged at step end
-	memo    []*treeMemo
+	trees    []*collective.Tree
+	inTree   [][]bool
+	attached []int               // nodes in each tree, root included
+	parents  [][]topology.NodeID // usable as parents (added in previous steps), in addition order
+	pending  [][]topology.NodeID // added during the current step, merged at step end
+	memo     []*treeMemo
 
 	// stalledAt[ti] stamps the step whose link pool tree ti exhausted:
 	// its turn found no free path, so it sits out the step's remaining
 	// rounds.
 	stalledAt []int32
 
-	ecc []int
+	ecc []int // by root node id
 
 	avail  bitset // the step's link pool: set = free
 	finder *pathFinder
@@ -66,48 +68,64 @@ type growth struct {
 // growTrees is the tree-growth phase body: Algorithm 1's main loop with
 // the per-step link allocation. It always maintains the PlanCounters —
 // integer adds cost nothing worth branching around — and reports per-step
-// progress only when an observer is attached.
-func growTrees(topo *topology.Topology, opts Options) ([]*collective.Tree, obs.PlanCounters, error) {
-	g, err := newGrowth(topo, opts)
+// progress only when an observer is attached. A non-nil members mask
+// grows the trees of a subset all-reduce (§VII-B) over the marked nodes
+// only; nil grows them over every node.
+func growTrees(topo *topology.Topology, members []bool, opts Options) ([]*collective.Tree, obs.PlanCounters, error) {
+	g, err := newGrowth(topo, members, opts)
 	if err != nil {
 		return nil, obs.PlanCounters{}, err
 	}
 	return g.run()
 }
 
-func newGrowth(topo *topology.Topology, opts Options) (*growth, error) {
+func newGrowth(topo *topology.Topology, members []bool, opts Options) (*growth, error) {
 	n := topo.Nodes()
-	k := n // one tree per node by default
-	if opts.Trees > 0 && opts.Trees < n {
-		k = opts.Trees
+	// One tree per participating node, rooted there, in ascending node
+	// order; Options.Trees keeps the first few.
+	roots := make([]topology.NodeID, 0, n)
+	for v := 0; v < n; v++ {
+		if members == nil || members[v] {
+			roots = append(roots, topology.NodeID(v))
+		}
 	}
-	g := &growth{topo: topo, opts: opts, n: n, k: k}
+	span := len(roots)
+	if span < 2 {
+		return nil, fmt.Errorf("multitree: need at least 2 nodes, have %d", span)
+	}
+	if opts.Trees > 0 && opts.Trees < span {
+		roots = roots[:opts.Trees]
+	}
+	k := len(roots)
+	g := &growth{topo: topo, opts: opts, k: k, span: span}
 	g.trees = make([]*collective.Tree, k)
 	g.inTree = make([][]bool, k)
-	g.members = make([]int, k)
+	g.attached = make([]int, k)
 	g.parents = make([][]topology.NodeID, k)
 	g.pending = make([][]topology.NodeID, k)
 	g.memo = make([]*treeMemo, k)
 	g.stalledAt = make([]int32, k)
-	for i := 0; i < k; i++ {
-		g.trees[i] = collective.NewTree(i, topology.NodeID(i), n)
+	for i, root := range roots {
+		g.trees[i] = collective.NewTree(i, root, n)
+		g.trees[i].Members = members
 		g.inTree[i] = make([]bool, n)
-		g.inTree[i][i] = true
-		g.members[i] = 1
-		g.parents[i] = []topology.NodeID{topology.NodeID(i)}
+		g.inTree[i][root] = true
+		g.attached[i] = 1
+		g.parents[i] = []topology.NodeID{root}
 		g.memo[i] = newTreeMemo(n)
 	}
 	if opts.Order == ByRemainingHeight {
-		g.ecc = eccentricities(topo, opts.Workers)
-		for i := 0; i < k; i++ {
-			if g.ecc[i] == EccUnreachable {
-				u := newEccScratch(topo).firstUnreachable(i)
-				return nil, fmt.Errorf("multitree: root %d cannot reach node %d on %s: refusing to grow a partial tree", i, u, topo.Name())
+		g.ecc = eccentricities(topo, members, opts.Workers)
+		for _, root := range roots {
+			if g.ecc[root] == EccUnreachable {
+				u := newEccScratch(topo, members).firstUnreachable(int(root))
+				return nil, fmt.Errorf("multitree: root %d cannot reach node %d on %s: refusing to grow a partial tree", root, u, topo.Name())
 			}
 		}
 	}
 	g.avail = newBitset(len(topo.Links()))
 	g.finder = newPathFinder(topo, opts.ReverseNeighborOrder)
+	g.finder.members = members
 	g.finder.shortestFirst = opts.ShortestPathFirst
 	g.orderIdx = make([]int, k)
 	g.orderRem = make([]int, k)
@@ -117,9 +135,9 @@ func newGrowth(topo *topology.Topology, opts Options) (*growth, error) {
 func (g *growth) run() ([]*collective.Tree, obs.PlanCounters, error) {
 	o := g.opts.Observer
 	// Every tree must attach all other nodes: the unit of progress.
-	totalAttach := int64(g.k) * int64(g.n-1)
+	totalAttach := int64(g.k) * int64(g.span-1)
 	for t := int32(1); ; t++ {
-		if complete(g.members, g.n) {
+		if complete(g.attached, g.span) {
 			g.finder.fold(&g.c)
 			return g.trees, g.c, nil
 		}
@@ -166,15 +184,15 @@ func (g *growth) run() ([]*collective.Tree, obs.PlanCounters, error) {
 // stallError diagnoses a step that attached nothing. A disconnected
 // fabric (a fault plan that isolated nodes, or a hand-built partial
 // topology) is the common cause; when some unfinished tree's root cannot
-// reach a node over the static graph at all, name the witness pair
-// instead of guessing.
+// reach a node of its tree over the static graph at all, name the
+// witness pair instead of guessing.
 func (g *growth) stallError(t int32) error {
-	for ti := 0; ti < g.k; ti++ {
-		if g.members[ti] == g.n {
+	for ti, tr := range g.trees {
+		if g.attached[ti] == g.span {
 			continue
 		}
-		root := int(g.trees[ti].Root)
-		if u := newEccScratch(g.topo).firstUnreachable(root); u >= 0 {
+		root := int(tr.Root)
+		if u := newEccScratch(g.topo, tr.Members).firstUnreachable(root); u >= 0 {
 			return fmt.Errorf("multitree: root %d cannot reach node %d on %s: topology is disconnected", root, u, g.topo.Name())
 		}
 		break // this root reaches everything; no cheap witness, report generically
@@ -187,7 +205,7 @@ func (g *growth) stallError(t int32) error {
 func (g *growth) round(t int32) int {
 	added := 0
 	for _, ti := range g.order() {
-		if g.members[ti] == g.n || g.stalledAt[ti] == t {
+		if g.attached[ti] == g.span || g.stalledAt[ti] == t {
 			continue
 		}
 		child, parent, path := g.finder.find(g.parents[ti], g.inTree[ti], g.avail, g.memo[ti], t)
@@ -211,9 +229,9 @@ func (g *growth) commit(ti int, child, parent topology.NodeID, path []topology.L
 	g.trees[ti].SetEdge(parent, child, int(t))
 	g.trees[ti].Path[child] = path
 	g.inTree[ti][child] = true
-	g.members[ti]++
+	g.attached[ti]++
 	g.c.NodesAttached++
-	if g.members[ti] == g.n {
+	if g.attached[ti] == g.span {
 		g.c.TreesGrown++
 	}
 	g.pending[ti] = append(g.pending[ti], child)
@@ -231,7 +249,7 @@ func (g *growth) order() []int {
 	}
 	remaining := g.orderRem
 	for i, tr := range g.trees {
-		remaining[i] = g.ecc[i] - tr.Height()
+		remaining[i] = g.ecc[tr.Root] - tr.Height()
 	}
 	// Insertion sort, descending remaining height, ties by root id.
 	for i := 1; i < len(idx); i++ {
@@ -247,9 +265,9 @@ func (g *growth) order() []int {
 	return idx
 }
 
-func complete(members []int, n int) bool {
-	for _, m := range members {
-		if m != n {
+func complete(attached []int, span int) bool {
+	for _, m := range attached {
+		if m != span {
 			return false
 		}
 	}
@@ -264,16 +282,19 @@ func complete(members []int, n int) bool {
 const EccUnreachable = -1
 
 // eccentricities returns each node's maximum hop distance to any other
-// node, measured over the full (unallocated) topology graph, traversing
-// switches freely, or EccUnreachable for sources that cannot reach every
-// node. It estimates the final height of the tree rooted there. Direct
-// symmetric fabrics take an incremental path that updates distances
-// between adjacent sources; otherwise the per-source searches are
-// independent, so they reuse one scratch set per worker and fan out
-// across workers when asked.
-func eccentricities(topo *topology.Topology, workers int) []int {
-	if out := eccentricitiesIncremental(topo); out != nil {
-		return out
+// node (any member, when members is non-nil), measured over the full
+// (unallocated) topology graph, traversing switches freely, or
+// EccUnreachable for sources that cannot reach every such node. It
+// estimates the final height of the tree rooted there. Direct symmetric
+// fabrics take an incremental path that updates distances between
+// adjacent sources; otherwise the per-source searches are independent,
+// so they reuse one scratch set per worker and fan out across workers
+// when asked.
+func eccentricities(topo *topology.Topology, members []bool, workers int) []int {
+	if members == nil {
+		if out := eccentricitiesIncremental(topo); out != nil {
+			return out
+		}
 	}
 	n := topo.Nodes()
 	out := make([]int, n)
@@ -281,7 +302,7 @@ func eccentricities(topo *topology.Topology, workers int) []int {
 		workers = n
 	}
 	if workers <= 1 {
-		s := newEccScratch(topo)
+		s := newEccScratch(topo, members)
 		for src := 0; src < n; src++ {
 			out[src] = s.from(src)
 		}
@@ -293,7 +314,7 @@ func eccentricities(topo *topology.Topology, workers int) []int {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := newEccScratch(topo)
+			s := newEccScratch(topo, members)
 			for {
 				src := int(next.Add(1)) - 1
 				if src >= n {
@@ -310,13 +331,15 @@ func eccentricities(topo *topology.Topology, workers int) []int {
 // eccScratch is one worker's reusable BFS state for eccentricities.
 type eccScratch struct {
 	topo           *topology.Topology
+	members        []bool // nodes whose distance counts; nil: every node
 	dist           []int32
 	frontier, next []int
 }
 
-func newEccScratch(topo *topology.Topology) *eccScratch {
+func newEccScratch(topo *topology.Topology, members []bool) *eccScratch {
 	return &eccScratch{
 		topo:     topo,
+		members:  members,
 		dist:     make([]int32, topo.Vertices()),
 		frontier: make([]int, 0, topo.Vertices()),
 		next:     make([]int, 0, topo.Vertices()),
@@ -359,6 +382,9 @@ func (s *eccScratch) from(src int) int {
 	// orders roots correctly on grids and trees alike.
 	ecc := 0
 	for d := 0; d < t.Nodes(); d++ {
+		if s.members != nil && !s.members[d] {
+			continue
+		}
 		if dist[d] < 0 {
 			return EccUnreachable
 		}
@@ -370,12 +396,12 @@ func (s *eccScratch) from(src int) int {
 }
 
 // firstUnreachable runs the eccentricity BFS from src and returns the
-// lowest-numbered node it cannot reach, or -1 when every node is
-// reachable.
+// lowest-numbered node (member, when members is set) it cannot reach,
+// or -1 when every such node is reachable.
 func (s *eccScratch) firstUnreachable(src int) topology.NodeID {
 	s.from(src)
 	for d := 0; d < s.topo.Nodes(); d++ {
-		if s.dist[d] < 0 {
+		if s.dist[d] < 0 && (s.members == nil || s.members[d]) {
 			return topology.NodeID(d)
 		}
 	}

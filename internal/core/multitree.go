@@ -23,8 +23,6 @@
 package core
 
 import (
-	"fmt"
-
 	"multitree/internal/collective"
 	"multitree/internal/obs"
 	"multitree/internal/topology"
@@ -110,18 +108,20 @@ func DefaultOptions(topo *topology.Topology) Options {
 // BuildTrees runs Algorithm 1 and returns one spanning schedule tree per
 // node, with per-edge all-gather time steps and allocated link paths.
 func BuildTrees(topo *topology.Topology, opts Options) ([]*collective.Tree, error) {
-	n := topo.Nodes()
-	if n < 2 {
-		return nil, fmt.Errorf("multitree: need at least 2 nodes, have %d", n)
-	}
+	return buildTrees(topo, nil, opts)
+}
+
+// buildTrees is BuildTrees over a member mask: nil spans every node, a
+// subset mask spans its members only (BuildSubsetTrees).
+func buildTrees(topo *topology.Topology, members []bool, opts Options) ([]*collective.Tree, error) {
 	if opts.Auto {
-		return buildAuto(topo, opts)
+		return buildAuto(topo, members, opts)
 	}
 	o := opts.Observer
 	if o != nil {
 		o.PhaseStart(obs.PhaseTreeGrowth)
 	}
-	trees, counters, err := growTrees(topo, opts)
+	trees, counters, err := growTrees(topo, members, opts)
 	if o != nil {
 		o.PhaseEnd(obs.PhaseTreeGrowth, counters)
 	}
@@ -132,8 +132,8 @@ func BuildTrees(topo *topology.Topology, opts Options) ([]*collective.Tree, erro
 // the set that finishes in fewer time steps — the bandwidth-optimal
 // choice. Build refines this per data size; BuildTrees without a size
 // keeps the min-steps rule.
-func buildAuto(topo *topology.Topology, opts Options) ([]*collective.Tree, error) {
-	first, shortest, err := buildBoth(topo, opts)
+func buildAuto(topo *topology.Topology, members []bool, opts Options) ([]*collective.Tree, error) {
+	first, shortest, err := buildBoth(topo, members, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -145,15 +145,15 @@ func buildAuto(topo *topology.Topology, opts Options) ([]*collective.Tree, error
 
 // buildBoth returns the paper-literal (first-parent) trees and, when it
 // succeeds, the shortest-path-first variant.
-func buildBoth(topo *topology.Topology, opts Options) (first, shortest []*collective.Tree, err error) {
+func buildBoth(topo *topology.Topology, members []bool, opts Options) (first, shortest []*collective.Tree, err error) {
 	opts.Auto = false
 	opts.ShortestPathFirst = false
-	first, err = BuildTrees(topo, opts)
+	first, err = buildTrees(topo, members, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	opts.ShortestPathFirst = true
-	shortest, err = BuildTrees(topo, opts)
+	shortest, err = buildTrees(topo, members, opts)
 	if err != nil {
 		return first, nil, nil // fall back to the paper-literal trees
 	}
@@ -181,6 +181,12 @@ func maxHeight(trees []*collective.Tree) int {
 // table sets fit comfortably in the NI (§V-A), so a deployment can hold
 // both and select per collective size.
 func Build(topo *topology.Topology, elems int, opts Options) (*collective.Schedule, error) {
+	return build(Algorithm, topo, nil, elems, opts)
+}
+
+// build is Build over a member mask (see buildTrees), naming the
+// schedule alg.
+func build(alg string, topo *topology.Topology, members []bool, elems int, opts Options) (*collective.Schedule, error) {
 	var tracker *pipelineTracker
 	o := opts.Observer
 	if o != nil {
@@ -197,11 +203,11 @@ func Build(topo *topology.Topology, elems int, opts Options) (*collective.Schedu
 		o = tracker
 	}
 	if opts.Auto {
-		first, shortest, err := buildBoth(topo, opts)
+		first, shortest, err := buildBoth(topo, members, opts)
 		if err != nil {
 			return nil, err
 		}
-		sf, err := collective.TreesToScheduleParallel(Algorithm, topo, elems, first, opts.Workers, o)
+		sf, err := collective.TreesToScheduleParallel(alg, topo, elems, first, opts.Workers, o)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +215,7 @@ func Build(topo *topology.Topology, elems int, opts Options) (*collective.Schedu
 			tracker.finish()
 			return sf, nil
 		}
-		ss, err := collective.TreesToScheduleParallel(Algorithm, topo, elems, shortest, opts.Workers, o)
+		ss, err := collective.TreesToScheduleParallel(alg, topo, elems, shortest, opts.Workers, o)
 		if err != nil {
 			return nil, err
 		}
@@ -226,11 +232,11 @@ func Build(topo *topology.Topology, elems int, opts Options) (*collective.Schedu
 		}
 		return sf, nil
 	}
-	trees, err := BuildTrees(topo, opts)
+	trees, err := buildTrees(topo, members, opts)
 	if err != nil {
 		return nil, err
 	}
-	s, err := collective.TreesToScheduleParallel(Algorithm, topo, elems, trees, opts.Workers, o)
+	s, err := collective.TreesToScheduleParallel(alg, topo, elems, trees, opts.Workers, o)
 	if err == nil {
 		tracker.finish()
 	}

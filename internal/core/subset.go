@@ -16,9 +16,31 @@ import (
 // routers still forward traffic, so tree edges may pass through them.
 
 // BuildSubsetTrees runs Algorithm 1 restricted to the member nodes (which
-// must contain at least two distinct nodes). The returned trees span the
-// members only.
+// must contain at least two distinct nodes): the same growth loop and
+// options as BuildTrees, with one tree per member, rooted there in
+// ascending node order. The returned trees span the members only; full
+// membership returns the standard trees.
 func BuildSubsetTrees(topo *topology.Topology, members []topology.NodeID, opts Options) ([]*collective.Tree, error) {
+	set, err := memberSet(topo, members)
+	if err != nil {
+		return nil, err
+	}
+	return buildTrees(topo, set, opts)
+}
+
+// BuildSubset builds the subset trees and lowers them exactly as Build
+// does; flow i is rooted at the i-th member (in ascending node order).
+func BuildSubset(topo *topology.Topology, members []topology.NodeID, elems int, opts Options) (*collective.Schedule, error) {
+	set, err := memberSet(topo, members)
+	if err != nil {
+		return nil, err
+	}
+	return build(Algorithm+"-subset", topo, set, elems, opts)
+}
+
+// memberSet validates a member list and returns its node mask, or nil
+// when the members are every node.
+func memberSet(topo *topology.Topology, members []topology.NodeID) ([]bool, error) {
 	n := topo.Nodes()
 	isMember := make([]bool, n)
 	count := 0
@@ -35,98 +57,9 @@ func BuildSubsetTrees(topo *topology.Topology, members []topology.NodeID, opts O
 		return nil, fmt.Errorf("multitree: subset needs at least 2 distinct members, have %d", count)
 	}
 	if count == n {
-		return BuildTrees(topo, opts) // full membership: the standard path
+		return nil, nil
 	}
-
-	roots := make([]topology.NodeID, 0, count)
-	for node := 0; node < n; node++ {
-		if isMember[node] {
-			roots = append(roots, topology.NodeID(node))
-		}
-	}
-	trees := make([]*collective.Tree, count)
-	inTree := make([][]bool, count)
-	membersIn := make([]int, count)
-	parents := make([][]topology.NodeID, count)
-	pending := make([][]topology.NodeID, count)
-	for i, root := range roots {
-		trees[i] = collective.NewTree(i, root, n)
-		trees[i].Members = isMember
-		inTree[i] = make([]bool, n)
-		inTree[i][root] = true
-		membersIn[i] = 1
-		parents[i] = []topology.NodeID{root}
-	}
-
-	avail := newBitset(len(topo.Links()))
-	alloc := newPathFinder(topo, opts.ReverseNeighborOrder)
-	alloc.members = isMember
-	memo := make([]*treeMemo, count)
-	stalledAt := make([]int32, count)
-	for i := range memo {
-		memo[i] = newTreeMemo(n)
-	}
-
-	for t := int32(1); ; t++ {
-		done := true
-		for _, m := range membersIn {
-			if m != count {
-				done = false
-				break
-			}
-		}
-		if done {
-			return trees, nil
-		}
-		if int(t) > 4*len(topo.Links())+4 {
-			return nil, fmt.Errorf("multitree: subset construction did not converge on %s", topo.Name())
-		}
-		avail.fill()
-		added := 0
-		for {
-			progress := false
-			for ti := range trees {
-				if membersIn[ti] == count || stalledAt[ti] == t {
-					continue
-				}
-				child, parent, path := alloc.find(parents[ti], inTree[ti], avail, memo[ti], t)
-				if child < 0 {
-					stalledAt[ti] = t
-					continue
-				}
-				for _, l := range path {
-					avail.clear(int(l))
-				}
-				trees[ti].SetEdge(parent, child, int(t))
-				trees[ti].Path[child] = path
-				inTree[ti][child] = true
-				membersIn[ti]++
-				pending[ti] = append(pending[ti], child)
-				added++
-				progress = true
-			}
-			if !progress {
-				break
-			}
-		}
-		if added == 0 {
-			return nil, fmt.Errorf("multitree: subset members unreachable at step %d on %s", t, topo.Name())
-		}
-		for ti := range trees {
-			parents[ti] = append(parents[ti], pending[ti]...)
-			pending[ti] = pending[ti][:0]
-		}
-	}
-}
-
-// BuildSubset lowers the subset trees into an executable schedule; flow i
-// is rooted at the i-th member (in ascending node order).
-func BuildSubset(topo *topology.Topology, members []topology.NodeID, elems int, opts Options) (*collective.Schedule, error) {
-	trees, err := BuildSubsetTrees(topo, members, opts)
-	if err != nil {
-		return nil, err
-	}
-	return collective.TreesToSchedule(Algorithm+"-subset", topo, elems, trees)
+	return isMember, nil
 }
 
 // VerifySubsetAllReduce executes a subset schedule and checks that every

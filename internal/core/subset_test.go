@@ -1,9 +1,11 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"multitree/internal/collective"
+	"multitree/internal/obs"
 	"multitree/internal/topology"
 )
 
@@ -113,5 +115,87 @@ func TestSubsetFullMembershipDelegates(t *testing.T) {
 	}
 	if len(trees) != topo.Nodes() || trees[0].Members != nil {
 		t.Errorf("full membership did not delegate to the standard path")
+	}
+}
+
+// TestSubsetHonorsOptions: subset trees grow in the same loop as the full
+// set, so every construction option applies — a capped tree count keeps
+// the first members as roots, the remaining-height order runs, and an
+// observer sees the growth phase count one tree per member.
+func TestSubsetHonorsOptions(t *testing.T) {
+	topo := topology.Torus(4, 4, cfg())
+	members := []topology.NodeID{15, 0, 3, 5, 10, 12} // any order
+	trees, err := BuildSubsetTrees(topo, members, Options{Trees: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(trees) != 2 || trees[0].Root != 0 || trees[1].Root != 3 {
+		t.Fatalf("Trees: 2 grew %d trees, want roots 0 and 3", len(trees))
+	}
+	p := obs.NewPlanProfile()
+	s, err := BuildSubset(topo, members, 600, Options{Order: ByRemainingHeight, Observer: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifySubsetAllReduce(s, members, collective.RampInputs(topo.Nodes(), 600)); err != nil {
+		t.Fatal(err)
+	}
+	var grown obs.PlanCounters
+	for _, ph := range p.Phases() {
+		if ph.Phase == obs.PhaseTreeGrowth {
+			grown = ph.Counters
+		}
+	}
+	if grown.TreesGrown != 6 || grown.NodesAttached != 6*5 {
+		t.Errorf("growth counters %+v, want 6 trees of 6 members", grown)
+	}
+}
+
+// TestSubsetAutoOnSwitchFabric: Auto picks between the two allocation
+// strategies for subsets as it does for the full set — BuildSubsetTrees
+// keeps the variant with fewer steps.
+func TestSubsetAutoOnSwitchFabric(t *testing.T) {
+	topo := topology.BiGraph(4, 4, cfg())
+	var members []topology.NodeID
+	for n := 0; n < topo.Nodes(); n += 3 {
+		members = append(members, topology.NodeID(n))
+	}
+	first, err := BuildSubsetTrees(topo, members, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shortest, err := BuildSubsetTrees(topo, members, Options{ShortestPathFirst: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	auto, err := BuildSubsetTrees(topo, members, Options{Auto: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := min(maxHeight(first), maxHeight(shortest)); maxHeight(auto) != want {
+		t.Errorf("Auto subset trees take %d steps, want %d", maxHeight(auto), want)
+	}
+	s, err := BuildSubset(topo, members, 777, DefaultOptions(topo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifySubsetAllReduce(s, members, collective.RampInputs(topo.Nodes(), 777)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubsetUnreachableMember: on a split fabric a subset confined to one
+// component builds under every order, and a subset spanning both names
+// the member it cannot reach.
+func TestSubsetUnreachableMember(t *testing.T) {
+	topo := disconnectedPair() // ring 0-3, pair 4-5
+	for _, opts := range []Options{{}, {Order: ByRemainingHeight}} {
+		if _, err := BuildSubsetTrees(topo, []topology.NodeID{0, 2}, opts); err != nil {
+			t.Errorf("order=%v: subset inside one component: %v", opts.Order, err)
+		}
+		_, err := BuildSubsetTrees(topo, []topology.NodeID{0, 1, 4}, opts)
+		if err == nil || !strings.Contains(err.Error(), "cannot reach node 4") {
+			t.Errorf("order=%v: error %v does not name member 4", opts.Order, err)
+		}
 	}
 }

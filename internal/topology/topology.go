@@ -70,7 +70,6 @@ type Topology struct {
 	switches int
 	links    []Link
 	out      [][]LinkID // vertex -> outgoing links, in preference order
-	in       [][]LinkID // vertex -> incoming links
 
 	// coords holds (x, y) per node for grid topologies; nil otherwise.
 	coords []Coord
@@ -116,9 +115,6 @@ func (t *Topology) Link(id LinkID) Link { return t.links[id] }
 // Out returns the outgoing links of a vertex in the topology's preference
 // order (Y-dimension first for grids, as Algorithm 1 requires).
 func (t *Topology) Out(vertex int) []LinkID { return t.out[vertex] }
-
-// In returns the incoming links of a vertex.
-func (t *Topology) In(vertex int) []LinkID { return t.in[vertex] }
 
 // IsNode reports whether a vertex is an end node.
 func (t *Topology) IsNode(vertex int) bool { return vertex < t.nodes }
@@ -208,7 +204,6 @@ func newBuilder(name string, class Class, nodes, switches int) *builder {
 		nodes:    nodes,
 		switches: switches,
 		out:      make([][]LinkID, nodes+switches),
-		in:       make([][]LinkID, nodes+switches),
 	}
 	return &builder{t: t}
 }
@@ -221,7 +216,6 @@ func (b *builder) addLink(src, dst int, cfg LinkConfig) LinkID {
 		Bandwidth: cfg.Bandwidth, Latency: cfg.Latency,
 	})
 	b.t.out[src] = append(b.t.out[src], id)
-	b.t.in[dst] = append(b.t.in[dst], id)
 	return id
 }
 

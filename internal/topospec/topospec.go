@@ -40,10 +40,14 @@ func Usage() string {
 	return strings.Join(Kinds(), ", ")
 }
 
-// Parse builds the named topology with Table III link parameters.
+// Parse builds the named topology with Table III link parameters. The
+// dash may be left out ("torus4x4" for "torus-4x4").
 func Parse(spec string) (*topology.Topology, error) {
 	cfg := topology.DefaultLinkConfig()
 	kind, arg, ok := strings.Cut(spec, "-")
+	if !ok {
+		kind, arg, ok = cutDashless(spec)
+	}
 	if !ok {
 		return nil, fmt.Errorf("topospec: %q is not <kind>-<size> (known kinds: %s)", spec, Usage())
 	}
@@ -158,6 +162,20 @@ func Parse(spec string) (*topology.Topology, error) {
 		return topology.BiGraph(n/8, 4, cfg), nil
 	}
 	return nil, fmt.Errorf("topospec: unknown topology kind %q (known kinds: %s)", kind, Usage())
+}
+
+// cutDashless splits the dashless shorthand "torus4x4" into its kind and
+// size: the longest known kind directly followed by a digit, so
+// "torus3d4x4x4" is a torus3d.
+func cutDashless(spec string) (kind, arg string, ok bool) {
+	for _, k := range Kinds() {
+		name, _, _ := strings.Cut(k, "-")
+		rest, found := strings.CutPrefix(spec, name)
+		if found && len(name) > len(kind) && rest != "" && rest[0] >= '0' && rest[0] <= '9' {
+			kind, arg, ok = name, rest, true
+		}
+	}
+	return kind, arg, ok
 }
 
 // checkDims rejects degenerate grid shapes before they reach the

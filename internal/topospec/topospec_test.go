@@ -17,6 +17,13 @@ func TestParseGood(t *testing.T) {
 		"fattree-64": {64, 16},
 		"bigraph-32": {32, 8},
 		"bigraph-64": {64, 16},
+		// The dashless shorthand.
+		"torus4x4":     {16, 0},
+		"mesh4x8":      {32, 0},
+		"fattree16":    {16, 8},
+		"bigraph32":    {32, 8},
+		"torus3d2x2x2": {8, 0},
+		"mesh3d2x3x4":  {24, 0},
 	}
 	for spec, want := range cases {
 		topo, err := Parse(spec)
@@ -33,9 +40,9 @@ func TestParseGood(t *testing.T) {
 
 func TestParseBad(t *testing.T) {
 	for _, spec := range []string{
-		"", "torus", "torus-4", "ring-8", "mesh-axb", "bigraph-30", "fattree-x",
+		"", "torus", "torus-4", "ring-8", "ring8", "torusx4", "torus3d", "4x4", "mesh-axb", "bigraph-30", "fattree-x",
 		// Hostile sizes: overflow, billions of nodes, or quadratic links.
-		"fattree-9223372036854775807", "mesh-100000x100000", "torus-65536x65536",
+		"fattree-9223372036854775807", "mesh-100000x100000", "mesh100000x100000", "torus-65536x65536",
 		"torus3d-4096x4096x4096", "dragonfly-2x100000x100000", "dragonfly-2x32768x1",
 		"bigraph-65536",
 	} {

@@ -120,6 +120,11 @@ func (t *Topology) Supports(alg Algorithm) bool {
 // or to execute on real data.
 type Schedule struct {
 	s *collective.Schedule
+
+	// verify checks the semantics of the collective the schedule was
+	// built as (subset all-reduce, reduce-scatter, all-gather,
+	// all-to-all); nil means an all-reduce over every node.
+	verify func(*collective.Schedule) error
 }
 
 // BuildSchedule constructs the all-reduce schedule of an algorithm for
@@ -167,9 +172,13 @@ func (s *Schedule) BandwidthOverhead() float64 {
 	return collective.Analyze(s.s).BandwidthOverhead()
 }
 
-// Verify executes the schedule's reduction semantics on synthetic vectors
-// and confirms every node ends with the global sum.
+// Verify executes the schedule on synthetic vectors and checks the
+// semantics of the collective it was built as: for an all-reduce, every
+// node ends with the global sum.
 func (s *Schedule) Verify() error {
+	if s.verify != nil {
+		return s.verify(onePerFlow(s.s))
+	}
 	elems := s.s.Elems
 	if elems > 4096 {
 		// Verification is semantic, not size-dependent; cap the vector so
@@ -181,6 +190,22 @@ func (s *Schedule) Verify() error {
 		}
 	}
 	return collective.VerifyAllReduce(s.s, collective.RampInputs(s.s.Topo.Nodes(), elems))
+}
+
+// onePerFlow returns s with every flow narrowed to one element: the same
+// transfers, dependencies and paths, so executing it checks the built
+// schedule itself at a fraction of the data. Every builder that sets
+// Schedule.verify partitions its flows into disjoint segments, which is
+// what makes one element per flow faithful.
+func onePerFlow(s *collective.Schedule) *collective.Schedule {
+	flows := make([]collective.Range, len(s.Flows))
+	for f := range flows {
+		flows[f] = collective.Range{Off: f, Len: 1}
+	}
+	return &collective.Schedule{
+		Algorithm: s.Algorithm, Topo: s.Topo, Elems: len(flows),
+		Flows: flows, Transfers: s.Transfers, Steps: s.Steps,
+	}
 }
 
 // rebuild reconstructs the same algorithm's schedule at a smaller size.
