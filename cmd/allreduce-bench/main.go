@@ -41,11 +41,11 @@
 // live planner progress with an ETA on stderr, auto-detecting terminals
 // so CI logs get plain line-buffered output.
 //
-// Planning large fabrics: -plan-workers N runs MultiTree's eccentricity
-// and lowering passes on N goroutines (the schedule is byte-identical
-// for every count), and -plan-cache DIR keeps built schedules in a
-// content-addressed on-disk cache, so repeat runs load a validated plan
-// in milliseconds instead of re-planning for minutes:
+// Planning large fabrics: -plan-workers N runs MultiTree's lowering and
+// the binary-IR section decode on N goroutines (the schedule is
+// byte-identical for every count), and -plan-cache DIR keeps built
+// schedules in a content-addressed on-disk cache, so repeat runs load a
+// validated plan in milliseconds instead of re-planning for minutes:
 //
 //	allreduce-bench -algo multitree -topo mesh-32x32 -engine fluid \
 //	    -plan-cache ~/.cache/multitree-plans -plan-workers 4
@@ -370,9 +370,9 @@ func runSingle(algo, topoSpec, size, engineName, faultSpec string, replan bool, 
 		plan = nil // already baked into the degraded view
 	}
 	alg := experiments.AlgSpec{Name: algo, Msg: strings.HasSuffix(algo, "-msg")}
-	engine := experiments.Packet
-	if engineName == "fluid" {
-		engine = experiments.Fluid
+	engine, err := experiments.ParseEngine(engineName)
+	if err != nil {
+		log.Fatal(err)
 	}
 	if plan.Empty() {
 		plan = nil
@@ -477,9 +477,9 @@ func runFig9(fig, topoOverride, maxSz, engineName string, workers int, jsonOut b
 	// congestion trees that make DBTree and Mesh 2D-Ring collapse at
 	// large sizes (§VI-A); the fluid engine is faster but optimistic for
 	// those two cases.
-	engine := experiments.Packet
-	if engineName == "fluid" {
-		engine = experiments.Fluid
+	engine, err := experiments.ParseEngine(engineName)
+	if err != nil {
+		log.Fatal(err)
 	}
 	run.Report.Engine = engine.String()
 	run.Option("topos", strings.Join(specs, ","))

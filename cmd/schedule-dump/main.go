@@ -33,11 +33,12 @@
 // -report writes the versioned run report, -planprofile the planner
 // phase CSV, -progress live planner progress on stderr, and
 // -cpuprofile/-memprofile the pprof profiles. So do the planner-scaling
-// flags: -plan-workers N runs the planner's eccentricity and lowering
-// passes in parallel (the schedule is byte-identical for every count),
-// and -plan-cache DIR makes -export load a previously built schedule
-// from the content-addressed cache instead of re-planning it. Warm loads scale too: -plan-workers also fans the
-// binary-IR section decode across cores, -plan-mem-cache-mb N keeps
+// flags: -plan-workers N runs the planner's lowering pass in parallel
+// (the schedule is byte-identical for every count), and -plan-cache DIR
+// makes -export load a previously built schedule from the
+// content-addressed cache instead of re-planning it. Warm loads scale
+// too: -plan-workers also fans the binary-IR section decode across
+// cores, -plan-mem-cache-mb N keeps
 // decoded plans in process so repeats skip disk entirely, and
 // -warm-loads N replays the load through the cache tiers to measure it.
 //
@@ -119,7 +120,6 @@ func main() {
 	}
 	opts := core.DefaultOptions(topo)
 	opts.Observer = run.PlanObserver()
-	opts.Workers = cfg.PlanWorkers
 	trees, err := core.BuildTrees(topo, opts)
 	if err != nil {
 		log.Fatal(err)

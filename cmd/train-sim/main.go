@@ -15,13 +15,13 @@
 // Fig. 11a iteration), using the fluid engine.
 //
 //	train-sim -model ResNet50 -algo multitree-msg -trace trace.json
-//	train-sim -model BERT-Base -algo ring -linkstats links.csv
+//	train-sim -model Transformer -algo ring -linkstats links.csv
 //
 // The shared observability flags of allreduce-bench also apply here:
 // -report writes the versioned run report, -progress live planner
 // progress on stderr, and -cpuprofile/-memprofile the pprof profiles —
-// as do the planner-scaling flags -plan-workers (parallel eccentricity,
-// lowering and plan-decode passes) and -plan-cache (content-addressed
+// as do the planner-scaling flags -plan-workers (parallel lowering and
+// plan-decode passes) and -plan-cache (content-addressed
 // on-disk schedule cache).
 package main
 
@@ -189,7 +189,6 @@ func printLayerProfile(topo *topology.Topology, name string, run *cliutil.Run) {
 	}
 	opts := core.DefaultOptions(topo)
 	opts.Observer = run.PlanObserver()
-	opts.Workers = run.BuildOptions().Workers
 	trees, err := core.BuildTrees(topo, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -42,7 +42,7 @@ type Options struct {
 	Chunks int
 
 	// Workers bounds planner parallelism for algorithms with parallel
-	// passes (multitree's eccentricities and lowering) and the section
+	// passes (multitree's lowering) and the section
 	// decode of cached plans; <= 1 means sequential. The schedule built
 	// is identical for every value.
 	Workers int

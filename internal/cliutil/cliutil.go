@@ -172,7 +172,7 @@ type Config struct {
 	PlanCacheDir      string // -plan-cache: content-addressed plan cache directory
 	PlanCacheMaxBytes int64  // -plan-cache-max-bytes: LRU size cap, <= 0 uncapped
 	PlanMemCacheMB    int64  // -plan-mem-cache-mb: in-process decoded-plan LRU cap, <= 0 off
-	PlanWorkers       int    // -plan-workers: parallel eccentricities + lowering + IR decode, <= 1 sequential
+	PlanWorkers       int    // -plan-workers: parallel lowering + IR decode, <= 1 sequential
 	VerifyPlan        bool   // -verify-plan: full re-validation of cache hits
 }
 
@@ -188,7 +188,7 @@ func RegisterFlags(fs *flag.FlagSet) *Config {
 	fs.StringVar(&c.ProgressMode, "progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
 	fs.StringVar(&c.PlanCacheDir, "plan-cache", "", "content-addressed plan cache directory: schedules load from it when present and are stored after a fresh build")
 	fs.Int64Var(&c.PlanMemCacheMB, "plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: repeated builds and loads of one plan skip disk and decode; <= 0 off")
-	fs.IntVar(&c.PlanWorkers, "plan-workers", 1, "planner workers for MultiTree's eccentricity and lowering passes (tree growth stays sequential) and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
+	fs.IntVar(&c.PlanWorkers, "plan-workers", 1, "planner workers for MultiTree's lowering pass (tree growth stays sequential) and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
 	fs.BoolVar(&c.VerifyPlan, "verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
 	return c
 }

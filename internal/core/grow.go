@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"multitree/internal/collective"
 	"multitree/internal/obs"
@@ -31,8 +29,7 @@ import (
 //     dead for every future step too (treeMemo.dead).
 //
 // Growth runs on one goroutine whatever Options.Workers says; the
-// workers parallelize the eccentricity pass below and the lowering that
-// follows growth.
+// workers parallelize only the lowering that follows growth.
 
 // growth is the scratch state of one Algorithm 1 run.
 type growth struct {
@@ -115,7 +112,7 @@ func newGrowth(topo *topology.Topology, members []bool, opts Options) (*growth, 
 		g.memo[i] = newTreeMemo(n)
 	}
 	if opts.Order == ByRemainingHeight {
-		g.ecc = eccentricities(topo, members, opts.Workers)
+		g.ecc = eccentricities(topo, members)
 		for _, root := range roots {
 			if g.ecc[root] == EccUnreachable {
 				u := newEccScratch(topo, members).firstUnreachable(int(root))
@@ -285,288 +282,56 @@ const EccUnreachable = -1
 // node (any member, when members is non-nil), measured over the full
 // (unallocated) topology graph, traversing switches freely, or
 // EccUnreachable for sources that cannot reach every such node. It
-// estimates the final height of the tree rooted there. Direct symmetric
-// fabrics take an incremental path that updates distances between
-// adjacent sources; otherwise the per-source searches are independent,
-// so they reuse one scratch set per worker and fan out across workers
-// when asked.
-func eccentricities(topo *topology.Topology, members []bool, workers int) []int {
-	if members == nil {
-		if out := eccentricitiesIncremental(topo); out != nil {
-			return out
-		}
+// estimates the final height of the tree rooted there.
+func eccentricities(topo *topology.Topology, members []bool) []int {
+	out := make([]int, topo.Nodes())
+	s := newEccScratch(topo, members)
+	for src := range out {
+		out[src] = s.from(src)
 	}
-	n := topo.Nodes()
-	out := make([]int, n)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		s := newEccScratch(topo, members)
-		for src := 0; src < n; src++ {
-			out[src] = s.from(src)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := newEccScratch(topo, members)
-			for {
-				src := int(next.Add(1)) - 1
-				if src >= n {
-					return
-				}
-				out[src] = s.from(src)
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }
 
-// eccScratch is one worker's reusable BFS state for eccentricities.
+// eccScratch is the reusable hop-distance state for eccentricities.
 type eccScratch struct {
-	topo           *topology.Topology
-	members        []bool // nodes whose distance counts; nil: every node
-	dist           []int32
-	frontier, next []int
+	topo    *topology.Topology
+	members []bool // nodes whose distance counts; nil: every node
+	dist    []int32
+	queue   []int32
 }
 
 func newEccScratch(topo *topology.Topology, members []bool) *eccScratch {
-	return &eccScratch{
-		topo:     topo,
-		members:  members,
-		dist:     make([]int32, topo.Vertices()),
-		frontier: make([]int, 0, topo.Vertices()),
-		next:     make([]int, 0, topo.Vertices()),
-	}
+	return &eccScratch{topo: topo, members: members, dist: make([]int32, topo.Vertices())}
 }
 
 func (s *eccScratch) from(src int) int {
-	t := s.topo
-	dist := s.dist
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	cur := s.frontier[:0]
-	cur = append(cur, src)
-	nxt := s.next[:0]
-	for len(cur) > 0 {
-		nxt = nxt[:0]
-		for _, v := range cur {
-			// In switch-based networks only switches forward, so a path
-			// cannot relay through another end node; in direct networks
-			// every node's integrated router forwards.
-			if t.Class() == topology.Indirect && t.IsNode(v) && v != src {
-				continue
-			}
-			for _, l := range t.Out(v) {
-				w := t.Link(l).Dst
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					nxt = append(nxt, w)
-				}
-			}
-		}
-		cur, nxt = nxt, cur
-	}
-	s.frontier, s.next = cur, nxt // keep whichever capacity each grew
+	s.queue = s.topo.HopDistances(src, s.dist, s.queue)
 	// Node-distance in construction steps: switch hops are internal to a
 	// single scheduled edge, so eccentricity counts destination nodes
 	// only. A conservative proxy is the max node distance in links, which
 	// orders roots correctly on grids and trees alike.
 	ecc := 0
-	for d := 0; d < t.Nodes(); d++ {
+	for d := 0; d < s.topo.Nodes(); d++ {
 		if s.members != nil && !s.members[d] {
 			continue
 		}
-		if dist[d] < 0 {
+		if s.dist[d] < 0 {
 			return EccUnreachable
 		}
-		if int(dist[d]) > ecc {
-			ecc = int(dist[d])
-		}
+		ecc = max(ecc, int(s.dist[d]))
 	}
 	return ecc
 }
 
-// firstUnreachable runs the eccentricity BFS from src and returns the
-// lowest-numbered node (member, when members is set) it cannot reach,
-// or -1 when every such node is reachable.
+// firstUnreachable returns the lowest-numbered node (member, when
+// members is set) src cannot reach, or -1 when every such node is
+// reachable.
 func (s *eccScratch) firstUnreachable(src int) topology.NodeID {
-	s.from(src)
+	s.queue = s.topo.HopDistances(src, s.dist, s.queue)
 	for d := 0; d < s.topo.Nodes(); d++ {
 		if s.dist[d] < 0 && (s.members == nil || s.members[d]) {
 			return topology.NodeID(d)
 		}
 	}
 	return -1
-}
-
-// symmetricLinks reports whether every directed link has a reverse
-// companion — the precondition for the incremental eccentricity pass's
-// triangle-inequality seeding.
-func symmetricLinks(topo *topology.Topology) bool {
-	links := topo.Links()
-	seen := make(map[uint64]bool, len(links))
-	for _, l := range links {
-		seen[uint64(uint32(l.Src))<<32|uint64(uint32(l.Dst))] = true
-	}
-	for _, l := range links {
-		if !seen[uint64(uint32(l.Dst))<<32|uint64(uint32(l.Src))] {
-			return false
-		}
-	}
-	return true
-}
-
-// eccentricitiesIncremental computes every node's eccentricity by
-// updating distances between adjacent sources instead of re-running a
-// full breadth-first search per source. On direct fabrics with
-// symmetric links the hop metric obeys the triangle inequality, so for
-// adjacent vertices u, v the exact distances from u bound those from v:
-// d(v,w) <= d(u,w) + 1. Seeding v's array with du+1 and relaxing only
-// the strict improvements touches just the region whose distance
-// actually changes — about half the fabric per hop on grids, against a
-// full sweep for a from-scratch BFS. Sources are visited by walking a
-// BFS spanning tree of the fabric depth-first with one distance array
-// per tree level, so every seed comes from an exact, adjacent source.
-//
-// The relaxation is exact: along any shortest path from v, each vertex
-// either gets improved (and then relaxes its successor) or its seeded
-// value already equals the true distance — and then the successor's
-// seed is forced to the true distance too, by the same two inequalities
-// that justified the seed.
-//
-// Returns nil when the preconditions fail (indirect class, asymmetric
-// links, disconnected graph); the caller falls back to per-source BFS,
-// which also produces the EccUnreachable sentinels.
-func eccentricitiesIncremental(topo *topology.Topology) []int {
-	if topo.Class() != topology.Direct || !symmetricLinks(topo) {
-		return nil
-	}
-	nv := topo.Vertices()
-	n := topo.Nodes()
-	if nv == 0 || n == 0 {
-		return nil
-	}
-	// BFS spanning tree of the fabric from vertex 0.
-	parent := make([]int32, nv)
-	for i := range parent {
-		parent[i] = -1
-	}
-	parent[0] = 0
-	bfsOrder := make([]int32, 0, nv)
-	bfsOrder = append(bfsOrder, 0)
-	for qi := 0; qi < len(bfsOrder); qi++ {
-		v := int(bfsOrder[qi])
-		for _, l := range topo.Out(v) {
-			w := topo.Link(l).Dst
-			if parent[w] < 0 {
-				parent[w] = int32(v)
-				bfsOrder = append(bfsOrder, int32(w))
-			}
-		}
-	}
-	if len(bfsOrder) != nv {
-		return nil // disconnected
-	}
-	// Children of each vertex in the spanning tree, as a CSR layout.
-	start := make([]int32, nv+1)
-	for _, v := range bfsOrder[1:] {
-		start[parent[v]+1]++
-	}
-	for i := 0; i < nv; i++ {
-		start[i+1] += start[i]
-	}
-	kids := make([]int32, nv-1)
-	fill := make([]int32, nv)
-	copy(fill, start[:nv])
-	for _, v := range bfsOrder[1:] {
-		p := parent[v]
-		kids[fill[p]] = v
-		fill[p]++
-	}
-
-	out := make([]int, n)
-	eccOf := func(d []int32) int {
-		e := 0
-		for i := 0; i < n; i++ {
-			if int(d[i]) > e {
-				e = int(d[i])
-			}
-		}
-		return e
-	}
-	// Exact distances from the tree root, by full BFS.
-	levels := [][]int32{make([]int32, nv)}
-	d0 := levels[0]
-	for i := range d0 {
-		d0[i] = -1
-	}
-	d0[0] = 0
-	q := make([]int32, 0, nv)
-	q = append(q, 0)
-	for qi := 0; qi < len(q); qi++ {
-		v := int(q[qi])
-		for _, l := range topo.Out(v) {
-			w := topo.Link(l).Dst
-			if d0[w] < 0 {
-				d0[w] = d0[v] + 1
-				q = append(q, int32(w))
-			}
-		}
-	}
-	out[0] = eccOf(d0)
-
-	// Depth-first walk of the spanning tree. Each descent u -> v seeds
-	// dv from du and relaxes; each level's array is reused across the
-	// subtrees hanging at that depth, so memory is O(tree height) arrays.
-	type frame struct {
-		v    int32
-		next int32 // cursor into kids[start[v]:start[v+1]]
-	}
-	stack := make([]frame, 1, 64)
-	stack[0] = frame{v: 0, next: start[0]}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.next >= start[f.v+1] {
-			stack = stack[:len(stack)-1]
-			continue
-		}
-		child := int(kids[f.next])
-		f.next++
-		depth := len(stack)
-		if depth >= len(levels) {
-			levels = append(levels, make([]int32, nv))
-		}
-		du, dv := levels[depth-1], levels[depth]
-		for i, d := range du {
-			dv[i] = d + 1
-		}
-		dv[child] = 0
-		q = q[:0]
-		q = append(q, int32(child))
-		for qi := 0; qi < len(q); qi++ {
-			x := int(q[qi])
-			nd := dv[x] + 1
-			for _, l := range topo.Out(x) {
-				w := topo.Link(l).Dst
-				if nd < dv[w] {
-					dv[w] = nd
-					q = append(q, int32(w))
-				}
-			}
-		}
-		if child < n {
-			out[child] = eccOf(dv)
-		}
-		stack = append(stack, frame{v: int32(child), next: start[child]})
-	}
-	return out
 }

@@ -87,10 +87,9 @@ type Options struct {
 	// are plain integer fields and are maintained either way.
 	Observer obs.PlanObserver
 
-	// Workers bounds the goroutines of the parallel passes around tree
-	// growth: the eccentricity pass behind ByRemainingHeight and the
-	// lowering of the grown trees into a schedule (<= 1 means
-	// sequential). Growth itself is Algorithm 1's sequential loop. The
+	// Workers bounds the goroutines of the lowering of the grown trees
+	// into a schedule (<= 1 means sequential). Growth, and the
+	// eccentricity pass behind ByRemainingHeight, are sequential. The
 	// schedule built and the growth counters are identical for every
 	// worker count.
 	Workers int

@@ -41,6 +41,18 @@ func (e Engine) String() string {
 	return "fluid"
 }
 
+// ParseEngine maps an -engine flag value to an Engine: "" and "packet"
+// select Packet, "fluid" selects Fluid, and anything else is an error.
+func ParseEngine(name string) (Engine, error) {
+	switch name {
+	case "", "packet":
+		return Packet, nil
+	case "fluid":
+		return Fluid, nil
+	}
+	return 0, fmt.Errorf("experiments: unknown engine %q (want packet or fluid)", name)
+}
+
 func (e Engine) run(s *collective.Schedule, cfg network.Config) (*network.Result, error) {
 	if e == Packet {
 		return network.SimulatePackets(s, cfg)
@@ -144,6 +156,9 @@ func Fig9Sizes(maxBytes int64) []int64 {
 // point hits the entry its base variant stored, and a re-run of the
 // sweep hits everything.
 func Fig9(topo *topology.Topology, sizes []int64, engine Engine, workers int, opts algorithms.Options) ([]AllReducePoint, error) {
+	if len(sizes) == 0 {
+		return nil, fmt.Errorf("fig9 %s: no data sizes to sweep", topo.Name())
+	}
 	if workers < 1 {
 		workers = 1
 	}

@@ -64,6 +64,38 @@ func TestFig9ShapeTorus(t *testing.T) {
 	}
 }
 
+// TestFig9RejectsEmptySweep: a -max below the first Fig. 9 size leaves
+// nothing to sweep, which is an error rather than an empty table.
+func TestFig9RejectsEmptySweep(t *testing.T) {
+	sizes := experiments.Fig9Sizes(16 << 10)
+	if len(sizes) != 0 {
+		t.Fatalf("Fig9Sizes(16 KiB) = %v, want none", sizes)
+	}
+	if _, err := experiments.Fig9(topology.Torus(4, 4, cfg()), sizes, experiments.Fluid, 1, algorithms.Options{}); err == nil {
+		t.Fatal("Fig9 accepted an empty size list")
+	}
+}
+
+func TestParseEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want experiments.Engine
+		ok   bool
+	}{
+		{"", experiments.Packet, true},
+		{"packet", experiments.Packet, true},
+		{"fluid", experiments.Fluid, true},
+		{"fluidd", 0, false},
+		{"Fluid", 0, false},
+		{"bogus", 0, false},
+	} {
+		got, err := experiments.ParseEngine(tc.name)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 // TestFig10Normalization: the first Ring point is the normalization base
 // and scaling is roughly linear in N for every algorithm.
 func TestFig10Normalization(t *testing.T) {

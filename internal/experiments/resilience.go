@@ -35,6 +35,9 @@ type ResiliencePoint struct {
 // Algorithms the degraded graph no longer supports yield unsupported
 // rows instead of errors.
 func Resilience(topo *topology.Topology, maxFailed int, seed int64, dataBytes int64) ([]ResiliencePoint, error) {
+	if maxFailed < 0 {
+		return nil, fmt.Errorf("resilience: negative failed-link count %d", maxFailed)
+	}
 	var out []ResiliencePoint
 	for failed := 0; failed <= maxFailed; failed++ {
 		plan, err := faults.RandomLinkFailures(topo, failed, seed)

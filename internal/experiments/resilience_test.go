@@ -13,6 +13,18 @@ import (
 	"multitree/internal/topospec"
 )
 
+// TestResilienceRejectsNegativeFailures: a negative -maxfail sweeps no
+// failure count, which is an error rather than an empty table.
+func TestResilienceRejectsNegativeFailures(t *testing.T) {
+	topo, err := topospec.Parse("torus-4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Resilience(topo, -1, 42, 256<<10); err == nil {
+		t.Fatal("Resilience accepted maxFailed = -1")
+	}
+}
+
 // TestResilienceTorus4x4 covers the acceptance sweep: per-algorithm
 // completion times under 0, 1 and 2 failed links on torus-4x4, with the
 // packet and fluid engines agreeing within the cross-validation

@@ -55,13 +55,13 @@ func (c *CustomBuilder) Build() (*Topology, error) {
 	c.frozen = true
 	t := c.b.t
 	t.route = bfsRoute
-	// Validate reachability between all node pairs.
+	// Validate reachability between all node pairs, one search per source.
+	dist := make([]int32, t.Vertices())
+	var queue []int32
 	for s := 0; s < t.nodes; s++ {
+		queue = t.HopDistances(s, dist, queue)
 		for d := 0; d < t.nodes; d++ {
-			if s == d {
-				continue
-			}
-			if bfsRoute(t, NodeID(s), NodeID(d)) == nil {
+			if dist[d] < 0 {
 				return nil, fmt.Errorf(
 					"topology %s: node %d cannot reach node %d", t.name, s, d)
 			}

@@ -178,6 +178,34 @@ func (t *Topology) PathLatency(path []LinkID) sim.Time {
 	return total
 }
 
+// HopDistances fills dist (length Vertices()) with the hop count of a
+// shortest path from vertex src to every vertex, or -1 where none
+// exists, by one breadth-first search. It follows the routing relay
+// rule: on switch fabrics end nodes do not forward, so nodes other than
+// src get a distance but are never expanded; on direct fabrics every
+// node's integrated router forwards. queue is scratch of any length; the
+// grown queue is returned for reuse.
+func (t *Topology) HopDistances(src int, dist []int32, queue []int32) []int32 {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue = append(queue[:0], int32(src))
+	for qi := 0; qi < len(queue); qi++ {
+		v := int(queue[qi])
+		if t.class == Indirect && t.IsNode(v) && v != src {
+			continue
+		}
+		for _, id := range t.out[v] {
+			if w := t.links[id].Dst; dist[w] < 0 {
+				dist[w] = dist[v] + 1
+				queue = append(queue, int32(w))
+			}
+		}
+	}
+	return queue
+}
+
 // Diameter returns the maximum over node pairs of routed hop count. It is
 // O(N^2) and intended for analysis and tests, not inner loops.
 func (t *Topology) Diameter() int {

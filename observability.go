@@ -163,7 +163,7 @@ func (c *PlanMemCache) Stats() PlanMemCacheStats {
 // along the way. The zero value is a plain build.
 type PlanOptions struct {
 	// Workers bounds planner parallelism for algorithms with parallel
-	// passes (MultiTree's eccentricities and lowering) and the section
+	// passes (MultiTree's lowering) and the section
 	// decode of cached plans; <= 1 means sequential.
 	Workers int
 
