@@ -42,13 +42,12 @@ const (
 
 // packet is one on-wire unit of a transfer. Packets live in the
 // simulation's arena and are identified by their index; next threads the
-// arena's free list.
+// arena's free list. A packet's route is its transfer's path.
 type packet struct {
 	transfer int32
 	next     int32 // free-list link; -1 terminates
-	hop      int32 // index of the link the packet crosses next
+	hop      int32 // index of the link the packet crosses next, in paths[transfer]
 	wire     int64 // bytes on the wire including its head-flit share
-	path     []topology.LinkID
 }
 
 // pktRing is a FIFO deque of packet arena indices backed by a reusable
@@ -96,9 +95,9 @@ func (r *pktRing) reset() { r.head, r.n = 0, 0 }
 
 // PacketSim is a reusable packet-level simulator for one schedule and
 // configuration. Run may be called repeatedly: every run resets the
-// mutable state but keeps all backing storage (event heap, packet arena,
-// link rings), so steady-state re-simulation performs zero heap
-// allocations (see TestPacketEngineSteadyStateAllocs). Runs are
+// mutable state but keeps all backing storage (event wheel, event heap,
+// packet arena, link rings), so steady-state re-simulation performs zero
+// heap allocations (see TestPacketEngineSteadyStateAllocs). Runs are
 // deterministic and cycle-identical to each other and to SimulatePackets.
 type PacketSim struct {
 	ps packetSim
@@ -301,22 +300,20 @@ func (ps *packetSim) dispatch(kind sim.Kind, a, b int32) {
 }
 
 // allocPacket takes a slot from the free list or grows the arena.
-func (ps *packetSim) allocPacket(transfer int32, wire int64, path []topology.LinkID) int32 {
+func (ps *packetSim) allocPacket(transfer int32, wire int64) int32 {
 	if i := ps.freeHead; i >= 0 {
 		p := &ps.pkts[i]
 		ps.freeHead = p.next
-		p.transfer, p.next, p.hop, p.wire, p.path = transfer, -1, 0, wire, path
+		p.transfer, p.next, p.hop, p.wire = transfer, -1, 0, wire
 		return i
 	}
-	ps.pkts = append(ps.pkts, packet{transfer: transfer, next: -1, wire: wire, path: path})
+	ps.pkts = append(ps.pkts, packet{transfer: transfer, next: -1, wire: wire})
 	return int32(len(ps.pkts) - 1)
 }
 
 // freePacket returns a delivered packet's slot to the free list.
 func (ps *packetSim) freePacket(i int32) {
-	p := &ps.pkts[i]
-	p.path = nil
-	p.next = ps.freeHead
+	ps.pkts[i].next = ps.freeHead
 	ps.freeHead = i
 }
 
@@ -408,7 +405,7 @@ func (ps *packetSim) inject(id int32) {
 		if !ps.cfg.MessageBased || i == 0 {
 			wire += flit
 		}
-		ps.linkQueue[first].push(ps.allocPacket(id, wire, path))
+		ps.linkQueue[first].push(ps.allocPacket(id, wire))
 	}
 	ps.tryTransmit(first)
 }
@@ -428,7 +425,8 @@ func (ps *packetSim) tryTransmit(l topology.LinkID) {
 	}
 	pi := ps.linkQueue[l].front()
 	p := &ps.pkts[pi]
-	lastHop := int(p.hop) == len(p.path)-1
+	path := ps.paths[p.transfer]
+	lastHop := int(p.hop) == len(path)-1
 	if !lastHop && ps.bufFree[l] < p.wire {
 		if ps.tr != nil {
 			ps.tr.Emit(obs.Event{
@@ -445,7 +443,7 @@ func (ps *packetSim) tryTransmit(l topology.LinkID) {
 	if p.hop > 0 {
 		// Departing frees the input buffer of the previous link and may
 		// unblock it.
-		prev := p.path[p.hop-1]
+		prev := path[p.hop-1]
 		ps.bufFree[prev] += p.wire
 		ps.tryTransmit(prev)
 	}
@@ -494,7 +492,8 @@ func (ps *packetSim) serDone(pi int32, l topology.LinkID) {
 // arrive handles a packet reaching the downstream end of its current link.
 func (ps *packetSim) arrive(pi int32) {
 	p := &ps.pkts[pi]
-	if int(p.hop) == len(p.path)-1 {
+	path := ps.paths[p.transfer]
+	if int(p.hop) == len(path)-1 {
 		// Eject into the destination NI; router buffer space was never
 		// charged for the final hop.
 		tr := p.transfer
@@ -506,7 +505,7 @@ func (ps *packetSim) arrive(pi int32) {
 		return
 	}
 	p.hop++
-	next := p.path[p.hop]
+	next := path[p.hop]
 	ps.linkQueue[next].push(pi)
 	ps.tryTransmit(next)
 }

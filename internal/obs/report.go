@@ -162,7 +162,8 @@ type SimReport struct {
 	Engine string `json:"engine,omitempty"`
 
 	// Events is the number of typed simulator events dispatched;
-	// EngineQueueMax the discrete-event heap's high-water mark.
+	// EngineQueueMax the high-water mark of the discrete-event queue's
+	// pending events.
 	Events         int64 `json:"events"`
 	StepEnters     int64 `json:"step_enters,omitempty"`
 	EngineQueueMax int64 `json:"engine_queue_max,omitempty"`

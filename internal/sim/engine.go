@@ -3,15 +3,21 @@
 // clock (1 GHz in the paper's configuration, so one cycle is one
 // nanosecond).
 //
-// The engine is built for an allocation-free steady state: the event queue
-// is a value-based 4-ary min-heap of small typed records ordered by
-// (At, seq), so scheduling allocates nothing once the heap's backing array
-// has grown to the simulation's high-water mark. Every event is typed (a
-// Kind plus two int32 arguments) and handed to a single Dispatch
-// function, avoiding both closure allocation and interface boxing.
+// The engine is built for an allocation-free steady state. Events due
+// within wheelSize cycles of now, which is nearly every event the packet
+// engine schedules, go into a timing wheel of one-cycle slots, each an
+// intrusive FIFO list over one pooled record arena, so scheduling and
+// popping them is O(1). Farther events wait in a value-based 4-ary
+// min-heap. Both tiers are ordered by (at, seq) and reuse their storage,
+// so scheduling allocates nothing once the arena and heap have grown to
+// the simulation's high-water mark. Every event is typed (a Kind plus two
+// int32 arguments) and handed to a single Dispatch function, avoiding both
+// closure allocation and interface boxing.
 package sim
 
 import (
+	"math/bits"
+
 	"multitree/internal/obs"
 )
 
@@ -24,20 +30,42 @@ type Kind uint8
 
 // event is one queued record. seq breaks ties so that events scheduled
 // earlier at the same cycle run first, keeping runs deterministic
-// regardless of heap shape.
+// regardless of which tier holds them. next links a wheel record to the
+// one after it in its slot, or a free arena record to the next free one;
+// it sits in what would otherwise be padding.
 type event struct {
 	at   Time
 	seq  uint64
 	kind Kind
+	next int32
 	a, b int32
 }
 
-// Engine is a discrete-event simulator driven by a 4-ary min-heap event
-// queue. The zero value is ready to use.
+// wheelSize is the timing wheel's span in one-cycle slots. Every event in
+// the wheel lies in [now, now+wheelSize), so a slot only ever holds one
+// cycle's events, and they are appended in seq order.
+const (
+	wheelSize = 1 << 12
+	wheelMask = wheelSize - 1
+)
+
+// slot is one wheel cycle's FIFO list of arena indices, valid while the
+// slot's occupancy bit is set.
+type slot struct{ head, tail int32 }
+
+// Engine is a discrete-event simulator driven by a timing wheel for near
+// events and a 4-ary min-heap for far ones. The zero value is ready to
+// use.
 type Engine struct {
 	now    Time
 	nextID uint64
-	heap   []event
+
+	slots [wheelSize]slot
+	occ   [wheelSize / 64]uint64 // bit s set: slots[s] is non-empty
+	arena []event                // wheel records, live and free
+	free  int32                  // head of the arena's free list
+	nfree int                    // records on the free list
+	heap  []event                // events wheelSize or more cycles ahead when scheduled
 
 	// Dispatch receives the events scheduled with ScheduleKind/AfterKind.
 	// It must be set before the first event fires.
@@ -55,14 +83,19 @@ func (e *Engine) Now() Time { return e.now }
 // ScheduleKind enqueues a typed event for Dispatch at absolute time at.
 // Scheduling in the past (at < Now) runs the event at the current time
 // instead; this keeps zero-latency feedback loops well defined. It
-// allocates nothing once the heap's backing array has reached the run's
+// allocates nothing once the arena and heap have reached the run's
 // high-water mark.
 func (e *Engine) ScheduleKind(at Time, kind Kind, a, b int32) {
 	if at < e.now {
 		at = e.now
 	}
-	e.push(event{at: at, seq: e.nextID, kind: kind, a: a, b: b})
+	ev := event{at: at, seq: e.nextID, kind: kind, a: a, b: b}
 	e.nextID++
+	if at-e.now < wheelSize {
+		e.enwheel(ev)
+	} else {
+		e.push(ev)
+	}
 }
 
 // AfterKind enqueues a typed event delay cycles from now.
@@ -71,13 +104,16 @@ func (e *Engine) AfterKind(delay Time, kind Kind, a, b int32) {
 }
 
 // Pending reports the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return len(e.arena) - e.nfree + len(e.heap) }
 
 // Reset returns the engine to time zero with an empty queue, keeping the
-// heap's backing array (and Dispatch/Trace) so a reused engine re-runs
-// without reallocating. Sequence numbering restarts, so a reset run is
-// cycle- and order-identical to a fresh one.
+// arena's and heap's backing arrays (and Dispatch/Trace) so a reused
+// engine re-runs without reallocating. Sequence numbering restarts, so a
+// reset run is cycle- and order-identical to a fresh one.
 func (e *Engine) Reset() {
+	e.occ = [wheelSize / 64]uint64{}
+	e.arena = e.arena[:0]
+	e.nfree = 0
 	e.heap = e.heap[:0]
 	e.now = 0
 	e.nextID = 0
@@ -86,19 +122,11 @@ func (e *Engine) Reset() {
 // Step runs the single earliest pending event and returns true, or returns
 // false if the queue is empty.
 func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
-		return false
+	s, _, ok := e.first()
+	if ok {
+		e.run(s)
 	}
-	ev := e.heap[0]
-	e.pop()
-	e.now = ev.at
-	e.Dispatch(ev.kind, ev.a, ev.b)
-	if e.Trace != nil {
-		e.Trace.Emit(obs.Event{
-			Kind: obs.EvEngineQueue, At: float64(e.now), Bytes: int64(len(e.heap)),
-		})
-	}
-	return true
+	return ok
 }
 
 // Run executes events until the queue drains and returns the final time.
@@ -111,25 +139,124 @@ func (e *Engine) Run() Time {
 // RunUntil executes events with timestamps <= deadline. It returns true if
 // the queue drained, false if it stopped at the deadline with work pending.
 func (e *Engine) RunUntil(deadline Time) bool {
-	for len(e.heap) > 0 {
-		if e.heap[0].at > deadline {
+	for {
+		s, at, ok := e.first()
+		if !ok {
+			return true
+		}
+		if at > deadline {
 			return false
 		}
-		e.Step()
+		e.run(s)
 	}
-	return true
 }
 
-// less orders events by (at, seq) — a strict total order, so the dispatch
-// sequence is independent of heap arity and layout.
-func (e *Engine) less(i, j int) bool {
-	if e.heap[i].at != e.heap[j].at {
-		return e.heap[i].at < e.heap[j].at
+// first locates the earliest pending event by (at, seq): wheel slot s, or
+// the heap root when s < 0. ok is false when nothing is pending.
+func (e *Engine) first() (s int, at Time, ok bool) {
+	if len(e.arena) > e.nfree {
+		s = e.firstSlot()
+		if ev := &e.arena[e.slots[s].head]; len(e.heap) == 0 || before(ev, &e.heap[0]) {
+			return s, ev.at, true
+		}
 	}
-	return e.heap[i].seq < e.heap[j].seq
+	if len(e.heap) == 0 {
+		return -1, 0, false
+	}
+	return -1, e.heap[0].at, true
 }
 
-// push appends the record and sifts it up the 4-ary heap.
+// firstSlot returns the first occupied slot at or after now's, wrapping;
+// the wheel must be non-empty. Since every wheel event lies within one
+// span of now, that slot holds the wheel's earliest events.
+func (e *Engine) firstSlot() int {
+	s := int(e.now & wheelMask)
+	w := s >> 6
+	if m := e.occ[w] >> (s & 63); m != 0 {
+		return s + bits.TrailingZeros64(m)
+	}
+	for i := 1; i <= len(e.occ); i++ {
+		w := (w + i) & (len(e.occ) - 1)
+		if m := e.occ[w]; m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	panic("sim: empty wheel")
+}
+
+// run removes the earliest event, from wheel slot s or from the heap root
+// when s < 0, advances time to it and dispatches it.
+func (e *Engine) run(s int) {
+	var ev event
+	if s >= 0 {
+		ev = e.unwheel(s)
+	} else {
+		ev = e.heap[0]
+		e.pop()
+	}
+	e.now = ev.at
+	e.Dispatch(ev.kind, ev.a, ev.b)
+	if e.Trace != nil {
+		e.Trace.Emit(obs.Event{
+			Kind: obs.EvEngineQueue, At: float64(e.now), Bytes: int64(e.Pending()),
+		})
+	}
+}
+
+// enwheel appends a near event to its slot's list, taking an arena record
+// from the free list or growing the arena.
+func (e *Engine) enwheel(ev event) {
+	var i int32
+	if e.nfree > 0 {
+		i = e.free
+		e.free = e.arena[i].next
+		e.nfree--
+		e.arena[i] = ev
+	} else {
+		i = int32(len(e.arena))
+		e.arena = append(e.arena, ev)
+	}
+	s := int(ev.at & wheelMask)
+	sl := &e.slots[s]
+	if bit := uint64(1) << (s & 63); e.occ[s>>6]&bit == 0 {
+		e.occ[s>>6] |= bit
+		sl.head = i
+	} else {
+		e.arena[sl.tail].next = i
+	}
+	sl.tail = i
+}
+
+// unwheel removes and returns the head of slot s, returning its record to
+// the free list.
+func (e *Engine) unwheel(s int) event {
+	sl := &e.slots[s]
+	i := sl.head
+	ev := e.arena[i]
+	if i == sl.tail {
+		e.occ[s>>6] &^= 1 << (s & 63)
+	} else {
+		sl.head = ev.next
+	}
+	e.arena[i].next = e.free
+	e.free = i
+	e.nfree++
+	return ev
+}
+
+// before orders events by (at, seq) — a strict total order, so the
+// dispatch sequence is independent of which tier holds an event and of
+// heap arity and layout.
+func before(x, y *event) bool {
+	if x.at != y.at {
+		return x.at < y.at
+	}
+	return x.seq < y.seq
+}
+
+func (e *Engine) less(i, j int) bool { return before(&e.heap[i], &e.heap[j]) }
+
+// push appends a far record and sifts it up the 4-ary heap.
 func (e *Engine) push(ev event) {
 	e.heap = append(e.heap, ev)
 	i := len(e.heap) - 1
