@@ -149,46 +149,3 @@ func TestAllToAllSimulates(t *testing.T) {
 		t.Error("all-to-all took zero time")
 	}
 }
-
-// TestReducedTreeCount exercises the Blink-style §VII-C knob: fewer trees
-// still all-reduce correctly with proportionally fewer flows, and finish
-// construction in no more steps than the full set.
-func TestReducedTreeCount(t *testing.T) {
-	topo := topology.Torus(4, 4, cfg())
-	for _, k := range []int{1, 2, 4, 8} {
-		trees, err := BuildTrees(topo, Options{Trees: k})
-		if err != nil {
-			t.Fatalf("Trees=%d: %v", k, err)
-		}
-		if len(trees) != k {
-			t.Fatalf("Trees=%d built %d trees", k, len(trees))
-		}
-		s, err := collective.TreesToSchedule(Algorithm, topo, 513, trees)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(s.Flows) != k {
-			t.Errorf("Trees=%d: %d flows", k, len(s.Flows))
-		}
-		if err := collective.VerifyAllReduce(s, collective.RampInputs(topo.Nodes(), 513)); err != nil {
-			t.Errorf("Trees=%d: %v", k, err)
-		}
-		if a := collective.Analyze(s); !a.ContentionFree() {
-			t.Errorf("Trees=%d contends: %v", k, a)
-		}
-	}
-	full, _ := BuildTrees(topo, Options{})
-	few, _ := BuildTrees(topo, Options{Trees: 2})
-	maxH := func(ts []*collective.Tree) int {
-		h := 0
-		for _, tr := range ts {
-			if th := tr.Height(); th > h {
-				h = th
-			}
-		}
-		return h
-	}
-	if maxH(few) > maxH(full) {
-		t.Errorf("2 trees need %d steps, more than %d for the full set", maxH(few), maxH(full))
-	}
-}

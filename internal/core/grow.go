@@ -10,23 +10,18 @@ import (
 
 // This file is the tree-growth engine behind BuildTrees and
 // BuildSubsetTrees: Algorithm 1's main loop over a word-packed per-step
-// link pool, with memoized search failures. Each round gives every
-// unfinished tree one turn in order, and each turn commits before the
-// next tree searches — the paper's sequential greedy, run as written.
-// Memoization only skips work whose outcome is already proven, so the
-// trees are exactly the greedy's.
+// link pool. Each round gives every unfinished tree one turn in order,
+// and each turn commits before the next tree searches — the paper's
+// sequential greedy, run as written.
 //
-// Three facts carry all of the pruning, each a consequence of the same
-// step invariant (within a time step the link pool only shrinks, a tree
-// only grows, and the eligible-parent lists are frozen):
-//
-//   - A tree whose turn found no free path stays stuck for the rest of
-//     the step (stalledAt).
-//   - A parent whose search failed this step keeps failing this step
-//     (treeMemo.failedAt).
-//   - A parent whose search failed without meeting one occupied link has
-//     seen its entire reachable neighborhood already in the tree; it is
-//     dead for every future step too (treeMemo.dead).
+// Each tree has one search cursor per step (growth.next). Within a step
+// the link pool only shrinks and the tree only grows, so whatever a turn
+// proved unable to extend the tree stays unable until the step ends; the
+// next turn resumes from the cursor instead of from the start, and the
+// trees are exactly the greedy's. On switchless fabrics with full
+// membership (every mesh and torus) the cursor walks a list of candidate
+// links (pathFinder.scan); on every other fabric it walks the parent list
+// for the breadth-first search (pathFinder.find).
 //
 // Growth runs on one goroutine whatever Options.Workers says; the
 // workers parallelize only the lowering that follows growth.
@@ -35,20 +30,31 @@ import (
 type growth struct {
 	topo *topology.Topology
 	opts Options
-	k    int // trees
-	span int // nodes in a complete tree: every node, or a subset's member count
+	span int // trees, and nodes in a complete tree: every node, or a subset's member count
 
 	trees    []*collective.Tree
 	inTree   [][]bool
 	attached []int               // nodes in each tree, root included
-	parents  [][]topology.NodeID // usable as parents (added in previous steps), in addition order
-	pending  [][]topology.NodeID // added during the current step, merged at step end
-	memo     []*treeMemo
+	pending  [][]topology.NodeID // added during the current step, merged when the next starts
 
-	// stalledAt[ti] stamps the step whose link pool tree ti exhausted:
-	// its turn found no free path, so it sits out the step's remaining
-	// rounds.
-	stalledAt []int32
+	// next[ti] is tree ti's search cursor into cands[ti] or parents[ti].
+	// It restarts at 0 every step; a miss sets it to -1, and the tree
+	// sits out the step's remaining rounds.
+	next []int
+
+	// cands[ti] lists the out-links of tree ti's nodes (added in previous
+	// steps) that lead out of the tree, as (link, dst) pairs in
+	// parent-addition × link-preference order. Entries whose destination
+	// joined the tree are compacted out when a step starts. Only
+	// switchless fabrics with full membership use it; nil elsewhere.
+	cands [][]candidate
+
+	// parents[ti] lists tree ti's nodes usable as BFS parents (added in
+	// previous steps) in addition order; dead[ti][p] marks parents find
+	// proved can never extend the tree, dropped when a step starts. Used
+	// when cands is nil.
+	parents [][]topology.NodeID
+	dead    [][]bool
 
 	ecc []int // by root node id
 
@@ -79,37 +85,42 @@ func growTrees(topo *topology.Topology, members []bool, opts Options) ([]*collec
 func newGrowth(topo *topology.Topology, members []bool, opts Options) (*growth, error) {
 	n := topo.Nodes()
 	// One tree per participating node, rooted there, in ascending node
-	// order; Options.Trees keeps the first few.
+	// order.
 	roots := make([]topology.NodeID, 0, n)
 	for v := 0; v < n; v++ {
 		if members == nil || members[v] {
 			roots = append(roots, topology.NodeID(v))
 		}
 	}
-	span := len(roots)
-	if span < 2 {
-		return nil, fmt.Errorf("multitree: need at least 2 nodes, have %d", span)
-	}
-	if opts.Trees > 0 && opts.Trees < span {
-		roots = roots[:opts.Trees]
-	}
 	k := len(roots)
-	g := &growth{topo: topo, opts: opts, k: k, span: span}
+	if k < 2 {
+		return nil, fmt.Errorf("multitree: need at least 2 nodes, have %d", k)
+	}
+	g := &growth{topo: topo, opts: opts, span: k}
 	g.trees = make([]*collective.Tree, k)
 	g.inTree = make([][]bool, k)
 	g.attached = make([]int, k)
-	g.parents = make([][]topology.NodeID, k)
 	g.pending = make([][]topology.NodeID, k)
-	g.memo = make([]*treeMemo, k)
-	g.stalledAt = make([]int32, k)
+	g.next = make([]int, k)
+	// Without switches or a member filter no end node relays, so every
+	// search is one hop from a tree node: the candidate-link scan applies.
+	scan := members == nil && topo.Switches() == 0
+	if scan {
+		g.cands = make([][]candidate, k)
+	} else {
+		g.parents = make([][]topology.NodeID, k)
+		g.dead = make([][]bool, k)
+	}
 	for i, root := range roots {
 		g.trees[i] = collective.NewTree(i, root, n)
 		g.trees[i].Members = members
 		g.inTree[i] = make([]bool, n)
 		g.inTree[i][root] = true
 		g.attached[i] = 1
-		g.parents[i] = []topology.NodeID{root}
-		g.memo[i] = newTreeMemo(n)
+		g.pending[i] = []topology.NodeID{root}
+		if !scan {
+			g.dead[i] = make([]bool, n)
+		}
 	}
 	if opts.Order == ByRemainingHeight {
 		g.ecc = eccentricities(topo, members)
@@ -129,10 +140,26 @@ func newGrowth(topo *topology.Topology, members []bool, opts Options) (*growth, 
 	return g, nil
 }
 
+// appendCands appends v's out-links that lead out of tree ti to list, in
+// the search's link-preference order.
+func (g *growth) appendCands(list []candidate, ti int, v topology.NodeID) []candidate {
+	links := g.topo.Out(int(v))
+	for li := range links {
+		id := links[li]
+		if g.opts.ReverseNeighborOrder {
+			id = links[len(links)-1-li]
+		}
+		if w := g.topo.Link(id).Dst; !g.inTree[ti][w] {
+			list = append(list, candidate{link: int32(id), dst: int32(w)})
+		}
+	}
+	return list
+}
+
 func (g *growth) run() ([]*collective.Tree, obs.PlanCounters, error) {
 	o := g.opts.Observer
 	// Every tree must attach all other nodes: the unit of progress.
-	totalAttach := int64(g.k) * int64(g.span-1)
+	totalAttach := int64(g.span) * int64(g.span-1)
 	for t := int32(1); ; t++ {
 		if complete(g.attached, g.span) {
 			g.finder.fold(&g.c)
@@ -144,6 +171,9 @@ func (g *growth) run() ([]*collective.Tree, obs.PlanCounters, error) {
 		}
 		// Start a new time step with a fresh topology graph (line 6).
 		g.avail.fill()
+		for ti := range g.trees {
+			g.startStep(ti)
+		}
 		addedThisStep := 0
 		for added := g.round(t); added > 0; added = g.round(t) {
 			addedThisStep += added
@@ -156,26 +186,39 @@ func (g *growth) run() ([]*collective.Tree, obs.PlanCounters, error) {
 		if o != nil {
 			o.PlanProgress(obs.PhaseTreeGrowth, g.c.NodesAttached, totalAttach)
 		}
-		// Nodes added this step become eligible parents next step.
-		for ti := 0; ti < g.k; ti++ {
-			g.parents[ti] = append(g.parents[ti], g.pending[ti]...)
-			g.pending[ti] = g.pending[ti][:0]
-			// Once dead parents dominate a tree's list, drop them (order
-			// preserved). find skips them either way, so the trees built
-			// are unchanged; the per-turn skip scans just stop paying for
-			// them.
-			if m := g.memo[ti]; m.deadCount > 32 && m.deadCount*4 > len(g.parents[ti]) {
-				kept := g.parents[ti][:0]
-				for _, p := range g.parents[ti] {
-					if !m.dead[p] {
-						kept = append(kept, p)
-					}
-				}
-				g.parents[ti] = kept
-				m.deadCount = 0
+	}
+}
+
+// startStep readies tree ti's search state for a new step: nodes added
+// in the previous step (the root, before the first) become eligible
+// parents, proven-futile entries leave the lists, and the cursor
+// restarts.
+func (g *growth) startStep(ti int) {
+	g.next[ti] = 0
+	if g.attached[ti] == g.span {
+		return
+	}
+	if g.cands != nil {
+		kept := g.cands[ti][:0]
+		for _, c := range g.cands[ti] {
+			if !g.inTree[ti][c.dst] {
+				kept = append(kept, c)
 			}
 		}
+		for _, v := range g.pending[ti] {
+			kept = g.appendCands(kept, ti, v)
+		}
+		g.cands[ti] = kept
+	} else {
+		kept := g.parents[ti][:0]
+		for _, p := range g.parents[ti] {
+			if !g.dead[ti][p] {
+				kept = append(kept, p)
+			}
+		}
+		g.parents[ti] = append(kept, g.pending[ti]...)
 	}
+	g.pending[ti] = g.pending[ti][:0]
 }
 
 // stallError diagnoses a step that attached nothing. A disconnected
@@ -202,12 +245,18 @@ func (g *growth) stallError(t int32) error {
 func (g *growth) round(t int32) int {
 	added := 0
 	for _, ti := range g.order() {
-		if g.attached[ti] == g.span || g.stalledAt[ti] == t {
+		if g.attached[ti] == g.span || g.next[ti] < 0 {
 			continue
 		}
-		child, parent, path := g.finder.find(g.parents[ti], g.inTree[ti], g.avail, g.memo[ti], t)
+		var child, parent topology.NodeID
+		var path []topology.LinkID
+		if g.cands != nil {
+			child, parent, path = g.finder.scan(g.cands[ti], g.inTree[ti], g.avail, &g.next[ti])
+		} else {
+			child, parent, path = g.finder.find(g.parents[ti], g.inTree[ti], g.avail, g.dead[ti], &g.next[ti])
+		}
 		if child < 0 {
-			g.stalledAt[ti] = t
+			g.next[ti] = -1
 			continue
 		}
 		g.commit(ti, child, parent, path, t)

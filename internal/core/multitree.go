@@ -54,12 +54,6 @@ type Options struct {
 	// grids instead of Y before X); used by the dimension-order ablation.
 	ReverseNeighborOrder bool
 
-	// Trees caps the number of schedule trees (0 or >= N means one per
-	// node, the paper's default). Fewer trees trade aggregate bandwidth
-	// for fewer construction steps — the Blink-inspired knob §VII-C
-	// leaves for future work. Roots are nodes 0..Trees-1.
-	Trees int
-
 	// ShortestPathFirst changes the per-turn choice on switch-based
 	// networks: instead of taking the first parent (in addition order)
 	// that can reach any child, the tree takes the (parent, child) pair

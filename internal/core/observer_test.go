@@ -11,9 +11,9 @@ import (
 )
 
 // TestPlanObserverNilZeroAlloc pins the cost contract of the planner
-// instrumentation: with no observer attached, the hot search path — the
-// per-turn find over a saturated tree set, where misses dominate dense
-// steps — performs zero allocations. The search counters are plain
+// instrumentation: with no observer attached, the hot search paths — the
+// per-turn find and scan over a saturated tree set, where misses dominate
+// dense steps — perform zero allocations. The search counters are plain
 // integer fields, so this also proves counting them is free of heap
 // traffic.
 func TestPlanObserverNilZeroAlloc(t *testing.T) {
@@ -23,15 +23,21 @@ func TestPlanObserverNilZeroAlloc(t *testing.T) {
 	for i := range inTree {
 		inTree[i] = true // every node attached: the search must miss
 	}
+	dead := make([]bool, topo.Nodes())
 	avail := newBitset(len(topo.Links()))
 	avail.fill()
 	parents := []topology.NodeID{0, 1, 2, 3}
-	// A memo would skip the repeated misses outright; search with none so
-	// the full frontier rescan is what gets measured.
+	// Each call starts from a fresh cursor so the full frontier rescan is
+	// what gets measured, not a cursor already at the end of the list.
+	find := func() topology.NodeID {
+		next := 0
+		c, _, _ := f.find(parents, inTree, avail, dead, &next)
+		return c
+	}
 	// Warm the scratch queue so steady-state reuse is what gets measured.
-	f.find(parents, inTree, avail, nil, 1)
+	find()
 	if allocs := testing.AllocsPerRun(200, func() {
-		if c, _, _ := f.find(parents, inTree, avail, nil, 1); c >= 0 {
+		if find() >= 0 {
 			t.Fatal("search unexpectedly found a child")
 		}
 	}); allocs != 0 {
@@ -39,10 +45,23 @@ func TestPlanObserverNilZeroAlloc(t *testing.T) {
 	}
 
 	f.shortestFirst = true
-	if allocs := testing.AllocsPerRun(200, func() {
-		f.find(parents, inTree, avail, nil, 1)
-	}); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { find() }); allocs != 0 {
 		t.Fatalf("shortest-first search path allocates %.1f per find, want 0", allocs)
+	}
+
+	var cands []candidate
+	for _, p := range parents {
+		for _, id := range topo.Out(int(p)) {
+			cands = append(cands, candidate{link: int32(id), dst: int32(topo.Link(id).Dst)})
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		next := 0
+		if c, _, _ := f.scan(cands, inTree, avail, &next); c >= 0 {
+			t.Fatal("scan unexpectedly found a child")
+		}
+	}); allocs != 0 {
+		t.Fatalf("nil-observer scan allocates %.1f per scan, want 0", allocs)
 	}
 }
 

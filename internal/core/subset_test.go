@@ -119,18 +119,24 @@ func TestSubsetFullMembershipDelegates(t *testing.T) {
 }
 
 // TestSubsetHonorsOptions: subset trees grow in the same loop as the full
-// set, so every construction option applies — a capped tree count keeps
-// the first members as roots, the remaining-height order runs, and an
+// set, so every construction option applies — the trees are rooted at the
+// members in ascending order, the remaining-height order runs, and an
 // observer sees the growth phase count one tree per member.
 func TestSubsetHonorsOptions(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
 	members := []topology.NodeID{15, 0, 3, 5, 10, 12} // any order
-	trees, err := BuildSubsetTrees(topo, members, Options{Trees: 2})
+	trees, err := BuildSubsetTrees(topo, members, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trees) != 2 || trees[0].Root != 0 || trees[1].Root != 3 {
-		t.Fatalf("Trees: 2 grew %d trees, want roots 0 and 3", len(trees))
+	roots := []topology.NodeID{0, 3, 5, 10, 12, 15}
+	if len(trees) != len(roots) {
+		t.Fatalf("grew %d trees, want %d", len(trees), len(roots))
+	}
+	for i, tr := range trees {
+		if tr.Root != roots[i] {
+			t.Errorf("tree %d rooted at %d, want %d", i, tr.Root, roots[i])
+		}
 	}
 	p := obs.NewPlanProfile()
 	s, err := BuildSubset(topo, members, 600, Options{Order: ByRemainingHeight, Observer: p})

@@ -118,9 +118,11 @@ type PlanCounters struct {
 	SearchMisses int64 `json:"search_misses,omitempty"`
 
 	// LinksScanned counts directed links examined across all searches;
-	// LinkConflicts counts links skipped because another tree had already
-	// claimed them within the step — the link-occupancy contention that
-	// drives SearchMisses.
+	// on switchless fabrics with full membership, where the search walks
+	// a tree's candidate-link list, it counts the candidate entries
+	// examined. LinkConflicts counts links (or candidates) skipped because
+	// another tree had already claimed them within the step — the
+	// link-occupancy contention that drives SearchMisses.
 	LinksScanned  int64 `json:"links_scanned,omitempty"`
 	LinkConflicts int64 `json:"link_conflicts,omitempty"`
 

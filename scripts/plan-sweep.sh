@@ -7,7 +7,7 @@
 #
 # Defaults: results/plan-scale-sweep.csv over mesh-16x16 mesh-32x32
 # mesh-48x48 mesh-64x64 (256 to 4096 nodes; the 4096-node cold build
-# takes minutes — that is the point of the warm columns). Each row
+# takes over half a minute — that is the point of the warm columns). Each row
 # records the cold build+store wall, the warm run's end-to-end wall
 # (load + re-validating re-export), the warm *load* alone (the
 # cache-lookup phase of the warm run's planner profile — the number the
