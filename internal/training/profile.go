@@ -1,6 +1,7 @@
 package training
 
 import (
+	"multitree/internal/collective"
 	"multitree/internal/model"
 	"multitree/internal/sim"
 )
@@ -23,8 +24,9 @@ type LayerProfile struct {
 // Profile computes the per-layer breakdown of one iteration.
 func (c Config) Profile(net model.Network) ([]LayerProfile, error) {
 	out := make([]LayerProfile, len(net.Layers))
+	memo := map[int]sim.Time{}
 	for i, l := range net.Layers {
-		comm, err := c.allReduceCycles(int(l.Params()))
+		comm, err := c.allReduceCycles(int(l.Params()), memo)
 		if err != nil {
 			return nil, err
 		}
@@ -32,7 +34,7 @@ func (c Config) Profile(net model.Network) ([]LayerProfile, error) {
 			Name:            l.Name,
 			Kind:            l.Kind.String(),
 			Params:          l.Params(),
-			GradientBytes:   l.Params() * 4,
+			GradientBytes:   l.Params() * collective.WordSize,
 			ForwardCycles:   sim.Time(c.Accel.ForwardCycles(l, c.BatchPerNode)),
 			BackwardCycles:  sim.Time(c.Accel.BackwardCycles(l, c.BatchPerNode, i == 0)),
 			AllReduceCycles: comm,

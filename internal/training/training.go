@@ -21,11 +21,15 @@ import (
 )
 
 // ScheduleBuilder constructs an all-reduce schedule for elems gradient
-// elements on a topology; each algorithm package provides one.
+// elements on a topology; each algorithm package provides one. Within one
+// NonOverlapped, Overlapped or Profile call it is called once per distinct
+// gradient size, so it must be deterministic in elems.
 type ScheduleBuilder func(topo *topology.Topology, elems int) (*collective.Schedule, error)
 
 // Engine executes a schedule; network.SimulateFluid or
-// network.SimulatePackets.
+// network.SimulatePackets. Like ScheduleBuilder it runs once per distinct
+// gradient size per call and must be deterministic, so a tracing engine
+// sees each size once, however many layers share it.
 type Engine func(*collective.Schedule, network.Config) (*network.Result, error)
 
 // Config assembles a training system.
@@ -34,8 +38,12 @@ type Config struct {
 	Accel        accel.Accelerator
 	BatchPerNode int // 16 in the paper
 	Net          network.Config
-	Build        ScheduleBuilder
-	Engine       Engine // nil selects the fluid engine
+
+	// Build and Engine run once per distinct gradient size in each
+	// NonOverlapped, Overlapped or Profile call, so both must be
+	// deterministic in elems; a tracing engine sees each size once.
+	Build  ScheduleBuilder
+	Engine Engine // nil selects the fluid engine
 
 	// FusionBytes, when positive, coalesces consecutive finished layers
 	// into one all-reduce until the bucket reaches this many gradient
@@ -75,10 +83,16 @@ func (c Config) engine() Engine {
 	return network.SimulateFluid
 }
 
-// allReduceCycles simulates an all-reduce of elems gradient elements.
-func (c Config) allReduceCycles(elems int) (sim.Time, error) {
+// allReduceCycles simulates an all-reduce of elems gradient elements,
+// once per size: memo holds the cycles of every size already simulated in
+// the current call. Builders and engines are deterministic, so a repeat
+// would return the same cycles.
+func (c Config) allReduceCycles(elems int, memo map[int]sim.Time) (sim.Time, error) {
 	if elems <= 0 {
 		return 0, nil
+	}
+	if t, ok := memo[elems]; ok {
+		return t, nil
 	}
 	s, err := c.Build(c.Topo, elems)
 	if err != nil {
@@ -88,6 +102,7 @@ func (c Config) allReduceCycles(elems int) (sim.Time, error) {
 	if err != nil {
 		return 0, err
 	}
+	memo[elems] = res.Cycles
 	return res.Cycles, nil
 }
 
@@ -97,7 +112,7 @@ func (c Config) NonOverlapped(net model.Network) (Breakdown, error) {
 	var b Breakdown
 	b.Forward = sim.Time(c.Accel.NetworkForwardCycles(net, c.BatchPerNode))
 	b.Backward = sim.Time(c.Accel.NetworkBackwardCycles(net, c.BatchPerNode))
-	comm, err := c.allReduceCycles(int(net.Params()))
+	comm, err := c.allReduceCycles(int(net.Params()), map[int]sim.Time{})
 	if err != nil {
 		return b, err
 	}
@@ -120,11 +135,12 @@ func (c Config) Overlapped(net model.Network) (Breakdown, error) {
 	commFree := b.Forward // network idle until gradients exist
 	var commBusy sim.Time
 	var bucket int64 // fused gradient elements pending
+	memo := map[int]sim.Time{}
 	flush := func(ready sim.Time) error {
 		if bucket == 0 {
 			return nil
 		}
-		dur, err := c.allReduceCycles(int(bucket))
+		dur, err := c.allReduceCycles(int(bucket), memo)
 		if err != nil {
 			return err
 		}
@@ -143,9 +159,6 @@ func (c Config) Overlapped(net model.Network) (Breakdown, error) {
 				return b, err
 			}
 		}
-	}
-	if err := flush(now); err != nil {
-		return b, err
 	}
 	b.Backward = now - b.Forward
 	b.Comm = commBusy
