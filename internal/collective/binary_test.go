@@ -133,6 +133,25 @@ func TestBinaryStreamMatchesBuffered(t *testing.T) {
 // cache that must never serve a wrong plan: foreign files, files of any
 // other format version, topology mismatch, and truncation anywhere in
 // the stream.
+// TestJSONImportNamesBinaryPlan: the JSON importers recognize a binary
+// plan by its header and say what to do instead of reporting a JSON
+// syntax error.
+func TestJSONImportNamesBinaryPlan(t *testing.T) {
+	torus := topology.Torus(4, 4, topology.DefaultLinkConfig())
+	var buf bytes.Buffer
+	if err := collective.ExportBinary(&buf, ring.Build(torus, 256)); err != nil {
+		t.Fatal(err)
+	}
+	_, err := collective.Import(bytes.NewReader(buf.Bytes()))
+	_, errInto := collective.ImportInto(bytes.NewReader(buf.Bytes()), torus)
+	for _, err := range []error{err, errInto} {
+		if err == nil || !strings.Contains(err.Error(), "binary plans load only onto a live topology") ||
+			!strings.Contains(err.Error(), "JSON export") {
+			t.Errorf("importing a binary plan as JSON: %v", err)
+		}
+	}
+}
+
 func TestBinaryImportRejects(t *testing.T) {
 	torus := topology.Torus(4, 4, topology.DefaultLinkConfig())
 	mesh := topology.Mesh(4, 4, topology.DefaultLinkConfig())

@@ -11,9 +11,11 @@ package collective
 // algorithm.
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -163,7 +165,7 @@ func Import(r io.Reader) (*Schedule, error) {
 
 // ImportInto reads a schedule IR file onto an existing topology instead
 // of reconstructing one. The topology must match the file's fingerprint;
-// this keeps native routing metadata (grid coordinates, ring orders)
+// this keeps native routing metadata (grid shape, ring orders)
 // available on the imported schedule's topology.
 func ImportInto(r io.Reader, topo *topology.Topology) (*Schedule, error) {
 	f, err := decodeIR(r)
@@ -178,8 +180,13 @@ func ImportInto(r io.Reader, topo *topology.Topology) (*Schedule, error) {
 }
 
 func decodeIR(r io.Reader) (*scheduleJSON, error) {
+	br := bufio.NewReader(r)
+	if head, _ := br.Peek(len(binaryMagic)); string(head) == binaryMagic {
+		return nil, errors.New("collective: file is a binary plan (" + binaryMagic + " header); " +
+			"binary plans load only onto a live topology, so importing one needs a JSON export")
+	}
 	var f scheduleJSON
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(br)
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("collective: bad schedule file: %w", err)
 	}
@@ -254,7 +261,6 @@ func assemble(f *scheduleJSON, topo *topology.Topology) (*Schedule, error) {
 			return nil, fmt.Errorf("collective: transfer %d has unknown op %q", i, tj.Op)
 		}
 		t := Transfer{
-			ID:  TransferID(i),
 			Src: topology.NodeID(tj.Src), Dst: topology.NodeID(tj.Dst),
 			Op: op, Flow: tj.Flow, Step: tj.Step,
 		}

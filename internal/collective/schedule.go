@@ -85,7 +85,6 @@ func (r Range) Bytes() int64 { return int64(r.Len) * WordSize }
 
 // Transfer is one point-to-point message in an all-reduce schedule.
 type Transfer struct {
-	ID   TransferID
 	Src  topology.NodeID
 	Dst  topology.NodeID
 	Op   Op
@@ -134,14 +133,13 @@ func NewSchedule(alg string, topo *topology.Topology, elems, flows int) *Schedul
 	}
 }
 
-// Add appends a transfer, assigns its ID, and returns it.
+// Add appends a transfer and returns its id, its index in Transfers.
 func (s *Schedule) Add(t Transfer) TransferID {
-	t.ID = TransferID(len(s.Transfers))
 	s.Transfers = append(s.Transfers, t)
 	if t.Step > s.Steps {
 		s.Steps = t.Step
 	}
-	return t.ID
+	return TransferID(len(s.Transfers) - 1)
 }
 
 // Seg returns the gradient segment a transfer carries.
@@ -255,9 +253,6 @@ func (s *Schedule) validateTransferRange(lo, hi int) error {
 	n := topology.NodeID(s.Topo.Nodes())
 	for i := lo; i < hi; i++ {
 		t := &s.Transfers[i]
-		if t.ID != TransferID(i) {
-			return fmt.Errorf("transfer %d: bad id %d", i, t.ID)
-		}
 		if t.Src < 0 || t.Src >= n || t.Dst < 0 || t.Dst >= n {
 			return fmt.Errorf("transfer %d: endpoint out of range (%d->%d)", i, t.Src, t.Dst)
 		}

@@ -827,7 +827,6 @@ func (ld *loader) decodeTransfers(d *sliceDecoder, e *sectionEntry, i int) error
 	var prevFlow, prevStep int64
 	for j := lo; j < hi; j++ {
 		t := &ld.s.Transfers[j]
-		t.ID = TransferID(j)
 		src := int64(d.uint())
 		dst := src + d.sint()
 		op := d.uint()

@@ -404,7 +404,7 @@ func lowerTree(topo *topology.Topology, tr *Tree, pl *treeLowerPlan, tot int,
 			}
 			id := TransferID(seq)
 			xfers[seq] = Transfer{
-				ID: id, Src: c, Dst: p, Op: Reduce, Flow: tr.Flow,
+				Src: c, Dst: p, Op: Reduce, Flow: tr.Flow,
 				Step: tot - st + 1,
 				Deps: deps,
 				Path: path,
@@ -440,7 +440,7 @@ func lowerTree(topo *topology.Topology, tr *Tree, pl *treeLowerPlan, tot int,
 			deps := gatherDeps[start:gcur:gcur]
 			id := TransferID(seq)
 			xfers[seq] = Transfer{
-				ID: id, Src: p, Dst: c, Op: Gather, Flow: tr.Flow,
+				Src: p, Dst: c, Op: Gather, Flow: tr.Flow,
 				Step: tot + st,
 				Deps: deps,
 				Path: tr.Path[c],

@@ -72,7 +72,6 @@ func phaseOnly(full *collective.Schedule, op collective.Op) *collective.Schedule
 		}
 		t.Deps = deps
 		t.Step -= shift
-		t.ID = 0
 		remap[i] = out.Add(t)
 	}
 	return out

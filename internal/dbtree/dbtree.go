@@ -14,7 +14,10 @@
 package dbtree
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"multitree/internal/collective"
 	"multitree/internal/topology"
@@ -92,7 +95,7 @@ func buildTreeSchedule(s *collective.Schedule, tr *tree, ti, chunks int) {
 		reduceRecv[r] = make([][]collective.TransferID, chunks)
 	}
 	// Emit in order of sender height so dependencies already exist.
-	byHeight := ranksByHeight(tr)
+	byHeight := ranksBy(tr.height)
 	maxReduceLogical := 0
 	for _, r := range byHeight {
 		if r == tr.root {
@@ -124,7 +127,7 @@ func buildTreeSchedule(s *collective.Schedule, tr *tree, ti, chunks int) {
 			gatherIn[r][j] = -1
 		}
 	}
-	byDepth := ranksByDepth(tr)
+	byDepth := ranksBy(tr.depth)
 	for _, r := range byDepth {
 		if r == tr.root {
 			continue
@@ -177,21 +180,12 @@ func inorderTree(n int) *tree {
 // parentPos returns the 1-based parent position of p in an n-position
 // in-order tree, or 0 for the root.
 func parentPos(p, n int) int {
-	h := trailingZeros(p)
+	h := bits.TrailingZeros(uint(p))
 	up, down := p+1<<h, p-1<<h
 	if (p>>(h+1))&1 == 0 && up <= n {
 		return up
 	}
 	return down // 0 marks the root (p is the largest power of two <= n)
-}
-
-func trailingZeros(p int) int {
-	h := 0
-	for p&1 == 0 {
-		h++
-		p >>= 1
-	}
-	return h
 }
 
 // shift relabels rank r as (r+1) mod n — the NCCL "shift by one" trick
@@ -237,7 +231,7 @@ func computeDepths(t *tree) {
 func computeHeights(t *tree) {
 	// Height = max over children of height+1; compute by scanning ranks in
 	// decreasing depth order.
-	order := ranksByDepth(t)
+	order := ranksBy(t.depth)
 	for i := len(order) - 1; i >= 0; i-- {
 		r := order[i]
 		if p := t.parent[r]; p >= 0 && t.height[r]+1 > t.height[p] {
@@ -246,46 +240,15 @@ func computeHeights(t *tree) {
 	}
 }
 
-// ranksByDepth returns ranks sorted by increasing depth (root first),
-// stable by rank.
-func ranksByDepth(t *tree) []int {
-	n := len(t.parent)
-	order := make([]int, n)
+// ranksBy returns the ranks sorted by increasing key (depth puts the
+// root first, height puts leaves first), ties broken by rank.
+func ranksBy(key []int) []int {
+	order := make([]int, len(key))
 	for i := range order {
 		order[i] = i
 	}
-	sortBy(order, func(a, b int) bool {
-		if t.depth[a] != t.depth[b] {
-			return t.depth[a] < t.depth[b]
-		}
-		return a < b
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(key[a], key[b]), cmp.Compare(a, b))
 	})
 	return order
-}
-
-// ranksByHeight returns ranks sorted by increasing subtree height (leaves
-// first), stable by rank.
-func ranksByHeight(t *tree) []int {
-	n := len(t.parent)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sortBy(order, func(a, b int) bool {
-		if t.height[a] != t.height[b] {
-			return t.height[a] < t.height[b]
-		}
-		return a < b
-	})
-	return order
-}
-
-func sortBy(xs []int, less func(a, b int) bool) {
-	// Insertion sort keeps the helper dependency-free; rank lists are
-	// small (node counts).
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && less(xs[j], xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

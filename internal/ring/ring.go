@@ -28,6 +28,8 @@ func Build(topo *topology.Topology, elems int) *collective.Schedule {
 	if n < 2 {
 		return s
 	}
+	// Sized exactly: 2(n-1) steps of n hops.
+	s.Transfers = make([]collective.Transfer, 0, 2*(n-1)*n)
 	// last[c] is the most recent transfer of chunk c, the dependency of
 	// the chunk's next hop.
 	last := make([]collective.TransferID, n)

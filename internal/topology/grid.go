@@ -1,131 +1,129 @@
 package topology
 
-import "fmt"
+import "strconv"
 
 // Mesh builds an nx-by-ny 2D mesh direct network. Node (x, y) is node id
 // y*nx + x. Outgoing links are added Y-dimension first, then X, matching
 // the neighbor-preference order Algorithm 1 of the paper uses during link
 // allocation.
 func Mesh(nx, ny int, cfg LinkConfig) *Topology {
-	return grid(fmt.Sprintf("mesh-%dx%d", nx, ny), nx, ny, false, cfg)
+	return grid("mesh", []int{nx, ny}, false, cfg)
 }
 
 // Torus builds an nx-by-ny 2D torus direct network with wrap-around links
 // in both dimensions.
 func Torus(nx, ny int, cfg LinkConfig) *Topology {
-	return grid(fmt.Sprintf("torus-%dx%d", nx, ny), nx, ny, true, cfg)
+	return grid("torus", []int{nx, ny}, true, cfg)
 }
 
-func grid(name string, nx, ny int, wrap bool, cfg LinkConfig) *Topology {
-	if nx < 2 || ny < 2 {
-		panic("topology: grid dimensions must be at least 2x2")
+// Torus3D builds an nx-by-ny-by-nz 3D torus — the pod fabric of newer
+// TPU generations. Node (x, y, z) is id (z*ny + y)*nx + x. Out-links are
+// ordered Z, then Y, then X, extending the paper's
+// higher-dimension-first allocation preference to three dimensions.
+// MultiTree needs no changes to schedule on it (§VII's generality claim);
+// 2D-Ring does not apply.
+func Torus3D(nx, ny, nz int, cfg LinkConfig) *Topology {
+	return grid("torus3d", []int{nx, ny, nz}, true, cfg)
+}
+
+// Mesh3D builds an nx-by-ny-by-nz 3D mesh.
+func Mesh3D(nx, ny, nz int, cfg LinkConfig) *Topology {
+	return grid("mesh3d", []int{nx, ny, nz}, false, cfg)
+}
+
+// grid builds a mesh or torus of shape dims, X first. Node ids are mixed
+// radix: coordinate c[d] contributes c[d] times the product of the
+// dimensions below d. Named "<kind>-<d0>x<d1>...".
+func grid(kind string, dims []int, wrap bool, cfg LinkConfig) *Topology {
+	name, stride, nodes := kind+"-", make([]int, len(dims)), 1
+	for d, n := range dims {
+		if n < 2 {
+			panic("topology: every grid dimension must be at least 2")
+		}
+		if d > 0 {
+			name += "x"
+		}
+		name += strconv.Itoa(n)
+		stride[d] = nodes
+		nodes *= n
 	}
-	b := newBuilder(name, Direct, nx*ny, 0)
+	b := newBuilder(name, Direct, nodes, 0)
+	// Highest dimension first (the Y-before-X preference of §III-C1),
+	// +1 before -1. A dimension of length 2 gets no wrap link: its
+	// neighbor is already one mesh link away.
+	for d := len(dims) - 1; d >= 0; d-- {
+		n, s, wrapD := dims[d], stride[d], wrap && dims[d] > 2
+		for v := 0; v < nodes; v++ {
+			c := v / s % n
+			if c+1 < n {
+				b.addLink(v, v+s, cfg)
+			} else if wrapD {
+				b.addLink(v, v-c*s, cfg)
+			}
+			if c > 0 {
+				b.addLink(v, v-s, cfg)
+			} else if wrapD {
+				b.addLink(v, v+(n-1)*s, cfg)
+			}
+		}
+	}
 	t := b.t
-	t.nx, t.ny = nx, ny
-	t.coords = make([]Coord, nx*ny)
-	node := func(x, y int) int { return y*nx + x }
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			t.coords[node(x, y)] = Coord{X: x, Y: y}
-		}
-	}
-	// Y-dimension links first (preference order of §III-C1), then X.
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			v := node(x, y)
-			if y+1 < ny {
-				b.addLink(v, node(x, y+1), cfg)
-			} else if wrap && ny > 2 {
-				b.addLink(v, node(x, 0), cfg)
-			}
-			if y > 0 {
-				b.addLink(v, node(x, y-1), cfg)
-			} else if wrap && ny > 2 {
-				b.addLink(v, node(x, ny-1), cfg)
-			}
-		}
-	}
-	for y := 0; y < ny; y++ {
-		for x := 0; x < nx; x++ {
-			v := node(x, y)
-			if x+1 < nx {
-				b.addLink(v, node(x+1, y), cfg)
-			} else if wrap && nx > 2 {
-				b.addLink(v, node(0, y), cfg)
-			}
-			if x > 0 {
-				b.addLink(v, node(x-1, y), cfg)
-			} else if wrap && nx > 2 {
-				b.addLink(v, node(nx-1, y), cfg)
-			}
-		}
-	}
+	t.dims = dims
 	t.route = func(t *Topology, src, dst NodeID) []LinkID {
-		return gridRoute(t, src, dst, wrap)
+		return gridRoute(t, stride, wrap, int(src), int(dst))
 	}
-	t.ringOrder = snakeOrder(nx, ny)
+	t.ringOrder = snake(dims)
 	return t
 }
 
-// gridRoute implements X-then-Y dimension-order routing. On a torus it
-// takes the shorter wrap-around direction, breaking ties toward the
-// positive direction.
-func gridRoute(t *Topology, src, dst NodeID, wrap bool) []LinkID {
-	cur := t.coords[src]
-	goal := t.coords[dst]
+// gridRoute is dimension-order routing, lowest dimension first. On a
+// torus each dimension goes the shorter way round, breaking ties toward
+// the positive direction.
+func gridRoute(t *Topology, stride []int, wrap bool, src, dst int) []LinkID {
 	var path []LinkID
-	step := func(from Coord, dx, dy int) Coord {
-		next := Coord{X: mod(from.X+dx, t.nx), Y: mod(from.Y+dy, t.ny)}
-		path = append(path, t.linkBetween(next2id(t, from), next2id(t, next)))
-		return next
-	}
-	for cur.X != goal.X {
-		cur = step(cur, gridDir(cur.X, goal.X, t.nx, wrap), 0)
-	}
-	for cur.Y != goal.Y {
-		cur = step(cur, 0, gridDir(cur.Y, goal.Y, t.ny, wrap))
+	v := src
+	for d, n := range t.dims {
+		s := stride[d]
+		c := src / s % n
+		hops, dir := dst/s%n-c, 1
+		if hops < 0 {
+			hops, dir = -hops, -1
+		}
+		if wrap && n > 2 && (n-hops < hops || n-hops == hops && dir < 0) {
+			hops, dir = n-hops, -dir
+		}
+		for ; hops > 0; hops-- {
+			next := v + dir*s
+			switch c += dir; c {
+			case n:
+				c, next = 0, v-(n-1)*s
+			case -1:
+				c, next = n-1, v+(n-1)*s
+			}
+			path = append(path, t.linkBetween(v, next))
+			v = next
+		}
 	}
 	return path
 }
 
-func next2id(t *Topology, c Coord) int { return c.Y*t.nx + c.X }
-
-func mod(a, n int) int { return ((a % n) + n) % n }
-
-// gridDir returns +1 or -1: the direction to move one hop from cur toward
-// goal along a dimension of length n.
-func gridDir(cur, goal, n int, wrap bool) int {
-	if !wrap || n <= 2 {
-		if goal > cur {
-			return 1
-		}
-		return -1
-	}
-	fwd := mod(goal-cur, n)
-	bwd := mod(cur-goal, n)
-	if fwd <= bwd {
-		return 1
-	}
-	return -1
-}
-
-// snakeOrder returns a boustrophedon Hamiltonian ordering: row 0
-// left-to-right, row 1 right-to-left, and so on. Consecutive nodes are
-// physically adjacent; only the closing edge of the ring may be multi-hop
-// (single-hop on a torus with an even row count).
-func snakeOrder(nx, ny int) []NodeID {
-	order := make([]NodeID, 0, nx*ny)
-	for y := 0; y < ny; y++ {
-		if y%2 == 0 {
-			for x := 0; x < nx; x++ {
-				order = append(order, NodeID(y*nx+x))
-			}
-		} else {
-			for x := nx - 1; x >= 0; x-- {
-				order = append(order, NodeID(y*nx+x))
+// snake returns a boustrophedon Hamiltonian ordering: n copies of the
+// lower-dimensional snake stacked along each dimension, every other copy
+// reversed. Consecutive nodes are physically adjacent; only the closing
+// edge of the ring may be multi-hop.
+func snake(dims []int) []NodeID {
+	order, stride := []NodeID{0}, 1
+	for _, n := range dims {
+		next := make([]NodeID, 0, len(order)*n)
+		for c := 0; c < n; c++ {
+			for i := range order {
+				if c%2 == 1 {
+					i = len(order) - 1 - i
+				}
+				next = append(next, NodeID(c*stride)+order[i])
 			}
 		}
+		order, stride = next, stride*n
 	}
 	return order
 }

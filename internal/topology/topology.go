@@ -1,7 +1,8 @@
 // Package topology models the interconnection networks evaluated in the
 // paper: 2D Torus, 2D Mesh (direct networks, TPU-pod-like), two-level
-// Fat-Tree (DGX-2-like) and BiGraph (EFLOPS), plus user-defined custom
-// topologies.
+// Fat-Tree (DGX-2-like) and BiGraph (EFLOPS), plus 3D meshes and tori,
+// Dragonfly and user-defined custom topologies. Every mesh and torus
+// comes from one grid builder.
 //
 // A topology is a directed multigraph over vertices. Vertices 0..N-1 are
 // end nodes (accelerators); vertices N..N+S-1 are switches. Direct networks
@@ -71,9 +72,8 @@ type Topology struct {
 	links    []Link
 	out      [][]LinkID // vertex -> outgoing links, in preference order
 
-	// coords holds (x, y) per node for grid topologies; nil otherwise.
-	coords []Coord
-	nx, ny int
+	// dims is the grid shape, X first; nil for other fabrics.
+	dims []int
 
 	// route computes the link path between two end nodes.
 	route func(t *Topology, src, dst NodeID) []LinkID
@@ -86,9 +86,6 @@ type Topology struct {
 	reverseOnce sync.Once
 	reverseOf   []LinkID
 }
-
-// Coord is a 2D grid coordinate for Mesh and Torus nodes.
-type Coord struct{ X, Y int }
 
 // Name returns a human-readable topology name, e.g. "torus-8x8".
 func (t *Topology) Name() string { return t.name }
@@ -122,17 +119,13 @@ func (t *Topology) IsNode(vertex int) bool { return vertex < t.nodes }
 // SwitchVertex converts a switch index (0-based) to its vertex id.
 func (t *Topology) SwitchVertex(s int) int { return t.nodes + s }
 
-// NodeCoord returns the grid coordinate of a node in a Mesh or Torus and
-// whether coordinates are available for this topology.
-func (t *Topology) NodeCoord(n NodeID) (Coord, bool) {
-	if t.coords == nil {
-		return Coord{}, false
+// GridDims returns (nx, ny) for 2D grid topologies, or (0, 0).
+func (t *Topology) GridDims() (nx, ny int) {
+	if len(t.dims) != 2 {
+		return 0, 0
 	}
-	return t.coords[n], true
+	return t.dims[0], t.dims[1]
 }
-
-// GridDims returns (nx, ny) for grid topologies, or (0, 0).
-func (t *Topology) GridDims() (nx, ny int) { return t.nx, t.ny }
 
 // VertexName renders a vertex id for diagnostics: "n3" or "s1".
 func (t *Topology) VertexName(v int) string {

@@ -140,9 +140,7 @@ func TestGridProperties(t *testing.T) {
 		if nx >= 3 && ny >= 3 {
 			center := NodeID((ny/2)*nx + nx/2)
 			first := topo.Link(topo.Out(int(center))[0])
-			cs, _ := topo.NodeCoord(center)
-			cd, _ := topo.NodeCoord(NodeID(first.Dst))
-			if cd.X != cs.X {
+			if first.Dst%nx != int(center)%nx {
 				return false
 			}
 		}

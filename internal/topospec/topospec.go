@@ -52,46 +52,31 @@ func Parse(spec string) (*topology.Topology, error) {
 		return nil, fmt.Errorf("topospec: %q is not <kind>-<size> (known kinds: %s)", spec, Usage())
 	}
 	switch kind {
-	case "torus", "mesh":
-		xs, ys, ok := strings.Cut(arg, "x")
-		if !ok {
-			return nil, fmt.Errorf("topospec: %q needs <nx>x<ny>", spec)
+	case "torus", "mesh", "torus3d", "mesh3d":
+		rank, shape := 2, "<nx>x<ny>"
+		if strings.HasSuffix(kind, "3d") {
+			rank, shape = 3, "<nx>x<ny>x<nz>"
 		}
-		nx, err1 := strconv.Atoi(xs)
-		ny, err2 := strconv.Atoi(ys)
-		if err1 != nil || err2 != nil {
+		parts := strings.Split(arg, "x")
+		if len(parts) != rank {
+			return nil, fmt.Errorf("topospec: %q needs %s", spec, shape)
+		}
+		d, ok := atoiAll(parts)
+		if !ok {
 			return nil, fmt.Errorf("topospec: bad grid size in %q", spec)
 		}
-		if err := checkDims(spec, nx, ny); err != nil {
+		if err := checkDims(spec, d...); err != nil {
 			return nil, err
 		}
-		if err := checkSize(spec, product(MaxNodes, nx, ny), 4, 0); err != nil {
+		if err := checkSize(spec, product(MaxNodes, d...), 2*rank, 0); err != nil {
 			return nil, err
 		}
-		if kind == "torus" {
-			return topology.Torus(nx, ny, cfg), nil
-		}
-		return topology.Mesh(nx, ny, cfg), nil
-	case "torus3d", "mesh3d":
-		parts := strings.Split(arg, "x")
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("topospec: %q needs <nx>x<ny>x<nz>", spec)
-		}
-		var d [3]int
-		for i, p := range parts {
-			v, err := strconv.Atoi(p)
-			if err != nil {
-				return nil, fmt.Errorf("topospec: bad grid size in %q", spec)
-			}
-			d[i] = v
-		}
-		if err := checkDims(spec, d[0], d[1], d[2]); err != nil {
-			return nil, err
-		}
-		if err := checkSize(spec, product(MaxNodes, d[0], d[1], d[2]), 6, 0); err != nil {
-			return nil, err
-		}
-		if kind == "torus3d" {
+		switch kind {
+		case "torus":
+			return topology.Torus(d[0], d[1], cfg), nil
+		case "mesh":
+			return topology.Mesh(d[0], d[1], cfg), nil
+		case "torus3d":
 			return topology.Torus3D(d[0], d[1], d[2], cfg), nil
 		}
 		return topology.Mesh3D(d[0], d[1], d[2], cfg), nil
@@ -101,13 +86,9 @@ func Parse(spec string) (*topology.Topology, error) {
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("topospec: %q needs <groups>x<routers>x<nodes>", spec)
 		}
-		var d [3]int
-		for i, p := range parts {
-			v, err := strconv.Atoi(p)
-			if err != nil {
-				return nil, fmt.Errorf("topospec: bad dragonfly size in %q", spec)
-			}
-			d[i] = v
+		d, ok := atoiAll(parts)
+		if !ok {
+			return nil, fmt.Errorf("topospec: bad dragonfly size in %q", spec)
 		}
 		if err := checkDragonfly(spec, d[0], d[1], d[2]); err != nil {
 			return nil, err
@@ -176,6 +157,19 @@ func cutDashless(spec string) (kind, arg string, ok bool) {
 		}
 	}
 	return kind, arg, ok
+}
+
+// atoiAll parses every part as a decimal integer.
+func atoiAll(parts []string) ([]int, bool) {
+	d := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(p)
+		if err != nil {
+			return nil, false
+		}
+		d[i] = v
+	}
+	return d, true
 }
 
 // checkDims rejects degenerate grid shapes before they reach the

@@ -130,6 +130,53 @@ func TestParseExtendedFabrics(t *testing.T) {
 	}
 }
 
+// TestParseGridRanks: the one grid case takes two dimensions for torus
+// and mesh and three for torus3d and mesh3d, dashed or dashless, and
+// names each fabric in its canonical dashed form.
+func TestParseGridRanks(t *testing.T) {
+	for _, c := range []struct {
+		spec, name string
+		nodes      int
+	}{
+		{"torus-4x4", "torus-4x4", 16},
+		{"torus-8x8", "torus-8x8", 64},
+		{"torus-2x2", "torus-2x2", 4},
+		{"torus4x8", "torus-4x8", 32},
+		{"mesh-4x8", "mesh-4x8", 32},
+		{"mesh-16x16", "mesh-16x16", 256},
+		{"mesh2x3", "mesh-2x3", 6},
+		{"torus3d-4x4x4", "torus3d-4x4x4", 64},
+		{"torus3d-8x8x8", "torus3d-8x8x8", 512},
+		{"torus3d2x2x2", "torus3d-2x2x2", 8},
+		{"mesh3d-2x3x4", "mesh3d-2x3x4", 24},
+		{"mesh3d4x4x4", "mesh3d-4x4x4", 64},
+	} {
+		topo, err := Parse(c.spec)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.spec, err)
+			continue
+		}
+		if topo.Name() != c.name || topo.Nodes() != c.nodes || topo.Switches() != 0 {
+			t.Errorf("Parse(%q) = %s with %d nodes %d switches, want %s with %d nodes",
+				c.spec, topo.Name(), topo.Nodes(), topo.Switches(), c.name, c.nodes)
+		}
+	}
+	for _, c := range []struct{ spec, want string }{
+		{"torus-4x4x4", "needs <nx>x<ny>"},
+		{"mesh-2x2x2", "needs <nx>x<ny>"},
+		{"torus-4", "needs <nx>x<ny>"},
+		{"mesh3d-4x4", "needs <nx>x<ny>x<nz>"},
+		{"torus3d-2x2x2x2", "needs <nx>x<ny>x<nz>"},
+		{"torus3d4x4", "needs <nx>x<ny>x<nz>"},
+		{"torus-4xa", "bad grid size"},
+		{"torus3d-4x4x1", "every grid dimension must be >= 2"},
+	} {
+		if _, err := Parse(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Parse(%q) error %v, want one containing %q", c.spec, err, c.want)
+		}
+	}
+}
+
 // FuzzParse feeds arbitrary specs to the parser. It must never panic or
 // hang, and every spec it accepts must build a topology within the
 // MaxNodes and MaxLinks caps. Seeds live in testdata/fuzz/FuzzParse.
