@@ -70,7 +70,9 @@ func Build(topo *topology.Topology, elems, chunks int) (*collective.Schedule, er
 			flows = append(flows, collective.Range{Off: h.Off + c.Off, Len: c.Len})
 		}
 	}
-	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems, Flows: flows}
+	// Sized exactly: each tree's n-1 edges carry every chunk up and down.
+	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems, Flows: flows,
+		Transfers: make([]collective.Transfer, 0, 4*(n-1)*chunks)}
 
 	for ti, tr := range []*tree{t1, t2} {
 		buildTreeSchedule(s, tr, ti, chunks)

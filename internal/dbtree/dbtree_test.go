@@ -161,3 +161,19 @@ func TestRejectsSingleNode(t *testing.T) {
 		t.Error("single node accepted")
 	}
 }
+
+// TestTransfersSizedExactly: Build reserves exactly the transfers it
+// emits, also when tiny gradients clamp the chunk count.
+func TestTransfersSizedExactly(t *testing.T) {
+	for _, c := range []struct{ nx, ny, elems, chunks int }{
+		{2, 2, 8, 0}, {3, 5, 501, 3}, {4, 4, 1 << 14, 0}, {4, 4, 1, 4},
+	} {
+		s, err := Build(topology.Mesh(c.nx, c.ny, cfg()), c.elems, c.chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Transfers) != cap(s.Transfers) {
+			t.Errorf("%+v: %d transfers in a %d-transfer reservation", c, len(s.Transfers), cap(s.Transfers))
+		}
+	}
+}

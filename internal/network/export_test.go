@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"multitree/internal/collective"
+	"multitree/internal/obs"
 )
 
 // Hooks for the external tests, which build schedules with the planners
@@ -16,3 +17,18 @@ func RunWithRegisterChecks(t *testing.T, s *collective.Schedule, cfg Config) boo
 
 // GateChecks reports how many step-gate tests the last Run of fs made.
 func GateChecks(fs *FluidSim) int { return fs.st.ls.gateChecks }
+
+// RunFluidTraced runs s once on a new FluidSim, recording its events.
+// fullFill sends every rate recompute through progressive filling. It
+// also reports how many recomputes the closed form served.
+func RunFluidTraced(s *collective.Schedule, cfg Config, fullFill bool) (*Result, []obs.Event, int, error) {
+	rec := &obs.Recorder{}
+	cfg.Tracer = rec
+	fs, err := NewFluidSim(s, cfg)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	fs.st.noIncremental = fullFill
+	res, err := fs.Run()
+	return res, rec.Events, fs.st.soloFills, err
+}

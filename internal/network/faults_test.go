@@ -237,3 +237,32 @@ func TestFaultPlanValidated(t *testing.T) {
 		t.Error("packet accepted a fault on an absent cable")
 	}
 }
+
+// TestSelfTransferStalls: a transfer routed from a node to itself has an
+// empty path and no link to carry it, so an unvalidated schedule holding
+// one stalls the fluid engine with the flow pinned at rate 0, however
+// idle the rest of the fabric is.
+func TestSelfTransferStalls(t *testing.T) {
+	s := collective.NewSchedule("unit", torus4x4(), 4096, 2)
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
+	s.Add(collective.Transfer{Src: 1, Dst: 1, Op: collective.Gather, Flow: 1, Step: 1})
+	const stalled = "network: fluid simulation stalled with 1/2 transfers done (unit on torus-4x4); t1 at rate 0"
+	for _, c := range []struct {
+		lockstep bool
+		want     string
+	}{
+		{true, stalled + "; node 1 stuck at step 1"},
+		{false, stalled},
+	} {
+		cfg := network.DefaultConfig()
+		cfg.Lockstep = c.lockstep
+		cfg.StepPriority = c.lockstep
+		_, err := network.SimulateFluid(s, cfg)
+		if err == nil {
+			t.Fatalf("lockstep=%v: a self-transfer was delivered", c.lockstep)
+		}
+		if err.Error() != c.want {
+			t.Errorf("lockstep=%v: stall error %q, want %q", c.lockstep, err, c.want)
+		}
+	}
+}

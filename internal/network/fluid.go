@@ -234,19 +234,22 @@ type fluidState struct {
 	// minStep[l] is the minimum lockstep step among them (valid only when
 	// cnt[l] > 0), kept exact by rescanning l's occupancy list when its
 	// minimum-step flow retires. They replace the per-recompute
-	// map[LinkID]int the step-priority filter used to rebuild.
+	// map[LinkID]int the step-priority filter used to rebuild. shared
+	// counts the links with cnt[l] >= 2.
 	cnt     []int32
 	minStep []int32
+	shared  int
 	occ     []occNode
 	occFree int32   // head of the occNode free list; -1 when empty
 	occHead []int32 // per link: head of its occupancy list; -1 when empty
 	flowOcc []int32 // per flow: head of its occupancy chain; -1 when none
 
-	// Flows activated/retired since the last rate assignment, consumed by
-	// tryRateReuse; both survive recomputes that see no active flows so
-	// the step-boundary drain/refill pattern can pair up across them.
-	pendingNew     []int32
-	pendingRetired []int32
+	// soloRate is the rate of a flow that has every link of its path to
+	// itself: the common link bandwidth when the fabric's links all have
+	// one bandwidth, no fault plan can move it and every transfer that
+	// carries bytes is routed over at least one link; 0 otherwise, which
+	// disables the closed form in recomputeRates.
+	soloRate float64
 
 	// Progressive-filling scratch, epoch-stamped instead of cleared:
 	// fillEpoch[l] == epoch marks remCap/fillCnt[l] as initialized for
@@ -259,15 +262,8 @@ type fluidState struct {
 	eligible  []int32
 	frozen    []bool
 
-	// Retiree-matching scratch for tryRateReuse, epoch-stamped like the
-	// fill scratch: matchStamp[l] == matchEpoch means matchFlow[l] is the
-	// pending retiree whose path starts at link l.
-	matchEpoch uint64
-	matchStamp []uint64
-	matchFlow  []int32
-
 	noIncremental bool // test knob: force full progressive filling
-	reuseHits     int  // fills skipped by tryRateReuse this run, for tests
+	soloFills     int  // recomputes served by the closed form this run, for tests
 }
 
 const fluidEps = 1e-6
@@ -298,20 +294,20 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 	st.fillEpoch = make([]uint64, nLinks)
 	st.remCap = make([]float64, nLinks)
 	st.fillCnt = make([]int32, nLinks)
-	st.matchStamp = make([]uint64, nLinks)
-	st.matchFlow = make([]int32, nLinks)
 	st.res = &Result{
 		TransferDone: make([]sim.Time, n),
 		LinkBusy:     make([]sim.Time, nLinks),
 	}
 
 	st.linkBW = make([]float64, nLinks)
-	maxWire, minBW := 0.0, math.Inf(1)
+	maxWire, minBW, maxBW := 0.0, math.Inf(1), 0.0
 	for i, l := range s.Topo.Links() {
 		st.linkBW[i] = l.Bandwidth
-		if l.Bandwidth < minBW {
-			minBW = l.Bandwidth
-		}
+		minBW = min(minBW, l.Bandwidth)
+		maxBW = max(maxBW, l.Bandwidth)
+	}
+	if flt == nil && minBW == maxBW {
+		st.soloRate = maxBW
 	}
 	for i := range s.Transfers {
 		t := &s.Transfers[i]
@@ -323,6 +319,9 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 		if f.wire > maxWire {
 			maxWire = f.wire
 		}
+		if len(f.path) == 0 && f.wire > fluidEps {
+			st.soloRate = 0 // a self-transfer has no link to fill: it stalls at rate 0
+		}
 		st.payloadTotal += s.Bytes(t)
 		st.wireTotal += int64(f.wire)
 	}
@@ -333,14 +332,14 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 }
 
 // reset restores the mutable state for a fresh deterministic run while
-// keeping every backing array at its high-water capacity. The fill and
-// match epochs deliberately survive: their stamp arrays hold stale epochs
-// that simply never match again.
+// keeping every backing array at its high-water capacity. The fill epoch
+// deliberately survives: its stamp array holds stale epochs that simply
+// never match again.
 func (st *fluidState) reset() {
 	st.now = 0
 	st.done = 0
 	st.ratesDirty = false
-	st.reuseHits = 0
+	st.soloFills = 0
 	st.readySeq = 0
 	st.passSeq = -1
 	st.readyUnsorted = false
@@ -359,14 +358,13 @@ func (st *fluidState) reset() {
 	st.ready = st.ready[:0]
 	st.still = st.still[:0]
 	st.events.reset()
-	st.pendingNew = st.pendingNew[:0]
-	st.pendingRetired = st.pendingRetired[:0]
 	st.occ = st.occ[:0]
 	st.occFree = -1
 	for i := range st.occHead {
 		st.occHead[i] = -1
 		st.cnt[i] = 0
 	}
+	st.shared = 0
 	for i := range st.flowOcc {
 		st.flowOcc[i] = -1
 	}
@@ -550,7 +548,6 @@ func (st *fluidState) activateReady() {
 		f.state = fsActive
 		st.active = append(st.active, id)
 		st.activateFlow(id)
-		st.pendingNew = append(st.pendingNew, id)
 		st.ratesDirty = true
 	}
 	st.passSeq = -1
@@ -570,7 +567,7 @@ func (st *fluidState) allocOcc() int32 {
 }
 
 // activateFlow registers flow id's path in the per-link occupancy lists
-// and updates the cnt/minStep registers in O(path length).
+// and updates the cnt/minStep/shared registers in O(path length).
 func (st *fluidState) activateFlow(id int32) {
 	f := &st.flows[id]
 	head := int32(-1)
@@ -587,6 +584,9 @@ func (st *fluidState) activateFlow(id int32) {
 			st.minStep[l] = f.step
 		}
 		st.cnt[l]++
+		if st.cnt[l] == 2 {
+			st.shared++
+		}
 		n.nextInFlow = head
 		head = ni
 	}
@@ -612,6 +612,9 @@ func (st *fluidState) retireFlow(id int32) {
 			st.occ[n.next].prev = n.prev
 		}
 		st.cnt[l]--
+		if st.cnt[l] == 1 {
+			st.shared--
+		}
 		if st.cnt[l] > 0 && f.step == st.minStep[l] {
 			m := int32(math.MaxInt32)
 			for j := st.occHead[l]; j >= 0; j = st.occ[j].next {
@@ -708,7 +711,6 @@ func (st *fluidState) processInjections(res *Result) {
 				}
 			}
 			st.retireFlow(id)
-			st.pendingRetired = append(st.pendingRetired, id)
 			st.injected(id)
 			st.ratesDirty = true
 		} else {
@@ -816,12 +818,24 @@ func (st *fluidState) describeStuck(sb *strings.Builder, id int) {
 // of a real router), a flow sharing any link with an earlier-step flow
 // waits at rate 0; the remaining flows share max-min fairly via
 // progressive filling. The step filter reads the incrementally maintained
-// minStep registers, and the fill itself is skipped entirely when
-// tryRateReuse proves the active set's link footprint unchanged since the
-// last fill — the common case between pipelined same-shape steps.
+// minStep registers.
+//
+// When no link carries two active flows — the common case, since the
+// paper's Algorithm 1 gives each link to at most one tree per step — the
+// answer is closed-form: no flow can be step-blocked (each link's minimum
+// step is its one flow's own), and the fill ends in one round at
+// 0 + bw/1 = bw for every flow, so each gets soloRate, bit for bit what
+// progressive filling would assign.
 func (st *fluidState) recomputeRates() {
 	st.ratesDirty = false
 	if len(st.active) == 0 {
+		return
+	}
+	if st.shared == 0 && st.soloRate > 0 && !st.noIncremental {
+		for _, id := range st.active {
+			st.flows[id].rate = st.soloRate
+		}
+		st.soloFills++
 		return
 	}
 	eligible := st.eligible[:0]
@@ -845,86 +859,7 @@ func (st *fluidState) recomputeRates() {
 		eligible = append(eligible, st.active...)
 	}
 	st.eligible = eligible
-	if !st.noIncremental && st.tryRateReuse() {
-		return
-	}
 	st.progressiveFill(eligible)
-	st.pendingNew = st.pendingNew[:0]
-	st.pendingRetired = st.pendingRetired[:0]
-}
-
-// tryRateReuse detects the steady-state drain/refill pattern where the
-// active set's link footprint is unchanged since the last progressive
-// fill: every flow retired since then is replaced by a newly activated
-// flow with an element-wise identical path, and each such path's links
-// carry exactly one active flow (the replacement itself). Under those
-// conditions — and with no fault plan that could have moved link
-// capacities between fills — a from-scratch fill would see bit-identical
-// link capacities, per-link flow counts and freeze rounds, so every
-// replacement's rate equals its retired partner's stored rate and every
-// survivor keeps its current rate. The exclusivity requirement also
-// pins the step-priority classification: any activation or retirement
-// that could flip a survivor between blocked and eligible would put two
-// flows on a shared link and fail the cnt==1 check.
-func (st *fluidState) tryRateReuse() bool {
-	if st.flt != nil {
-		return false // fault timeline can move link capacities between fills
-	}
-	if len(st.pendingNew) == 0 || len(st.pendingNew) != len(st.pendingRetired) {
-		return false
-	}
-	st.matchEpoch++
-	me := st.matchEpoch
-	// Index the retirees by their first link; rate-carrying flows always
-	// have non-empty paths. A collision means two retirees shared a head
-	// link, which the exclusivity check below could not tell apart.
-	for _, id := range st.pendingRetired {
-		f := &st.flows[id]
-		if len(f.path) == 0 {
-			return false
-		}
-		l := f.path[0]
-		if st.matchStamp[l] == me {
-			return false
-		}
-		st.matchStamp[l] = me
-		st.matchFlow[l] = id
-	}
-	for _, id := range st.pendingNew {
-		nf := &st.flows[id]
-		if len(nf.path) == 0 {
-			return false
-		}
-		for _, l := range nf.path {
-			if st.cnt[l] != 1 {
-				return false
-			}
-		}
-		l0 := nf.path[0]
-		if st.matchStamp[l0] != me {
-			return false
-		}
-		rf := &st.flows[st.matchFlow[l0]]
-		if len(rf.path) != len(nf.path) {
-			return false
-		}
-		for k := range nf.path {
-			if rf.path[k] != nf.path[k] {
-				return false
-			}
-		}
-	}
-	// The pairing is verified: head links are distinct across the new
-	// flows (two sharing one would break cnt==1), so with equal counts
-	// every retiree is matched exactly once. Copy the rates over.
-	for _, id := range st.pendingNew {
-		nf := &st.flows[id]
-		nf.rate = st.flows[st.matchFlow[nf.path[0]]].rate
-	}
-	st.pendingNew = st.pendingNew[:0]
-	st.pendingRetired = st.pendingRetired[:0]
-	st.reuseHits++
-	return true
 }
 
 // progressiveFill runs max-min progressive filling over the eligible
@@ -969,7 +904,7 @@ func (st *fluidState) progressiveFill(eligible []int32) {
 			}
 		}
 		if math.IsInf(delta, 1) {
-			break // active flows with no links cannot happen (wire > 0 paths are non-empty)
+			break // only flows with no links remain: self-transfers, which stay at rate 0
 		}
 		fill += delta
 		for _, l := range touched {

@@ -5,33 +5,14 @@ package network
 // black-box suites only exercise indirectly through completion times.
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"multitree/internal/collective"
-	"multitree/internal/dbtree"
 	"multitree/internal/faults"
-	"multitree/internal/obs"
-	"multitree/internal/ring"
-	"multitree/internal/ring2d"
 	"multitree/internal/topology"
 )
-
-// buildRegistry constructs a named algorithm's schedule without pulling
-// the registry package into the engine's test build.
-func buildRegistry(topo *topology.Topology, alg string, elems int) (*collective.Schedule, error) {
-	switch alg {
-	case "ring":
-		return ring.Build(topo, elems), nil
-	case "dbtree":
-		return dbtree.Build(topo, elems, 4)
-	case "2d-ring":
-		return ring2d.Build(topo, elems)
-	}
-	return nil, fmt.Errorf("unknown algorithm %q", alg)
-}
 
 func fluidTorus() *topology.Topology {
 	return topology.Torus(4, 4, topology.DefaultLinkConfig())
@@ -150,9 +131,10 @@ func TestFluidStepPriorityRateZero(t *testing.T) {
 	}
 }
 
-// checkFluidRegisters recomputes the per-link occupancy counts and
-// min-step registers from scratch over the active set and compares them
-// to the incrementally maintained cnt/minStep arrays, then walks every
+// checkFluidRegisters recomputes the per-link occupancy counts, min-step
+// registers and shared-link count from scratch over the active set and
+// compares them to the incrementally maintained cnt/minStep/shared
+// registers, then walks every
 // link's occupancy list to confirm it is coherent (doubly linked, one
 // node per path occurrence). checkParked checks the lockstep release
 // index the same way.
@@ -174,7 +156,11 @@ func checkFluidRegisters(t *testing.T, st *fluidState) {
 			}
 		}
 	}
+	wantShared := 0
 	for l := 0; l < nLinks; l++ {
+		if wantCnt[l] >= 2 {
+			wantShared++
+		}
 		if st.cnt[l] != wantCnt[l] {
 			t.Fatalf("t=%v link %d: incremental cnt=%d, from-scratch=%d",
 				st.now, l, st.cnt[l], wantCnt[l])
@@ -202,6 +188,24 @@ func checkFluidRegisters(t *testing.T, st *fluidState) {
 		}
 		if n != st.cnt[l] {
 			t.Fatalf("t=%v link %d: occupancy list has %d nodes, cnt=%d", st.now, l, n, st.cnt[l])
+		}
+	}
+	if st.shared != wantShared {
+		t.Fatalf("t=%v: incremental shared=%d, from-scratch=%d", st.now, st.shared, wantShared)
+	}
+}
+
+// checkSoloRates: once rates are assigned with no link shared, on a
+// fabric where the closed form applies, every active flow runs at the
+// full link rate.
+func checkSoloRates(t *testing.T, st *fluidState) {
+	t.Helper()
+	if st.shared != 0 || st.soloRate == 0 || st.ratesDirty {
+		return
+	}
+	for _, id := range st.active {
+		if r := st.flows[id].rate; r != st.soloRate {
+			t.Fatalf("t=%v: flow %d alone on its links at rate %v, want %v", st.now, id, r, st.soloRate)
 		}
 	}
 }
@@ -250,8 +254,8 @@ func checkParked(t *testing.T, st *fluidState) {
 }
 
 // runWithRegisterChecks replays the engine's event loop step by step,
-// validating the incremental registers against a from-scratch recompute
-// after every event batch. Returns true if the run stalled (expected for
+// validating the incremental registers against a from-scratch recompute,
+// and the closed-form rates, after every event batch. Returns true if the run stalled (expected for
 // dead-link fault plans).
 func runWithRegisterChecks(t *testing.T, s *collective.Schedule, cfg Config) bool {
 	t.Helper()
@@ -261,6 +265,7 @@ func runWithRegisterChecks(t *testing.T, s *collective.Schedule, cfg Config) boo
 	}
 	st := newFluidState(s, cfg, flt)
 	checkFluidRegisters(t, st)
+	checkSoloRates(t, st)
 	for st.done < len(st.flows) {
 		tNext := st.nextEventTime()
 		if math.IsInf(tNext, 1) {
@@ -275,62 +280,9 @@ func runWithRegisterChecks(t *testing.T, s *collective.Schedule, cfg Config) boo
 			st.recomputeRates()
 		}
 		checkFluidRegisters(t, st)
+		checkSoloRates(t, st)
 	}
 	return false
-}
-
-// TestFluidRateReuseMatchesFullFill pins the incremental fast path's
-// correctness the strong way: the same schedule simulated with
-// tryRateReuse enabled and disabled must produce byte-identical traced
-// event streams and Results. The enabled run must actually exercise the
-// fast path, or the comparison proves nothing.
-func TestFluidRateReuseMatchesFullFill(t *testing.T) {
-	topo := fluidTorus()
-	for _, alg := range []string{"ring", "2d-ring", "dbtree"} {
-		s, err := buildRegistry(topo, alg, (256<<10)/4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, lockstep := range []bool{true, false} {
-			name := alg + "/lockstep"
-			if !lockstep {
-				name = alg + "/freeRunning"
-			}
-			t.Run(name, func(t *testing.T) {
-				run := func(noIncremental bool) (*Result, []obs.Event, int) {
-					rec := &obs.Recorder{}
-					cfg := DefaultConfig()
-					cfg.Lockstep = lockstep
-					cfg.StepPriority = lockstep
-					cfg.Tracer = rec
-					fs, err := NewFluidSim(s, cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fs.st.noIncremental = noIncremental
-					res, err := fs.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res, rec.Events, fs.st.reuseHits
-				}
-				full, fullEvents, _ := run(true)
-				fast, fastEvents, hits := run(false)
-				if alg != "dbtree" && hits == 0 {
-					t.Errorf("tryRateReuse never fired on %s; the fast-path comparison is vacuous", alg)
-				}
-				if full.Cycles != fast.Cycles {
-					t.Fatalf("cycles diverge: full fill %d, rate reuse %d", full.Cycles, fast.Cycles)
-				}
-				if !reflect.DeepEqual(full, fast) {
-					t.Fatal("Results diverge between full fill and rate reuse")
-				}
-				if !reflect.DeepEqual(fullEvents, fastEvents) {
-					t.Fatalf("event streams diverge (%d vs %d events)", len(fullEvents), len(fastEvents))
-				}
-			})
-		}
-	}
 }
 
 // TestFluidEngineSteadyStateAllocs: after the first run has grown every

@@ -31,16 +31,19 @@ func Build(topo *topology.Topology, elems int) *collective.Schedule {
 	// Sized exactly: 2(n-1) steps of n hops.
 	s.Transfers = make([]collective.Transfer, 0, 2*(n-1)*n)
 	// last[c] is the most recent transfer of chunk c, the dependency of
-	// the chunk's next hop.
+	// the chunk's next hop. Every hop but a chunk's first has that one
+	// dependency; the one-element Deps slices are cut from one array.
 	last := make([]collective.TransferID, n)
 	for c := range last {
 		last[c] = -1
 	}
+	pool := make([]collective.TransferID, 0, cap(s.Transfers)-n)
 	addHop := func(c, srcPos, step int, op collective.Op) {
 		dstPos := (srcPos + 1) % n
 		var deps []collective.TransferID
 		if last[c] >= 0 {
-			deps = []collective.TransferID{last[c]}
+			pool = append(pool, last[c])
+			deps = pool[len(pool)-1 : len(pool) : len(pool)]
 		}
 		last[c] = s.Add(collective.Transfer{
 			Src: order[srcPos], Dst: order[dstPos],

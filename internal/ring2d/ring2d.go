@@ -36,7 +36,13 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 	if nx == 0 || ny == 0 {
 		return nil, fmt.Errorf("ring2d: %s is not a grid topology", topo.Name())
 	}
-	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems}
+	// Sized exactly: each quarter runs a 2(n-1)-step ring of n hops along
+	// every line of both dimensions, 2·nx·ny·(nx+ny-2) transfers. All but
+	// each chunk's first hop in a line have one dependency, cut from pool.
+	total := 8 * nx * ny * (nx + ny - 2)
+	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems,
+		Transfers: make([]collective.Transfer, 0, total)}
+	pool := make([]collective.TransferID, 0, total)
 	quarters := collective.Partition(elems, 4)
 
 	node := func(x, y int) topology.NodeID { return topology.NodeID(y*nx + x) }
@@ -62,8 +68,8 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 		}
 		backward := q%2 == 1
 		phase1Steps := 2 * (len(first[0]) - 1)
-		recv := ringPhase(s, first, qr, backward, 0, nil)
-		ringPhase(s, second, qr, backward, phase1Steps, recv)
+		recv := ringPhase(s, &pool, first, qr, backward, 0, nil)
+		ringPhase(s, &pool, second, qr, backward, phase1Steps, recv)
 	}
 	return s, nil
 }
@@ -71,9 +77,9 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 // ringPhase runs one ring all-reduce of segment qr along every line in
 // lines, starting at stepBase. backward reverses ring direction. inDeps,
 // when non-nil, gates each node's first send on the transfers it received
-// in the previous phase. It returns the transfers received per node, for
-// chaining the next phase.
-func ringPhase(s *collective.Schedule, lines [][]topology.NodeID, qr collective.Range,
+// in the previous phase. One-element Deps slices are cut from *pool. It
+// returns the transfers received per node, for chaining the next phase.
+func ringPhase(s *collective.Schedule, pool *[]collective.TransferID, lines [][]topology.NodeID, qr collective.Range,
 	backward bool, stepBase int, inDeps map[topology.NodeID][]collective.TransferID,
 ) map[topology.NodeID][]collective.TransferID {
 	n := len(lines[0])
@@ -108,7 +114,9 @@ func ringPhase(s *collective.Schedule, lines [][]topology.NodeID, qr collective.
 		src, dst := lines[line][srcPos], lines[line][dstPos]
 		var deps []collective.TransferID
 		if prev := last[line][c]; prev >= 0 {
-			deps = []collective.TransferID{prev}
+			p := append(*pool, prev)
+			deps = p[len(p)-1 : len(p) : len(p)]
+			*pool = p
 		} else if inDeps != nil {
 			deps = append(deps, inDeps[src]...)
 		}

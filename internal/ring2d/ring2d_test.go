@@ -118,3 +118,25 @@ func TestCorrectnessProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTransfersSizedExactly: Build reserves exactly the transfers it
+// emits, and no one-element Deps slice has spare capacity an append
+// could write into a neighbour's dependency.
+func TestTransfersSizedExactly(t *testing.T) {
+	for _, topo := range []*topology.Topology{
+		topology.Mesh(2, 2, cfg()), topology.Mesh(3, 5, cfg()), topology.Torus(4, 4, cfg()), topology.Torus(8, 2, cfg()),
+	} {
+		s, err := ring2d.Build(topo, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(s.Transfers) != cap(s.Transfers) {
+			t.Errorf("%s: %d transfers in a %d-transfer reservation", topo.Name(), len(s.Transfers), cap(s.Transfers))
+		}
+		for i, tr := range s.Transfers {
+			if len(tr.Deps) == 1 && cap(tr.Deps) != 1 {
+				t.Fatalf("%s: t%d's one-element Deps has capacity %d", topo.Name(), i, cap(tr.Deps))
+			}
+		}
+	}
+}
