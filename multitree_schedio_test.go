@@ -45,6 +45,36 @@ func TestPublicExportImport(t *testing.T) {
 	}
 }
 
+// TestVerifyChecksImportedSchedule: Verify executes the imported schedule
+// itself at every size. A file whose first all-gather transfer was edited
+// into a reduce still passes strict import validation (the DAG, routes
+// and coverage are intact) but no longer leaves every node with the sum.
+func TestVerifyChecksImportedSchedule(t *testing.T) {
+	topo := NewTorus(4, 4)
+	for _, size := range []int64{8 << 10, 64 << 10} {
+		s, err := BuildSchedule(topo, MultiTree, size, PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.Export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		const gather = `"op": "gather"`
+		if !bytes.Contains(buf.Bytes(), []byte(gather)) {
+			t.Fatalf("%d B: export has no %s transfer", size, gather)
+		}
+		tampered := bytes.Replace(buf.Bytes(), []byte(gather), []byte(`"op": "reduce"`), 1)
+		imp, err := ImportSchedule(bytes.NewReader(tampered))
+		if err != nil {
+			t.Fatalf("%d B: tampered schedule rejected at import: %v", size, err)
+		}
+		if err := imp.Verify(); err == nil {
+			t.Errorf("%d B: Verify accepted a schedule whose all-gather reduces", size)
+		}
+	}
+}
+
 // TestPublicImportRejectsGarbage: non-IR input fails with an error, not a
 // panic or a half-built schedule.
 func TestPublicImportRejectsGarbage(t *testing.T) {
