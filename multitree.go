@@ -1,6 +1,8 @@
 package multitree
 
 import (
+	"slices"
+
 	"multitree/internal/algorithms"
 	_ "multitree/internal/algorithms/all" // register the built-in algorithms
 	"multitree/internal/collective"
@@ -174,48 +176,41 @@ func (s *Schedule) BandwidthOverhead() float64 {
 
 // Verify executes the schedule on synthetic vectors and checks the
 // semantics of the collective it was built as: for an all-reduce, every
-// node ends with the global sum.
+// node ends with the global sum. Verification is semantic, not
+// size-dependent, so it runs on narrow(s), which stays cheap on
+// multi-GiB schedules.
 func (s *Schedule) Verify() error {
+	n := narrow(s.s)
 	if s.verify != nil {
-		return s.verify(onePerFlow(s.s))
+		return s.verify(n)
 	}
-	elems := s.s.Elems
-	if elems > 4096 {
-		// Verification is semantic, not size-dependent; cap the vector so
-		// Verify stays cheap on multi-GiB schedules. Imported schedules may
-		// not be rebuildable (unknown algorithm name); those verify at full
-		// size below.
-		if small, err := rebuild(s.s, 4096); err == nil {
-			return collective.VerifyAllReduce(small, collective.RampInputs(small.Topo.Nodes(), small.Elems))
-		}
-	}
-	return collective.VerifyAllReduce(s.s, collective.RampInputs(s.s.Topo.Nodes(), elems))
+	return collective.VerifyAllReduce(n, collective.RampInputs(n.Topo.Nodes(), n.Elems))
 }
 
-// onePerFlow returns s with every flow narrowed to one element: the same
-// transfers, dependencies and paths, so executing it checks the built
-// schedule itself at a fraction of the data. Every builder that sets
-// Schedule.verify partitions its flows into disjoint segments, which is
-// what makes one element per flow faithful.
-func onePerFlow(s *collective.Schedule) *collective.Schedule {
+// narrow returns s with one element per elementary segment: the flow
+// range boundaries cut [0, Elems) into segments that every flow either
+// covers whole or misses, so each segment behaves exactly like one
+// element. The transfers, dependencies and paths are s's own, so
+// executing the result checks the schedule itself at a fraction of the
+// data. Flows that partition the vector narrow to one element each.
+func narrow(s *collective.Schedule) *collective.Schedule {
+	cuts := make([]int, 0, 2*len(s.Flows)+2)
+	cuts = append(cuts, 0, s.Elems)
+	for _, r := range s.Flows {
+		cuts = append(cuts, r.Off, r.End())
+	}
+	slices.Sort(cuts)
+	cuts = slices.Compact(cuts)
 	flows := make([]collective.Range, len(s.Flows))
-	for f := range flows {
-		flows[f] = collective.Range{Off: f, Len: 1}
+	for f, r := range s.Flows {
+		off, _ := slices.BinarySearch(cuts, r.Off)
+		end, _ := slices.BinarySearch(cuts, r.End())
+		flows[f] = collective.Range{Off: off, Len: end - off}
 	}
 	return &collective.Schedule{
-		Algorithm: s.Algorithm, Topo: s.Topo, Elems: len(flows),
+		Algorithm: s.Algorithm, Topo: s.Topo, Elems: len(cuts) - 1,
 		Flows: flows, Transfers: s.Transfers, Steps: s.Steps,
 	}
-}
-
-// rebuild reconstructs the same algorithm's schedule at a smaller size.
-func rebuild(s *collective.Schedule, elems int) (*collective.Schedule, error) {
-	t := &Topology{t: s.Topo}
-	ns, err := BuildSchedule(t, Algorithm(s.Algorithm), int64(elems)*collective.WordSize, PlanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return ns.s, nil
 }
 
 // SimOptions selects the simulation configuration.
@@ -255,7 +250,6 @@ func (o SimOptions) internal() network.Config {
 	}
 	if o.DisableLockstep {
 		cfg.Lockstep = false
-		cfg.StepPriority = false
 	}
 	cfg.Tracer = o.Tracer
 	if o.Metrics != nil {
