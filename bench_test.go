@@ -206,7 +206,6 @@ func BenchmarkAblation_Lockstep(b *testing.B) {
 			b.ReportAllocs()
 			cfg := network.DefaultConfig()
 			cfg.Lockstep = lockstep
-			cfg.StepPriority = lockstep
 			var res *network.Result
 			for i := 0; i < b.N; i++ {
 				res, err = network.SimulateFluid(s, cfg)
@@ -769,7 +768,7 @@ func BenchmarkPlanCacheWarmLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	key := plancache.Key(topo, core.Algorithm, elems, 0)
+	key := plancache.Key(topo, core.Algorithm, elems)
 	if _, err := cache.Put(key, s); err != nil {
 		b.Fatal(err)
 	}
@@ -811,7 +810,7 @@ func BenchmarkWarmLoadMesh32x32Parallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	key := plancache.Key(topo, core.Algorithm, elems, 0)
+	key := plancache.Key(topo, core.Algorithm, elems)
 	if _, err := cache.Put(key, s); err != nil {
 		b.Fatal(err)
 	}
@@ -847,7 +846,7 @@ func BenchmarkMemCacheHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := plancache.NewMemCache(s.MemBytes() * 2)
-	key := plancache.Key(topo, core.Algorithm, elems, 0)
+	key := plancache.Key(topo, core.Algorithm, elems)
 	m.Put(key, s)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -43,17 +43,15 @@ type Config struct {
 
 	// Lockstep enables the NI lockstep injection regulation of §IV-A: each
 	// node issues its schedule-table entries in time-step order, stalling
-	// NOP gaps for the estimated step time. The paper applies this
+	// NOP gaps for the estimated step time. In the fluid engine it also
+	// makes links serve the earliest-step flow first, modeling the router
+	// arbitration the co-design relies on to keep the lockstep schedule
+	// intact ("fine-grained control to schedule link communication earlier
+	// for the critical tree", §VIII-A): without it, flows of adjacent time
+	// steps that briefly overlap on a link would share max-min fairly,
+	// which real FIFO arbiters do not do. The paper applies this
 	// scheduling to all baselines for fair comparison, so it defaults on.
 	Lockstep bool
-
-	// StepPriority makes links serve the earliest-step flow first in the
-	// fluid engine, modeling the router arbitration the co-design relies
-	// on to keep the lockstep schedule intact ("fine-grained control to
-	// schedule link communication earlier for the critical tree", §VIII-A).
-	// Without it, flows of adjacent time steps that briefly overlap on a
-	// link would share max-min fairly, which real FIFO arbiters do not do.
-	StepPriority bool
 
 	// VCs and VCDepthFlits size the per-link input buffering used by the
 	// packet engine for backpressure (4 VCs x 318 flits in Table III).
@@ -86,7 +84,6 @@ func DefaultConfig() Config {
 		PayloadBytes: 256,
 		MessageBased: false,
 		Lockstep:     true,
-		StepPriority: true,
 		VCs:          4,
 		VCDepthFlits: 318,
 	}

@@ -51,7 +51,6 @@ func TestLockstepNOPStall(t *testing.T) {
 
 	// Without lockstep the transfer starts immediately.
 	cfg.Lockstep = false
-	cfg.StepPriority = false
 	fast, err := network.SimulateFluid(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -61,30 +60,27 @@ func TestLockstepNOPStall(t *testing.T) {
 	}
 }
 
-// TestStepPriorityOrdersLink: when a step-1 and a step-2 flow share a
-// link, the step-1 flow finishes at full rate first (serialized), not
-// fair-shared.
+// TestStepPriorityOrdersLink: under lockstep, when a step-1 flow joins a
+// link already carrying a step-2 flow, the step-1 flow runs at full rate
+// (as if alone) and the step-2 flow finishes after it, not fair-shared.
 func TestStepPriorityOrdersLink(t *testing.T) {
-	topo := lineTopo(t)
-	s := collective.NewSchedule("unit", topo, 8192, 2)
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
-	// Same link, later step, no dependency: only step priority orders it.
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 2})
+	s := network.StepPrioritySchedule(t)
 	cfg := network.DefaultConfig()
-	cfg.Lockstep = false // isolate the arbitration effect
-	cfg.StepPriority = true
 	res, err := network.SimulateFluid(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := cfg.WireBytes(s.Flows[0].Bytes())
-	firstDone := res.TransferDone[0]
-	wantFirst := sim.Time(wire/16) + 150
-	if firstDone > wantFirst+2 {
-		t.Errorf("step-1 flow done at %d, want ~%d (full rate under priority)", firstDone, wantFirst)
+	wire := cfg.WireBytes(s.Flows[1].Bytes())
+	// Transfer 2 is on the link before transfer 1 becomes ready.
+	if entry := sim.Time(wire / 16); res.TransferDone[0] <= entry {
+		t.Fatalf("transfer 0 delivered at %d, before node 1 enters step 2 at %d", res.TransferDone[0], entry)
 	}
-	if res.TransferDone[1] <= firstDone {
-		t.Errorf("step-2 flow finished before step-1")
+	want := res.TransferDone[0] + sim.Time(wire/16) + 300 // two hops
+	if got := res.TransferDone[1]; got > want+2 {
+		t.Errorf("step-1 flow done at %d, want ~%d (full rate under priority)", got, want)
+	}
+	if res.TransferDone[2] <= res.TransferDone[1] {
+		t.Errorf("step-2 flow done at %d, before the step-1 flow at %d", res.TransferDone[2], res.TransferDone[1])
 	}
 }
 

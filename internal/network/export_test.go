@@ -15,6 +15,9 @@ func RunWithRegisterChecks(t *testing.T, s *collective.Schedule, cfg Config) boo
 	return runWithRegisterChecks(t, s, cfg)
 }
 
+// StepPrioritySchedule is stepPrioritySchedule for the external tests.
+func StepPrioritySchedule(t *testing.T) *collective.Schedule { return stepPrioritySchedule(t) }
+
 // GateChecks reports how many step-gate tests the last Run of fs made.
 func GateChecks(fs *FluidSim) int { return fs.st.ls.gateChecks }
 

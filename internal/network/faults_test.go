@@ -256,7 +256,6 @@ func TestSelfTransferStalls(t *testing.T) {
 	} {
 		cfg := network.DefaultConfig()
 		cfg.Lockstep = c.lockstep
-		cfg.StepPriority = c.lockstep
 		_, err := network.SimulateFluid(s, cfg)
 		if err == nil {
 			t.Fatalf("lockstep=%v: a self-transfer was delivered", c.lockstep)

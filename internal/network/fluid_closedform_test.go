@@ -79,7 +79,6 @@ func TestFluidClosedFormMatchesFullFill(t *testing.T) {
 						cfg = network.MessageConfig()
 					}
 					cfg.Lockstep = lockstep
-					cfg.StepPriority = lockstep
 					solo, err := diffFullFill(t, s, cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -103,10 +102,11 @@ var fuzzFabrics = []string{
 
 // FuzzFluidRates: on a fuzzer-chosen small fabric (optionally with one
 // link at half bandwidth), registry algorithm, gradient size and
-// Lockstep/StepPriority/MessageBased flags, the closed form must agree
+// Lockstep/MessageBased flags, the closed form must agree
 // with progressive filling byte for byte; a run that fails (a schedule
 // the engine stalls on) must fail the same way on both sides. Input bytes: fabric, degraded
-// link (0 for none, else link index+1), algorithm, flags, then a
+// link (0 for none, else link index+1), algorithm, flags (bit 0
+// Lockstep, bit 2 MessageBased; bit 1 is unused), then a
 // little-endian uint16 element count. Seeds live in
 // testdata/fuzz/FuzzFluidRates.
 func FuzzFluidRates(f *testing.F) {
@@ -136,7 +136,6 @@ func FuzzFluidRates(f *testing.F) {
 		}
 		cfg := network.DefaultConfig()
 		cfg.Lockstep = flags&1 != 0
-		cfg.StepPriority = flags&2 != 0
 		cfg.MessageBased = flags&4 != 0
 		diffFullFill(t, s, cfg) // a matching error is accepted here
 	})

@@ -97,32 +97,65 @@ func TestFluidClockLayout(t *testing.T) {
 	}
 }
 
-// TestFluidStepPriorityRateZero: with step-priority arbitration, a flow
-// sharing a link with an earlier-step flow is held at rate 0; without it,
-// the two flows share max-min fairly.
-func TestFluidStepPriorityRateZero(t *testing.T) {
-	topo := fluidTorus()
-	build := func() *collective.Schedule {
-		s := collective.NewSchedule("unit", topo, 4096, 2)
-		s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
-		s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 2})
-		return s
+// stepPrioritySchedule builds the arbitration case on a 0-1-2 line:
+// node 2 sends to node 0 (transfer 0, step 1); node 0's step-1 send to
+// node 2 (transfer 1) waits for that delivery; node 1 has nothing at
+// step 1, so after one NOP gap it enters step 2 and starts its send to
+// node 2 (transfer 2) before transfer 1 is ready. Transfers 1 and 2 then
+// share link 1->2.
+func stepPrioritySchedule(t *testing.T) *collective.Schedule {
+	t.Helper()
+	c := topology.NewCustom("line3", 3, 0)
+	lc := topology.DefaultLinkConfig()
+	c.Link(0, 1, lc).Link(1, 2, lc)
+	topo, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	bw := topo.Link(0).Bandwidth
+	s := collective.NewSchedule("unit", topo, 3*4096, 3)
+	s.Add(collective.Transfer{Src: 2, Dst: 0, Op: collective.Gather, Flow: 0, Step: 1})
+	s.Add(collective.Transfer{Src: 0, Dst: 2, Op: collective.Gather, Flow: 1, Step: 1, Deps: []collective.TransferID{0}})
+	s.Add(collective.Transfer{Src: 1, Dst: 2, Op: collective.Gather, Flow: 2, Step: 2})
+	return s
+}
 
-	cfg := DefaultConfig()
-	cfg.Lockstep = false // both flows activate immediately
-	cfg.StepPriority = true
-	st := newFluidState(build(), cfg, nil)
-	if got := st.flows[0].rate; got != bw {
+// TestFluidStepPriorityRateZero: under lockstep, a flow sharing a link
+// with an earlier-step flow is held at rate 0 while the earlier flow runs
+// at full link rate; without lockstep, two flows on one link share
+// max-min fairly.
+func TestFluidStepPriorityRateZero(t *testing.T) {
+	s := stepPrioritySchedule(t)
+	bw := s.Topo.Link(0).Bandwidth
+	st := newFluidState(s, DefaultConfig(), nil)
+	for st.flows[1].state != fsActive {
+		tNext := st.nextEventTime()
+		if math.IsInf(tNext, 1) {
+			t.Fatal("step-1 flow never activated")
+		}
+		st.advanceTo(tNext)
+		st.processInjections(st.res)
+		st.processTimed(st.res)
+		st.activateReady()
+		if st.ratesDirty {
+			st.recomputeRates()
+		}
+	}
+	if st.flows[2].state != fsActive {
+		t.Fatalf("step-2 flow state = %d when the step-1 flow activated, want active", st.flows[2].state)
+	}
+	if got := st.flows[1].rate; got != bw {
 		t.Errorf("step-1 flow rate = %v, want full link rate %v", got, bw)
 	}
-	if got := st.flows[1].rate; got != 0 {
+	if got := st.flows[2].rate; got != 0 {
 		t.Errorf("step-2 flow rate = %v, want 0 (blocked by step priority)", got)
 	}
 
-	cfg.StepPriority = false
-	st = newFluidState(build(), cfg, nil)
+	fair := collective.NewSchedule("unit", fluidTorus(), 4096, 2)
+	fair.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
+	fair.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 2})
+	cfg := DefaultConfig()
+	cfg.Lockstep = false // both flows activate immediately
+	st = newFluidState(fair, cfg, nil)
 	if got := st.flows[0].rate; got != bw/2 {
 		t.Errorf("fair-share step-1 flow rate = %v, want %v", got, bw/2)
 	}

@@ -5,12 +5,15 @@ import (
 	"math"
 	"testing"
 
+	"multitree/internal/algorithms"
+	_ "multitree/internal/algorithms/all"
 	"multitree/internal/collective"
 	"multitree/internal/core"
 	"multitree/internal/dbtree"
 	"multitree/internal/network"
 	"multitree/internal/ring"
 	"multitree/internal/topology"
+	"multitree/internal/topospec"
 )
 
 func torus4x4() *topology.Topology {
@@ -97,6 +100,64 @@ func TestEnginesAgree(t *testing.T) {
 						t.Errorf("fluid %.0f vs packet %.0f cycles: %.1f%% apart", f, p, 100*rel)
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestEnginesExact tightens TestEnginesAgree where the engines coincide:
+// on contention-free schedules of the paper's fabrics both engines charge
+// the same serialization and latency, so completion time and every
+// transfer's delivery time must be equal, not just within 15%.
+func TestEnginesExact(t *testing.T) {
+	type fabric struct {
+		spec  string
+		algs  []string
+		sizes []int64
+	}
+	sizes := []int64{1 << 10, 4 << 10, 64 << 10, 256 << 10}
+	var cases []fabric
+	for _, spec := range []string{"torus-4x4", "torus-8x8"} {
+		cases = append(cases, fabric{spec, []string{"ring", "2d-ring", "multitree"}, sizes})
+	}
+	for _, spec := range []string{"mesh-4x4", "mesh-8x8"} {
+		cases = append(cases, fabric{spec, []string{"multitree"}, sizes})
+	}
+	for _, spec := range []string{"torus-4x4", "torus-8x8", "mesh-4x4", "mesh-8x8"} {
+		cases = append(cases, fabric{spec, []string{"hdrm"}, sizes[:1]})
+	}
+	for _, c := range cases {
+		topo, err := topospec.Parse(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, alg := range c.algs {
+			for _, size := range c.sizes {
+				s, err := algorithms.Build(topo, alg, int(size/collective.WordSize), algorithms.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, cfg := range []network.Config{network.DefaultConfig(), network.MessageConfig()} {
+					t.Run(fmt.Sprintf("%s/%s/%dKiB/msg=%v", c.spec, alg, size>>10, cfg.MessageBased), func(t *testing.T) {
+						fres, err := network.SimulateFluid(s, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pres, err := network.SimulatePackets(s, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if fres.Cycles != pres.Cycles {
+							t.Errorf("fluid %d vs packet %d cycles", fres.Cycles, pres.Cycles)
+						}
+						for i := range fres.TransferDone {
+							if fres.TransferDone[i] != pres.TransferDone[i] {
+								t.Fatalf("transfer %d delivered at %d (fluid) vs %d (packet)",
+									i, fres.TransferDone[i], pres.TransferDone[i])
+							}
+						}
+					})
+				}
 			}
 		}
 	}
