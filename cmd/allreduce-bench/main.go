@@ -14,11 +14,10 @@
 //	allreduce-bench -table1            # measured Table I
 //	allreduce-bench -fig 9a -max 64MiB # full-size sweep (slower)
 //	allreduce-bench -fig 9a -engine fluid
-//	allreduce-bench -fig 9a -workers 1 # sequential sweep (default GOMAXPROCS)
 //
-// Fig. 9 sweeps run on a GOMAXPROCS-wide worker pool by default
-// (simulations of different points are independent); -workers 1 restores
-// the sequential path. In -json mode every point carries wall_ns, the
+// Fig. 9 sweeps run on a GOMAXPROCS-wide worker pool (simulations of
+// different points are independent); GOMAXPROCS=1 runs them one after
+// another. In -json mode every point carries wall_ns, the
 // host wall-clock nanoseconds spent building and simulating that point,
 // so sweep runs double as simulator-throughput measurements.
 //
@@ -41,14 +40,14 @@
 // live planner progress with an ETA on stderr, auto-detecting terminals
 // so CI logs get plain line-buffered output.
 //
-// Planning large fabrics: -plan-workers N runs MultiTree's lowering and
-// the binary-IR section decode on N goroutines (the schedule is
-// byte-identical for every count), and -plan-cache DIR keeps built
-// schedules in a content-addressed on-disk cache, so repeat runs load a
-// validated plan in milliseconds instead of re-planning for minutes:
+// Planning large fabrics: MultiTree's lowering and the binary-IR section
+// decode run on GOMAXPROCS goroutines (the schedule is byte-identical for
+// every count), and -plan-cache DIR keeps built schedules in a
+// content-addressed on-disk cache, so repeat runs load a validated plan
+// in milliseconds instead of re-planning for minutes:
 //
-//	allreduce-bench -algo multitree -topo mesh-32x32 -engine fluid \
-//	    -plan-cache ~/.cache/multitree-plans -plan-workers 4
+//	GOMAXPROCS=4 allreduce-bench -algo multitree -topo mesh-32x32 -engine fluid \
+//	    -plan-cache ~/.cache/multitree-plans
 //
 // Single-run observability mode: -algo selects one algorithm on one
 // topology and exports what the simulation did.
@@ -115,12 +114,11 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("allreduce-bench: ")
 	var (
-		fig     = flag.String("fig", "", "figure to regenerate: 2, 9a, 9b, 9c, 9d, 10")
-		table1  = flag.Bool("table1", false, "emit the measured Table I comparison")
-		maxSz   = flag.String("max", "8MiB", "largest all-reduce size for Fig. 9 (the paper uses 64MiB)")
-		engine  = flag.String("engine", "", "simulation engine: packet (default for Fig. 9) or fluid")
-		topos   = flag.String("topos", "", "comma-separated topology overrides, e.g. torus-4x4,mesh-8x8")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker pool size for Fig. 9 sweeps; 1 runs the sweep sequentially")
+		fig    = flag.String("fig", "", "figure to regenerate: 2, 9a, 9b, 9c, 9d, 10")
+		table1 = flag.Bool("table1", false, "emit the measured Table I comparison")
+		maxSz  = flag.String("max", "8MiB", "largest all-reduce size for Fig. 9 (the paper uses 64MiB)")
+		engine = flag.String("engine", "", "simulation engine: packet (default for Fig. 9) or fluid")
+		topos  = flag.String("topos", "", "comma-separated topology overrides, e.g. torus-4x4,mesh-8x8")
 
 		algo      = flag.String("algo", "", "single-run mode: algorithm ("+strings.Join(algorithms.Names(), ", ")+"; append -msg for message-based flow control)")
 		topo      = flag.String("topo", "torus-4x4", "single-run mode: topology spec ("+topospec.Usage()+")")
@@ -199,7 +197,7 @@ func main() {
 			fmt.Printf("%d,%.4f\n", p.PayloadBytes, p.Overhead)
 		}
 	case strings.HasPrefix(*fig, "9"):
-		runFig9(*fig, *topos, *maxSz, *engine, *workers, *jsonOut, run)
+		runFig9(*fig, *topos, *maxSz, *engine, *jsonOut, run)
 	case *fig == "10":
 		runFig10()
 	default:
@@ -383,7 +381,7 @@ func runSingle(algo, topoSpec, size, engineName, faultSpec string, replan bool, 
 	}
 	p := tr.Point
 	run.SetTopology(topo, tr.Sched)
-	run.NoteCacheKey(topo, algo, int(dataBytes/collective.WordSize), 0)
+	run.NoteCacheKey(topo, algo, int(dataBytes/collective.WordSize))
 	run.Report.Algorithm = algo
 	run.Report.DataBytes = dataBytes
 	run.Report.Engine = engine.String()
@@ -456,7 +454,7 @@ func writeStepUtil(w io.Writer, tr *experiments.TracedResult) error {
 	return nil
 }
 
-func runFig9(fig, topoOverride, maxSz, engineName string, workers int, jsonOut bool, run *cliutil.Run) {
+func runFig9(fig, topoOverride, maxSz, engineName string, jsonOut bool, run *cliutil.Run) {
 	specs := map[string][]string{
 		"9a": {"torus-4x4", "torus-8x8"},
 		"9b": {"mesh-4x4", "mesh-8x8"},
@@ -484,7 +482,10 @@ func runFig9(fig, topoOverride, maxSz, engineName string, workers int, jsonOut b
 	run.Report.Engine = engine.String()
 	run.Option("topos", strings.Join(specs, ","))
 	run.Option("max", maxSz)
-	run.Option("workers", strconv.Itoa(workers))
+	// The sweep pool already uses every core, so each point builds on
+	// one planner worker.
+	opts := run.BuildOptions()
+	opts.Workers = 1
 	var all []experiments.AllReducePoint
 	if !jsonOut {
 		fmt.Println("topology,algorithm,data_bytes,cycles,bandwidth_gbps")
@@ -494,7 +495,7 @@ func runFig9(fig, topoOverride, maxSz, engineName string, workers int, jsonOut b
 		if err != nil {
 			log.Fatal(err)
 		}
-		points, err := experiments.Fig9(topo, experiments.Fig9Sizes(maxBytes), engine, workers, run.BuildOptions())
+		points, err := experiments.Fig9(topo, experiments.Fig9Sizes(maxBytes), engine, runtime.GOMAXPROCS(0), opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -32,19 +32,18 @@
 // The shared observability flags of allreduce-bench also apply here:
 // -report writes the versioned run report, -planprofile the planner
 // phase CSV, -progress live planner progress on stderr, and
-// -cpuprofile/-memprofile the pprof profiles. So do the planner-scaling
-// flags: -plan-workers N runs the planner's lowering pass in parallel
-// (the schedule is byte-identical for every count), and -plan-cache DIR
-// makes -export load a previously built schedule from the
-// content-addressed cache instead of re-planning it. Warm loads scale
-// too: -plan-workers also fans the binary-IR section decode across
-// cores, -plan-mem-cache-mb N keeps
-// decoded plans in process so repeats skip disk entirely, and
-// -warm-loads N replays the load through the cache tiers to measure it.
+// -cpuprofile/-memprofile the pprof profiles. So do the plan-cache
+// flags: -plan-cache DIR makes -export load a previously built schedule
+// from the content-addressed cache instead of re-planning it,
+// -plan-mem-cache-mb N keeps decoded plans in process so repeats skip
+// disk entirely, and -warm-loads N replays the load through the cache
+// tiers to measure it. GOMAXPROCS sets the workers of the planner's
+// lowering pass and of the binary-IR section decode (the schedule is
+// byte-identical for every count).
 //
 //	schedule-dump -topo mesh-32x32 -algo multitree -plan-cache /tmp/plans -export mt.json
-//	schedule-dump -topo mesh-64x64 -algo multitree -plan-cache /tmp/plans \
-//	    -plan-workers 8 -plan-mem-cache-mb 4096 -warm-loads 2 -export mt.plan
+//	GOMAXPROCS=8 schedule-dump -topo mesh-64x64 -algo multitree -plan-cache /tmp/plans \
+//	    -plan-mem-cache-mb 4096 -warm-loads 2 -export mt.plan
 package main
 
 import (
@@ -52,6 +51,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"runtime"
 	"strings"
 
 	"multitree/internal/algorithms"
@@ -132,7 +132,7 @@ func main() {
 		fmt.Println("  " + tr.String())
 	}
 
-	sched, err := collective.TreesToScheduleParallel(core.Algorithm, topo, topo.Nodes()*4, trees, cfg.PlanWorkers, run.PlanObserver())
+	sched, err := collective.TreesToScheduleParallel(core.Algorithm, topo, topo.Nodes()*4, trees, runtime.GOMAXPROCS(0), run.PlanObserver())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 		log.Fatal(err)
 	}
 	run.SetTopology(topo, s)
-	run.NoteCacheKey(topo, spec.Name, elems, 0)
+	run.NoteCacheKey(topo, spec.Name, elems)
 	run.Report.Algorithm = spec.Name
 	run.Report.DataBytes = dataBytes
 	run.Option("faults", faultSpec)

@@ -20,9 +20,9 @@
 // The shared observability flags of allreduce-bench also apply here:
 // -report writes the versioned run report, -progress live planner
 // progress on stderr, and -cpuprofile/-memprofile the pprof profiles —
-// as do the planner-scaling flags -plan-workers (parallel lowering and
-// plan-decode passes) and -plan-cache (content-addressed
-// on-disk schedule cache).
+// as does -plan-cache (content-addressed on-disk schedule cache).
+// GOMAXPROCS sets the workers of the parallel lowering and plan-decode
+// passes.
 package main
 
 import (
@@ -154,7 +154,7 @@ func traceGradientAllReduce(topo *topology.Topology, modelName, algo, traceOut, 
 	}
 	p := tr.Point
 	run.SetTopology(topo, tr.Sched)
-	run.NoteCacheKey(topo, algo, int(net.GradientBytes()/collective.WordSize), 0)
+	run.NoteCacheKey(topo, algo, int(net.GradientBytes()/collective.WordSize))
 	run.Report.Algorithm = algo
 	run.Report.DataBytes = p.DataBytes
 	run.Report.Engine = experiments.Fluid.String()

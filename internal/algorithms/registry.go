@@ -37,10 +37,6 @@ const MsgSuffix = "-msg"
 // Algorithms ignore fields that do not apply to them; the zero value
 // selects every algorithm's defaults.
 type Options struct {
-	// Chunks is the pipeline depth for chunk-pipelined algorithms
-	// (dbtree); <= 0 selects the algorithm's default.
-	Chunks int
-
 	// Workers bounds planner parallelism for algorithms with parallel
 	// passes (multitree's lowering) and the section
 	// decode of cached plans; <= 1 means sequential. The schedule built
@@ -222,7 +218,7 @@ func Build(topo *topology.Topology, name string, elems int, opts Options) (*coll
 	if opts.Cache == nil && opts.MemCache == nil {
 		return spec.Build(topo, elems, opts)
 	}
-	key := plancache.Key(topo, spec.Name, elems, opts.Chunks)
+	key := plancache.Key(topo, spec.Name, elems)
 	o := opts.Observer
 	if o != nil {
 		o.PhaseStart(obs.PhaseCacheLookup)

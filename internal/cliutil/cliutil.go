@@ -172,7 +172,6 @@ type Config struct {
 	PlanCacheDir      string // -plan-cache: content-addressed plan cache directory
 	PlanCacheMaxBytes int64  // -plan-cache-max-bytes: LRU size cap, <= 0 uncapped
 	PlanMemCacheMB    int64  // -plan-mem-cache-mb: in-process decoded-plan LRU cap, <= 0 off
-	PlanWorkers       int    // -plan-workers: parallel lowering + IR decode, <= 1 sequential
 	VerifyPlan        bool   // -verify-plan: full re-validation of cache hits
 }
 
@@ -188,7 +187,6 @@ func RegisterFlags(fs *flag.FlagSet) *Config {
 	fs.StringVar(&c.ProgressMode, "progress", "auto", "live planner progress on stderr: auto (terminals only), on, off")
 	fs.StringVar(&c.PlanCacheDir, "plan-cache", "", "content-addressed plan cache directory: schedules load from it when present and are stored after a fresh build")
 	fs.Int64Var(&c.PlanMemCacheMB, "plan-mem-cache-mb", 0, "in-process decoded-plan cache cap in MiB: repeated builds and loads of one plan skip disk and decode; <= 0 off")
-	fs.IntVar(&c.PlanWorkers, "plan-workers", 1, "planner workers for MultiTree's lowering pass (tree growth stays sequential) and section-decode workers for binary-IR plan loads; the schedule built is identical for every value")
 	fs.BoolVar(&c.VerifyPlan, "verify-plan", false, "re-run the full schedule validation pass on plan-cache hits instead of trusting the stored validation summary")
 	return c
 }
@@ -244,9 +242,6 @@ func StartRun(cfg Config) (*Run, error) {
 		r.MemCache = plancache.NewMemCache(cfg.PlanMemCacheMB << 20)
 		r.Option("plan_mem_cache_mb", fmt.Sprintf("%d", cfg.PlanMemCacheMB))
 	}
-	if cfg.PlanWorkers > 1 {
-		r.Option("plan_workers", fmt.Sprintf("%d", cfg.PlanWorkers))
-	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	r.startAlloc = ms.TotalAlloc
@@ -269,12 +264,12 @@ func (r *Run) PlanObserver() obs.PlanObserver {
 }
 
 // BuildOptions returns the planner options to thread into schedule
-// builds: the run's observer fan-out, the plan cache, and the worker
-// count. Callers set per-build knobs (Chunks) on the
-// returned value.
+// builds: the run's observer fan-out, the plan cache, and GOMAXPROCS
+// workers for the parallel lowering and plan decode (the schedule built
+// is identical at any count; the run report records GOMAXPROCS).
 func (r *Run) BuildOptions() algorithms.Options {
 	return algorithms.Options{
-		Workers:  r.cfg.PlanWorkers,
+		Workers:  runtime.GOMAXPROCS(0),
 		Cache:    r.Cache,
 		MemCache: r.MemCache,
 		Observer: r.PlanObserver(),
@@ -305,7 +300,7 @@ func (r *Run) ValidationMode() string {
 // NoteCacheKey records, for single-schedule runs, the cache key the
 // build probed, so the report's plan_cache section names the entry. A
 // no-op without a cache or for unknown algorithm names.
-func (r *Run) NoteCacheKey(topo *topology.Topology, algorithm string, elems, chunks int) {
+func (r *Run) NoteCacheKey(topo *topology.Topology, algorithm string, elems int) {
 	if r.Cache == nil {
 		return
 	}
@@ -313,7 +308,7 @@ func (r *Run) NoteCacheKey(topo *topology.Topology, algorithm string, elems, chu
 	if err != nil {
 		return
 	}
-	r.cacheKey = plancache.Key(topo, spec.Name, elems, chunks)
+	r.cacheKey = plancache.Key(topo, spec.Name, elems)
 }
 
 // ObserveSim records the run's one simulation in the report. Every

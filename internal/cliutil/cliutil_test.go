@@ -149,7 +149,6 @@ func TestRegisterFlags(t *testing.T) {
 		"progress":          "auto",
 		"plan-cache":        "",
 		"plan-mem-cache-mb": "0",
-		"plan-workers":      "1",
 		"verify-plan":       "false",
 	}
 	got := map[string]string{}
@@ -162,19 +161,19 @@ func TestRegisterFlags(t *testing.T) {
 			t.Errorf("-%s: default %q (defined %v), want %q", name, d, ok, def)
 		}
 	}
-	if *cfg != (Config{ProgressMode: "auto", PlanWorkers: 1}) {
+	if *cfg != (Config{ProgressMode: "auto"}) {
 		t.Errorf("defaults fill %+v", *cfg)
 	}
 	err := fs.Parse([]string{
 		"-cpuprofile", "c", "-memprofile", "m", "-report", "r", "-progress", "off",
-		"-plan-cache", "d", "-plan-mem-cache-mb", "64", "-plan-workers", "4", "-verify-plan",
+		"-plan-cache", "d", "-plan-mem-cache-mb", "64", "-verify-plan",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantCfg := Config{
 		CPUProfile: "c", MemProfile: "m", ReportPath: "r", ProgressMode: "off",
-		PlanCacheDir: "d", PlanMemCacheMB: 64, PlanWorkers: 4, VerifyPlan: true,
+		PlanCacheDir: "d", PlanMemCacheMB: 64, VerifyPlan: true,
 	}
 	if *cfg != wantCfg {
 		t.Errorf("parsed flags fill %+v, want %+v", *cfg, wantCfg)

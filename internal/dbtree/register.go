@@ -14,7 +14,7 @@ func init() {
 		Order: 20,
 		Note:  "NCCL-style double binary tree, any topology with >= 2 nodes",
 		Build: func(topo *topology.Topology, elems int, opts algorithms.Options) (*collective.Schedule, error) {
-			return Build(topo, elems, opts.Chunks)
+			return Build(topo, elems, DefaultPipelineChunks)
 		},
 		Supports: func(topo *topology.Topology) bool { return topo.Nodes() >= 2 },
 	})

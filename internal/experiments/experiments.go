@@ -218,34 +218,7 @@ type Fig10Point struct {
 // Fig10 runs the weak-scaling study over the given node counts (the paper
 // uses 16..256 on Torus) with Ring, 2D-Ring and MULTITREE-MSG.
 func Fig10(torusFor func(int) (*topology.Topology, error), nodeCounts []int) ([]Fig10Point, error) {
-	algs := []AlgSpec{
-		{Name: ring.Algorithm},
-		{Name: ring2d.Algorithm},
-		{Name: core.Algorithm + "-msg", Msg: true},
-	}
-	var out []Fig10Point
-	var base float64
-	for _, n := range nodeCounts {
-		topo, err := torusFor(n)
-		if err != nil {
-			return nil, err
-		}
-		dataBytes := int64(375*n) << 10
-		for _, alg := range algs {
-			p, err := MeasureAllReduce(topo, alg, dataBytes, Fluid, algorithms.Options{})
-			if err != nil {
-				return nil, fmt.Errorf("fig10 %d/%s: %w", n, alg.Name, err)
-			}
-			if alg.Name == ring.Algorithm && n == nodeCounts[0] {
-				base = float64(p.Cycles)
-			}
-			out = append(out, Fig10Point{
-				Nodes: n, Algorithm: alg.Name, DataBytes: dataBytes,
-				Cycles: p.Cycles, Normalized: float64(p.Cycles) / base,
-			})
-		}
-	}
-	return out, nil
+	return scaling("fig10", torusFor, nodeCounts, func(n int) int64 { return int64(375*n) << 10 }, ring.Algorithm)
 }
 
 // StrongScaling runs the §VI-B side experiment: a fixed large problem
@@ -255,6 +228,14 @@ func Fig10(torusFor func(int) (*topology.Topology, error), nodeCounts []int) ([]
 // i.e. communication time stays roughly flat (the per-node share shrinks
 // as fast as the node count grows).
 func StrongScaling(torusFor func(int) (*topology.Topology, error), nodeCounts []int, dataBytes int64) ([]Fig10Point, error) {
+	return scaling("strong scaling", torusFor, nodeCounts, func(int) int64 { return dataBytes }, "")
+}
+
+// scaling measures Ring, 2D-Ring and MULTITREE-MSG on the fluid engine
+// at each node count, with dataBytes(n) of gradient on n nodes. Each
+// point is normalized to the first node count's cycles of baseAlg, or of
+// its own algorithm when baseAlg is empty.
+func scaling(study string, torusFor func(int) (*topology.Topology, error), nodeCounts []int, dataBytes func(int) int64, baseAlg string) ([]Fig10Point, error) {
 	algs := []AlgSpec{
 		{Name: ring.Algorithm},
 		{Name: ring2d.Algorithm},
@@ -267,17 +248,22 @@ func StrongScaling(torusFor func(int) (*topology.Topology, error), nodeCounts []
 		if err != nil {
 			return nil, err
 		}
+		size := dataBytes(n)
 		for _, alg := range algs {
-			p, err := MeasureAllReduce(topo, alg, dataBytes, Fluid, algorithms.Options{})
+			p, err := MeasureAllReduce(topo, alg, size, Fluid, algorithms.Options{})
 			if err != nil {
-				return nil, fmt.Errorf("strong scaling %d/%s: %w", n, alg.Name, err)
+				return nil, fmt.Errorf("%s %d/%s: %w", study, n, alg.Name, err)
 			}
 			if _, ok := base[alg.Name]; !ok {
 				base[alg.Name] = float64(p.Cycles)
 			}
+			ref := baseAlg
+			if ref == "" {
+				ref = alg.Name
+			}
 			out = append(out, Fig10Point{
-				Nodes: n, Algorithm: alg.Name, DataBytes: dataBytes,
-				Cycles: p.Cycles, Normalized: float64(p.Cycles) / base[alg.Name],
+				Nodes: n, Algorithm: alg.Name, DataBytes: size,
+				Cycles: p.Cycles, Normalized: float64(p.Cycles) / base[ref],
 			})
 		}
 	}

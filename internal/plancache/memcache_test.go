@@ -16,7 +16,7 @@ func TestMemCacheHitAndShare(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
 	s := build(t, topo, 1024)
 	m := plancache.NewMemCache(s.MemBytes() * 4)
-	key := plancache.Key(topo, "multitree", 1024, 0)
+	key := plancache.Key(topo, "multitree", 1024)
 
 	if _, ok := m.Get(key); ok {
 		t.Fatal("hit on an empty cache")
@@ -43,9 +43,9 @@ func TestMemCacheEviction(t *testing.T) {
 	a := build(t, topo, 1024)
 	b := build(t, topo, 2048)
 	c := build(t, topo, 4096)
-	keyA := plancache.Key(topo, "multitree", 1024, 0)
-	keyB := plancache.Key(topo, "multitree", 2048, 0)
-	keyC := plancache.Key(topo, "multitree", 4096, 0)
+	keyA := plancache.Key(topo, "multitree", 1024)
+	keyB := plancache.Key(topo, "multitree", 2048)
+	keyC := plancache.Key(topo, "multitree", 4096)
 
 	// Room for roughly two of the three plans.
 	m := plancache.NewMemCache(a.MemBytes() + b.MemBytes() + c.MemBytes()/2)
@@ -83,8 +83,8 @@ func TestMemCacheOversized(t *testing.T) {
 	if big.MemBytes() <= small.MemBytes()+1 {
 		t.Fatalf("test plans too close in size: small %d, big %d", small.MemBytes(), big.MemBytes())
 	}
-	keySmall := plancache.Key(topo, "multitree", 1024, 0)
-	keyBig := plancache.Key(bigTopo, "multitree", 8192, 0)
+	keySmall := plancache.Key(topo, "multitree", 1024)
+	keyBig := plancache.Key(bigTopo, "multitree", 8192)
 
 	m := plancache.NewMemCache(small.MemBytes() + 1)
 	m.Put(keySmall, small)
@@ -102,7 +102,7 @@ func TestMemCacheOversized(t *testing.T) {
 func TestMemCacheDisabled(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
 	s := build(t, topo, 1024)
-	key := plancache.Key(topo, "multitree", 1024, 0)
+	key := plancache.Key(topo, "multitree", 1024)
 	off := plancache.NewMemCache(0)
 	off.Put(key, s)
 	if _, ok := off.Get(key); ok {
@@ -129,9 +129,9 @@ func TestMemCacheConcurrent(t *testing.T) {
 		build(t, topo, 4096),
 	}
 	keys := []string{
-		plancache.Key(topo, "multitree", 1024, 0),
-		plancache.Key(topo, "multitree", 2048, 0),
-		plancache.Key(topo, "multitree", 4096, 0),
+		plancache.Key(topo, "multitree", 1024),
+		plancache.Key(topo, "multitree", 2048),
+		plancache.Key(topo, "multitree", 4096),
 	}
 	// Tight cap keeps eviction churning under the race detector too.
 	m := plancache.NewMemCache(plans[0].MemBytes() + plans[1].MemBytes())

@@ -45,7 +45,7 @@ import (
 // KeyVersion versions the key material. Bump it when the canonical
 // string changes meaning, so stale entries become unreachable instead of
 // wrongly shared.
-const KeyVersion = "plancache/v1"
+const KeyVersion = "plancache/v2"
 
 // Stats counts the cache's traffic. Monotone within one Cache lifetime.
 type Stats struct {
@@ -113,14 +113,14 @@ func (c *Cache) Stats() Stats {
 }
 
 // Key derives the content address for one build request: the topology's
-// structural sha256 fingerprint, the algorithm name, the element count,
-// and every option that shapes the schedule (chunks). Options that only
+// structural sha256 fingerprint, the algorithm name and the element
+// count, the only inputs that shape the schedule. Options that only
 // affect how fast the planner runs — worker counts, observers — must not
 // be included: they do not change the bytes built.
-func Key(topo *topology.Topology, algorithm string, elems, chunks int) string {
+func Key(topo *topology.Topology, algorithm string, elems int) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\nir=%d\ntopology=%s\nalgorithm=%s\nelems=%d\nchunks=%d\n",
-		KeyVersion, collective.BinaryIRVersion, collective.TopologyFingerprint(topo), algorithm, elems, chunks)
+	fmt.Fprintf(h, "%s\nir=%d\ntopology=%s\nalgorithm=%s\nelems=%d\n",
+		KeyVersion, collective.BinaryIRVersion, collective.TopologyFingerprint(topo), algorithm, elems)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -35,7 +35,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 	topo := topology.Torus(4, 4, cfg())
 	s := build(t, topo, 1024)
-	key := plancache.Key(topo, "multitree", 1024, 0)
+	key := plancache.Key(topo, "multitree", 1024)
 
 	if _, _, ok := c.Get(key, topo, plancache.GetOptions{}); ok {
 		t.Fatal("hit on an empty cache")
@@ -67,18 +67,17 @@ func TestRoundTrip(t *testing.T) {
 // planner-speed knobs must not exist in the signature at all.
 func TestKeySensitivity(t *testing.T) {
 	torus := topology.Torus(4, 4, cfg())
-	base := plancache.Key(torus, "multitree", 1024, 0)
+	base := plancache.Key(torus, "multitree", 1024)
 	for name, other := range map[string]string{
-		"topology":  plancache.Key(topology.Mesh(4, 4, cfg()), "multitree", 1024, 0),
-		"algorithm": plancache.Key(torus, "ring", 1024, 0),
-		"elems":     plancache.Key(torus, "multitree", 2048, 0),
-		"chunks":    plancache.Key(torus, "multitree", 1024, 2),
+		"topology":  plancache.Key(topology.Mesh(4, 4, cfg()), "multitree", 1024),
+		"algorithm": plancache.Key(torus, "ring", 1024),
+		"elems":     plancache.Key(torus, "multitree", 2048),
 	} {
 		if other == base {
 			t.Errorf("changing %s did not change the key", name)
 		}
 	}
-	if plancache.Key(torus, "multitree", 1024, 0) != base {
+	if plancache.Key(torus, "multitree", 1024) != base {
 		t.Error("key is not deterministic")
 	}
 }
@@ -115,7 +114,7 @@ func TestCorruptEntryFallsBack(t *testing.T) {
 			if _, err := algorithms.Build(topo, "multitree", 1024, opts); err != nil {
 				t.Fatal(err)
 			}
-			key := plancache.Key(topo, "multitree", 1024, 0)
+			key := plancache.Key(topo, "multitree", 1024)
 			path := filepath.Join(dir, key+".plan")
 			good, err := os.ReadFile(path)
 			if err != nil {
@@ -159,7 +158,7 @@ func TestWrongTopologyMisses(t *testing.T) {
 	}
 	torus := topology.Torus(4, 4, cfg())
 	mesh := topology.Mesh(4, 4, cfg())
-	key := plancache.Key(torus, "multitree", 1024, 0)
+	key := plancache.Key(torus, "multitree", 1024)
 	if _, err := c.Put(key, build(t, torus, 1024)); err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +183,9 @@ func TestEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := []string{
-		plancache.Key(topo, "multitree", 1024, 0),
-		plancache.Key(topo, "multitree", 1024, 1),
-		plancache.Key(topo, "multitree", 1024, 2),
+		plancache.Key(topo, "multitree", 1024),
+		plancache.Key(topo, "multitree", 2048),
+		plancache.Key(topo, "multitree", 4096),
 	}
 	for _, k := range keys {
 		if _, err := c.Put(k, s); err != nil {
@@ -219,8 +218,8 @@ func TestOwnWriteSurvivesTinyCap(t *testing.T) {
 	}
 	topo := topology.Torus(4, 4, cfg())
 	s := build(t, topo, 1024)
-	k1 := plancache.Key(topo, "multitree", 1024, 0)
-	k2 := plancache.Key(topo, "multitree", 1024, 1)
+	k1 := plancache.Key(topo, "multitree", 1024)
+	k2 := plancache.Key(topo, "multitree", 2048)
 	if _, err := c.Put(k1, s); err != nil {
 		t.Fatal(err)
 	}

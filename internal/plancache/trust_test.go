@@ -27,7 +27,7 @@ func TestSummaryValidatedHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo := topology.Torus(4, 4, cfg())
-	key := plancache.Key(topo, "multitree", 1024, 0)
+	key := plancache.Key(topo, "multitree", 1024)
 	if _, err := c.Put(key, build(t, topo, 1024)); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestVerifyFullHit(t *testing.T) {
 	}
 	c.VerifyFull = true
 	topo := topology.Torus(4, 4, cfg())
-	key := plancache.Key(topo, "multitree", 1024, 0)
+	key := plancache.Key(topo, "multitree", 1024)
 	if _, err := c.Put(key, build(t, topo, 1024)); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestStaleVersionFullValidation(t *testing.T) {
 	}
 	topo := topology.Torus(4, 4, cfg())
 	s := build(t, topo, 1024)
-	key := plancache.Key(topo, "multitree", 1024, 0)
+	key := plancache.Key(topo, "multitree", 1024)
 	if _, err := c.Put(key, s); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTamperedEntryRebuilt(t *testing.T) {
 	}
 	topo := topology.Torus(4, 4, cfg())
 	s := build(t, topo, 1024)
-	key := plancache.Key(topo, "multitree", 1024, 0)
+	key := plancache.Key(topo, "multitree", 1024)
 	if _, err := c.Put(key, s); err != nil {
 		t.Fatal(err)
 	}

@@ -18,8 +18,8 @@
 # PROFILE_DIR=dir additionally writes the cold build's planner phase
 # profile to dir/plan-profile-<topo>.csv.
 #
-# Workers default to 4 (override with PLAN_WORKERS); they run the
-# eccentricity, lowering and section-decode passes, while tree growth
+# The tool runs at GOMAXPROCS=4 unless GOMAXPROCS is set; that many
+# workers run the lowering and section-decode passes, while tree growth
 # is sequential. The schedule is byte-identical at any worker count, so
 # the sweep is reproducible modulo wall time.
 set -eu
@@ -27,7 +27,8 @@ set -eu
 out=${1:-results/plan-scale-sweep.csv}
 [ $# -gt 0 ] && shift
 topos=${*:-"mesh-16x16 mesh-32x32 mesh-48x48 mesh-64x64"}
-workers=${PLAN_WORKERS:-4}
+GOMAXPROCS=${GOMAXPROCS:-4}
+export GOMAXPROCS
 
 bin=$(mktemp -t schedule-dump.XXXXXX)
 go build -o "$bin" ./cmd/schedule-dump
@@ -50,12 +51,12 @@ for topo in $topos; do
 
     t0=$(now)
     # shellcheck disable=SC2086
-    "$bin" -topo "$topo" -algo multitree -size 1MiB -plan-workers "$workers" \
+    "$bin" -topo "$topo" -algo multitree -size 1MiB \
         -plan-cache "$cache" -progress off $profile \
         -export "$cold" > "$cache/cold.out"
     t1=$(now)
     "$bin" -topo "$topo" -algo multitree -size 1MiB \
-        -plan-cache "$cache" -plan-workers "$workers" -progress off \
+        -plan-cache "$cache" -progress off \
         -planprofile "$cache/warm-profile.csv" \
         -export "$warm" > "$cache/warm.out"
     t2=$(now)
