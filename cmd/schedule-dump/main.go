@@ -262,12 +262,8 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 	// plan was validated ("fresh build", "memory" for a decoded-plan
 	// cache hit, or a disk hit accepted on its stored summary vs. the
 	// full re-validation pass).
-	var deps int64
-	for i := range s.Transfers {
-		deps += int64(len(s.Transfers[i].Deps))
-	}
 	fmt.Printf("schedule %s on %s: %d transfers, %d flows, %d dep edges, %d steps, %d data bytes, validation=%s\n",
-		s.Algorithm, topo.Name(), len(s.Transfers), len(s.Flows), deps, s.Steps, dataBytes, run.ValidationMode())
+		s.Algorithm, topo.Name(), len(s.Transfers), len(s.Flows), s.DepEdges(), s.Steps, dataBytes, run.ValidationMode())
 	hint := fmt.Sprintf(" (run with allreduce-bench -schedule %s)", path)
 	if strings.HasSuffix(path, ".plan") {
 		// The binary IR records the topology by fingerprint only, so it
@@ -323,8 +319,8 @@ func traceSchedule(sched *collective.Schedule, traceOut, linkstats string, bin f
 
 // printPhase lists a schedule's transfers of one opcode grouped by step.
 func printPhase(s *collective.Schedule, op collective.Op) {
-	lines := map[int][]string{}
-	minStep, maxStep := 1<<30, 0
+	lines := map[int32][]string{}
+	minStep, maxStep := int32(1<<30), int32(0)
 	for i := range s.Transfers {
 		tr := &s.Transfers[i]
 		if tr.Op != op {

@@ -78,17 +78,17 @@ func Analyze(s *Schedule) Analysis {
 	usage := make(map[key]int)
 	stepLinks := make(map[int]map[topology.LinkID]bool)
 	for i := range s.Transfers {
-		t := &s.Transfers[i]
-		path := s.PathOf(t)
+		step := int(s.Transfers[i].Step)
+		path := s.PathOf(i)
 		if len(path) > a.MaxHops {
 			a.MaxHops = len(path)
 		}
 		for _, l := range path {
-			usage[key{t.Step, l}]++
-			m := stepLinks[t.Step]
+			usage[key{step, l}]++
+			m := stepLinks[step]
 			if m == nil {
 				m = make(map[topology.LinkID]bool)
-				stepLinks[t.Step] = m
+				stepLinks[step] = m
 			}
 			m[l] = true
 		}

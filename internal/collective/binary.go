@@ -200,12 +200,14 @@ func (b *linkBitmap) add(id topology.LinkID) {
 // summarize computes the validation summary of a schedule whose strict
 // validation just produced order.
 func summarize(s *Schedule, order []TransferID) summary {
-	sum := summary{Transfers: int64(len(s.Transfers)), Witness: witnessHash(order)}
+	sum := summary{
+		Transfers: int64(len(s.Transfers)),
+		DepEdges:  int64(s.DepEdges()),
+		Witness:   witnessHash(order),
+	}
 	bm := newLinkBitmap(len(s.Topo.Links()))
 	for i := range s.Transfers {
-		t := &s.Transfers[i]
-		sum.DepEdges += int64(len(t.Deps))
-		path := s.PathOf(t)
+		path := s.PathOf(i)
 		sum.PathHops += int64(len(path))
 		for _, id := range path {
 			bm.add(id)

@@ -301,13 +301,19 @@ func TestTreesToScheduleParallelDeterministic(t *testing.T) {
 }
 
 // FuzzImportBinary feeds arbitrary bytes to the decoder as a torus-4x4
-// schedule. It must never panic, and any input it accepts must re-export
-// to exactly those bytes: a schedule has one spelling in the format, so
-// nothing outside the digests can vary unnoticed.
+// schedule. It must never panic, must stay within the decoders'
+// allocation bound (summary counts are checked against the body size
+// before the arenas are allocated), and any input it accepts must
+// re-export to exactly those bytes: a schedule has one spelling in the
+// format, so nothing outside the digests can vary unnoticed.
 func FuzzImportBinary(f *testing.F) {
 	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := importBytes(data, topo, collective.BinaryImportOptions{Workers: 2})
+		var s *collective.Schedule
+		var err error
+		checkAllocBound(t, data, allocBytes(func() {
+			s, err = importBytes(data, topo, collective.BinaryImportOptions{Workers: 2})
+		}))
 		if err != nil {
 			return
 		}

@@ -7,11 +7,17 @@ package collective_test
 
 import (
 	"bytes"
+	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"multitree/internal/collective"
+	"multitree/internal/core"
 	"multitree/internal/obs"
+	"multitree/internal/topology"
 )
 
 // TestBinaryV3ParallelDecodeInvariance: importing one file at any worker
@@ -161,16 +167,107 @@ func TestBinaryV3Truncated(t *testing.T) {
 	}
 }
 
-// TestScheduleMemBytes: the memory-cache cost function scales with the
-// schedule's actual contents and never returns zero for a real plan.
-func TestScheduleMemBytes(t *testing.T) {
-	_, s := buildTorus(t)
-	got := s.MemBytes()
-	if got <= 0 {
-		t.Fatalf("MemBytes = %d, want > 0", got)
+// memBytesFormula is MemBytes written out from the public view: header,
+// flow table, transfer array, both len(Transfers)+1 offset arrays, and
+// one 4-byte entry per dependency and per pinned path hop.
+func memBytesFormula(s *collective.Schedule) int64 {
+	var hops int
+	for i := range s.Transfers {
+		hops += len(s.Path(i))
 	}
-	// At minimum the transfer array itself must be counted.
-	if floor := int64(len(s.Transfers)) * 16; got < floor {
-		t.Fatalf("MemBytes = %d, below the transfer array floor %d", got, floor)
+	n := int64(len(s.Transfers))
+	return int64(unsafe.Sizeof(*s)) +
+		int64(len(s.Flows))*int64(unsafe.Sizeof(collective.Range{})) +
+		n*int64(unsafe.Sizeof(collective.Transfer{})) +
+		2*(n+1)*4 +
+		int64(s.DepEdges())*4 + int64(hops)*4
+}
+
+// TestScheduleMemBytes pins the memory tier's cost function to real
+// memory. MemBytes must equal the layout formula exactly, both for a
+// lowered plan (routed paths unpinned) and a decoded one (every path
+// pinned), and must come within 10% of the live heap an ImportBinary
+// of a mesh-16x16 MultiTree plan actually retains — what evicting it
+// frees.
+func TestScheduleMemBytes(t *testing.T) {
+	topo, built := buildTorus(t)
+	var buf bytes.Buffer
+	if err := collective.ExportBinary(&buf, built); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := importBytes(buf.Bytes(), topo, collective.BinaryImportOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*collective.Schedule{built, decoded} {
+		if got, want := s.MemBytes(), memBytesFormula(s); got != want {
+			t.Fatalf("MemBytes = %d, layout formula gives %d", got, want)
+		}
+	}
+
+	mesh := topology.Mesh(16, 16, topology.DefaultLinkConfig())
+	plan, err := core.Build(mesh, 1<<16, core.DefaultOptions(mesh))
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := collective.ExportBinary(&buf, plan); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	plan = nil
+	live := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := live()
+	s, err := importBytes(data, mesh, collective.BinaryImportOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retained := live() - before
+	runtime.KeepAlive(data)
+	mem := s.MemBytes()
+	if diff := math.Abs(float64(mem - retained)); diff > 0.1*float64(retained) {
+		t.Fatalf("MemBytes = %d, but the decoded plan retains %d heap bytes (off by %.1f%%)",
+			mem, retained, 100*diff/float64(retained))
+	}
+	runtime.KeepAlive(s)
+}
+
+// TestTransferLayout: a transfer is one fixed-size, pointer-free table
+// entry — at most 24 bytes, with no field the garbage collector must
+// scan — and carries no dependency or path field of its own.
+func TestTransferLayout(t *testing.T) {
+	if size := unsafe.Sizeof(collective.Transfer{}); size > 24 {
+		t.Fatalf("Transfer is %d bytes, want at most 24", size)
+	}
+	var hasPointer func(reflect.Type) bool
+	hasPointer = func(rt reflect.Type) bool {
+		switch rt.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.String:
+			return true
+		case reflect.Array:
+			return hasPointer(rt.Elem())
+		case reflect.Struct:
+			for i := 0; i < rt.NumField(); i++ {
+				if hasPointer(rt.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	rt := reflect.TypeOf(collective.Transfer{})
+	if hasPointer(rt) {
+		t.Fatal("Transfer holds a pointer")
+	}
+	for _, name := range []string{"Deps", "Path"} {
+		if _, ok := rt.FieldByName(name); ok {
+			t.Fatalf("Transfer has a %s field; it belongs in the schedule's arenas", name)
+		}
 	}
 }

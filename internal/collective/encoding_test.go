@@ -6,6 +6,7 @@ package collective_test
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -129,6 +130,7 @@ func TestImportRejectsMalformed(t *testing.T) {
 	transfer := func(m map[string]any, i int) map[string]any {
 		return m["transfers"].([]any)[i].(map[string]any)
 	}
+	wrap := func(obj map[string]any, key string) { obj[key] = obj[key].(float64) + 1<<32 }
 	cases := []struct {
 		name    string
 		mutate  func(m map[string]any)
@@ -196,6 +198,48 @@ func TestImportRejectsMalformed(t *testing.T) {
 			},
 			wantErr: "1099511627776 switches",
 		},
+		// Values one 2^32 past a valid one: narrowed unchecked to the
+		// int32 transfer fields they would wrap back into range.
+		{
+			name:    "src wrapped past int32",
+			mutate:  func(m map[string]any) { wrap(transfer(m, 0), "src") },
+			wantErr: "endpoint out of range",
+		},
+		{
+			name:    "dst wrapped past int32",
+			mutate:  func(m map[string]any) { wrap(transfer(m, 0), "dst") },
+			wantErr: "endpoint out of range",
+		},
+		{
+			name:    "flow wrapped past int32",
+			mutate:  func(m map[string]any) { wrap(transfer(m, 0), "flow") },
+			wantErr: "out of range",
+		},
+		{
+			name:    "step wrapped past int32",
+			mutate:  func(m map[string]any) { wrap(transfer(m, 0), "step") },
+			wantErr: "out of range",
+		},
+		{
+			name: "path hop wrapped past int32",
+			mutate: func(m map[string]any) {
+				p := transfer(m, 0)["path"].([]any)
+				p[0] = p[0].(float64) + 1<<32
+			},
+			wantErr: "not in topology",
+		},
+		{
+			name: "topology link endpoint wrapped past int32",
+			mutate: func(m map[string]any) {
+				wrap(m["topology"].(map[string]any)["links"].([]any)[0].(map[string]any), "src")
+			},
+			wantErr: "bad endpoints",
+		},
+		{
+			name:    "empty pinned path",
+			mutate:  func(m map[string]any) { transfer(m, 0)["path"] = []any{} },
+			wantErr: "pinned path is empty",
+		},
 		{
 			name: "self transfer",
 			mutate: func(m map[string]any) {
@@ -225,14 +269,70 @@ func TestImportRejectsMalformed(t *testing.T) {
 	}
 }
 
+// allocBytes returns the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// checkAllocBound fails t when decoding data allocated more than the
+// decoders' resource bound: 64 bytes per input byte plus 1 MiB, so a
+// claimed count can never allocate beyond the bytes present.
+func checkAllocBound(t *testing.T, data []byte, used uint64) {
+	t.Helper()
+	if limit := 64*uint64(len(data)) + 1<<20; used > limit {
+		t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), used, limit)
+	}
+}
+
+// TestImportAllocBound holds the JSON importer to the decoders'
+// allocation bound on a valid export whose links, flows or transfers
+// are replaced by 100,000 empty elements: three bytes each, far less
+// than any decoded form, so a decoder that materializes every element
+// before checking it overruns the bound.
+func TestImportAllocBound(t *testing.T) {
+	topo := topology.Torus(2, 2, topology.DefaultLinkConfig())
+	var buf bytes.Buffer
+	if err := collective.Export(&buf, ring.Build(topo, 64)); err != nil {
+		t.Fatal(err)
+	}
+	empties := make([]any, 100000)
+	for i := range empties {
+		empties[i] = map[string]any{}
+	}
+	for _, field := range []string{"links", "flows", "transfers"} {
+		data := mutateIR(t, buf.Bytes(), func(m map[string]any) {
+			if field == "links" {
+				m["topology"].(map[string]any)["links"] = empties
+			} else {
+				m[field] = empties
+			}
+		})
+		var err error
+		used := allocBytes(func() { _, err = collective.Import(bytes.NewReader(data)) })
+		if err == nil {
+			t.Fatalf("import accepted %d empty %s", len(empties), field)
+		}
+		checkAllocBound(t, data, used)
+	}
+}
+
 // FuzzImport feeds arbitrary bytes to the JSON IR importer. It must never
-// panic or exhaust memory, and a schedule it accepts must export to a
-// fixed point: the export re-imports and re-exports to the same bytes.
-// The JSON format admits many spellings of one schedule (whitespace, key
-// order), so the fixed point starts at the first export, not the input.
+// panic, must stay within the decoders' allocation bound, and a schedule
+// it accepts must export to a fixed point: the export re-imports and
+// re-exports to the same bytes. The JSON format admits many spellings of
+// one schedule (whitespace, key order), so the fixed point starts at the
+// first export, not the input. Seeds include a torus-4x4 export with a
+// src, a dst or a path hop pushed 2^32 past its value, which the
+// importer must reject rather than narrow back into range.
 func FuzzImport(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := collective.Import(bytes.NewReader(data))
+		var s *collective.Schedule
+		var err error
+		checkAllocBound(t, data, allocBytes(func() { s, err = collective.Import(bytes.NewReader(data)) }))
 		if err != nil {
 			return
 		}

@@ -83,21 +83,17 @@ func (r Range) End() int { return r.Off + r.Len }
 // Bytes returns the on-wire payload size of the range.
 func (r Range) Bytes() int64 { return int64(r.Len) * WordSize }
 
-// Transfer is one point-to-point message in an all-reduce schedule.
+// Transfer is one point-to-point message in an all-reduce schedule: one
+// fixed-size, pointer-free schedule-table entry. Its dependencies (the
+// Parent/Children links of the schedule table) and its optional pinned
+// link path live in the owning Schedule's flat arenas, read through
+// Schedule.Deps and Schedule.Path.
 type Transfer struct {
 	Src  topology.NodeID
 	Dst  topology.NodeID
 	Op   Op
-	Flow int // tree / chunk id (FlowID of the schedule table)
-	Step int // algorithmic time step, 1-based
-
-	// Deps lists transfers that must complete before this one may start
-	// (the Parent/Children dependencies of the schedule table).
-	Deps []TransferID
-
-	// Path optionally pins the source-routed link path (§IV-B); when nil
-	// the simulators use the topology's deterministic routing.
-	Path []topology.LinkID
+	Flow int32 // tree / chunk id (FlowID of the schedule table)
+	Step int32 // algorithmic time step, 1-based
 }
 
 // Schedule is a complete all-reduce communication plan.
@@ -111,10 +107,21 @@ type Schedule struct {
 	// Flows maps each flow id to the gradient segment it carries.
 	Flows []Range
 
+	// Transfers grows only through Add (or a lowering or decoder of this
+	// package), which keeps the dependency and path arenas in step.
 	Transfers []Transfer
 
 	// Steps is the total number of algorithmic time steps.
 	Steps int
+
+	// The dependency and pinned-path arenas in CSR form: transfer i's
+	// dependencies are deps[depOff[i]:depOff[i+1]] and its pinned path
+	// is paths[pathOff[i]:pathOff[i+1]], an empty range meaning the
+	// topology's deterministic route. Both offset arrays hold
+	// len(Transfers)+1 entries once the schedule has a transfer.
+	depOff, pathOff []int32
+	deps            []TransferID
+	paths           []topology.LinkID
 
 	// covScratch is reused by flowCoverageHole across strict validations
 	// (schedules with out-of-order flow segments only). Like the exported
@@ -133,13 +140,84 @@ func NewSchedule(alg string, topo *topology.Topology, elems, flows int) *Schedul
 	}
 }
 
-// Add appends a transfer and returns its id, its index in Transfers.
-func (s *Schedule) Add(t Transfer) TransferID {
+// Add appends a transfer with its dependencies and pinned path (nil for
+// the topology's route) and returns its id, its index in Transfers. The
+// schedule copies deps and path into its arenas, so callers may reuse
+// both slices.
+func (s *Schedule) Add(t Transfer, deps []TransferID, path []topology.LinkID) TransferID {
+	if len(s.depOff) == 0 {
+		s.depOff = append(s.depOff, 0)
+		s.pathOff = append(s.pathOff, 0)
+	}
 	s.Transfers = append(s.Transfers, t)
-	if t.Step > s.Steps {
-		s.Steps = t.Step
+	s.deps = append(s.deps, deps...)
+	s.paths = append(s.paths, path...)
+	s.depOff = append(s.depOff, arenaOffset(len(s.deps)))
+	s.pathOff = append(s.pathOff, arenaOffset(len(s.paths)))
+	if int(t.Step) > s.Steps {
+		s.Steps = int(t.Step)
 	}
 	return TransferID(len(s.Transfers) - 1)
+}
+
+// maxArena is the largest arena the int32 offsets address.
+const maxArena = 1<<31 - 1
+
+// arenaOffset narrows an arena length to an offset. Importers bound
+// their counts by maxArena first, so only a builder bug overflows.
+func arenaOffset(n int) int32 {
+	if n > maxArena {
+		panic("collective: schedule arena exceeds 2^31-1 entries")
+	}
+	return int32(n)
+}
+
+// Reserve grows the transfer array and both arenas so that n more
+// transfers, with deps dependencies and hops pinned path hops between
+// them, append without reallocating.
+func (s *Schedule) Reserve(n, deps, hops int) {
+	s.Transfers = reserve(s.Transfers, n)
+	s.depOff = reserve(s.depOff, n+1)
+	s.pathOff = reserve(s.pathOff, n+1)
+	s.deps = reserve(s.deps, deps)
+	s.paths = reserve(s.paths, hops)
+}
+
+// reserve is slices.Grow without the rounding up to a size class, so an
+// exact reservation leaves no slack.
+func reserve[E any](s []E, n int) []E {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	out := make([]E, len(s), len(s)+n)
+	copy(out, s)
+	return out
+}
+
+// Deps returns the transfers that must complete before transfer i may
+// start. The slice aliases the arena; callers must not modify it.
+func (s *Schedule) Deps(i int) []TransferID {
+	lo, hi := s.depOff[i], s.depOff[i+1]
+	return s.deps[lo:hi:hi]
+}
+
+// Path returns transfer i's pinned source route (§IV-B), empty when the
+// simulators use the topology's deterministic routing. The slice
+// aliases the arena; callers must not modify it.
+func (s *Schedule) Path(i int) []topology.LinkID {
+	lo, hi := s.pathOff[i], s.pathOff[i+1]
+	return s.paths[lo:hi:hi]
+}
+
+// DepEdges returns the total number of dependency edges.
+func (s *Schedule) DepEdges() int { return len(s.deps) }
+
+// WithFlows returns a copy of s over another gradient length and flow
+// table. The copy shares s's transfers and arenas.
+func (s *Schedule) WithFlows(elems int, flows []Range) *Schedule {
+	c := *s
+	c.Elems, c.Flows, c.covScratch = elems, flows, nil
+	return &c
 }
 
 // Seg returns the gradient segment a transfer carries.
@@ -158,31 +236,27 @@ func (s *Schedule) TotalBytes() int64 {
 	return sum
 }
 
-// MemBytes estimates the resident heap size of the materialized
-// schedule: the transfer array plus the dependency and path arenas. It
-// is the cost function of the decoded-plan memory cache, so it counts
-// what eviction actually frees, not on-wire bytes.
+// MemBytes returns the resident heap size of the materialized schedule:
+// the header, the flow table, the transfer array, both offset arrays
+// and both arenas. It is the cost function of the decoded-plan memory
+// cache, so it counts what eviction actually frees, not on-wire bytes.
 func (s *Schedule) MemBytes() int64 {
 	size := int64(unsafe.Sizeof(*s))
 	size += int64(len(s.Flows)) * int64(unsafe.Sizeof(Range{}))
 	size += int64(len(s.Transfers)) * int64(unsafe.Sizeof(Transfer{}))
-	var deps, hops int64
-	for i := range s.Transfers {
-		t := &s.Transfers[i]
-		deps += int64(len(t.Deps))
-		hops += int64(len(t.Path))
-	}
-	size += deps * int64(unsafe.Sizeof(TransferID(0)))
-	size += hops * int64(unsafe.Sizeof(topology.LinkID(0)))
+	size += int64(len(s.depOff)+len(s.pathOff)) * int64(unsafe.Sizeof(int32(0)))
+	size += int64(len(s.deps)) * int64(unsafe.Sizeof(TransferID(0)))
+	size += int64(len(s.paths)) * int64(unsafe.Sizeof(topology.LinkID(0)))
 	return size
 }
 
-// PathOf returns the link path of a transfer: the pinned source route if
+// PathOf returns the link path of transfer i: the pinned source route if
 // present, otherwise the topology's deterministic route.
-func (s *Schedule) PathOf(t *Transfer) []topology.LinkID {
-	if t.Path != nil {
-		return t.Path
+func (s *Schedule) PathOf(i int) []topology.LinkID {
+	if p := s.Path(i); len(p) > 0 {
+		return p
 	}
+	t := &s.Transfers[i]
 	return s.Topo.Route(t.Src, t.Dst)
 }
 
@@ -262,19 +336,19 @@ func (s *Schedule) validateTransferRange(lo, hi int) error {
 		if t.Op != Reduce && t.Op != Gather {
 			return fmt.Errorf("transfer %d: bad op %v", i, t.Op)
 		}
-		if t.Flow < 0 || t.Flow >= len(s.Flows) {
+		if t.Flow < 0 || int(t.Flow) >= len(s.Flows) {
 			return fmt.Errorf("transfer %d: flow %d out of range", i, t.Flow)
 		}
 		if t.Step < 1 {
 			return fmt.Errorf("transfer %d: step %d < 1", i, t.Step)
 		}
-		for _, d := range t.Deps {
+		for _, d := range s.Deps(i) {
 			if d < 0 || int(d) >= len(s.Transfers) {
 				return fmt.Errorf("transfer %d: dep %d out of range", i, d)
 			}
 		}
-		if t.Path != nil {
-			if err := s.validatePath(t); err != nil {
+		if path := s.Path(i); len(path) > 0 {
+			if err := s.validatePath(t, path); err != nil {
 				return fmt.Errorf("transfer %d: %w", i, err)
 			}
 		}
@@ -314,13 +388,10 @@ func (s *Schedule) validateTransfers() error {
 
 // validatePath checks a pinned source route: every link exists in the
 // topology and the links chain contiguously from Src to Dst.
-func (s *Schedule) validatePath(t *Transfer) error {
+func (s *Schedule) validatePath(t *Transfer, path []topology.LinkID) error {
 	links := s.Topo.Links()
-	if len(t.Path) == 0 {
-		return fmt.Errorf("pinned path is empty")
-	}
 	at := int(t.Src)
-	for hop, id := range t.Path {
+	for hop, id := range path {
 		if id < 0 || int(id) >= len(links) {
 			return fmt.Errorf("path hop %d: link %d not in topology (%d links)", hop, id, len(links))
 		}
@@ -402,7 +473,7 @@ func (s *Schedule) TopoOrder() ([]TransferID, error) {
 	// which also reports the range errors.
 	identity := true
 	for i := range s.Transfers {
-		for _, d := range s.Transfers[i].Deps {
+		for _, d := range s.Deps(i) {
 			if d < 0 || int(d) >= i {
 				identity = false
 				break
@@ -421,11 +492,10 @@ func (s *Schedule) TopoOrder() ([]TransferID, error) {
 	}
 	indeg := make([]int32, n)
 	succEnd := make([]int32, n) // cursor during fill; end-of-region after
-	var nDeps int
+	nDeps := len(s.deps)
 	for i := range s.Transfers {
-		deps := s.Transfers[i].Deps
+		deps := s.Deps(i)
 		indeg[i] = int32(len(deps))
-		nDeps += len(deps)
 		for _, d := range deps {
 			if d < 0 || int(d) >= n {
 				return nil, fmt.Errorf("collective: transfer %d: dep %d out of range", i, d)
@@ -441,7 +511,7 @@ func (s *Schedule) TopoOrder() ([]TransferID, error) {
 	// ascending (succEnd[n-1]'s region ends at nDeps).
 	succ := make([]TransferID, nDeps)
 	for i := n - 1; i >= 0; i-- {
-		for _, d := range s.Transfers[i].Deps {
+		for _, d := range s.Deps(i) {
 			succEnd[d]--
 			succ[succEnd[d]] = TransferID(i)
 		}

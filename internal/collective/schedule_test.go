@@ -52,7 +52,7 @@ func TestPartitionPanicsOnZeroParts(t *testing.T) {
 
 func TestValidateCatchesSelfTransfer(t *testing.T) {
 	s := NewSchedule("bad", testTopo(), 100, 1)
-	s.Add(Transfer{Src: 1, Dst: 1, Op: Reduce, Flow: 0, Step: 1})
+	s.Add(Transfer{Src: 1, Dst: 1, Op: Reduce, Flow: 0, Step: 1}, nil, nil)
 	if err := s.Validate(); err == nil {
 		t.Error("self-transfer passed validation")
 	}
@@ -60,7 +60,7 @@ func TestValidateCatchesSelfTransfer(t *testing.T) {
 
 func TestValidateCatchesBadFlow(t *testing.T) {
 	s := NewSchedule("bad", testTopo(), 100, 1)
-	s.Add(Transfer{Src: 0, Dst: 1, Op: Reduce, Flow: 5, Step: 1})
+	s.Add(Transfer{Src: 0, Dst: 1, Op: Reduce, Flow: 5, Step: 1}, nil, nil)
 	if err := s.Validate(); err == nil {
 		t.Error("out-of-range flow passed validation")
 	}
@@ -68,7 +68,7 @@ func TestValidateCatchesBadFlow(t *testing.T) {
 
 func TestValidateCatchesBadStep(t *testing.T) {
 	s := NewSchedule("bad", testTopo(), 100, 1)
-	s.Add(Transfer{Src: 0, Dst: 1, Op: Reduce, Flow: 0, Step: 0})
+	s.Add(Transfer{Src: 0, Dst: 1, Op: Reduce, Flow: 0, Step: 0}, nil, nil)
 	if err := s.Validate(); err == nil {
 		t.Error("step 0 passed validation")
 	}
@@ -76,9 +76,9 @@ func TestValidateCatchesBadStep(t *testing.T) {
 
 func TestTopoOrderDetectsCycle(t *testing.T) {
 	s := NewSchedule("cyclic", testTopo(), 100, 1)
-	a := s.Add(Transfer{Src: 0, Dst: 1, Op: Reduce, Flow: 0, Step: 1})
-	b := s.Add(Transfer{Src: 1, Dst: 2, Op: Reduce, Flow: 0, Step: 2, Deps: []TransferID{a}})
-	s.Transfers[a].Deps = []TransferID{b}
+	// a depends forward on b, which depends on a.
+	a := s.Add(Transfer{Src: 0, Dst: 1, Op: Reduce, Flow: 0, Step: 1}, []TransferID{1}, nil)
+	s.Add(Transfer{Src: 1, Dst: 2, Op: Reduce, Flow: 0, Step: 2}, []TransferID{a}, nil)
 	if _, err := s.TopoOrder(); err == nil {
 		t.Error("cycle not detected")
 	}
@@ -96,7 +96,7 @@ func TestTopoOrderRespectsDeps(t *testing.T) {
 			deps = []TransferID{prev}
 		}
 		prev = s.Add(Transfer{Src: topology.NodeID(i % 2), Dst: topology.NodeID(1 - i%2),
-			Op: Reduce, Flow: 0, Step: i + 1, Deps: deps})
+			Op: Reduce, Flow: 0, Step: int32(i + 1)}, deps, nil)
 	}
 	order, err := s.TopoOrder()
 	if err != nil {
@@ -107,7 +107,7 @@ func TestTopoOrderRespectsDeps(t *testing.T) {
 		pos[id] = i
 	}
 	for i := range s.Transfers {
-		for _, d := range s.Transfers[i].Deps {
+		for _, d := range s.Deps(i) {
 			if pos[d] >= pos[TransferID(i)] {
 				t.Fatalf("dep %d ordered after %d", d, i)
 			}
@@ -129,7 +129,7 @@ func TestTopoOrderIdentityFastPath(t *testing.T) {
 			deps = []TransferID{prev}
 		}
 		prev = s.Add(Transfer{Src: topology.NodeID(i % 2), Dst: topology.NodeID(1 - i%2),
-			Op: Reduce, Flow: 0, Step: i + 1, Deps: deps})
+			Op: Reduce, Flow: 0, Step: int32(i + 1)}, deps, nil)
 	}
 	order, err := s.TopoOrder()
 	if err != nil {
@@ -143,10 +143,10 @@ func TestTopoOrderIdentityFastPath(t *testing.T) {
 
 	// 1 depends forward on 2: min-id Kahn emits 0, 2, 1, 3.
 	f := NewSchedule("forward", testTopo(), 100, 1)
-	f.Add(Transfer{Src: 0, Dst: 1, Op: Reduce, Flow: 0, Step: 1})
-	f.Add(Transfer{Src: 1, Dst: 2, Op: Reduce, Flow: 0, Step: 2, Deps: []TransferID{2}})
-	f.Add(Transfer{Src: 2, Dst: 1, Op: Reduce, Flow: 0, Step: 1})
-	f.Add(Transfer{Src: 1, Dst: 0, Op: Reduce, Flow: 0, Step: 3, Deps: []TransferID{1}})
+	f.Add(Transfer{Src: 0, Dst: 1, Op: Reduce, Flow: 0, Step: 1}, nil, nil)
+	f.Add(Transfer{Src: 1, Dst: 2, Op: Reduce, Flow: 0, Step: 2}, []TransferID{2}, nil)
+	f.Add(Transfer{Src: 2, Dst: 1, Op: Reduce, Flow: 0, Step: 1}, nil, nil)
+	f.Add(Transfer{Src: 1, Dst: 0, Op: Reduce, Flow: 0, Step: 3}, []TransferID{1}, nil)
 	order, err = f.TopoOrder()
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +161,8 @@ func TestTopoOrderIdentityFastPath(t *testing.T) {
 
 func TestTotalBytesAndPerNode(t *testing.T) {
 	s := NewSchedule("unit", testTopo(), 1000, 4)
-	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1})
-	s.Add(Transfer{Src: 0, Dst: 2, Op: Gather, Flow: 1, Step: 1})
+	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1}, nil, nil)
+	s.Add(Transfer{Src: 0, Dst: 2, Op: Gather, Flow: 1, Step: 1}, nil, nil)
 	want := s.Flows[0].Bytes() + s.Flows[1].Bytes()
 	if got := s.TotalBytes(); got != want {
 		t.Errorf("TotalBytes = %d, want %d", got, want)
@@ -178,16 +178,16 @@ func TestAnalyzeContention(t *testing.T) {
 	topo := testTopo()
 	s := NewSchedule("contended", topo, 1000, 2)
 	path := topo.Route(0, 1)
-	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1, Path: path})
-	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 1, Step: 1, Path: path})
+	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1}, nil, path)
+	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 1, Step: 1}, nil, path)
 	a := Analyze(s)
 	if a.MaxLinkOverlap != 2 || a.ContentionFree() {
 		t.Errorf("contended schedule analyzed as %+v", a)
 	}
 	// Different steps: no same-step overlap.
 	s2 := NewSchedule("ok", topo, 1000, 2)
-	s2.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1, Path: path})
-	s2.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 1, Step: 2, Path: path})
+	s2.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1}, nil, path)
+	s2.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 1, Step: 2}, nil, path)
 	if a2 := Analyze(s2); !a2.ContentionFree() {
 		t.Errorf("step-separated schedule flagged contended: %+v", a2)
 	}
@@ -195,9 +195,9 @@ func TestAnalyzeContention(t *testing.T) {
 
 func TestStepHistogram(t *testing.T) {
 	s := NewSchedule("unit", testTopo(), 100, 1)
-	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1})
-	s.Add(Transfer{Src: 1, Dst: 3, Op: Gather, Flow: 0, Step: 2})
-	s.Add(Transfer{Src: 2, Dst: 0, Op: Gather, Flow: 0, Step: 2})
+	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1}, nil, nil)
+	s.Add(Transfer{Src: 1, Dst: 3, Op: Gather, Flow: 0, Step: 2}, nil, nil)
+	s.Add(Transfer{Src: 2, Dst: 0, Op: Gather, Flow: 0, Step: 2}, nil, nil)
 	h := StepHistogram(s)
 	if len(h) != 3 || h[1] != 1 || h[2] != 2 {
 		t.Errorf("histogram = %v", h)
@@ -218,7 +218,7 @@ func TestExecuteRejectsBadInputs(t *testing.T) {
 // TestExecuteGatherOverwrites pins the op semantics.
 func TestExecuteGatherOverwrites(t *testing.T) {
 	s := NewSchedule("unit", testTopo(), 4, 1)
-	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1})
+	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1}, nil, nil)
 	in := [][]float32{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}, {4, 4, 4, 4}}
 	out, err := Execute(s, in)
 	if err != nil {
@@ -234,7 +234,7 @@ func TestExecuteGatherOverwrites(t *testing.T) {
 
 func TestExecuteReduceAdds(t *testing.T) {
 	s := NewSchedule("unit", testTopo(), 4, 1)
-	s.Add(Transfer{Src: 0, Dst: 1, Op: Reduce, Flow: 0, Step: 1})
+	s.Add(Transfer{Src: 0, Dst: 1, Op: Reduce, Flow: 0, Step: 1}, nil, nil)
 	in := [][]float32{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}, {4, 4, 4, 4}}
 	out, err := Execute(s, in)
 	if err != nil {

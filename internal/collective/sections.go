@@ -20,13 +20,14 @@ package collective
 //
 // Transfers are striped (transfersPerStripe records per section), with
 // each stripe's dependency and path-hop values split into companion
-// sections indexed into flat arenas — the same prefix-sum-arena shape as
-// TreesToScheduleParallel, which is what makes the decoded Schedule
-// byte-identical at any worker count: stripe k writes Transfers[lo:hi)
-// and its fixed arena ranges no matter which goroutine runs it, and a
-// worker that decodes a deps stripe writes arena elements while another
-// writes the slice headers over them — disjoint memory, no ordering
-// between them until the final join.
+// sections indexed into the Schedule's own CSR arenas — the layout
+// TreesToScheduleParallel fills too, which is what makes the decoded
+// Schedule byte-identical at any worker count: stripe k writes
+// Transfers[lo:hi), their arena offsets and its fixed arena ranges no
+// matter which goroutine runs it, and a worker that decodes a deps
+// stripe writes arena elements while another writes the offsets that
+// index them — disjoint memory, no ordering between them until the
+// final join.
 //
 // Correlated fields are delta-coded as zigzag varints, with the delta
 // chain resetting at every section boundary so sections stay
@@ -47,6 +48,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -346,10 +348,11 @@ func encodeSections(cw *countWriter, s *Schedule, sum summary) ([]sectionEntry, 
 				bw.sint(int64(t.Flow) - prevFlow)
 				bw.sint(int64(t.Step) - prevStep)
 				prevFlow, prevStep = int64(t.Flow), int64(t.Step)
-				bw.uint(uint64(len(t.Deps)))
-				path := s.PathOf(t)
+				deps := s.Deps(i)
+				bw.uint(uint64(len(deps)))
+				path := s.PathOf(i)
 				bw.uint(uint64(len(path)))
-				dCount += int64(len(t.Deps))
+				dCount += int64(len(deps))
 				pCount += int64(len(path))
 			}
 		}); err != nil {
@@ -358,7 +361,7 @@ func encodeSections(cw *countWriter, s *Schedule, sum summary) ([]sectionEntry, 
 		if err := emit(secDeps, dOff, dCount, 0, 0, func(bw *binWriter) {
 			var prev int64
 			for i := lo; i < hi; i++ {
-				for _, d := range s.Transfers[i].Deps {
+				for _, d := range s.Deps(i) {
 					bw.sint(int64(d) - prev)
 					prev = int64(d)
 				}
@@ -368,7 +371,7 @@ func encodeSections(cw *countWriter, s *Schedule, sum summary) ([]sectionEntry, 
 		}
 		if err := emit(secPaths, pOff, pCount, 0, 0, func(bw *binWriter) {
 			for i := lo; i < hi; i++ {
-				for _, id := range s.PathOf(&s.Transfers[i]) {
+				for _, id := range s.PathOf(i) {
 					bw.uint(uint64(id))
 				}
 			}
@@ -458,9 +461,6 @@ type loader struct {
 	entries []sectionEntry
 	depEnd  []int64 // per transfers stripe: exclusive dep arena bound
 	pathEnd []int64 // per transfers stripe: exclusive path arena bound
-
-	depArena  []TransferID
-	pathArena []topology.LinkID
 
 	// Per-entry results of the decode fan-out, merged deterministically.
 	errs    []error
@@ -635,9 +635,9 @@ func (ld *loader) parseMeta(meta []byte) error {
 		Steps:     d.intCap("steps", 1<<56),
 	}
 	sum := &ld.sum
-	sum.Transfers = int64(d.intCap("transfer", 1<<31-1))
-	sum.DepEdges = int64(d.intCap("dep", 1<<40))
-	sum.PathHops = int64(d.intCap("path hop", 1<<40))
+	sum.Transfers = int64(d.intCap("transfer", maxArena))
+	sum.DepEdges = int64(d.intCap("dep", maxArena))
+	sum.PathHops = int64(d.intCap("path hop", maxArena))
 	sum.LinksUsed = int64(d.intCap("link", 1<<40))
 	sum.CoveredElems = int64(d.intCap("covered elem", 1<<56))
 	d.bytes(sum.Witness[:])
@@ -657,12 +657,12 @@ func (ld *loader) parseMeta(meta []byte) error {
 	if s.Elems < 1 {
 		return fmt.Errorf("collective: schedule has %d elements", s.Elems)
 	}
-	// Each transfer record costs >= 7 section bytes, each dep and path
-	// hop >= 1: a summary whose claimed sizes could not fit in the body
-	// is rejected before anything is allocated from it.
-	if sum.Transfers*7+sum.DepEdges+sum.PathHops > ld.size {
-		return badSchedule("summary claims %d transfers/%d deps/%d hops in a %d-byte body",
-			sum.Transfers, sum.DepEdges, sum.PathHops, ld.size)
+	// Each transfer record costs >= 7 section bytes, each flow >= 2,
+	// each dep and path hop >= 1: a summary whose claimed sizes could not
+	// fit in the body is rejected before anything is allocated from it.
+	if sum.Transfers*7+2*int64(ld.nf)+sum.DepEdges+sum.PathHops > ld.size {
+		return badSchedule("summary claims %d transfers/%d flows/%d deps/%d hops in a %d-byte body",
+			sum.Transfers, ld.nf, sum.DepEdges, sum.PathHops, ld.size)
 	}
 	ld.s = s
 	return nil
@@ -748,8 +748,10 @@ func (ld *loader) decodeAll() error {
 	}
 	ld.s.Flows = make([]Range, ld.nf)
 	ld.s.Transfers = make([]Transfer, ld.sum.Transfers)
-	ld.depArena = make([]TransferID, ld.sum.DepEdges)
-	ld.pathArena = make([]topology.LinkID, ld.sum.PathHops)
+	ld.s.depOff = make([]int32, ld.sum.Transfers+1)
+	ld.s.pathOff = make([]int32, ld.sum.Transfers+1)
+	ld.s.deps = make([]TransferID, ld.sum.DepEdges)
+	ld.s.paths = make([]topology.LinkID, ld.sum.PathHops)
 	ld.errs = make([]error, len(ld.entries))
 	ld.maxStep = make([]int, len(ld.entries))
 	ld.bitmaps = make([]*linkBitmap, workers)
@@ -855,27 +857,24 @@ func (ld *loader) decodeTransfers(d *sliceDecoder, e *sectionEntry, i int) error
 		if flow < 0 || flow >= int64(ld.nf) {
 			return fmt.Errorf("collective: transfer %d: flow %d out of range", j, flow)
 		}
-		if step < 0 || step > int64(ld.s.Steps) {
+		if step < 0 || step > int64(ld.s.Steps) || step > math.MaxInt32 {
 			return fmt.Errorf("collective: transfer %d: step %d out of range", j, step)
 		}
-		t.Flow = int(flow)
-		t.Step = int(step)
+		t.Flow = int32(flow)
+		t.Step = int32(step)
 		prevFlow, prevStep = flow, step
 		if nd > uint64(dEnd-dcur) {
 			return badSchedule("transfer %d overruns its dep stripe", j)
 		}
-		if nd > 0 {
-			t.Deps = ld.depArena[dcur : dcur+int64(nd) : dcur+int64(nd)]
-			dcur += int64(nd)
-		}
 		if np > uint64(pEnd-pcur) {
 			return badSchedule("transfer %d overruns its path stripe", j)
 		}
-		t.Path = ld.pathArena[pcur : pcur+int64(np) : pcur+int64(np)]
+		dcur += int64(nd)
 		pcur += int64(np)
-		if t.Step > maxStep {
-			maxStep = t.Step
-		}
+		// parseMeta bounds both arenas by maxArena, so the offsets fit.
+		ld.s.depOff[j+1] = int32(dcur)
+		ld.s.pathOff[j+1] = int32(pcur)
+		maxStep = max(maxStep, int(step))
 	}
 	if dcur != dEnd || pcur != pEnd {
 		return badSchedule("transfer section deps/hops end at %d/%d, table says %d/%d", dcur, pcur, dEnd, pEnd)
@@ -895,7 +894,7 @@ func (ld *loader) decodeDeps(d *sliceDecoder, e *sectionEntry) error {
 			}
 			return badSchedule("%w", d.err)
 		}
-		ld.depArena[e.elemOff+j] = TransferID(v)
+		ld.s.deps[e.elemOff+j] = TransferID(v)
 		prev = v
 	}
 	return nil
@@ -916,7 +915,7 @@ func (ld *loader) decodePaths(d *sliceDecoder, e *sectionEntry, w int) error {
 			}
 			return badSchedule("%w", d.err)
 		}
-		ld.pathArena[e.elemOff+j] = topology.LinkID(v)
+		ld.s.paths[e.elemOff+j] = topology.LinkID(v)
 		bm.add(topology.LinkID(v))
 	}
 	return nil

@@ -128,8 +128,8 @@ func TestBinaryV2SummaryLoad(t *testing.T) {
 	var deps, hops int64
 	links := map[topology.LinkID]bool{}
 	for i := range s.Transfers {
-		deps += int64(len(s.Transfers[i].Deps))
-		path := s.PathOf(&s.Transfers[i])
+		deps += int64(len(s.Deps(i)))
+		path := s.PathOf(i)
 		hops += int64(len(path))
 		for _, id := range path {
 			links[id] = true
@@ -178,5 +178,32 @@ func TestVerifyFullChecksWitness(t *testing.T) {
 	}
 	if err := load(true); err == nil || !strings.Contains(err.Error(), "witness") {
 		t.Fatalf("VerifyFull load: err = %v, want a witness mismatch", err)
+	}
+}
+
+// TestParseMetaBoundsFlowClaim: a meta block claiming more flows than
+// the body could encode (two bytes each at least) is rejected before
+// the flow table is allocated from the claim.
+func TestParseMetaBoundsFlowClaim(t *testing.T) {
+	topo := topology.Mesh(2, 2, topology.DefaultLinkConfig())
+	s, err := TreesToSchedule("unit", topo, 400, []*Tree{chainTree()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := s.validatedOrder(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := summarize(s, order)
+	claim := s.WithFlows(s.Elems, make([]Range, 1<<16))
+	meta := encodeMeta(claim, sum)
+	size := int64(7*len(s.Transfers)+s.DepEdges()) + sum.PathHops + 2*int64(len(s.Flows))
+	ld := &loader{topo: topo, size: size}
+	if err := ld.parseMeta(meta); err == nil || !strings.Contains(err.Error(), "65536 flows") {
+		t.Fatalf("parseMeta of a %d-flow claim in a %d-byte body: err = %v, want the claim refused", 1<<16, size, err)
+	}
+	ld = &loader{topo: topo, size: size}
+	if err := ld.parseMeta(encodeMeta(s, sum)); err != nil {
+		t.Fatalf("parseMeta of the honest meta block: %v", err)
 	}
 }

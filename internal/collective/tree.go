@@ -203,31 +203,37 @@ func TreesToScheduleParallel(alg string, topo *topology.Topology, elems int, tre
 	return s, err
 }
 
-// treeLowerPlan is one tree's slot assignment in the shared output
-// arrays, fixed by the sequential sizing pass so the parallel fill pass
-// writes disjoint regions.
+// treeLowerPlan is one tree's slot assignment in the schedule's
+// transfer array and arenas, fixed by the sequential sizing pass so the
+// parallel fill pass writes disjoint regions.
 type treeLowerPlan struct {
 	height   int // max AGStep
 	edges    int // member non-root nodes; the tree emits 2*edges transfers
 	rootKids int // children attached directly to the root
+	hops     int // pinned path hops over the tree's edges
 	xferOff  int // first transfer index in Schedule.Transfers
-	rOff     int // first slot in the reduce-dependency arena
-	gOff     int // first slot in the gather-dependency arena
-	gLen     int // gather-dependency slots reserved (upper bound)
-	pOff     int // first slot in the reversed-path arena
-	pLen     int // reversed-path hops reserved
-	deps     int64
-	hops     int64
+	dOff     int // first slot in the dependency arena
+	pOff     int // first slot in the path arena
+}
+
+// depSlots is the tree's exact dependency count. A reduce waits on the
+// sender's children, one slot per edge not ending at the root; a gather
+// waits on the gather into its parent plus the child's own reduce, or
+// off the root on the root's whole fan-in plus that reduce.
+func (pl *treeLowerPlan) depSlots() int {
+	inner := pl.edges - pl.rootKids
+	return inner + 2*inner + pl.rootKids*(pl.rootKids+1)
 }
 
 // lowerScratch is one worker's reusable per-tree working state; all
 // slices are indexed by node id and grown to the largest tree seen.
 type lowerScratch struct {
 	cnt        []int32 // children per node
-	rPos       []int   // node's region offset in the reduce-dep arena
+	rPos       []int   // node's reduce-dep region in the schedule's arena
 	rFill      []int32 // filled entries in that region
 	reduceFrom []TransferID
 	gatherInto []TransferID
+	rootIn     []TransferID      // the root's reduce fan-in
 	stepOff    []int             // counting-sort bucket bounds by AGStep
 	kids       []topology.NodeID // children in (step asc, id asc) order
 }
@@ -239,6 +245,7 @@ func (sc *lowerScratch) grow(n, height int) {
 		sc.rFill = make([]int32, n)
 		sc.reduceFrom = make([]TransferID, n)
 		sc.gatherInto = make([]TransferID, n)
+		sc.rootIn = make([]TransferID, n)
 		sc.kids = make([]topology.NodeID, n)
 	}
 	if len(sc.stepOff) < height+2 {
@@ -253,11 +260,8 @@ func treesToSchedule(alg string, topo *topology.Topology, elems int, trees []*Tr
 	plans := make([]treeLowerPlan, k)
 	errs := make([]error, k)
 
-	// Sizing pass: validate each tree and count its transfers, dependency
-	// slots and reversed-path hops. Per tree: the reduce side emits one
-	// transfer per edge whose deps exactly fill the parent's child-count
-	// region; the gather side needs at most 2 slots per edge, except edges
-	// off the root, which copy the root's full reduce fan-in plus one.
+	// Sizing pass: validate each tree and count its edges, root children
+	// and pinned path hops, which fix its transfer and arena extents.
 	runTreeTasks(workers, k, func(_, i int) {
 		tr := trees[i]
 		if err := tr.Validate(); err != nil {
@@ -279,9 +283,8 @@ func treesToSchedule(alg string, topo *topology.Topology, elems int, trees []*Tr
 			if st := tr.AGStep[node]; st > pl.height {
 				pl.height = st
 			}
-			pl.pLen += len(tr.Path[node])
+			pl.hops += len(tr.Path[node])
 		}
-		pl.gLen = 2*(pl.edges-pl.rootKids) + pl.rootKids*(pl.rootKids+1)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -291,50 +294,53 @@ func treesToSchedule(alg string, topo *topology.Topology, elems int, trees []*Tr
 
 	// Sequential merge plan: prefix sums assign every tree its transfer-id
 	// range and arena regions; tot (the global schedule depth) comes from
-	// the same pass.
-	tot, nXfer, nRDep, nGDep, nPath := 0, 0, 0, 0, 0
+	// the same pass. Each pinned edge path appears twice, reversed for the
+	// reduce and as is for the gather.
+	tot, nXfer, nDep, nPath := 0, 0, 0, 0
 	for i := range plans {
 		pl := &plans[i]
-		pl.xferOff, pl.rOff, pl.gOff, pl.pOff = nXfer, nRDep, nGDep, nPath
+		pl.xferOff, pl.dOff, pl.pOff = nXfer, nDep, nPath
 		nXfer += 2 * pl.edges
-		nRDep += pl.edges
-		nGDep += pl.gLen
-		nPath += pl.pLen
+		nDep += pl.depSlots()
+		nPath += 2 * pl.hops
 		if pl.height > tot {
 			tot = pl.height
 		}
 	}
+	if nXfer > maxArena || nDep > maxArena || nPath > maxArena {
+		return nil, counters, fmt.Errorf("collective: %d transfers, %d deps and %d path hops exceed the %d-entry arenas",
+			nXfer, nDep, nPath, maxArena)
+	}
 	s.Transfers = make([]Transfer, nXfer)
-	reduceDeps := make([]TransferID, nRDep)
-	gatherDeps := make([]TransferID, nGDep)
-	pathArena := make([]topology.LinkID, nPath)
+	s.depOff = make([]int32, nXfer+1)
+	s.pathOff = make([]int32, nXfer+1)
+	s.deps = make([]TransferID, nDep)
+	s.paths = make([]topology.LinkID, nPath)
 
 	// Fill pass: each worker lowers whole trees into their regions.
 	var done atomic.Int64
 	scratches := make([]lowerScratch, max(workers, 1))
 	runTreeTasks(workers, k, func(w, i int) {
 		pl := &plans[i]
-		lowerTree(topo, trees[i], pl, tot, s.Transfers, reduceDeps, gatherDeps, pathArena, &scratches[w])
+		lowerTree(topo, trees[i], pl, tot, s, &scratches[w])
 		if o != nil {
 			o.PlanProgress(obs.PhaseLowering, done.Add(int64(2*pl.edges)), int64(nXfer))
 		}
 	})
-	for i := range plans {
-		counters.DepEdges += plans[i].deps
-		counters.PathHops += plans[i].hops
-	}
 	counters.Transfers = int64(nXfer)
+	counters.DepEdges = int64(nDep)
+	counters.PathHops = int64(nPath)
 	s.Steps = 2 * tot
 	return s, counters, nil
 }
 
-// lowerTree emits one tree's transfers into its reserved regions. Reduce
-// transfers go deepest level first so dependencies reference
-// already-emitted transfers; gather transfers go shallowest first; within
-// a level, children ascend by id — the exact order the append-based
-// lowering produced, so transfer ids and bytes are unchanged.
-func lowerTree(topo *topology.Topology, tr *Tree, pl *treeLowerPlan, tot int,
-	xfers []Transfer, reduceDeps, gatherDeps []TransferID, pathArena []topology.LinkID, sc *lowerScratch) {
+// lowerTree emits one tree's transfers, in transfer order, into its
+// reserved regions of s's transfer array and arenas. Reduce transfers go
+// deepest level first so dependencies reference already-emitted
+// transfers; gather transfers go shallowest first; within a level,
+// children ascend by id — the exact order the append-based lowering
+// produced, so transfer ids and bytes are unchanged.
+func lowerTree(topo *topology.Topology, tr *Tree, pl *treeLowerPlan, tot int, s *Schedule, sc *lowerScratch) {
 	n := len(tr.Parent)
 	sc.grow(n, pl.height)
 	so := sc.stepOff[:pl.height+2]
@@ -343,6 +349,7 @@ func lowerTree(topo *topology.Topology, tr *Tree, pl *treeLowerPlan, tot int,
 	}
 	for node := 0; node < n; node++ {
 		sc.cnt[node] = 0
+		sc.rFill[node] = 0
 		sc.gatherInto[node] = -1
 	}
 
@@ -373,48 +380,45 @@ func lowerTree(topo *topology.Topology, tr *Tree, pl *treeLowerPlan, tot int,
 		so[st]++
 	}
 
-	// Each node's reduce fan-in region in the shared arena.
-	off := pl.rOff
-	for node := 0; node < n; node++ {
-		sc.rPos[node] = off
-		off += int(sc.cnt[node])
-		sc.rFill[node] = 0
+	// Each sender's reduce-dep region, in emission order: the reduce of c
+	// waits on the reduces from c's children, which fill the region as
+	// they are emitted. A child attaches strictly later than its
+	// (non-root) parent, so the region is complete when c's turn comes.
+	off := pl.dOff
+	for st := pl.height; st >= 1; st-- {
+		for _, c := range sc.kids[so[st-1]:so[st]] {
+			sc.rPos[c] = off
+			off += int(sc.cnt[c])
+		}
 	}
 
-	// Reduce phase, deepest level first. A child attaches strictly later
-	// than its (non-root) parent, so by the time an edge is emitted the
-	// child's fan-in region is complete and can be aliased as Deps.
 	seq := pl.xferOff
-	pcur := pl.pOff
-	var depCount, hopCount int64
+	dcur, pcur := pl.dOff, pl.pOff
+	emit := func(t Transfer) TransferID {
+		s.Transfers[seq] = t
+		s.depOff[seq+1] = int32(dcur)
+		s.pathOff[seq+1] = int32(pcur)
+		seq++
+		return TransferID(seq - 1)
+	}
+	flow := int32(tr.Flow)
 	for st := pl.height; st >= 1; st-- {
 		for _, c := range sc.kids[so[st-1]:so[st]] {
 			p := tr.Parent[c]
-			var deps []TransferID
-			if f := int(sc.rFill[c]); f > 0 {
-				deps = reduceDeps[sc.rPos[c] : sc.rPos[c]+f : sc.rPos[c]+f]
+			tp := tr.Path[c]
+			for i, id := range tp {
+				s.paths[pcur+len(tp)-1-i] = topo.ReverseLink(topo.Link(id))
 			}
-			var path []topology.LinkID
-			if tp := tr.Path[c]; tp != nil {
-				path = pathArena[pcur : pcur+len(tp) : pcur+len(tp)]
-				for i, id := range tp {
-					path[len(tp)-1-i] = topo.ReverseLink(topo.Link(id))
-				}
-				pcur += len(tp)
-			}
-			id := TransferID(seq)
-			xfers[seq] = Transfer{
-				Src: c, Dst: p, Op: Reduce, Flow: tr.Flow,
-				Step: tot - st + 1,
-				Deps: deps,
-				Path: path,
-			}
-			seq++
+			pcur += len(tp)
+			dcur = sc.rPos[c] + int(sc.cnt[c])
+			id := emit(Transfer{Src: c, Dst: p, Op: Reduce, Flow: flow, Step: int32(tot - st + 1)})
 			sc.reduceFrom[c] = id
-			reduceDeps[sc.rPos[p]+int(sc.rFill[p])] = id
+			if p == tr.Root {
+				sc.rootIn[sc.rFill[p]] = id
+			} else {
+				s.deps[sc.rPos[p]+int(sc.rFill[p])] = id
+			}
 			sc.rFill[p]++
-			depCount += int64(len(deps))
-			hopCount += int64(len(path))
 		}
 	}
 
@@ -423,35 +427,26 @@ func lowerTree(topo *topology.Topology, tr *Tree, pl *treeLowerPlan, tot int,
 	// child's own reduce send — a node cannot forward downstream before it
 	// has stopped needing its buffer for the reduce it sent upstream; the
 	// gather overwrites the same segment.
-	gcur := pl.gOff
+	rootIn := sc.rootIn[:sc.rFill[tr.Root]]
 	for st := 1; st <= pl.height; st++ {
 		for _, c := range sc.kids[so[st-1]:so[st]] {
 			p := tr.Parent[c]
-			start := gcur
 			if p == tr.Root {
-				root := int(tr.Root)
-				gcur += copy(gatherDeps[gcur:], reduceDeps[sc.rPos[root]:sc.rPos[root]+int(sc.rFill[root])])
-			} else if g := sc.gatherInto[p]; g >= 0 {
-				gatherDeps[gcur] = g
-				gcur++
+				dcur += copy(s.deps[dcur:], rootIn)
+			} else {
+				s.deps[dcur] = sc.gatherInto[p]
+				dcur++
 			}
-			gatherDeps[gcur] = sc.reduceFrom[c]
-			gcur++
-			deps := gatherDeps[start:gcur:gcur]
-			id := TransferID(seq)
-			xfers[seq] = Transfer{
-				Src: p, Dst: c, Op: Gather, Flow: tr.Flow,
-				Step: tot + st,
-				Deps: deps,
-				Path: tr.Path[c],
-			}
-			seq++
-			sc.gatherInto[c] = id
-			depCount += int64(len(deps))
-			hopCount += int64(len(tr.Path[c]))
+			s.deps[dcur] = sc.reduceFrom[c]
+			dcur++
+			pcur += copy(s.paths[pcur:], tr.Path[c])
+			sc.gatherInto[c] = emit(Transfer{Src: p, Dst: c, Op: Gather, Flow: flow, Step: int32(tot + st)})
 		}
 	}
-	pl.deps, pl.hops = depCount, hopCount
+	if dcur != pl.dOff+pl.depSlots() || pcur != pl.pOff+2*pl.hops {
+		panic(fmt.Sprintf("collective: tree %d lowered %d deps/%d hops into %d/%d reserved slots",
+			tr.Flow, dcur-pl.dOff, pcur-pl.pOff, pl.depSlots(), 2*pl.hops))
+	}
 }
 
 // runTreeTasks runs fn(worker, i) for i in [0, k), fanning out over up to

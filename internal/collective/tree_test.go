@@ -86,7 +86,7 @@ func TestTreesToScheduleStructure(t *testing.T) {
 	if len(s.Transfers) != 6 || s.Steps != 6 {
 		t.Fatalf("%d transfers %d steps, want 6 and 6", len(s.Transfers), s.Steps)
 	}
-	var reduceSteps, gatherSteps []int
+	var reduceSteps, gatherSteps []int32
 	for i := range s.Transfers {
 		tr := &s.Transfers[i]
 		if tr.Op == Reduce {
@@ -134,11 +134,11 @@ func TestTreesToSchedulePinnedPaths(t *testing.T) {
 	}
 	for i := range s.Transfers {
 		tf := &s.Transfers[i]
-		if tf.Path == nil {
+		if len(s.Path(i)) == 0 {
 			t.Fatalf("transfer %d lost its pinned path", i)
 		}
 		cur := int(tf.Src)
-		for _, id := range tf.Path {
+		for _, id := range s.Path(i) {
 			l := topo.Link(id)
 			if l.Src != cur {
 				t.Fatalf("transfer %d path discontiguous", i)

@@ -19,13 +19,13 @@ func StepUtilization(s *Schedule) []float64 {
 	}
 	used := make([]map[topology.LinkID]bool, s.Steps+1)
 	for i := range s.Transfers {
-		t := &s.Transfers[i]
-		m := used[t.Step]
+		step := s.Transfers[i].Step
+		m := used[step]
 		if m == nil {
 			m = make(map[topology.LinkID]bool)
-			used[t.Step] = m
+			used[step] = m
 		}
-		for _, l := range s.PathOf(t) {
+		for _, l := range s.PathOf(i) {
 			m[l] = true
 		}
 	}

@@ -51,28 +51,28 @@ func phaseOnly(full *collective.Schedule, op collective.Op) *collective.Schedule
 		Elems:     full.Elems,
 		Flows:     full.Flows,
 	}
-	shift := 0
+	shift := int32(0)
 	if op == collective.Gather {
-		shift = full.Steps / 2
+		shift = int32(full.Steps / 2)
 	}
 	remap := make([]collective.TransferID, len(full.Transfers))
 	for i := range remap {
 		remap[i] = -1
 	}
+	var deps []collective.TransferID
 	for i := range full.Transfers {
 		t := full.Transfers[i]
 		if t.Op != op {
 			continue
 		}
-		var deps []collective.TransferID
-		for _, d := range t.Deps {
+		deps = deps[:0]
+		for _, d := range full.Deps(i) {
 			if remap[d] >= 0 {
 				deps = append(deps, remap[d])
 			}
 		}
-		t.Deps = deps
 		t.Step -= shift
-		remap[i] = out.Add(t)
+		remap[i] = out.Add(t, deps, full.Path(i))
 	}
 	return out
 }
@@ -148,6 +148,7 @@ func BuildAllToAll(topo *topology.Topology, elems int, opts Options) (*collectiv
 			child := h.node
 			parent := tr.Parent[child]
 			step := tot - h.step + 1
+			path := reversePathA2A(topo, tr.Path[child])
 			// The child forwards every origin message in its subtree,
 			// including its own. Subtree members are exactly the nodes
 			// whose root-ward path passes child; we accumulate them by
@@ -157,15 +158,14 @@ func BuildAllToAll(topo *topology.Topology, elems int, opts Options) (*collectiv
 					continue
 				}
 				var deps []collective.TransferID
-				if d := carrying[child][origin]; d >= 0 {
-					deps = []collective.TransferID{d}
+				if carrying[child][origin] >= 0 {
+					deps = carrying[child][origin : origin+1]
 				}
 				id := s.Add(collective.Transfer{
 					Src: child, Dst: parent,
-					Op: collective.Gather, Flow: origin*n + j,
-					Step: step, Deps: deps,
-					Path: reversePathA2A(topo, tr.Path[child]),
-				})
+					Op: collective.Gather, Flow: int32(origin*n + j),
+					Step: int32(step),
+				}, deps, path)
 				arrivedAt[parent][origin] = true
 				carrying[parent][origin] = id
 			}

@@ -156,7 +156,7 @@ func TestLinkFailureRebuild(t *testing.T) {
 	}
 	// The failed link must not appear on any allocated path.
 	for i := range s.Transfers {
-		for _, l := range s.PathOf(&s.Transfers[i]) {
+		for _, l := range s.PathOf(i) {
 			link := s.Topo.Link(l)
 			if (link.Src == failA && link.Dst == failB) || (link.Src == failB && link.Dst == failA) {
 				t.Fatalf("schedule uses the failed link %d<->%d", failA, failB)

@@ -74,7 +74,7 @@ func TestSubsetThroughBystanders(t *testing.T) {
 	}
 	maxHops := 0
 	for i := range s.Transfers {
-		if h := len(s.PathOf(&s.Transfers[i])); h > maxHops {
+		if h := len(s.PathOf(i)); h > maxHops {
 			maxHops = h
 		}
 	}

@@ -71,8 +71,10 @@ func Build(topo *topology.Topology, elems, chunks int) (*collective.Schedule, er
 		}
 	}
 	// Sized exactly: each tree's n-1 edges carry every chunk up and down.
-	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems, Flows: flows,
-		Transfers: make([]collective.Transfer, 0, 4*(n-1)*chunks)}
+	// A reduce waits on the sender's children, at most n-1 per tree and
+	// chunk; a broadcast on at most two transfers.
+	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems, Flows: flows}
+	s.Reserve(4*(n-1)*chunks, 6*(n-1)*chunks, 0)
 
 	for ti, tr := range []*tree{t1, t2} {
 		buildTreeSchedule(s, tr, ti, chunks)
@@ -85,8 +87,8 @@ func Build(topo *topology.Topology, elems, chunks int) (*collective.Schedule, er
 // steps and tree 1 even steps (the paper's black/red interleave).
 func buildTreeSchedule(s *collective.Schedule, tr *tree, ti, chunks int) {
 	n := len(tr.parent)
-	flow := func(j int) int { return ti*chunks + j }
-	step := func(logical int) int { return 2*logical - 1 + ti }
+	flow := func(j int) int32 { return int32(ti*chunks + j) }
+	step := func(logical int) int32 { return int32(2*logical - 1 + ti) }
 
 	// Reduce: rank r sends chunk j to its parent at logical step
 	// height(r)+1+j — exactly one step after its deepest child subtree
@@ -111,8 +113,7 @@ func buildTreeSchedule(s *collective.Schedule, tr *tree, ti, chunks int) {
 			id := s.Add(collective.Transfer{
 				Src: topology.NodeID(r), Dst: topology.NodeID(tr.parent[r]),
 				Op: collective.Reduce, Flow: flow(j), Step: step(logical),
-				Deps: reduceRecv[r][j],
-			})
+			}, reduceRecv[r][j], nil)
 			p := tr.parent[r]
 			reduceRecv[p][j] = append(reduceRecv[p][j], id)
 		}
@@ -140,14 +141,13 @@ func buildTreeSchedule(s *collective.Schedule, tr *tree, ti, chunks int) {
 			if p == tr.root {
 				deps = reduceRecv[tr.root][j]
 			} else if gatherIn[p][j] >= 0 {
-				deps = []collective.TransferID{gatherIn[p][j]}
+				deps = gatherIn[p][j : j+1]
 			}
 			logical := rootDone + tr.depth[r] + j
 			gatherIn[r][j] = s.Add(collective.Transfer{
 				Src: topology.NodeID(p), Dst: topology.NodeID(r),
 				Op: collective.Gather, Flow: flow(j), Step: step(logical),
-				Deps: deps,
-			})
+			}, deps, nil)
 		}
 	}
 }

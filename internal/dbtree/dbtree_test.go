@@ -91,8 +91,8 @@ func TestEvenOddInterleave(t *testing.T) {
 	chunks := len(s.Flows) / 2
 	for i := range s.Transfers {
 		tr := &s.Transfers[i]
-		tree := tr.Flow / chunks
-		if tr.Step%2 != 1-tree {
+		tree := int(tr.Flow) / chunks
+		if int(tr.Step)%2 != 1-tree {
 			t.Fatalf("tree %d transfer at step %d breaks the even/odd interleave", tree, tr.Step)
 		}
 	}

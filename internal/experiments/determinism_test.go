@@ -144,8 +144,8 @@ func TestFluidEqualTimeEventOrder(t *testing.T) {
 	// Two flows of 564 words: payload 2256 B, wire 2256 + 9*16 = 2400 B,
 	// 150 cycles at 16 B/cycle.
 	s := collective.NewSchedule("tie", topo, 1128, 2)
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
-	s.Add(collective.Transfer{Src: 0, Dst: 2, Op: collective.Gather, Flow: 1, Step: 3})
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
+	s.Add(collective.Transfer{Src: 0, Dst: 2, Op: collective.Gather, Flow: 1, Step: 3}, nil, nil)
 
 	run := func() []obs.Event {
 		rec := &obs.Recorder{}

@@ -122,8 +122,7 @@ func TestMultiTreeReplanAvoidsFailedLinks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range imported.Transfers {
-		tr := &imported.Transfers[i]
-		for _, lid := range imported.PathOf(tr) {
+		for _, lid := range imported.PathOf(i) {
 			lk := imported.Topo.Link(lid)
 			a := deg.OrigVertex[lk.Src]
 			b := deg.OrigVertex[lk.Dst]

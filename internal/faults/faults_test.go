@@ -219,6 +219,21 @@ func TestApplyValidation(t *testing.T) {
 	if _, err := Apply(topo, &Plan{Links: []LinkFault{{A: 0, B: 5, Down: true}}}); err == nil {
 		t.Error("absent cable accepted")
 	}
+	// Vertices one 2^32 past a real cable's ends (0-1) or a real node
+	// stay out of range: the check runs on int, before any narrowing to
+	// an int32 node or link id could wrap them back.
+	for _, spec := range []string{"link:4294967296-4294967297:down", "node:4294967296:down"} {
+		p, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		if _, err := Apply(topo, p); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("Apply(%s) = %v, want an out-of-range error", spec, err)
+		}
+		if _, err := Compile(p, topo); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("Compile(%s) = %v, want an out-of-range error", spec, err)
+		}
+	}
 	// Killing 15 of 16 nodes leaves too few for an all-reduce.
 	var p Plan
 	for n := 0; n < 15; n++ {

@@ -59,6 +59,9 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 		cur = next
 	}
 	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems, Flows: flows}
+	// Each of the 2·steps exchanges sends n transfers, each but the
+	// first exchange's waiting on its sender's latest receive.
+	s.Reserve(2*steps*n, (2*steps-1)*n, 0)
 
 	// segIdx[r] tracks which level-k segment rank r currently owns, as an
 	// index within level k; owning segment i at level k means the range
@@ -72,7 +75,7 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 		if lastIn[r] < 0 {
 			return nil
 		}
-		return []collective.TransferID{lastIn[r]}
+		return lastIn[r : r+1]
 	}
 
 	// Reduce-scatter: at step k (1..steps), rank r pairs with r^bit,
@@ -91,9 +94,9 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 			}
 			pending[peer] = s.Add(collective.Transfer{
 				Src: rankToNode[r], Dst: rankToNode[peer],
-				Op: collective.Reduce, Flow: levelBase[k] + sent,
-				Step: k, Deps: dep(r),
-			})
+				Op: collective.Reduce, Flow: int32(levelBase[k] + sent),
+				Step: int32(k),
+			}, dep(r), nil)
 			newIdx[r] = kept
 		}
 		copy(lastIn, pending)
@@ -112,9 +115,9 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 			peer := r ^ bit
 			pending[peer] = s.Add(collective.Transfer{
 				Src: rankToNode[r], Dst: rankToNode[peer],
-				Op: collective.Gather, Flow: levelBase[k] + segIdx[r],
-				Step: steps + j, Deps: dep(r),
-			})
+				Op: collective.Gather, Flow: int32(levelBase[k] + segIdx[r]),
+				Step: int32(steps + j),
+			}, dep(r), nil)
 		}
 		copy(lastIn, pending)
 		for r := 0; r < n; r++ {

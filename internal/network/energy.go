@@ -75,7 +75,7 @@ func EstimateEnergy(s *collective.Schedule, cfg Config, m EnergyModel) (EnergyBr
 		if payload <= 0 {
 			continue
 		}
-		hops := int64(len(s.PathOf(t)))
+		hops := int64(len(s.PathOf(i)))
 		wire := cfg.WireBytes(payload)
 		flits := wire / flit
 		var arbEvents int64

@@ -27,7 +27,7 @@ func lineTopo(t *testing.T) *topology.Topology {
 func TestLockstepNOPStall(t *testing.T) {
 	topo := lineTopo(t)
 	s := collective.NewSchedule("unit", topo, 4096, 1)
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 3})
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 3}, nil, nil)
 	cfg := network.DefaultConfig()
 
 	res, err := network.SimulateFluid(s, cfg)
@@ -92,7 +92,7 @@ func TestStepPriorityOrdersLink(t *testing.T) {
 func TestPacketBackpressure(t *testing.T) {
 	topo := lineTopo(t)
 	s := collective.NewSchedule("unit", topo, 64<<10, 1)
-	s.Add(collective.Transfer{Src: 0, Dst: 2, Op: collective.Gather, Flow: 0, Step: 1})
+	s.Add(collective.Transfer{Src: 0, Dst: 2, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
 	cfg := network.DefaultConfig()
 	cfg.Lockstep = false
 	wire := cfg.WireBytes(int64(64<<10) * collective.WordSize)
@@ -126,7 +126,7 @@ func TestPacketBackpressure(t *testing.T) {
 func TestLinkBusyAccounting(t *testing.T) {
 	topo := lineTopo(t)
 	s := collective.NewSchedule("unit", topo, 4096, 1)
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
 	cfg := network.DefaultConfig()
 	for name, engine := range map[string]func(*collective.Schedule, network.Config) (*network.Result, error){
 		"fluid":  network.SimulateFluid,
@@ -170,9 +170,8 @@ func TestEmptySchedule(t *testing.T) {
 func TestZeroByteFlows(t *testing.T) {
 	topo := lineTopo(t)
 	s := collective.NewSchedule("unit", topo, 1, 2) // flow 1 gets zero elems
-	a := s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 1})
-	s.Add(collective.Transfer{Src: 1, Dst: 2, Op: collective.Gather, Flow: 0, Step: 2,
-		Deps: []collective.TransferID{a}})
+	a := s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 1}, nil, nil)
+	s.Add(collective.Transfer{Src: 1, Dst: 2, Op: collective.Gather, Flow: 0, Step: 2}, []collective.TransferID{a}, nil)
 	for name, engine := range map[string]func(*collective.Schedule, network.Config) (*network.Result, error){
 		"fluid":  network.SimulateFluid,
 		"packet": network.SimulatePackets,
@@ -191,7 +190,7 @@ func TestZeroByteFlows(t *testing.T) {
 func TestBadConfigRejected(t *testing.T) {
 	topo := lineTopo(t)
 	s := collective.NewSchedule("unit", topo, 16, 1)
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
 	bad := network.DefaultConfig()
 	bad.PayloadBytes = 250 // not a multiple of 16
 	if _, err := network.SimulateFluid(s, bad); err == nil {

@@ -14,7 +14,7 @@ import (
 // oneTransfer builds a single 0->1 gather of elems words.
 func oneTransfer(elems int) *collective.Schedule {
 	s := collective.NewSchedule("unit", torus4x4(), elems, 1)
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
 	return s
 }
 
@@ -127,8 +127,8 @@ func TestFaultLinkDownStalls(t *testing.T) {
 // the node is stuck at.
 func TestLockstepStallReport(t *testing.T) {
 	s := collective.NewSchedule("unit", torus4x4(), 4096, 2)
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
-	s.Add(collective.Transfer{Src: 0, Dst: 4, Op: collective.Gather, Flow: 1, Step: 2})
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
+	s.Add(collective.Transfer{Src: 0, Dst: 4, Op: collective.Gather, Flow: 1, Step: 2}, nil, nil)
 	cfg := network.DefaultConfig() // lockstep on
 	cfg.Faults = mustPlan(t, "link:0-1:down")
 
@@ -244,8 +244,8 @@ func TestFaultPlanValidated(t *testing.T) {
 // idle the rest of the fabric is.
 func TestSelfTransferStalls(t *testing.T) {
 	s := collective.NewSchedule("unit", torus4x4(), 4096, 2)
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
-	s.Add(collective.Transfer{Src: 1, Dst: 1, Op: collective.Gather, Flow: 1, Step: 1})
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
+	s.Add(collective.Transfer{Src: 1, Dst: 1, Op: collective.Gather, Flow: 1, Step: 1}, nil, nil)
 	const stalled = "network: fluid simulation stalled with 1/2 transfers done (unit on torus-4x4); t1 at rate 0"
 	for _, c := range []struct {
 		lockstep bool

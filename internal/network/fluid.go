@@ -312,10 +312,10 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 	for i := range s.Transfers {
 		t := &s.Transfers[i]
 		f := &st.flows[i]
-		f.path = s.PathOf(t)
+		f.path = s.PathOf(i)
 		f.wire = float64(cfg.WireBytes(s.Bytes(t)))
 		f.latency = float64(s.Topo.PathLatency(f.path))
-		f.step = int32(t.Step)
+		f.step = t.Step
 		if f.wire > maxWire {
 			maxWire = f.wire
 		}
@@ -325,7 +325,7 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 		st.payloadTotal += s.Bytes(t)
 		st.wireTotal += int64(f.wire)
 	}
-	st.succ = newDependents(s.Transfers)
+	st.succ = newDependents(s)
 	if cfg.Lockstep {
 		st.ls = newLockstep(s, maxWire/minBW, false)
 	}
@@ -348,7 +348,7 @@ func (st *fluidState) reset() {
 		f.rem = f.wire
 		f.rate = 0
 		f.start = 0
-		f.depsLeft = len(st.s.Transfers[i].Deps)
+		f.depsLeft = len(st.s.Deps(i))
 		f.state = fsWaiting
 	}
 	for i := range st.busy {
@@ -453,7 +453,7 @@ func (st *fluidState) enterStep(node int, at float64) {
 	step := st.ls.enter(node, st.now)
 	if st.tr != nil {
 		st.tr.Emit(obs.Event{
-			Kind: obs.EvStepEnter, At: st.now, Node: int32(node), Step: int32(step),
+			Kind: obs.EvStepEnter, At: st.now, Node: int32(node), Step: step,
 		})
 	}
 	st.releaseStep(&st.ls.clocks[node])
@@ -469,7 +469,7 @@ func (st *fluidState) becomeReady(id int32) {
 	if st.tr != nil {
 		st.tr.Emit(obs.Event{
 			Kind: obs.EvTransferReady, At: st.now, Transfer: id,
-			Node: int32(t.Src), Flow: int32(t.Flow), Step: int32(t.Step),
+			Node: int32(t.Src), Flow: t.Flow, Step: t.Step,
 		})
 	}
 	f := &st.flows[id]
@@ -536,7 +536,7 @@ func (st *fluidState) activateReady() {
 			t := &st.s.Transfers[id]
 			st.tr.Emit(obs.Event{
 				Kind: obs.EvTransferInjected, At: st.now, Transfer: id,
-				Node: int32(t.Src), Flow: int32(t.Flow), Step: int32(t.Step),
+				Node: int32(t.Src), Flow: t.Flow, Step: t.Step,
 				Bytes: int64(f.wire),
 			})
 		}
@@ -705,7 +705,7 @@ func (st *fluidState) processInjections(res *Result) {
 						At:   f.start, Dur: st.now - f.start,
 						Busy: f.wire / st.effBW(l),
 						Link: int32(l), Transfer: id, Node: int32(t.Src),
-						Flow: int32(t.Flow), Step: int32(t.Step),
+						Flow: t.Flow, Step: t.Step,
 						Bytes: int64(f.wire),
 					})
 				}
@@ -734,7 +734,7 @@ func (st *fluidState) processTimed(res *Result) {
 				t := &st.s.Transfers[id]
 				st.tr.Emit(obs.Event{
 					Kind: obs.EvTransferDelivered, At: st.now, Transfer: id,
-					Node: int32(t.Dst), Flow: int32(t.Flow), Step: int32(t.Step),
+					Node: int32(t.Dst), Flow: t.Flow, Step: t.Step,
 				})
 			}
 			for _, nxt := range st.succ.of(id) {

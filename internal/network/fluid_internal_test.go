@@ -24,8 +24,8 @@ func fluidTorus() *topology.Topology {
 func TestFluidDeferredStepEntry(t *testing.T) {
 	topo := fluidTorus()
 	s := collective.NewSchedule("unit", topo, 2048, 2)
-	s.Add(collective.Transfer{Src: 1, Dst: 2, Op: collective.Gather, Flow: 0, Step: 1})
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 3})
+	s.Add(collective.Transfer{Src: 1, Dst: 2, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 3}, nil, nil)
 	cfg := DefaultConfig() // lockstep on
 
 	st := newFluidState(s, cfg, nil)
@@ -65,9 +65,9 @@ func TestFluidDeferredStepEntry(t *testing.T) {
 func TestFluidClockLayout(t *testing.T) {
 	topo := fluidTorus()
 	s := collective.NewSchedule("unit", topo, 2048, 1)
-	for i, step := range []int{math.MaxInt32, 7, 70000, 7, 1, math.MaxInt32, 70000, 3} {
+	for i, step := range []int32{math.MaxInt32, 7, 70000, 7, 1, math.MaxInt32, 70000, 3} {
 		src := topology.NodeID(i % 3)
-		s.Add(collective.Transfer{Src: src, Dst: src + 4, Op: collective.Gather, Step: step})
+		s.Add(collective.Transfer{Src: src, Dst: src + 4, Op: collective.Gather, Step: step}, nil, nil)
 	}
 	st := newFluidState(s, DefaultConfig(), nil)
 	for node := range st.ls.clocks {
@@ -113,9 +113,9 @@ func stepPrioritySchedule(t *testing.T) *collective.Schedule {
 		t.Fatal(err)
 	}
 	s := collective.NewSchedule("unit", topo, 3*4096, 3)
-	s.Add(collective.Transfer{Src: 2, Dst: 0, Op: collective.Gather, Flow: 0, Step: 1})
-	s.Add(collective.Transfer{Src: 0, Dst: 2, Op: collective.Gather, Flow: 1, Step: 1, Deps: []collective.TransferID{0}})
-	s.Add(collective.Transfer{Src: 1, Dst: 2, Op: collective.Gather, Flow: 2, Step: 2})
+	s.Add(collective.Transfer{Src: 2, Dst: 0, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
+	s.Add(collective.Transfer{Src: 0, Dst: 2, Op: collective.Gather, Flow: 1, Step: 1}, []collective.TransferID{0}, nil)
+	s.Add(collective.Transfer{Src: 1, Dst: 2, Op: collective.Gather, Flow: 2, Step: 2}, nil, nil)
 	return s
 }
 
@@ -151,8 +151,8 @@ func TestFluidStepPriorityRateZero(t *testing.T) {
 	}
 
 	fair := collective.NewSchedule("unit", fluidTorus(), 4096, 2)
-	fair.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
-	fair.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 2})
+	fair.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
+	fair.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 2}, nil, nil)
 	cfg := DefaultConfig()
 	cfg.Lockstep = false // both flows activate immediately
 	st = newFluidState(fair, cfg, nil)

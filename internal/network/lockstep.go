@@ -25,21 +25,22 @@ type dependents struct {
 }
 
 // newDependents builds the CSR in two counting passes over the deps.
-func newDependents(ts []collective.Transfer) dependents {
-	off := make([]int32, len(ts)+1)
-	for i := range ts {
-		for _, d := range ts[i].Deps {
+func newDependents(s *collective.Schedule) dependents {
+	n := len(s.Transfers)
+	off := make([]int32, n+1)
+	for i := 0; i < n; i++ {
+		for _, d := range s.Deps(i) {
 			off[d+1]++
 		}
 	}
-	for i := range ts {
+	for i := 0; i < n; i++ {
 		off[i+1] += off[i]
 	}
-	ids := make([]int32, off[len(ts)])
-	next := make([]int32, len(ts))
+	ids := make([]int32, off[n])
+	next := make([]int32, n)
 	copy(next, off)
-	for i := range ts {
-		for _, d := range ts[i].Deps {
+	for i := 0; i < n; i++ {
+		for _, d := range s.Deps(i) {
 			ids[next[d]] = int32(i)
 			next[d]++
 		}
@@ -56,7 +57,7 @@ type stepTime interface{ ~float64 | ~uint64 }
 // nodeClock tracks one node's lockstep progress through its active steps.
 // steps, stepCnt and stepOff are views into arenas shared by all nodes.
 type nodeClock[T stepTime] struct {
-	steps   []int   // sorted distinct steps at which the node sends
+	steps   []int32 // sorted distinct steps at which the node sends
 	stepCnt []int   // sends per entry of steps
 	stepOff []int32 // per entry of steps: start of its sends in lockstep.sends
 	sendOff int32   // start of the node's sends, and of its parked list
@@ -95,13 +96,13 @@ func newLockstep[T stepTime](s *collective.Schedule, estStep T, parking bool) *l
 	lo, hi := math.MaxInt, math.MinInt
 	for i := range ts {
 		order[i] = int32(i)
-		lo, hi = min(lo, ts[i].Step), max(hi, ts[i].Step)
+		lo, hi = min(lo, int(ts[i].Step)), max(hi, int(ts[i].Step))
 	}
 	span := uint64(hi - lo) // wraps correctly for any int range
 	for shift := uint(0); shift < 64 && (shift == 0 || span>>shift > 0); shift += 16 {
 		digits := int(min(span>>shift+1, 1<<16))
 		order, _ = countingSort(order, digits, func(id int32) int {
-			return int(uint64(ts[id].Step-lo) >> shift & 0xffff)
+			return int(uint64(int(ts[id].Step)-lo) >> shift & 0xffff)
 		})
 	}
 	nNodes := s.Topo.Nodes()
@@ -111,7 +112,8 @@ func newLockstep[T stepTime](s *collective.Schedule, estStep T, parking bool) *l
 		ls.parked = make([]int32, len(ts))
 	}
 
-	var steps, stepCnt []int
+	var steps []int32
+	var stepCnt []int
 	var stepOff []int32
 	nodeSeg := make([]int, nNodes+1)
 	for node := 0; node < nNodes; node++ {
@@ -183,7 +185,7 @@ func (ls *lockstep[T]) firstEntry(node int) (at T, ok bool) {
 
 // enter opens node's gate for its current step at now and returns the
 // step.
-func (ls *lockstep[T]) enter(node int, now T) int {
+func (ls *lockstep[T]) enter(node int, now T) int32 {
 	c := &ls.clocks[node]
 	c.entered = true
 	c.injEnd = now
@@ -286,7 +288,7 @@ func stallError[T stepTime](engine string, s *collective.Schedule, done int, ls 
 		switch why {
 		case depsPending:
 			fmt.Fprintf(&sb, "; t%d waiting on", id)
-			for _, d := range s.Transfers[id].Deps {
+			for _, d := range s.Deps(id) {
 				if e.stallReason(int(d)) != delivered {
 					fmt.Fprintf(&sb, " t%d", d)
 				}

@@ -25,7 +25,7 @@ func torus4x4() *topology.Topology {
 func TestFluidSingleTransfer(t *testing.T) {
 	topo := torus4x4()
 	s := collective.NewSchedule("unit", topo, 4096, 1)
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
 	cfg := network.DefaultConfig()
 	cfg.Lockstep = false
 	res, err := network.SimulateFluid(s, cfg)
@@ -54,8 +54,8 @@ func TestFluidContention(t *testing.T) {
 	topo := torus4x4()
 	s := collective.NewSchedule("unit", topo, 8192, 2)
 	// Both flows use link 0->1 by routing 0->1 (x-direction single hop).
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1})
-	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 1})
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 1}, nil, nil)
 	cfg := network.DefaultConfig()
 	cfg.Lockstep = false
 	res, err := network.SimulateFluid(s, cfg)

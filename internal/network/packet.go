@@ -206,7 +206,7 @@ func (ps *packetSim) init(s *collective.Schedule, cfg Config) {
 		LinkBusy:     make([]sim.Time, nl),
 	}
 	ps.depsLeft = make([]int, n)
-	ps.succ = newDependents(s.Transfers)
+	ps.succ = newDependents(s)
 	ps.paths = make([][]topology.LinkID, n)
 	ps.pktsLeft = make([]int, n)
 	ps.toInject = make([]int, n)
@@ -225,7 +225,7 @@ func (ps *packetSim) init(s *collective.Schedule, cfg Config) {
 	}
 	for i := range s.Transfers {
 		t := &s.Transfers[i]
-		ps.paths[i] = s.PathOf(t)
+		ps.paths[i] = s.PathOf(i)
 		w := cfg.WireBytes(s.Bytes(t))
 		if w > maxWire {
 			maxWire = w
@@ -247,7 +247,7 @@ func (ps *packetSim) reset() {
 	ps.res.PayloadBytes = ps.payloadTotal
 	ps.res.WireBytes = ps.wireTotal
 	for i := range s.Transfers {
-		ps.depsLeft[i] = len(s.Transfers[i].Deps)
+		ps.depsLeft[i] = len(s.Deps(i))
 		ps.pktsLeft[i] = 0
 		ps.toInject[i] = 0
 		ps.doneT[i] = false
@@ -353,7 +353,7 @@ func (ps *packetSim) release(id int32) {
 	if ps.tr != nil {
 		ps.tr.Emit(obs.Event{
 			Kind: obs.EvTransferReady, At: float64(ps.eng.Now()), Transfer: id,
-			Node: int32(t.Src), Flow: int32(t.Flow), Step: int32(t.Step),
+			Node: int32(t.Src), Flow: t.Flow, Step: t.Step,
 		})
 	}
 	if ps.ls != nil && !ps.ls.open(id) {
@@ -380,7 +380,7 @@ func (ps *packetSim) inject(id int32) {
 	if ps.tr != nil {
 		ps.tr.Emit(obs.Event{
 			Kind: obs.EvTransferInjected, At: float64(ps.eng.Now()), Transfer: id,
-			Node: int32(t.Src), Flow: int32(t.Flow), Step: int32(t.Step),
+			Node: int32(t.Src), Flow: t.Flow, Step: t.Step,
 			Bytes: ps.cfg.WireBytes(payload),
 		})
 	}
@@ -461,7 +461,7 @@ func (ps *packetSim) tryTransmit(l topology.LinkID) {
 			Kind: obs.EvLinkAcquired, At: float64(ps.eng.Now()),
 			Dur: float64(ser), Busy: float64(ser),
 			Link: int32(l), Transfer: p.transfer, Node: int32(t.Src),
-			Flow: int32(t.Flow), Step: int32(t.Step), Bytes: p.wire,
+			Flow: t.Flow, Step: t.Step, Bytes: p.wire,
 		})
 	}
 	ps.eng.AfterKind(ser, evSerDone, pi, int32(l))
@@ -519,7 +519,7 @@ func (ps *packetSim) delivered(id int32) {
 		t := &ps.s.Transfers[id]
 		ps.tr.Emit(obs.Event{
 			Kind: obs.EvTransferDelivered, At: float64(ps.eng.Now()), Transfer: id,
-			Node: int32(t.Dst), Flow: int32(t.Flow), Step: int32(t.Step),
+			Node: int32(t.Dst), Flow: t.Flow, Step: t.Step,
 		})
 	}
 	for _, nxt := range ps.succ.of(id) {
@@ -538,7 +538,7 @@ func (ps *packetSim) enterStep(node int) {
 	if ps.tr != nil {
 		ps.tr.Emit(obs.Event{
 			Kind: obs.EvStepEnter, At: float64(ps.eng.Now()),
-			Node: int32(node), Step: int32(step),
+			Node: int32(node), Step: step,
 		})
 	}
 	for _, id := range ps.ls.unpark(node) {

@@ -42,17 +42,18 @@ func chainSchedule(t *testing.T, elems, rounds int) *collective.Schedule {
 	}
 	s := collective.NewSchedule("chain", topo, elems, 1)
 	var prev collective.TransferID
-	step := 1
+	step := int32(1)
 	for r := 0; r < rounds; r++ {
 		for hop := 0; hop < 4; hop++ {
 			tr := collective.Transfer{
 				Src: topology.NodeID(hop), Dst: topology.NodeID((hop + 1) % 4),
 				Op: collective.Gather, Flow: 0, Step: step,
 			}
+			var deps []collective.TransferID
 			if step > 1 {
-				tr.Deps = []collective.TransferID{prev}
+				deps = []collective.TransferID{prev}
 			}
-			prev = s.Add(tr)
+			prev = s.Add(tr, deps, nil)
 			step++
 		}
 	}
@@ -78,7 +79,7 @@ func totalPackets(s *collective.Schedule, cfg Config) int {
 func TestLinkQueueCapacityBounded(t *testing.T) {
 	topo := lineTopo3(t)
 	s := collective.NewSchedule("unit", topo, (1<<20)/4, 1)
-	s.Add(collective.Transfer{Src: 0, Dst: 2, Op: collective.Gather, Flow: 0, Step: 1})
+	s.Add(collective.Transfer{Src: 0, Dst: 2, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
 	cfg := DefaultConfig()
 	cfg.Lockstep = false
 	sim, err := NewPacketSim(s, cfg)

@@ -95,18 +95,18 @@ func (c *compiler) readEdges() error {
 	ts := c.s.Transfers
 	for i := range ts {
 		t := &ts[i]
-		if t.Flow < 0 || t.Flow >= flows || t.Src < 0 || int(t.Src) >= n || t.Dst < 0 || int(t.Dst) >= n {
+		if t.Flow < 0 || int(t.Flow) >= flows || t.Src < 0 || int(t.Src) >= n || t.Dst < 0 || int(t.Dst) >= n {
 			return fmt.Errorf("ni: transfer %d (flow %d, n%d->n%d) is outside the %d-flow, %d-node schedule",
 				i, t.Flow, t.Src, t.Dst, flows, n)
 		}
 		switch t.Op {
 		case collective.Gather:
-			k := t.Step - c.tot
+			k := int(t.Step) - c.tot
 			if k < 1 || k > c.tot {
 				return fmt.Errorf("ni: flow %d gather at step %d is outside the all-gather phase (%d..%d)",
 					t.Flow, t.Step, c.tot+1, 2*c.tot)
 			}
-			j := t.Flow*n + int(t.Dst)
+			j := int(t.Flow)*n + int(t.Dst)
 			if c.par[j] >= 0 {
 				return fmt.Errorf("ni: flow %d node %d receives two all-gather transfers", t.Flow, t.Dst)
 			}
@@ -122,8 +122,8 @@ func (c *compiler) readEdges() error {
 		if t.Op != collective.Reduce {
 			continue
 		}
-		j := t.Flow*n + int(t.Src)
-		if c.par[j] != int32(t.Dst) || t.Step != c.tot-int(c.ag[j])+1 || mirrored[j] {
+		j := int(t.Flow)*n + int(t.Src)
+		if c.par[j] != int32(t.Dst) || int(t.Step) != c.tot-int(c.ag[j])+1 || mirrored[j] {
 			return fmt.Errorf("ni: flow %d reduce n%d->n%d at step %d mirrors no all-gather edge",
 				t.Flow, t.Src, t.Dst, t.Step)
 		}

@@ -152,32 +152,33 @@ func TestCompileScheduleRejectsMalformedTrees(t *testing.T) {
 		{name: "gather outside the all-gather phase", edit: func(s *collective.Schedule) {
 			for i := range s.Transfers {
 				if s.Transfers[i].Op == collective.Gather {
-					s.Transfers[i].Step = tot
+					s.Transfers[i].Step = int32(tot)
 					break
 				}
 			}
 		}, want: "outside the all-gather phase"},
 		{name: "reduce from a root", edit: func(s *collective.Schedule) {
-			s.Transfers = append(s.Transfers, collective.Transfer{Src: root, Dst: leaf, Op: collective.Reduce, Flow: 0, Step: 1})
+			s.Add(collective.Transfer{Src: root, Dst: leaf, Op: collective.Reduce, Flow: 0, Step: 1}, nil, nil)
 		}, want: "mirrors no all-gather edge"},
 		{name: "second gather into a node", edit: func(s *collective.Schedule) {
-			s.Transfers = append(s.Transfers, collective.Transfer{Src: root, Dst: leaf, Op: collective.Gather, Flow: 0, Step: tot + 1})
+			s.Add(collective.Transfer{Src: root, Dst: leaf, Op: collective.Gather, Flow: 0, Step: int32(tot + 1)}, nil, nil)
 		}, want: "receives two all-gather transfers"},
-		{name: "flow out of range", edit: func(s *collective.Schedule) { s.Transfers[0].Flow = len(s.Flows) }, want: "outside the"},
+		{name: "flow out of range", edit: func(s *collective.Schedule) { s.Transfers[0].Flow = int32(len(s.Flows)) }, want: "outside the"},
 		{name: "odd step count", edit: func(s *collective.Schedule) { s.Steps++ }, want: "even two-phase"},
 	}
 	for _, tc := range cases {
-		s := *base
-		s.Transfers = nil
+		// The compiler reads no dependencies, so the kept transfers go in
+		// without them.
+		s := &collective.Schedule{Algorithm: base.Algorithm, Topo: base.Topo, Elems: base.Elems, Flows: base.Flows, Steps: base.Steps}
 		for i := range base.Transfers {
 			if tc.drop == nil || !tc.drop(&base.Transfers[i]) {
-				s.Transfers = append(s.Transfers, base.Transfers[i])
+				s.Add(base.Transfers[i], nil, base.Path(i))
 			}
 		}
 		if tc.edit != nil {
-			tc.edit(&s)
+			tc.edit(s)
 		}
-		_, err := ni.CompileSchedule(&s)
+		_, err := ni.CompileSchedule(s)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got error %v, want one mentioning %q", tc.name, err, tc.want)
 		}

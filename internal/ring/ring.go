@@ -28,27 +28,25 @@ func Build(topo *topology.Topology, elems int) *collective.Schedule {
 	if n < 2 {
 		return s
 	}
-	// Sized exactly: 2(n-1) steps of n hops.
-	s.Transfers = make([]collective.Transfer, 0, 2*(n-1)*n)
+	// Sized exactly: 2(n-1) steps of n hops, each but a chunk's first
+	// with one dependency.
+	s.Reserve(2*(n-1)*n, 2*(n-1)*n-n, 0)
 	// last[c] is the most recent transfer of chunk c, the dependency of
-	// the chunk's next hop. Every hop but a chunk's first has that one
-	// dependency; the one-element Deps slices are cut from one array.
+	// the chunk's next hop.
 	last := make([]collective.TransferID, n)
 	for c := range last {
 		last[c] = -1
 	}
-	pool := make([]collective.TransferID, 0, cap(s.Transfers)-n)
 	addHop := func(c, srcPos, step int, op collective.Op) {
 		dstPos := (srcPos + 1) % n
 		var deps []collective.TransferID
 		if last[c] >= 0 {
-			pool = append(pool, last[c])
-			deps = pool[len(pool)-1 : len(pool) : len(pool)]
+			deps = last[c : c+1]
 		}
 		last[c] = s.Add(collective.Transfer{
 			Src: order[srcPos], Dst: order[dstPos],
-			Op: op, Flow: c, Step: step, Deps: deps,
-		})
+			Op: op, Flow: int32(c), Step: int32(step),
+		}, deps, nil)
 	}
 	// Reduce-scatter: at step t, chunk c moves from position (c+t) to
 	// (c+t+1) mod n, accumulating.

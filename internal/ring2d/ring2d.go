@@ -38,11 +38,12 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 	}
 	// Sized exactly: each quarter runs a 2(n-1)-step ring of n hops along
 	// every line of both dimensions, 2·nx·ny·(nx+ny-2) transfers. All but
-	// each chunk's first hop in a line have one dependency, cut from pool.
+	// each chunk's first hop in a line have one dependency; a second
+	// phase's first hop instead waits on the 2(n-1) transfers its sender
+	// received in the first, which sums to total/2 over the quarters.
 	total := 8 * nx * ny * (nx + ny - 2)
-	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems,
-		Transfers: make([]collective.Transfer, 0, total)}
-	pool := make([]collective.TransferID, 0, total)
+	s := &collective.Schedule{Algorithm: Algorithm, Topo: topo, Elems: elems}
+	s.Reserve(total, total+total/2-8*nx*ny, 0)
 	quarters := collective.Partition(elems, 4)
 
 	node := func(x, y int) topology.NodeID { return topology.NodeID(y*nx + x) }
@@ -68,8 +69,8 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 		}
 		backward := q%2 == 1
 		phase1Steps := 2 * (len(first[0]) - 1)
-		recv := ringPhase(s, &pool, first, qr, backward, 0, nil)
-		ringPhase(s, &pool, second, qr, backward, phase1Steps, recv)
+		recv := ringPhase(s, first, qr, backward, 0, nil)
+		ringPhase(s, second, qr, backward, phase1Steps, recv)
 	}
 	return s, nil
 }
@@ -77,9 +78,9 @@ func Build(topo *topology.Topology, elems int) (*collective.Schedule, error) {
 // ringPhase runs one ring all-reduce of segment qr along every line in
 // lines, starting at stepBase. backward reverses ring direction. inDeps,
 // when non-nil, gates each node's first send on the transfers it received
-// in the previous phase. One-element Deps slices are cut from *pool. It
-// returns the transfers received per node, for chaining the next phase.
-func ringPhase(s *collective.Schedule, pool *[]collective.TransferID, lines [][]topology.NodeID, qr collective.Range,
+// in the previous phase. It returns the transfers received per node, for
+// chaining the next phase.
+func ringPhase(s *collective.Schedule, lines [][]topology.NodeID, qr collective.Range,
 	backward bool, stepBase int, inDeps map[topology.NodeID][]collective.TransferID,
 ) map[topology.NodeID][]collective.TransferID {
 	n := len(lines[0])
@@ -113,17 +114,15 @@ func ringPhase(s *collective.Schedule, pool *[]collective.TransferID, lines [][]
 		dstPos := (srcPos + 1) % n
 		src, dst := lines[line][srcPos], lines[line][dstPos]
 		var deps []collective.TransferID
-		if prev := last[line][c]; prev >= 0 {
-			p := append(*pool, prev)
-			deps = p[len(p)-1 : len(p) : len(p)]
-			*pool = p
+		if last[line][c] >= 0 {
+			deps = last[line][c : c+1]
 		} else if inDeps != nil {
-			deps = append(deps, inDeps[src]...)
+			deps = inDeps[src]
 		}
 		id := s.Add(collective.Transfer{
-			Src: src, Dst: dst, Op: op, Flow: chunkBase + c,
-			Step: stepBase + step, Deps: deps,
-		})
+			Src: src, Dst: dst, Op: op, Flow: int32(chunkBase + c),
+			Step: int32(stepBase + step),
+		}, deps, nil)
 		last[line][c] = id
 		recv[dst] = append(recv[dst], id)
 	}

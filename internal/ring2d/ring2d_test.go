@@ -59,7 +59,7 @@ func TestQuartersUseAllDirections(t *testing.T) {
 		if tr.Step != 1 || tr.Src != 5 {
 			continue
 		}
-		for _, l := range s.PathOf(tr) {
+		for _, l := range s.PathOf(i) {
 			dirs[l] = true
 		}
 	}
@@ -133,10 +133,12 @@ func TestTransfersSizedExactly(t *testing.T) {
 		if len(s.Transfers) != cap(s.Transfers) {
 			t.Errorf("%s: %d transfers in a %d-transfer reservation", topo.Name(), len(s.Transfers), cap(s.Transfers))
 		}
-		for i, tr := range s.Transfers {
-			if len(tr.Deps) == 1 && cap(tr.Deps) != 1 {
-				t.Fatalf("%s: t%d's one-element Deps has capacity %d", topo.Name(), i, cap(tr.Deps))
-			}
+		// The dependency reservation Build makes: one per hop but a
+		// chunk's first in its line, plus total/2 phase-chaining deps.
+		nx, ny := topo.GridDims()
+		total := 8 * nx * ny * (nx + ny - 2)
+		if got, want := s.DepEdges(), total+total/2-8*nx*ny; got != want {
+			t.Errorf("%s: %d dependencies, Build reserves %d", topo.Name(), got, want)
 		}
 	}
 }

@@ -21,10 +21,10 @@ import (
 )
 
 // NodeID identifies an end node (accelerator), 0..N-1.
-type NodeID int
+type NodeID int32
 
 // LinkID indexes a directed link within a Topology.
-type LinkID int
+type LinkID int32
 
 // Link is a directed physical channel between two vertices.
 type Link struct {

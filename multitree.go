@@ -207,10 +207,7 @@ func narrow(s *collective.Schedule) *collective.Schedule {
 		end, _ := slices.BinarySearch(cuts, r.End())
 		flows[f] = collective.Range{Off: off, Len: end - off}
 	}
-	return &collective.Schedule{
-		Algorithm: s.Algorithm, Topo: s.Topo, Elems: len(cuts) - 1,
-		Flows: flows, Transfers: s.Transfers, Steps: s.Steps,
-	}
+	return s.WithFlows(len(cuts)-1, flows)
 }
 
 // SimOptions selects the simulation configuration.
