@@ -680,7 +680,7 @@ func BenchmarkFluidSweep_Torus8x8(b *testing.B) {
 // BenchmarkFluidEngineSteadyState is the fluid counterpart of
 // BenchmarkPacketEngineSteadyState: a reusable FluidSim re-simulates a
 // 16 MiB MultiTree all-reduce on an 8x8 Torus, reusing its typed event
-// heap, rate scratch arrays and link occupancy arena across runs. The
+// heap, rate scratch arrays and link counters across runs. The
 // benchmark fails outright if the steady-state loop allocates, so an
 // accidental map, closure or slice regrowth in the rate recompute cannot
 // land silently.

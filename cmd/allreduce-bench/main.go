@@ -92,7 +92,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -495,7 +494,7 @@ func runFig9(fig, topoOverride, maxSz, engineName string, jsonOut bool, run *cli
 		if err != nil {
 			log.Fatal(err)
 		}
-		points, err := experiments.Fig9(topo, experiments.Fig9Sizes(maxBytes), engine, runtime.GOMAXPROCS(0), opts)
+		points, err := experiments.Fig9(topo, experiments.Fig9Sizes(maxBytes), engine, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -456,11 +456,46 @@ func (s *Schedule) flowCoverageHole() (int, bool) {
 	return 0, false
 }
 
+// Dependents is a schedule's successor adjacency in CSR form: transfer
+// i's dependents are ids[off[i]:off[i+1]], in ascending id order. Two
+// flat arrays instead of one slice per transfer, so a multi-million-
+// transfer schedule builds it without per-node allocation.
+type Dependents struct {
+	off []int32
+	ids []TransferID
+}
+
+// Of returns transfer id's dependents, ascending.
+func (d *Dependents) Of(id TransferID) []TransferID { return d.ids[d.off[id]:d.off[id+1]] }
+
+// Dependents builds the successor CSR. Every dependency must be in range
+// (Validate and TopoOrder check it).
+func (s *Schedule) Dependents() Dependents {
+	n := len(s.Transfers)
+	off := make([]int32, n+1)
+	for i := range s.Transfers {
+		for _, d := range s.Deps(i) {
+			off[d]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	// off[d] now ends d's region. Filling backwards walks it down to the
+	// region's start, leaving each region sorted ascending.
+	ids := make([]TransferID, off[n])
+	for i := n - 1; i >= 0; i-- {
+		for _, d := range s.Deps(i) {
+			off[d]--
+			ids[off[d]] = TransferID(i)
+		}
+	}
+	return Dependents{off: off, ids: ids}
+}
+
 // TopoOrder returns a deterministic topological order of the transfers
 // (Kahn's algorithm, ready set drained in id order), or an error if the
-// dependency graph has a cycle. The successor adjacency is built in CSR
-// form — three flat arrays instead of one slice per transfer — so a
-// multi-million-transfer schedule orders without per-node allocation.
+// dependency graph has a cycle.
 func (s *Schedule) TopoOrder() ([]TransferID, error) {
 	n := len(s.Transfers)
 	// Identity fast path: when every dependency points backwards (d < i),
@@ -491,8 +526,6 @@ func (s *Schedule) TopoOrder() ([]TransferID, error) {
 		return order, nil
 	}
 	indeg := make([]int32, n)
-	succEnd := make([]int32, n) // cursor during fill; end-of-region after
-	nDeps := len(s.deps)
 	for i := range s.Transfers {
 		deps := s.Deps(i)
 		indeg[i] = int32(len(deps))
@@ -500,28 +533,9 @@ func (s *Schedule) TopoOrder() ([]TransferID, error) {
 			if d < 0 || int(d) >= n {
 				return nil, fmt.Errorf("collective: transfer %d: dep %d out of range", i, d)
 			}
-			succEnd[d]++
 		}
 	}
-	for i := 1; i < n; i++ {
-		succEnd[i] += succEnd[i-1]
-	}
-	// Fill backwards: each decrement walks succEnd[d] down to d's region
-	// start, leaving the region [succEnd[d], succEnd[d+1]) sorted
-	// ascending (succEnd[n-1]'s region ends at nDeps).
-	succ := make([]TransferID, nDeps)
-	for i := n - 1; i >= 0; i-- {
-		for _, d := range s.Deps(i) {
-			succEnd[d]--
-			succ[succEnd[d]] = TransferID(i)
-		}
-	}
-	regionEnd := func(v TransferID) int32 {
-		if int(v) == n-1 {
-			return int32(nDeps)
-		}
-		return succEnd[v+1]
-	}
+	succ := s.Dependents()
 
 	var ready idHeap
 	for i := 0; i < n; i++ {
@@ -534,7 +548,7 @@ func (s *Schedule) TopoOrder() ([]TransferID, error) {
 	for ready.Len() > 0 {
 		id := heap.Pop(&ready).(TransferID)
 		order = append(order, id)
-		for _, nxt := range succ[succEnd[id]:regionEnd(id)] {
+		for _, nxt := range succ.Of(id) {
 			indeg[nxt]--
 			if indeg[nxt] == 0 {
 				heap.Push(&ready, nxt)

@@ -92,7 +92,7 @@ func TestPacketSimReuseDeterminism(t *testing.T) {
 
 // TestFluidSimReuseDeterminism: the reusable FluidSim must replay the
 // identical event stream on every Run, since reset restores all pooled
-// state (typed event heap, rate scratch, occupancy arena) and the
+// state (typed event heap, rate scratch, link counters) and the
 // epoch-stamped fill scratch never leaks stale entries across runs.
 func TestFluidSimReuseDeterminism(t *testing.T) {
 	topo, err := topospec.Parse("torus-4x4")

@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -147,20 +148,17 @@ func Fig9Sizes(maxBytes int64) []int64 {
 }
 
 // Fig9 sweeps every applicable algorithm over the data sizes on one
-// topology across a worker pool (simulations of different points are
-// independent; topologies are safe for concurrent reads). Results come
-// back in deterministic (algorithm, size) order regardless of completion
-// order. All workers share opts: one observer sees every build (a
+// topology across a GOMAXPROCS-wide worker pool (simulations of
+// different points are independent; topologies are safe for concurrent
+// reads). Results come back in deterministic (algorithm, size) order
+// regardless of completion order. All workers share opts: one observer sees every build (a
 // PlanProfile charges overlapping same-phase runs their union interval),
 // and a shared plan cache pays off twice — the "-msg" variant of each
 // point hits the entry its base variant stored, and a re-run of the
 // sweep hits everything.
-func Fig9(topo *topology.Topology, sizes []int64, engine Engine, workers int, opts algorithms.Options) ([]AllReducePoint, error) {
+func Fig9(topo *topology.Topology, sizes []int64, engine Engine, opts algorithms.Options) ([]AllReducePoint, error) {
 	if len(sizes) == 0 {
 		return nil, fmt.Errorf("fig9 %s: no data sizes to sweep", topo.Name())
-	}
-	if workers < 1 {
-		workers = 1
 	}
 	type job struct {
 		idx   int
@@ -177,7 +175,7 @@ func Fig9(topo *topology.Topology, sizes []int64, engine Engine, workers int, op
 	errs := make([]error, len(jobs))
 	ch := make(chan job)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range runtime.GOMAXPROCS(0) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -2,6 +2,7 @@ package experiments_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"multitree/internal/algorithms"
@@ -48,7 +49,7 @@ func TestAlgorithmsPerTopology(t *testing.T) {
 // bandwidth-bound size on a Torus.
 func TestFig9ShapeTorus(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
-	points, err := experiments.Fig9(topo, []int64{4 << 20}, experiments.Fluid, 1, algorithms.Options{})
+	points, err := experiments.Fig9(topo, []int64{4 << 20}, experiments.Fluid, algorithms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestFig9RejectsEmptySweep(t *testing.T) {
 	if len(sizes) != 0 {
 		t.Fatalf("Fig9Sizes(16 KiB) = %v, want none", sizes)
 	}
-	if _, err := experiments.Fig9(topology.Torus(4, 4, cfg()), sizes, experiments.Fluid, 1, algorithms.Options{}); err == nil {
+	if _, err := experiments.Fig9(topology.Torus(4, 4, cfg()), sizes, experiments.Fluid, algorithms.Options{}); err == nil {
 		t.Fatal("Fig9 accepted an empty size list")
 	}
 }
@@ -208,16 +209,19 @@ func itoa(n int) string {
 	return string(b)
 }
 
-// TestFig9ParallelMatchesSerial: an 8-worker pool returns the same points
-// in the same order as the 1-worker sweep (run under -race in CI).
+// TestFig9ParallelMatchesSerial: the sweep's pool at GOMAXPROCS=8
+// returns the same points in the same order as at GOMAXPROCS=1 (run
+// under -race in CI).
 func TestFig9ParallelMatchesSerial(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
 	sizes := []int64{32 << 10, 128 << 10}
-	serial, err := experiments.Fig9(topo, sizes, experiments.Fluid, 1, algorithms.Options{})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serial, err := experiments.Fig9(topo, sizes, experiments.Fluid, algorithms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := experiments.Fig9(topo, sizes, experiments.Fluid, 8, algorithms.Options{})
+	runtime.GOMAXPROCS(8)
+	parallel, err := experiments.Fig9(topo, sizes, experiments.Fluid, algorithms.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -73,12 +74,18 @@ func TestParseSpecErrors(t *testing.T) {
 }
 
 // FuzzParseSpec feeds arbitrary specs to the parser. It must never
-// panic, and every plan it accepts must survive the String round trip
-// that Plan.String promises: re-parsing the rendered spec yields an equal
-// plan.
+// panic, must allocate at most 64 bytes per input byte plus 1 MiB (the
+// decoders' bound), and every plan it accepts must survive the String
+// round trip that Plan.String promises: re-parsing the rendered spec
+// yields an equal plan.
 func FuzzParseSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, spec string) {
-		p, err := ParseSpec(spec)
+		var p *Plan
+		var err error
+		used := allocBytes(func() { p, err = ParseSpec(spec) })
+		if limit := 64*uint64(len(spec)) + 1<<20; used > limit {
+			t.Fatalf("parsing %d bytes allocated %d (limit %d)", len(spec), used, limit)
+		}
 		if err != nil {
 			return
 		}
@@ -90,6 +97,15 @@ func FuzzParseSpec(f *testing.F) {
 			t.Fatalf("ParseSpec(%q) = %+v, but its rendering %q parses to %+v", spec, p, p.String(), back)
 		}
 	})
+}
+
+// allocBytes returns the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 func TestApplyEmptyPlanIsIdentity(t *testing.T) {

@@ -30,8 +30,8 @@ func SimulateFluid(s *collective.Schedule, cfg Config) (*Result, error) {
 // FluidSim is a reusable flow-level simulator for one schedule and
 // configuration, the fluid counterpart of PacketSim. Run may be called
 // repeatedly: every run resets the mutable state but keeps all backing
-// storage (typed event heap, rate scratch arrays, link occupancy arena),
-// so steady-state re-simulation performs zero heap allocations (see
+// storage (typed event heap, rate scratch arrays), so steady-state
+// re-simulation performs zero heap allocations (see
 // TestFluidEngineSteadyStateAllocs). Runs are deterministic and
 // cycle-identical to each other and to a fresh SimulateFluid.
 type FluidSim struct {
@@ -180,17 +180,6 @@ func (h *tevHeap) siftDown(i int) {
 	}
 }
 
-// occNode is one (flow, link) occupancy in the intrusive per-link lists
-// that back the incremental rate registers. Nodes live in fluidState.occ
-// and are identified by index; prev/next thread the link's list,
-// nextInFlow chains one flow's occupancies (and the arena free list).
-type occNode struct {
-	flow       int32
-	link       int32
-	prev, next int32
-	nextInFlow int32
-}
-
 type fluidState struct {
 	s   *collective.Schedule
 	cfg Config
@@ -199,7 +188,7 @@ type fluidState struct {
 	now float64
 
 	flows  []fluidFlow
-	succ   dependents
+	succ   collective.Dependents
 	busy   []float64 // fractional busy time per link, rounded once at report
 	linkBW []float64 // base link bandwidths, cached from the topology
 
@@ -230,19 +219,10 @@ type fluidState struct {
 	wireTotal    int64
 
 	// Incremental rate registers, maintained on flow activate/retire:
-	// cnt[l] counts path occurrences of active flows on link l and
-	// minStep[l] is the minimum lockstep step among them (valid only when
-	// cnt[l] > 0), kept exact by rescanning l's occupancy list when its
-	// minimum-step flow retires. They replace the per-recompute
-	// map[LinkID]int the step-priority filter used to rebuild. shared
-	// counts the links with cnt[l] >= 2.
-	cnt     []int32
-	minStep []int32
-	shared  int
-	occ     []occNode
-	occFree int32   // head of the occNode free list; -1 when empty
-	occHead []int32 // per link: head of its occupancy list; -1 when empty
-	flowOcc []int32 // per flow: head of its occupancy chain; -1 when none
+	// cnt[l] counts path occurrences of active flows on link l, and
+	// shared counts the links with cnt[l] >= 2.
+	cnt    []int32
+	shared int
 
 	// soloRate is the rate of a flow that has every link of its path to
 	// itself: the common link bandwidth when the fabric's links all have
@@ -251,11 +231,14 @@ type fluidState struct {
 	// disables the closed form in recomputeRates.
 	soloRate float64
 
-	// Progressive-filling scratch, epoch-stamped instead of cleared:
-	// fillEpoch[l] == epoch marks remCap/fillCnt[l] as initialized for
-	// the current fill, and touched lists exactly those links.
+	// Rate-fill scratch, epoch-stamped instead of cleared: fillEpoch[l]
+	// == epoch marks link l's entries as written by the current pass.
+	// The step filter's pass writes minStep[l], the minimum lockstep step
+	// among the active flows on l; progressive filling then bumps the
+	// epoch for remCap/fillCnt[l], and touched lists exactly its links.
 	epoch     uint64
 	fillEpoch []uint64
+	minStep   []int32
 	remCap    []float64
 	fillCnt   []int32
 	touched   []int32
@@ -288,10 +271,8 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 	st.flows = make([]fluidFlow, n)
 	st.busy = make([]float64, nLinks)
 	st.cnt = make([]int32, nLinks)
-	st.minStep = make([]int32, nLinks)
-	st.occHead = make([]int32, nLinks)
-	st.flowOcc = make([]int32, n)
 	st.fillEpoch = make([]uint64, nLinks)
+	st.minStep = make([]int32, nLinks)
 	st.remCap = make([]float64, nLinks)
 	st.fillCnt = make([]int32, nLinks)
 	st.res = &Result{
@@ -325,7 +306,7 @@ func (st *fluidState) init(s *collective.Schedule, cfg Config, flt *faults.Compi
 		st.payloadTotal += s.Bytes(t)
 		st.wireTotal += int64(f.wire)
 	}
-	st.succ = newDependents(s)
+	st.succ = s.Dependents()
 	if cfg.Lockstep {
 		st.ls = newLockstep(s, maxWire/minBW, false)
 	}
@@ -358,16 +339,10 @@ func (st *fluidState) reset() {
 	st.ready = st.ready[:0]
 	st.still = st.still[:0]
 	st.events.reset()
-	st.occ = st.occ[:0]
-	st.occFree = -1
-	for i := range st.occHead {
-		st.occHead[i] = -1
+	for i := range st.cnt {
 		st.cnt[i] = 0
 	}
 	st.shared = 0
-	for i := range st.flowOcc {
-		st.flowOcc[i] = -1
-	}
 	if st.ls != nil {
 		st.ls.reset()
 	}
@@ -556,80 +531,24 @@ func (st *fluidState) activateReady() {
 	st.ready, st.still = st.still, st.ready[:0]
 }
 
-// allocOcc pops a free occupancy node or grows the arena.
-func (st *fluidState) allocOcc() int32 {
-	if ni := st.occFree; ni >= 0 {
-		st.occFree = st.occ[ni].nextInFlow
-		return ni
-	}
-	st.occ = append(st.occ, occNode{})
-	return int32(len(st.occ) - 1)
-}
-
-// activateFlow registers flow id's path in the per-link occupancy lists
-// and updates the cnt/minStep/shared registers in O(path length).
+// activateFlow counts flow id's path into the cnt/shared registers.
 func (st *fluidState) activateFlow(id int32) {
-	f := &st.flows[id]
-	head := int32(-1)
-	for _, l := range f.path {
-		ni := st.allocOcc()
-		n := &st.occ[ni]
-		n.flow, n.link = id, int32(l)
-		n.prev, n.next = -1, st.occHead[l]
-		if n.next >= 0 {
-			st.occ[n.next].prev = ni
-		}
-		st.occHead[l] = ni
-		if st.cnt[l] == 0 || f.step < st.minStep[l] {
-			st.minStep[l] = f.step
-		}
+	for _, l := range st.flows[id].path {
 		st.cnt[l]++
 		if st.cnt[l] == 2 {
 			st.shared++
 		}
-		n.nextInFlow = head
-		head = ni
 	}
-	st.flowOcc[id] = head
 }
 
-// retireFlow removes flow id from the occupancy lists. When the retiring
-// flow carried a link's minimum step, the link's remaining occupants are
-// rescanned for the new minimum — the only super-constant step, bounded
-// by that link's concurrent-flow count.
+// retireFlow takes flow id's path out of the cnt/shared registers.
 func (st *fluidState) retireFlow(id int32) {
-	f := &st.flows[id]
-	ni := st.flowOcc[id]
-	for ni >= 0 {
-		n := &st.occ[ni]
-		l := n.link
-		if n.prev >= 0 {
-			st.occ[n.prev].next = n.next
-		} else {
-			st.occHead[l] = n.next
-		}
-		if n.next >= 0 {
-			st.occ[n.next].prev = n.prev
-		}
+	for _, l := range st.flows[id].path {
 		st.cnt[l]--
 		if st.cnt[l] == 1 {
 			st.shared--
 		}
-		if st.cnt[l] > 0 && f.step == st.minStep[l] {
-			m := int32(math.MaxInt32)
-			for j := st.occHead[l]; j >= 0; j = st.occ[j].next {
-				if s := st.flows[st.occ[j].flow].step; s < m {
-					m = s
-				}
-			}
-			st.minStep[l] = m
-		}
-		next := n.nextInFlow
-		n.nextInFlow = st.occFree
-		st.occFree = ni
-		ni = next
 	}
-	st.flowOcc[id] = -1
 }
 
 // injected handles a flow whose last byte left the source: schedule its
@@ -737,11 +656,11 @@ func (st *fluidState) processTimed(res *Result) {
 					Node: int32(t.Dst), Flow: t.Flow, Step: t.Step,
 				})
 			}
-			for _, nxt := range st.succ.of(id) {
+			for _, nxt := range st.succ.Of(collective.TransferID(id)) {
 				nf := &st.flows[nxt]
 				nf.depsLeft--
 				if nf.depsLeft == 0 {
-					st.becomeReady(nxt)
+					st.becomeReady(int32(nxt))
 				}
 			}
 		case tevStepEntry: // deferred node step entry
@@ -817,8 +736,8 @@ func (st *fluidState) describeStuck(sb *strings.Builder, id int) {
 // links serve the earliest-step message first, like the FIFO/priority
 // arbiters of a real router), a flow sharing any link with an
 // earlier-step flow waits at rate 0; the remaining flows share max-min
-// fairly via progressive filling. The step filter reads the
-// incrementally maintained minStep registers.
+// fairly via progressive filling. The filter first stamps each active
+// link's minimum step into minStep, in one pass over the active paths.
 //
 // When no link carries two active flows — the common case, since the
 // paper's Algorithm 1 gives each link to at most one tree per step — the
@@ -840,6 +759,17 @@ func (st *fluidState) recomputeRates() {
 	}
 	eligible := st.eligible[:0]
 	if st.ls != nil {
+		st.epoch++
+		ep := st.epoch
+		for _, id := range st.active {
+			f := &st.flows[id]
+			for _, l := range f.path {
+				if st.fillEpoch[l] != ep || f.step < st.minStep[l] {
+					st.fillEpoch[l] = ep
+					st.minStep[l] = f.step
+				}
+			}
+		}
 		for _, id := range st.active {
 			f := &st.flows[id]
 			blocked := false

@@ -18,17 +18,24 @@ import (
 	"multitree/internal/topology"
 )
 
-// TestFluidRegisterConsistency drives the incremental cnt/minStep
+// TestFluidRegisterConsistency drives the incremental cnt/shared
 // bookkeeping and the parked-transfer index through adversarial
 // activate/retire orders — contended lockstep schedules where step
-// priority pins flows at rate 0, free-running ones, lockstep pipelines with staggered retirement and
-// gates opening mid-pass, and fault plans that degrade or kill links
-// mid-run — asserting after every event batch that both match a
-// from-scratch recompute.
+// priority pins flows at rate 0, free-running ones, lockstep pipelines
+// with staggered retirement and gates opening mid-pass, and fault plans
+// that degrade or kill links mid-run — asserting after every event batch
+// that both match a from-scratch recompute, and under lockstep that
+// exactly the flows sharing a link with an earlier step wait at rate 0.
 func TestFluidRegisterConsistency(t *testing.T) {
 	topo := torus4x4()
 	const elems = (64 << 10) / collective.WordSize
-	schedules := map[string]*collective.Schedule{"ring": ring.Build(topo, elems)}
+	schedules := map[string]*collective.Schedule{
+		"ring": ring.Build(topo, elems),
+		// A later-step flow activates first and an earlier-step one
+		// joins it on a link: the link's first occupant is not its
+		// minimum step.
+		"stepPriority": network.StepPrioritySchedule(t),
+	}
 	var err error
 	if schedules["dbtree"], err = dbtree.Build(topo, elems, 4); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,8 @@
 package network
 
-// Schedule-derived state shared by both engines: the dependents of every
-// transfer, and the §IV-A lockstep NI regulation — each node issues its
-// table entries in step order, one step at a time, and stalls one
-// estimated step per NOP gap. The engines keep only their own clocks and
+// Schedule-derived state shared by both engines: the §IV-A lockstep NI
+// regulation — each node issues its table entries in step order, one
+// step at a time, and stalls one estimated step per NOP gap. The engines keep only their own clocks and
 // event queues; the step tables, the gate test, the NOP-gap advance and
 // the stall report live here once.
 
@@ -16,39 +15,6 @@ import (
 	"multitree/internal/faults"
 	"multitree/internal/topology"
 )
-
-// dependents lists every transfer's dependents in CSR form, each
-// transfer's in id order.
-type dependents struct {
-	off []int32 // transfer i's dependents are ids[off[i]:off[i+1]]
-	ids []int32
-}
-
-// newDependents builds the CSR in two counting passes over the deps.
-func newDependents(s *collective.Schedule) dependents {
-	n := len(s.Transfers)
-	off := make([]int32, n+1)
-	for i := 0; i < n; i++ {
-		for _, d := range s.Deps(i) {
-			off[d+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
-	ids := make([]int32, off[n])
-	next := make([]int32, n)
-	copy(next, off)
-	for i := 0; i < n; i++ {
-		for _, d := range s.Deps(i) {
-			ids[next[d]] = int32(i)
-			next[d]++
-		}
-	}
-	return dependents{off: off, ids: ids}
-}
-
-func (d *dependents) of(id int32) []int32 { return d.ids[d.off[id]:d.off[id+1]] }
 
 // stepTime is an engine's clock: float64 cycles in the fluid engine,
 // sim.Time in the packet engine.

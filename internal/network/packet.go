@@ -168,7 +168,7 @@ type packetSim struct {
 	flt *faults.Compiled
 
 	depsLeft []int
-	succ     dependents
+	succ     collective.Dependents
 	paths    [][]topology.LinkID // per transfer, resolved once
 	pktsLeft []int               // packets not yet delivered, per transfer
 	toInject []int               // packets not yet across the first link, per transfer
@@ -206,7 +206,7 @@ func (ps *packetSim) init(s *collective.Schedule, cfg Config) {
 		LinkBusy:     make([]sim.Time, nl),
 	}
 	ps.depsLeft = make([]int, n)
-	ps.succ = newDependents(s)
+	ps.succ = s.Dependents()
 	ps.paths = make([][]topology.LinkID, n)
 	ps.pktsLeft = make([]int, n)
 	ps.toInject = make([]int, n)
@@ -522,10 +522,10 @@ func (ps *packetSim) delivered(id int32) {
 			Node: int32(t.Dst), Flow: t.Flow, Step: t.Step,
 		})
 	}
-	for _, nxt := range ps.succ.of(id) {
+	for _, nxt := range ps.succ.Of(collective.TransferID(id)) {
 		ps.depsLeft[nxt]--
 		if ps.depsLeft[nxt] == 0 {
-			ps.release(nxt)
+			ps.release(int32(nxt))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -102,15 +103,21 @@ func TestSimReportFrom(t *testing.T) {
 }
 
 // FuzzDecodeRunReport feeds arbitrary bytes to the strict decoder behind
-// -validate-report. It must never panic, and an accepted report must
-// re-encode to a fixed point: writing the decoded report and decoding it
+// -validate-report. It must never panic, must allocate at most 64 bytes
+// per input byte plus 1 MiB (the decoders' bound), and an accepted report
+// must re-encode to a fixed point: writing the decoded report and decoding it
 // again writes the same bytes. Bytes rather than DeepEqual, because
 // omitempty drops an empty "points": [] that decoded as non-nil. Seeds
 // live in testdata/fuzz/FuzzDecodeRunReport: a report from each tool
 // and mode, a v1 report, and rejected ones.
 func FuzzDecodeRunReport(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rep, err := DecodeRunReport(bytes.NewReader(data))
+		var rep *RunReport
+		var err error
+		used := allocBytes(func() { rep, err = DecodeRunReport(bytes.NewReader(data)) })
+		if limit := 64*uint64(len(data)) + 1<<20; used > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(data), used, limit)
+		}
 		if err != nil {
 			return
 		}
@@ -129,4 +136,13 @@ func FuzzDecodeRunReport(f *testing.F) {
 			t.Fatalf("report is not a fixed point:\n%s\nvs\n%s", once.Bytes(), twice.Bytes())
 		}
 	})
+}
+
+// allocBytes returns the heap bytes fn allocates.
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
