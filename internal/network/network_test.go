@@ -163,6 +163,51 @@ func TestEnginesExact(t *testing.T) {
 	}
 }
 
+// TestEngineGaps pins, as ±2% bands on packet/fluid cycles, the runs
+// where the engines disagree by more than rounding: DBTree, whose gap
+// changes sign with size (the packet engine is slower at 4 KiB and
+// faster at 64-256 KiB), 2d-ring on a mesh, and MultiTree on switch
+// fabrics. A drift in either engine moves a ratio out of its band.
+func TestEngineGaps(t *testing.T) {
+	for _, c := range []struct {
+		spec, alg string
+		size      int
+		ratio     float64 // packet cycles / fluid cycles
+	}{
+		{"fattree-16", "dbtree", 256 << 10, 57015.0 / 71137},
+		{"torus-8x8", "dbtree", 64 << 10, 20792.0 / 22657},
+		{"torus-4x4", "dbtree", 4 << 10, 6114.0 / 5955},
+		{"mesh-8x8", "2d-ring", 64 << 10, 26815.0 / 19572},
+		{"mesh-8x8", "2d-ring", 256 << 10, 61681.0 / 40702},
+		{"fattree-16", "multitree", 64 << 10, 9462.0 / 9060},
+		{"bigraph-32", "multitree", 256 << 10, 41138.0 / 39578},
+	} {
+		t.Run(fmt.Sprintf("%s/%s/%dKiB", c.spec, c.alg, c.size>>10), func(t *testing.T) {
+			topo, err := topospec.Parse(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := algorithms.Build(topo, c.alg, c.size/collective.WordSize, algorithms.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fres, err := network.SimulateFluid(s, network.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			pres, err := network.SimulatePackets(s, network.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := float64(pres.Cycles) / float64(fres.Cycles)
+			if math.Abs(got/c.ratio-1) > 0.02 {
+				t.Errorf("packet %d / fluid %d cycles = %.3f, want %.3f ± 2%%",
+					pres.Cycles, fres.Cycles, got, c.ratio)
+			}
+		})
+	}
+}
+
 // TestMessageFlowControlGain checks the §IV-B claim end to end: with
 // 256 B payloads and 16 B flits, message-based flow control improves
 // bandwidth-bound all-reduce time by about 6%.

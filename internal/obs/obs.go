@@ -27,8 +27,10 @@ type Kind uint8
 
 const (
 	// EvTransferReady fires when a transfer's dependencies have cleared
-	// (or immediately at seed time for dependency-free transfers) and it
-	// is eligible to inject. Node is the transfer's source.
+	// (or immediately at seed time for dependency-free transfers), exactly
+	// once per transfer, in both engines. Under lockstep the transfer may
+	// still wait for its node's step gate before it injects. Node is the
+	// transfer's source.
 	EvTransferReady Kind = iota
 
 	// EvTransferInjected fires when a transfer starts injecting at its
