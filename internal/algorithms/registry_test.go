@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"multitree/internal/algorithms"
-	_ "multitree/internal/algorithms/all"
 	"multitree/internal/collective"
 	"multitree/internal/topology"
 )
@@ -16,16 +15,6 @@ func names(specs []algorithms.Spec) []string {
 		out[i] = s.Name
 	}
 	return out
-}
-
-// TestNamesPlottingOrder: the registry lists the five built-ins in the
-// paper's plotting order regardless of package-init order.
-func TestNamesPlottingOrder(t *testing.T) {
-	want := []string{"ring", "dbtree", "2d-ring", "hdrm", "multitree"}
-	got := algorithms.Names()
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("Names() = %v, want %v", got, want)
-	}
 }
 
 // TestMenus pins the featured evaluation menu per fabric, matching the
