@@ -97,7 +97,6 @@ import (
 	"time"
 
 	"multitree/internal/algorithms"
-	_ "multitree/internal/algorithms/all"
 	"multitree/internal/cliutil"
 	"multitree/internal/collective"
 	"multitree/internal/experiments"
@@ -125,7 +124,7 @@ func main() {
 		traceOut  = flag.String("trace", "", "single-run mode: write Chrome-trace JSON (ui.perfetto.dev) to this file")
 		linkstats = flag.String("linkstats", "", "single-run mode: write per-link binned utilization CSV to this file")
 		steputil  = flag.String("steputil", "", "single-run mode: write per-step link utilization CSV (trace vs static) to this file")
-		bin       = flag.Float64("bin", 1000, "single-run mode: utilization histogram bin width in cycles")
+		bin       = flag.Float64("bin", 1000, "single-run mode: utilization histogram bin width in cycles (>= 1; 0 writes per-link totals)")
 
 		schedFile = flag.String("schedule", "", "run a schedule IR file (schedule-dump -export) through both engines, the correctness interpreter and the NI compiler")
 		jsonOut   = flag.Bool("json", false, "emit JSON instead of CSV (single-run, Fig. 9 and -schedule modes)")
@@ -152,6 +151,9 @@ func main() {
 		return
 	}
 
+	if err := cliutil.CheckBin(*bin); err != nil {
+		log.Fatal(err)
+	}
 	var mode string
 	switch {
 	case *resilience:

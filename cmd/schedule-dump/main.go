@@ -55,7 +55,6 @@ import (
 	"strings"
 
 	"multitree/internal/algorithms"
-	_ "multitree/internal/algorithms/all"
 	"multitree/internal/cliutil"
 	"multitree/internal/collective"
 	"multitree/internal/core"
@@ -80,7 +79,7 @@ func main() {
 
 		traceOut  = flag.String("trace", "", "write a Chrome-trace JSON of the MultiTree schedule (links + NI machine)")
 		linkstats = flag.String("linkstats", "", "write per-link binned utilization CSV of the MultiTree schedule")
-		bin       = flag.Float64("bin", 100, "utilization histogram bin width in cycles for -linkstats")
+		bin       = flag.Float64("bin", 100, "utilization histogram bin width in cycles for -linkstats (>= 1; 0 writes per-link totals)")
 
 		algo      = flag.String("algo", "multitree", "algorithm for -export ("+strings.Join(algorithms.Names(), ", ")+")")
 		size      = flag.String("size", "1MiB", "all-reduce data size for -export")
@@ -93,6 +92,9 @@ func main() {
 	flag.StringVar(&cfg.PlanCSVPath, "planprofile", "", "write the planner phase-profile CSV to this file")
 	flag.Parse()
 
+	if err := cliutil.CheckBin(*bin); err != nil {
+		log.Fatal(err)
+	}
 	topo, err := topospec.Parse(*topoStr)
 	if err != nil {
 		log.Fatal(err)

@@ -34,7 +34,6 @@ import (
 
 	"multitree/internal/accel"
 	"multitree/internal/algorithms"
-	_ "multitree/internal/algorithms/all"
 	"multitree/internal/cliutil"
 	"multitree/internal/collective"
 	"multitree/internal/core"
@@ -59,11 +58,14 @@ func main() {
 		algo      = flag.String("algo", "multitree-msg", "algorithm for -trace/-linkstats ("+strings.Join(algorithms.Names(), ", ")+"; -msg variants allowed)")
 		traceOut  = flag.String("trace", "", "write a Chrome-trace JSON (ui.perfetto.dev) of the model's gradient all-reduce")
 		linkstats = flag.String("linkstats", "", "write per-link binned utilization CSV of the gradient all-reduce")
-		bin       = flag.Float64("bin", 1000, "utilization histogram bin width in cycles for -linkstats")
+		bin       = flag.Float64("bin", 1000, "utilization histogram bin width in cycles for -linkstats (>= 1; 0 writes per-link totals)")
 	)
 	cfg := cliutil.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
+	if err := cliutil.CheckBin(*bin); err != nil {
+		log.Fatal(err)
+	}
 	topo, err := topospec.Parse(*topoStr)
 	if err != nil {
 		log.Fatal(err)

@@ -1,14 +1,2 @@
-// Package all registers the five built-in all-reduce algorithms with the
-// central registry. Blank-import it from any binary or test that resolves
-// algorithms by name:
-//
-//	import _ "multitree/internal/algorithms/all"
+// Package all is empty; it exists only so bench/workloads.go's blank import keeps compiling.
 package all
-
-import (
-	_ "multitree/internal/core"   // multitree
-	_ "multitree/internal/dbtree" // dbtree
-	_ "multitree/internal/hdrm"   // hdrm
-	_ "multitree/internal/ring"   // ring
-	_ "multitree/internal/ring2d" // 2d-ring
-)

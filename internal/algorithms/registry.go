@@ -2,28 +2,29 @@
 // paper's core abstraction (§IV-A) is that every all-reduce — ring, double
 // binary tree, 2D-ring, HDRM, MultiTree — lowers to the same schedule-table
 // form the network interface executes; this package makes the set of
-// lowerings a first-class, enumerable artifact. Each algorithm package
-// self-registers a constructor with the uniform signature
+// lowerings a first-class, enumerable artifact. The registry is one table
+// in the paper's plotting order (Fig. 9 legends): each entry pairs a name
+// with a constructor of the uniform signature
 //
 //	Build(topo, elems, opts) (*collective.Schedule, error)
 //
-// plus applicability predicates, and every consumer — the experiments
+// and its applicability predicates, and every consumer — the experiments
 // harness, the public facade, and the cmd/ tools — resolves algorithms by
 // name here instead of maintaining its own switch statement.
-//
-// Importing an algorithm package is what registers it; blank-import
-// multitree/internal/algorithms/all to get the full built-in set.
 package algorithms
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"multitree/internal/collective"
+	"multitree/internal/core"
+	"multitree/internal/dbtree"
+	"multitree/internal/hdrm"
 	"multitree/internal/obs"
 	"multitree/internal/plancache"
+	"multitree/internal/ring"
+	"multitree/internal/ring2d"
 	"multitree/internal/topology"
 )
 
@@ -66,14 +67,10 @@ type Options struct {
 // on a topology.
 type Builder func(topo *topology.Topology, elems int, opts Options) (*collective.Schedule, error)
 
-// Spec describes one registered all-reduce algorithm.
+// Spec describes one all-reduce algorithm in the registry table.
 type Spec struct {
 	// Name is the registry key and the Schedule.Algorithm string.
 	Name string
-
-	// Order fixes the paper's plotting order (Fig. 9 legends); listings
-	// sort by it so the menu does not depend on package-init order.
-	Order int
 
 	// Build constructs the schedule. It must fail with an error — never
 	// panic — on topologies it does not support.
@@ -88,9 +85,6 @@ type Spec struct {
 	// switch-based EFLOPS-style fabrics even though it builds anywhere
 	// with 2^k nodes). Nil means Featured == Supports.
 	Featured func(*topology.Topology) bool
-
-	// Note is a one-line applicability description for usage strings.
-	Note string
 }
 
 // featured resolves the Featured predicate with its Supports default.
@@ -101,41 +95,85 @@ func (s Spec) featured(topo *topology.Topology) bool {
 	return s.Supports(topo)
 }
 
-var (
-	mu       sync.RWMutex
-	registry = map[string]Spec{}
-)
+// atLeastTwo admits any topology with two or more nodes.
+func atLeastTwo(topo *topology.Topology) bool { return topo.Nodes() >= 2 }
 
-// Register adds an algorithm to the registry. It panics on a duplicate or
-// malformed Spec — registration happens in package init, where a panic is
-// an immediate, loud programming error.
-func Register(s Spec) {
-	if s.Name == "" || s.Build == nil || s.Supports == nil {
-		panic("algorithms: Register needs Name, Build and Supports")
-	}
-	if strings.HasSuffix(s.Name, MsgSuffix) {
-		panic(fmt.Sprintf("algorithms: %q collides with the %s variant namespace", s.Name, MsgSuffix))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := registry[s.Name]; dup {
-		panic(fmt.Sprintf("algorithms: %q registered twice", s.Name))
-	}
-	registry[s.Name] = s
+// powerOfTwo admits topologies with 2^k >= 2 nodes.
+func powerOfTwo(topo *topology.Topology) bool {
+	n := topo.Nodes()
+	return n >= 2 && n&(n-1) == 0
+}
+
+// specs is the registry in the paper's plotting order. Names must be
+// unique and must not end in MsgSuffix.
+var specs = []Spec{
+	{
+		// Bandwidth-optimal ring on any connected topology.
+		Name: ring.Algorithm,
+		Build: func(topo *topology.Topology, elems int, _ Options) (*collective.Schedule, error) {
+			return ring.Build(topo, elems), nil
+		},
+		Supports: atLeastTwo,
+	},
+	{
+		// NCCL-style double binary tree; topology-oblivious.
+		Name: dbtree.Algorithm,
+		Build: func(topo *topology.Topology, elems int, _ Options) (*collective.Schedule, error) {
+			return dbtree.Build(topo, elems, dbtree.DefaultPipelineChunks)
+		},
+		Supports: atLeastTwo,
+	},
+	{
+		// TPU-pod 2D-Ring needs grid coordinates (Mesh or Torus).
+		Name: ring2d.Algorithm,
+		Build: func(topo *topology.Topology, elems int, _ Options) (*collective.Schedule, error) {
+			return ring2d.Build(topo, elems)
+		},
+		Supports: func(topo *topology.Topology) bool {
+			nx, _ := topo.GridDims()
+			return nx > 0
+		},
+	},
+	{
+		// EFLOPS halving-doubling with rank mapping builds on any 2^k node
+		// count (degrading to plain halving-doubling away from BiGraph),
+		// but the paper's menu features it only on switch-based fabrics.
+		Name: hdrm.Algorithm,
+		Build: func(topo *topology.Topology, elems int, _ Options) (*collective.Schedule, error) {
+			return hdrm.Build(topo, elems)
+		},
+		Supports: powerOfTwo,
+		Featured: func(topo *topology.Topology) bool {
+			return powerOfTwo(topo) && topo.Class() == topology.Indirect
+		},
+	},
+	{
+		// The paper's MultiTree; Algorithm 1 is topology-agnostic.
+		Name: core.Algorithm,
+		Build: func(topo *topology.Topology, elems int, aopts Options) (*collective.Schedule, error) {
+			opts := core.DefaultOptions(topo)
+			opts.Observer = aopts.Observer
+			opts.Workers = aopts.Workers
+			return core.Build(topo, elems, opts)
+		},
+		Supports: atLeastTwo,
+	},
 }
 
 // Lookup returns the named algorithm's Spec.
 func Lookup(name string) (Spec, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	s, ok := registry[name]
-	return s, ok
+	for _, s := range specs {
+		if s.Name == name {
+			return s, true
+		}
+	}
+	return Spec{}, false
 }
 
 // Resolve returns the Spec behind a report name, accepting the MsgSuffix
-// variant of any registered algorithm ("multitree-msg" resolves to
+// variant of any algorithm in the table ("multitree-msg" resolves to
 // "multitree"; msg reports whether the suffix was present). Unknown names
-// return an error that lists the registered set.
+// return an error that lists the table.
 func Resolve(name string) (spec Spec, msg bool, err error) {
 	base := strings.TrimSuffix(name, MsgSuffix)
 	spec, ok := Lookup(base)
@@ -146,26 +184,13 @@ func Resolve(name string) (spec Spec, msg bool, err error) {
 	return spec, base != name, nil
 }
 
-// Specs returns all registered algorithms in plotting order.
+// Specs returns every algorithm in plotting order.
 func Specs() []Spec {
-	mu.RLock()
-	out := make([]Spec, 0, len(registry))
-	for _, s := range registry {
-		out = append(out, s)
-	}
-	mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Order != out[j].Order {
-			return out[i].Order < out[j].Order
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
+	return append([]Spec(nil), specs...)
 }
 
-// Names returns the registered algorithm names in plotting order.
+// Names returns the algorithm names in plotting order.
 func Names() []string {
-	specs := Specs()
 	out := make([]string, len(specs))
 	for i, s := range specs {
 		out[i] = s.Name
@@ -177,7 +202,7 @@ func Names() []string {
 // plotting order.
 func For(topo *topology.Topology) []Spec {
 	var out []Spec
-	for _, s := range Specs() {
+	for _, s := range specs {
 		if s.featured(topo) {
 			out = append(out, s)
 		}
@@ -190,7 +215,7 @@ func For(topo *topology.Topology) []Spec {
 // pairings such as HDRM on a 16-node torus).
 func Supporting(topo *topology.Topology) []Spec {
 	var out []Spec
-	for _, s := range Specs() {
+	for _, s := range specs {
 		if s.Supports(topo) {
 			out = append(out, s)
 		}

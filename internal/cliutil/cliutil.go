@@ -141,6 +141,16 @@ func ParseSize(s string) (int64, error) {
 	return v * mult, nil
 }
 
+// CheckBin validates a -bin utilization histogram width: 0 selects
+// per-link totals, anything else must be a finite width of at least one
+// cycle (a sub-cycle width allocates one bin per fraction of a cycle).
+func CheckBin(bin float64) error {
+	if bin == 0 || (bin >= 1 && !math.IsInf(bin, 1)) {
+		return nil
+	}
+	return fmt.Errorf("-bin %v: want 0 (per-link totals) or a finite width of at least 1 cycle", bin)
+}
+
 // WriteFile creates path, lets fn write it, and closes it, exiting the
 // tool on any error.
 func WriteFile(path string, fn func(io.Writer) error) {

@@ -2,6 +2,7 @@ package cliutil
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -213,6 +214,22 @@ func TestParseSize(t *testing.T) {
 		}
 		if !tc.ok && err == nil {
 			t.Errorf("ParseSize(%q) = %d, want an error", tc.in, got)
+		}
+	}
+}
+
+// TestCheckBin: -bin takes 0 (totals) or a finite width of at least one
+// cycle; NaN, infinities, negatives and sub-cycle widths are rejected
+// with an error that names the flag.
+func TestCheckBin(t *testing.T) {
+	for _, bin := range []float64{0, 1, 100, 1000, 1e12} {
+		if err := CheckBin(bin); err != nil {
+			t.Errorf("CheckBin(%v) = %v, want nil", bin, err)
+		}
+	}
+	for _, bin := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, 1e-6, 0.5} {
+		if err := CheckBin(bin); err == nil || !strings.Contains(err.Error(), "-bin") {
+			t.Errorf("CheckBin(%v) = %v, want an error naming -bin", bin, err)
 		}
 	}
 }

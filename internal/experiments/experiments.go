@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"multitree/internal/algorithms"
-	_ "multitree/internal/algorithms/all" // register the built-in algorithms
 	"multitree/internal/collective"
 	"multitree/internal/core"
 	"multitree/internal/network"

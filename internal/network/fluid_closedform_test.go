@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"multitree/internal/algorithms"
-	_ "multitree/internal/algorithms/all"
 	"multitree/internal/collective"
 	"multitree/internal/faults"
 	"multitree/internal/network"

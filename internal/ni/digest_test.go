@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"multitree/internal/algorithms"
-	_ "multitree/internal/algorithms/all"
 	"multitree/internal/collective"
 	"multitree/internal/core"
 	"multitree/internal/faults"

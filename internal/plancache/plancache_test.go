@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"multitree/internal/algorithms"
-	_ "multitree/internal/algorithms/all"
 	"multitree/internal/collective"
 	"multitree/internal/plancache"
 	"multitree/internal/topology"

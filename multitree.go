@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"multitree/internal/algorithms"
-	_ "multitree/internal/algorithms/all" // register the built-in algorithms
 	"multitree/internal/collective"
 	"multitree/internal/network"
 	"multitree/internal/obs"
@@ -226,17 +225,6 @@ type SimOptions struct {
 	// DisableLockstep turns off the NI lockstep injection regulation
 	// (§IV-A), used by the lockstep ablation.
 	DisableLockstep bool
-
-	// Tracer, when non-nil, receives the typed simulation events of
-	// internal/obs (transfer ready/injected/delivered, link-occupancy
-	// spans, credit blocks, lockstep step entries). Leave nil — the
-	// default — and the simulators pay only a branch per event.
-	Tracer obs.Tracer
-
-	// Metrics, when non-nil, streams the same events into per-link
-	// utilization histograms, queueing-delay distributions and NI
-	// counters (obs.NewMetrics). It composes with Tracer.
-	Metrics *obs.Metrics
 }
 
 func (o SimOptions) internal() network.Config {
@@ -247,10 +235,6 @@ func (o SimOptions) internal() network.Config {
 	}
 	if o.DisableLockstep {
 		cfg.Lockstep = false
-	}
-	cfg.Tracer = o.Tracer
-	if o.Metrics != nil {
-		cfg.Tracer = obs.Tee(cfg.Tracer, o.Metrics)
 	}
 	return cfg
 }
@@ -292,8 +276,15 @@ type Simulator struct {
 // state for the schedule: a flow-level FluidSim by default, a
 // packet-level PacketSim when opt.PacketLevel is set.
 func (s *Schedule) NewSimulator(opt SimOptions) (*Simulator, error) {
+	return s.newSimulator(opt, nil)
+}
+
+// newSimulator is NewSimulator with the engines' event sink set to tr
+// (nil traces nothing).
+func (s *Schedule) newSimulator(opt SimOptions, tr obs.Tracer) (*Simulator, error) {
 	sim := &Simulator{elems: s.s.Elems}
 	cfg := opt.internal()
+	cfg.Tracer = tr
 	var err error
 	if opt.PacketLevel {
 		sim.packet, err = network.NewPacketSim(s.s, cfg)

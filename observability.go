@@ -38,12 +38,16 @@ func (t *Trace) WriteLinkStats(w io.Writer, binCycles float64) error {
 }
 
 // SimulateTraced runs the schedule like Simulate while recording every
-// simulation event, and returns the recording alongside the result. Any
-// Tracer/Metrics already set in opt still receive the events too.
+// typed simulation event (transfer ready/injected/delivered, link
+// occupancy, credit blocks, lockstep step entries), and returns the
+// recording alongside the result.
 func (s *Schedule) SimulateTraced(opt SimOptions) (SimResult, *Trace, error) {
 	tr := &Trace{meta: network.TraceMetaFor(s.s, "")}
-	opt.Tracer = obs.Tee(opt.Tracer, &tr.rec)
-	res, err := s.Simulate(opt)
+	sim, err := s.newSimulator(opt, &tr.rec)
+	if err != nil {
+		return SimResult{}, nil, err
+	}
+	res, err := sim.Run()
 	if err != nil {
 		return SimResult{}, nil, err
 	}

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"multitree/internal/obs"
 )
 
 // TestSimulateTraced runs the public tracing path end to end: build,
@@ -141,33 +139,4 @@ func TestBuildSchedulePlanOptions(t *testing.T) {
 			t.Errorf("profile CSV missing tree-growth phase:\n%s", csv.String())
 		}
 	})
-}
-
-// TestSimOptionsMetrics checks the Metrics field collects without a Tracer
-// and composes with one.
-func TestSimOptionsMetrics(t *testing.T) {
-	topo := NewTorus(4, 4)
-	s, err := BuildSchedule(topo, Ring, 256<<10, PlanOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	met := obs.NewMetrics(0)
-	rec := &obs.Recorder{}
-	if _, err := s.Simulate(SimOptions{Metrics: met, Tracer: rec}); err != nil {
-		t.Fatal(err)
-	}
-	if met.Events() == 0 || int64(len(rec.Events)) != met.Events() {
-		t.Fatalf("metrics saw %d events, recorder %d", met.Events(), len(rec.Events))
-	}
-	if met.StepEnters() == 0 {
-		t.Fatalf("no lockstep step entries observed")
-	}
-	busy := met.LinkBusy()
-	total := 0.0
-	for _, b := range busy {
-		total += b
-	}
-	if total == 0 {
-		t.Fatalf("no link busy time collected")
-	}
 }
