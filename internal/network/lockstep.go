@@ -29,7 +29,7 @@ type stepTime interface{ ~float64 | ~uint64 }
 // steps, stepCnt and stepOff are views into arenas shared by all nodes.
 type nodeClock[T stepTime] struct {
 	steps   []int32 // sorted distinct steps at which the node sends
-	stepCnt []int   // sends per entry of steps
+	stepCnt []int32 // sends per entry of steps
 	stepOff []int32 // per entry of steps: start of its sends in lockstep.sends
 	idx     int     // index of the current active step; len(steps) when done
 	entered bool    // node has entered steps[idx]; its gate is open
@@ -53,7 +53,7 @@ type lockstep[T stepTime] struct {
 // 16-bit digits: one counting pass for any real schedule, and bounded
 // scratch for an imported one, whose steps are bounded only from below.
 // Every node's steps, counts and segment offsets are views into three
-// shared arenas.
+// shared arenas, each allocated once at its exact size.
 func newLockstep[T stepTime](s *collective.Schedule, estStep T) *lockstep[T] {
 	ts := s.Transfers
 	ls := &lockstep[T]{ts: ts, estStep: estStep}
@@ -74,23 +74,30 @@ func newLockstep[T stepTime](s *collective.Schedule, estStep T) *lockstep[T] {
 	sends, nodeOff := countingSort(order, nNodes, func(id int32) int { return int(ts[id].Src) })
 	ls.sends = sends
 
-	var steps []int32
-	var stepCnt []int
-	var stepOff []int32
+	// A node's sends start a new entry wherever the step changes.
 	nodeSeg := make([]int, nNodes+1)
 	for node := 0; node < nNodes; node++ {
-		nodeSeg[node] = len(steps)
+		nodeSeg[node+1] = nodeSeg[node]
 		for i := nodeOff[node]; i < nodeOff[node+1]; i++ {
-			step := ts[sends[i]].Step
-			if i == nodeOff[node] || step != steps[len(steps)-1] {
-				steps = append(steps, step)
-				stepCnt = append(stepCnt, 0)
-				stepOff = append(stepOff, i)
+			if i == nodeOff[node] || ts[sends[i]].Step != ts[sends[i-1]].Step {
+				nodeSeg[node+1]++
 			}
-			stepCnt[len(stepCnt)-1]++
 		}
 	}
-	nodeSeg[nNodes] = len(steps)
+	entries := nodeSeg[nNodes]
+	steps := make([]int32, entries)
+	stepCnt := make([]int32, entries)
+	stepOff := make([]int32, entries)
+	k := -1
+	for node := 0; node < nNodes; node++ {
+		for i := nodeOff[node]; i < nodeOff[node+1]; i++ {
+			if step := ts[sends[i]].Step; i == nodeOff[node] || step != steps[k] {
+				k++
+				steps[k], stepOff[k] = step, i
+			}
+			stepCnt[k]++
+		}
+	}
 	ls.clocks = make([]nodeClock[T], nNodes)
 	for node := range ls.clocks {
 		a, b := nodeSeg[node], nodeSeg[node+1]
@@ -150,7 +157,7 @@ func (ls *lockstep[T]) enter(node int, now T) int32 {
 	c := &ls.clocks[node]
 	c.entered = true
 	c.injEnd = now
-	c.pending = c.stepCnt[c.idx]
+	c.pending = int(c.stepCnt[c.idx])
 	return c.steps[c.idx]
 }
 
@@ -318,7 +325,7 @@ func (fe *frontEnd[T]) enterStep(node int, now T) {
 	c := &ls.clocks[node]
 	off := c.stepOff[c.idx]
 	keys := fe.release[:0]
-	for _, id := range ls.sends[off : off+int32(c.stepCnt[c.idx])] {
+	for _, id := range ls.sends[off : off+c.stepCnt[c.idx]] {
 		if fe.xf[id].state == xfParked {
 			keys = append(keys, fe.readyKey(id))
 		}
