@@ -18,18 +18,15 @@ import (
 	"runtime"
 	"testing"
 
-	"multitree/internal/accel"
 	"multitree/internal/algorithms"
 	"multitree/internal/collective"
 	"multitree/internal/core"
 	"multitree/internal/experiments"
-	"multitree/internal/model"
 	"multitree/internal/network"
 	"multitree/internal/obs"
 	"multitree/internal/plancache"
 	"multitree/internal/topology"
 	"multitree/internal/topospec"
-	"multitree/internal/training"
 )
 
 // benchAllReduce measures one (topology, algorithm, size) point and
@@ -488,63 +485,6 @@ func BenchmarkStrongScaling(b *testing.B) {
 	}
 	for _, p := range points {
 		b.ReportMetric(p.Normalized, fmt.Sprintf("rel-%s-%dn", p.Algorithm, p.Nodes))
-	}
-}
-
-// BenchmarkAblation_Dataflow compares the three systolic mappings on
-// ResNet50's forward pass (the paper fixes output stationary; this shows
-// the choice's cost).
-func BenchmarkAblation_Dataflow(b *testing.B) {
-	b.ReportAllocs()
-	net, err := model.ByName("ResNet50")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, d := range []accel.Dataflow{accel.OutputStationary, accel.WeightStationary, accel.InputStationary} {
-		b.Run(d.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			a := accel.Default()
-			a.Dataflow = d
-			var cyc int64
-			for i := 0; i < b.N; i++ {
-				cyc = a.NetworkForwardCycles(net, 16)
-			}
-			b.ReportMetric(float64(cyc), "fwdCycles")
-		})
-	}
-}
-
-// BenchmarkAblation_GradientFusion sweeps the Horovod-style fusion
-// threshold extension over the overlapped Transformer iteration.
-func BenchmarkAblation_GradientFusion(b *testing.B) {
-	b.ReportAllocs()
-	topo := topology.Torus(8, 8, topology.DefaultLinkConfig())
-	for _, fusion := range []int64{0, 1 << 20, 16 << 20} {
-		b.Run(fmt.Sprintf("fusion-%dMiB", fusion>>20), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := training.Config{
-				Topo:         topo,
-				Accel:        accel.Default(),
-				BatchPerNode: 16,
-				Net:          network.MessageConfig(),
-				FusionBytes:  fusion,
-				Build: func(tp *topology.Topology, elems int) (*collective.Schedule, error) {
-					return algorithms.Build(tp, "multitree", elems, algorithms.Options{})
-				},
-			}
-			net, err := model.ByName("Transformer")
-			if err != nil {
-				b.Fatal(err)
-			}
-			var res training.Breakdown
-			for i := 0; i < b.N; i++ {
-				res, err = cfg.Overlapped(net)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(res.Total)/1e6, "ms-total")
-		})
 	}
 }
 

@@ -22,38 +22,10 @@ import (
 	"multitree/internal/model"
 )
 
-// Dataflow selects the systolic mapping, as in SCALE-Sim. The paper's
-// configuration uses output stationary; the others are provided for the
-// dataflow ablation.
-type Dataflow int
-
-const (
-	// OutputStationary pins an output tile per pass and streams the
-	// K-long dot products through the array (the paper's §V-A setting).
-	OutputStationary Dataflow = iota
-	// WeightStationary pins a weight tile (K x M) and streams the output
-	// pixels past it.
-	WeightStationary
-	// InputStationary pins an input tile (pixels x K) and streams the
-	// output channels past it.
-	InputStationary
-)
-
-func (d Dataflow) String() string {
-	switch d {
-	case WeightStationary:
-		return "weight-stationary"
-	case InputStationary:
-		return "input-stationary"
-	}
-	return "output-stationary"
-}
-
 // Accelerator describes one compute node.
 type Accelerator struct {
 	Rows, Cols int // systolic array dimensions (32x32)
 	PEs        int // processing elements per accelerator (16)
-	Dataflow   Dataflow
 }
 
 // Default returns the Table III accelerator configuration
@@ -63,29 +35,15 @@ func Default() Accelerator {
 }
 
 // gemmCycles returns the cycle count of an outputs x channels GEMM with
-// k-long dot products on one PE under the configured dataflow, spread
-// over the accelerator's PEs. Each pass pins one tile of the stationary
-// operand and streams the moving dimension through, paying the array
-// fill/drain once per pass.
+// k-long dot products, spread over the accelerator's PEs. Each
+// output-stationary pass pins one Rows x Cols output tile and streams the
+// k-long dot products through, paying the array fill/drain once per pass.
 func (a Accelerator) gemmCycles(outputs, channels, k int64) int64 {
 	if outputs <= 0 || channels <= 0 || k <= 0 {
 		return 0
 	}
-	var passes, stream int64
-	switch a.Dataflow {
-	case WeightStationary:
-		// Stationary: k x channels weight tiles; stream the outputs.
-		passes = ceilDiv(k, int64(a.Rows)) * ceilDiv(channels, int64(a.Cols))
-		stream = outputs
-	case InputStationary:
-		// Stationary: outputs x k input tiles; stream the channels.
-		passes = ceilDiv(outputs, int64(a.Rows)) * ceilDiv(k, int64(a.Cols))
-		stream = channels
-	default: // OutputStationary
-		passes = ceilDiv(outputs, int64(a.Rows)) * ceilDiv(channels, int64(a.Cols))
-		stream = k
-	}
-	perPass := stream + int64(a.Rows) + int64(a.Cols) - 2
+	passes := ceilDiv(outputs, int64(a.Rows)) * ceilDiv(channels, int64(a.Cols))
+	perPass := k + int64(a.Rows) + int64(a.Cols) - 2
 	return ceilDiv(passes*perPass, int64(a.PEs))
 }
 

@@ -59,11 +59,11 @@ func TestWriteAndValidateRunReport(t *testing.T) {
 		t.Errorf("round trip lost fields: %+v", got)
 	}
 	// Corrupt the file: validation must fail loudly.
-	if err := os.WriteFile(path, []byte(`{"schema":"multitree-runreport/v1","bogus":1}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"schema":"`+obs.RunReportSchema+`","bogus":1}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ValidateRunReport(path); err == nil {
-		t.Error("unknown field passed validation")
+	if _, err := ValidateRunReport(path); err == nil || !strings.Contains(err.Error(), `unknown field "bogus"`) {
+		t.Errorf("unknown field: validation error %v", err)
 	}
 }
 

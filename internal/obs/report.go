@@ -10,26 +10,9 @@ import (
 // RunReportSchema is the versioned identifier of the structured run
 // report. Decoders reject unknown schemas and unknown fields, so a
 // report either round-trips exactly or fails loudly — the property the
-// CI smoke step checks. Additions bump the version; DecodeRunReport
-// keeps accepting the versions whose fields remain a subset of the
-// current struct (v2 added the additive plan_cache section; v3 added the
-// validate phase counters and cache validation-mode counts; v4 added the
-// decode/verify split, the shard-merge replay share, and the decoded-plan
-// memory-cache counters; v5 dropped the four shard_* phase fields with
-// the sharded growth engine). v1 through v4 reports still decode as long
-// as they carry no shard_* field.
+// CI smoke step checks. Changes bump the version, and DecodeRunReport
+// accepts only the current one.
 const RunReportSchema = "multitree-runreport/v5"
-
-// RunReportSchemaV1 through RunReportSchemaV4 are previous schema
-// identifiers, still accepted by DecodeRunReport: the fields a report
-// written without sharded growth carries are a subset of the current
-// struct.
-const (
-	RunReportSchemaV1 = "multitree-runreport/v1"
-	RunReportSchemaV2 = "multitree-runreport/v2"
-	RunReportSchemaV3 = "multitree-runreport/v3"
-	RunReportSchemaV4 = "multitree-runreport/v4"
-)
 
 // RunReport is the machine-readable record of one CLI run: environment,
 // what was planned and simulated, where the wall time went, and the
@@ -263,9 +246,7 @@ func DecodeRunReport(r io.Reader) (*RunReport, error) {
 	if err := dec.Decode(&rep); err != nil {
 		return nil, fmt.Errorf("obs: invalid run report: %w", err)
 	}
-	switch rep.Schema {
-	case RunReportSchema, RunReportSchemaV1, RunReportSchemaV2, RunReportSchemaV3, RunReportSchemaV4:
-	default:
+	if rep.Schema != RunReportSchema {
 		return nil, fmt.Errorf("obs: run report schema %q, want %q", rep.Schema, RunReportSchema)
 	}
 	var extra json.RawMessage

@@ -60,30 +60,27 @@ func TestRunReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRunReportRejects: each input fails for the reason it names.
+// Earlier schema ids are refused like any foreign one.
 func TestDecodeRunReportRejects(t *testing.T) {
-	cases := map[string]string{
-		"unknown field":  `{"schema":"multitree-runreport/v1","tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1},"surprise":1}`,
-		"wrong schema":   `{"schema":"multitree-runreport/v0","tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1}}`,
-		"missing schema": `{"tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1}}`,
-		"trailing data":  `{"schema":"multitree-runreport/v1","tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1}} {"another":true}`,
-		"not json":       `phase,runs\n`,
-		// v4 is still accepted, but not with the fields v5 dropped.
-		"v4 shard field": `{"schema":"multitree-runreport/v4","tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1},"planner":{"total_ns":1,"phases":[{"phase":"tree-growth","runs":1,"wall_ns":1,"share":1,"shard_turns":10}]}}`,
+	const env = `"tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1}`
+	cases := map[string]struct{ in, reason string }{
+		"unknown field":  {`{"schema":"` + RunReportSchema + `",` + env + `,"surprise":1}`, `unknown field "surprise"`},
+		"wrong schema":   {`{"schema":"multitree-runreport/v0",` + env + `}`, `schema "multitree-runreport/v0"`},
+		"missing schema": {`{` + env + `}`, `schema ""`},
+		"trailing data":  {`{"schema":"` + RunReportSchema + `",` + env + `} {"another":true}`, "trailing data"},
+		"not json":       {`phase,runs\n`, "invalid run report"},
+		"v5 shard field": {`{"schema":"` + RunReportSchema + `",` + env + `,"planner":{"total_ns":1,"phases":[{"phase":"tree-growth","runs":1,"wall_ns":1,"share":1,"shard_turns":10}]}}`,
+			`unknown field "shard_turns"`},
 	}
-	for name, in := range cases {
-		if _, err := DecodeRunReport(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: decode accepted invalid input", name)
-		}
+	for _, v := range []string{"v1", "v2", "v3", "v4"} {
+		schema := "multitree-runreport/" + v
+		cases[v+" schema"] = struct{ in, reason string }{`{"schema":"` + schema + `",` + env + `}`, `schema "` + schema + `"`}
 	}
-}
-
-// TestDecodeRunReportAcceptsOlderSchemas pins that every earlier schema
-// still decodes when it carries only fields the current struct has.
-func TestDecodeRunReportAcceptsOlderSchemas(t *testing.T) {
-	for _, schema := range []string{RunReportSchemaV1, RunReportSchemaV2, RunReportSchemaV3, RunReportSchemaV4, RunReportSchema} {
-		in := `{"schema":"` + schema + `","tool":"x","env":{"go_version":"go1.22","goos":"linux","goarch":"amd64","gomaxprocs":1,"num_cpu":1},"planner":{"total_ns":1,"phases":[{"phase":"tree-growth","runs":1,"wall_ns":1,"share":1,"searches":5}]}}`
-		if _, err := DecodeRunReport(strings.NewReader(in)); err != nil {
-			t.Errorf("%s: %v", schema, err)
+	for name, tc := range cases {
+		_, err := DecodeRunReport(strings.NewReader(tc.in))
+		if err == nil || !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: decode error %v, want one naming %s", name, err, tc.reason)
 		}
 	}
 }
@@ -109,7 +106,8 @@ func TestSimReportFrom(t *testing.T) {
 // again writes the same bytes. Bytes rather than DeepEqual, because
 // omitempty drops an empty "points": [] that decoded as non-nil. Seeds
 // live in testdata/fuzz/FuzzDecodeRunReport: a report from each tool
-// and mode, a v1 report, and rejected ones.
+// and mode, and rejected ones, among them a report under the retired v1
+// schema id.
 func FuzzDecodeRunReport(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rep *RunReport

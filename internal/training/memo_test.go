@@ -27,18 +27,13 @@ func counting(cfg *training.Config) (builds, runs map[int]int) {
 	return builds, runs
 }
 
-// bucketSizes lists the all-reduce sizes Overlapped issues for net, in
-// issue order: one per fused bucket, last layer first.
-func bucketSizes(net model.Network, fusionBytes int64) []int {
+// overlappedSizes lists the all-reduce sizes Overlapped issues for net, in
+// issue order: one per layer with parameters, last layer first.
+func overlappedSizes(net model.Network) []int {
 	var out []int
-	var bucket int64
 	for i := len(net.Layers) - 1; i >= 0; i-- {
-		bucket += net.Layers[i].Params()
-		if fusionBytes <= 0 || bucket*collective.WordSize >= fusionBytes || i == 0 {
-			if bucket > 0 {
-				out = append(out, int(bucket))
-			}
-			bucket = 0
+		if p := net.Layers[i].Params(); p > 0 {
+			out = append(out, int(p))
 		}
 	}
 	return out
@@ -66,19 +61,15 @@ func checkOncePerSize(t *testing.T, label string, want []int, builds, runs map[i
 }
 
 // TestOverlappedSimulatesEachSizeOnce: layer-wise all-reduce builds and
-// simulates each distinct bucket size once per call, with and without
-// gradient fusion.
+// simulates each distinct layer size once per call.
 func TestOverlappedSimulatesEachSizeOnce(t *testing.T) {
 	net := model.ResNet50()
-	for _, fusionBytes := range []int64{0, 1 << 20} {
-		cfg := config(t, "ring")
-		cfg.FusionBytes = fusionBytes
-		builds, runs := counting(&cfg)
-		if _, err := cfg.Overlapped(net); err != nil {
-			t.Fatal(err)
-		}
-		checkOncePerSize(t, "overlapped", bucketSizes(net, fusionBytes), builds, runs)
+	cfg := config(t, "ring")
+	builds, runs := counting(&cfg)
+	if _, err := cfg.Overlapped(net); err != nil {
+		t.Fatal(err)
 	}
+	checkOncePerSize(t, "overlapped", overlappedSizes(net), builds, runs)
 }
 
 // TestProfileSimulatesEachSizeOnce: the per-layer profile builds once per
@@ -129,8 +120,7 @@ func TestMemoIsPerCall(t *testing.T) {
 // reaches the caller of every entry point.
 func TestMemoReturnsBuildError(t *testing.T) {
 	net := model.ResNet50()
-	sizes := bucketSizes(net, 0)
-	bad := sizes[0] // the first all-reduce Overlapped issues
+	bad := overlappedSizes(net)[0] // the first all-reduce Overlapped issues
 	errBad := errors.New("no schedule for this size")
 	cfg := config(t, "ring")
 	build := cfg.Build

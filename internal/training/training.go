@@ -44,13 +44,6 @@ type Config struct {
 	// deterministic in elems; a tracing engine sees each size once.
 	Build  ScheduleBuilder
 	Engine Engine // nil selects the fluid engine
-
-	// FusionBytes, when positive, coalesces consecutive finished layers
-	// into one all-reduce until the bucket reaches this many gradient
-	// bytes — the Horovod-style gradient fusion extension to the paper's
-	// pure layer-wise scheme. It amortizes per-collective latency for
-	// networks with many small layers; zero keeps the paper's behaviour.
-	FusionBytes int64
 }
 
 // Breakdown reports one iteration's time composition in cycles.
@@ -134,31 +127,20 @@ func (c Config) Overlapped(net model.Network) (Breakdown, error) {
 	now := b.Forward
 	commFree := b.Forward // network idle until gradients exist
 	var commBusy sim.Time
-	var bucket int64 // fused gradient elements pending
 	memo := map[int]sim.Time{}
-	flush := func(ready sim.Time) error {
-		if bucket == 0 {
-			return nil
-		}
-		dur, err := c.allReduceCycles(int(bucket), memo)
-		if err != nil {
-			return err
-		}
-		start := max(commFree, ready)
-		commFree = start + dur
-		commBusy += dur
-		bucket = 0
-		return nil
-	}
 	for i := len(net.Layers) - 1; i >= 0; i-- {
 		l := net.Layers[i]
 		now += sim.Time(c.Accel.BackwardCycles(l, c.BatchPerNode, i == 0))
-		bucket += l.Params()
-		if c.FusionBytes <= 0 || bucket*collective.WordSize >= c.FusionBytes || i == 0 {
-			if err := flush(now); err != nil {
-				return b, err
-			}
+		p := l.Params()
+		if p == 0 {
+			continue
 		}
+		dur, err := c.allReduceCycles(int(p), memo)
+		if err != nil {
+			return b, err
+		}
+		commFree = max(commFree, now) + dur
+		commBusy += dur
 	}
 	b.Backward = now - b.Forward
 	b.Comm = commBusy

@@ -144,89 +144,32 @@ func TestBreakdownString(t *testing.T) {
 	}
 }
 
-// TestGradientFusion captures the fusion tradeoff: bucketing amortizes
-// per-collective latency (network busy time always drops), and for
-// networks made of many tiny layers — where each layer-wise all-reduce is
-// latency-bound — it shortens the whole iteration. On coarse-layer CNNs
-// it may instead delay communication start, so the iteration is allowed
-// to shift slightly either way.
-func TestGradientFusion(t *testing.T) {
-	base := config(t, "multitree")
-	fused := base
-	fused.FusionBytes = 4 << 20
-
-	// Busy-time reduction on real models.
-	for _, net := range []model.Network{model.ResNet50(), model.GoogLeNet()} {
-		b0, err := base.Overlapped(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b1, err := fused.Overlapped(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b1.Comm > b0.Comm {
-			t.Errorf("%s: fusion increased comm busy time %d -> %d", net.Name, b0.Comm, b1.Comm)
-		}
-		if float64(b1.Total) > 1.05*float64(b0.Total) {
-			t.Errorf("%s: fusion slowed the iteration badly: %d -> %d", net.Name, b0.Total, b1.Total)
-		}
-	}
-
-	// End-to-end win on a many-tiny-layers network (latency-bound
-	// collectives).
-	tiny := model.Network{Name: "tiny-mlp"}
-	for i := 0; i < 80; i++ {
-		tiny.Layers = append(tiny.Layers, model.Layer{
-			Name: "fc", Kind: model.FC, C: 64, M: 64,
-		})
-	}
-	b0, err := base.Overlapped(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, err := fused.Overlapped(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b1.Total >= b0.Total {
-		t.Errorf("tiny-mlp: fusion did not help: %d -> %d", b0.Total, b1.Total)
-	}
-}
-
 // TestOverlappedPinned pins whole Breakdowns of the layer-wise iteration
-// on the 4x4 torus, with and without gradient fusion, so any change to
+// on the 4x4 torus, so any change to
 // how Overlapped schedules or simulates its all-reduces must reproduce
 // the same cycles. The constants were recorded from the straightforward
 // build-and-simulate-every-layer loop.
 func TestOverlappedPinned(t *testing.T) {
 	for _, tc := range []struct {
-		model       string
-		alg         string
-		fusionBytes int64
-		want        training.Breakdown
+		model string
+		alg   string
+		want  training.Breakdown
 	}{
-		{"ResNet50", "ring", 0, training.Breakdown{Forward: 4426064, Backward: 8555947, Comm: 12959310, Exposed: 4417595, Overlap: 8541715, Total: 17399606}},
-		{"ResNet50", "ring", 4 << 20, training.Breakdown{Forward: 4426064, Backward: 8555947, Comm: 12801090, Exposed: 4259375, Overlap: 8541715, Total: 17241386}},
-		{"ResNet50", "multitree", 0, training.Breakdown{Forward: 4426064, Backward: 8555947, Comm: 4287530, Exposed: 2480, Overlap: 4285050, Total: 12984491}},
-		{"ResNet50", "multitree", 4 << 20, training.Breakdown{Forward: 4426064, Backward: 8555947, Comm: 4255630, Exposed: 20785, Overlap: 4234845, Total: 13002796}},
-		{"Transformer", "ring", 0, training.Breakdown{Forward: 1324768, Backward: 2613808, Comm: 17741040, Exposed: 15270208, Overlap: 2470832, Total: 19208784}},
-		{"Transformer", "ring", 4 << 20, training.Breakdown{Forward: 1324768, Backward: 2613808, Comm: 17659680, Exposed: 15188848, Overlap: 2470832, Total: 19127424}},
-		{"Transformer", "multitree", 0, training.Breakdown{Forward: 1324768, Backward: 2613808, Comm: 5891480, Exposed: 3420648, Overlap: 2470832, Total: 7359224}},
-		{"Transformer", "multitree", 4 << 20, training.Breakdown{Forward: 1324768, Backward: 2613808, Comm: 5875160, Exposed: 3404328, Overlap: 2470832, Total: 7342904}},
+		{"ResNet50", "ring", training.Breakdown{Forward: 4426064, Backward: 8555947, Comm: 12959310, Exposed: 4417595, Overlap: 8541715, Total: 17399606}},
+		{"ResNet50", "multitree", training.Breakdown{Forward: 4426064, Backward: 8555947, Comm: 4287530, Exposed: 2480, Overlap: 4285050, Total: 12984491}},
+		{"Transformer", "ring", training.Breakdown{Forward: 1324768, Backward: 2613808, Comm: 17741040, Exposed: 15270208, Overlap: 2470832, Total: 19208784}},
+		{"Transformer", "multitree", training.Breakdown{Forward: 1324768, Backward: 2613808, Comm: 5891480, Exposed: 3420648, Overlap: 2470832, Total: 7359224}},
 	} {
 		net, err := model.ByName(tc.model)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := config(t, tc.alg)
-		cfg.FusionBytes = tc.fusionBytes
-		got, err := cfg.Overlapped(net)
+		got, err := config(t, tc.alg).Overlapped(net)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != tc.want {
-			t.Errorf("%s/%s fusion=%d:\n got  %+v\n want %+v", tc.model, tc.alg, tc.fusionBytes, got, tc.want)
+			t.Errorf("%s/%s:\n got  %+v\n want %+v", tc.model, tc.alg, got, tc.want)
 		}
 	}
 }
