@@ -56,9 +56,12 @@
 //	allreduce-bench -algo ring -topo torus-4x4 -linkstats links.csv -bin 500
 //	allreduce-bench -algo multitree -topo mesh-8x8 -steputil steps.csv
 //
-// -trace writes Chrome-trace JSON (open in ui.perfetto.dev), -linkstats
-// writes per-link time-binned utilization CSV, -steputil writes per-step
-// link utilization from the trace next to the static schedule analysis.
+// -trace writes Chrome-trace JSON (open in ui.perfetto.dev); it is the
+// only export that records the run's events in memory. -linkstats writes
+// per-link time-binned utilization CSV and -steputil per-step link
+// utilization next to the static schedule analysis; both, like the
+// printed event count, are streamed from the events as the run emits
+// them.
 //
 // Imported-schedule mode: -schedule loads a versioned schedule IR file
 // (written by schedule-dump -export) and runs it through both network
@@ -122,8 +125,8 @@ func main() {
 		topo      = flag.String("topo", "torus-4x4", "single-run mode: topology spec ("+topospec.Usage()+")")
 		size      = flag.String("size", "1MiB", "single-run mode: all-reduce data size")
 		traceOut  = flag.String("trace", "", "single-run mode: write Chrome-trace JSON (ui.perfetto.dev) to this file")
-		linkstats = flag.String("linkstats", "", "single-run mode: write per-link binned utilization CSV to this file")
-		steputil  = flag.String("steputil", "", "single-run mode: write per-step link utilization CSV (trace vs static) to this file")
+		linkstats = flag.String("linkstats", "", "single-run mode: write per-link binned utilization CSV, streamed from the run's events, to this file")
+		steputil  = flag.String("steputil", "", "single-run mode: write per-step link utilization CSV (streamed from the run's events vs the static schedule) to this file")
 		bin       = flag.Float64("bin", 1000, "single-run mode: utilization histogram bin width in cycles (>= 1; 0 writes per-link totals)")
 
 		schedFile = flag.String("schedule", "", "run a schedule IR file (schedule-dump -export) through both engines, the correctness interpreter and the NI compiler")
@@ -376,7 +379,8 @@ func runSingle(algo, topoSpec, size, engineName, faultSpec string, replan bool, 
 	if plan.Empty() {
 		plan = nil
 	}
-	tr, err := experiments.TraceAllReduce(topo, alg, dataBytes, engine, bin, plan, run.BuildOptions())
+	rec, writeTrace := cliutil.ChromeTrace(traceOut)
+	tr, err := experiments.TraceAllReduce(topo, alg, dataBytes, engine, bin, plan, rec, run.BuildOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -404,24 +408,16 @@ func runSingle(algo, topoSpec, size, engineName, faultSpec string, replan bool, 
 		emitJSON(struct {
 			experiments.AllReducePoint
 			Engine string `json:"engine"`
-			Events int    `json:"events"`
-		}{p, engine.String(), len(tr.Events.Events)})
+			Events int64  `json:"events"`
+		}{p, engine.String(), tr.Metrics.Events()})
 	} else {
 		fmt.Println("topology,algorithm,engine,data_bytes,cycles,bandwidth_gbps,events")
 		fmt.Printf("%s,%s,%s,%d,%d,%.3f,%d\n",
-			p.Topology, p.Algorithm, engine, p.DataBytes, p.Cycles, p.BandwidthGBps, len(tr.Events.Events))
+			p.Topology, p.Algorithm, engine, p.DataBytes, p.Cycles, p.BandwidthGBps, tr.Metrics.Events())
 	}
 
-	if traceOut != "" {
-		cliutil.WriteFile(traceOut, tr.WriteChromeTrace)
-		log.Printf("wrote %s (open in ui.perfetto.dev)", traceOut)
-	}
-	if linkstats != "" {
-		cliutil.WriteFile(linkstats, func(w io.Writer) error {
-			return tr.Metrics.WriteLinkCSV(w, tr.Meta.LinkNames)
-		})
-		log.Printf("wrote %s", linkstats)
-	}
+	writeTrace(tr.Meta)
+	cliutil.WriteLinkStats(linkstats, tr.Metrics, tr.Meta.LinkNames)
 	if steputil != "" {
 		cliutil.WriteFile(steputil, func(w io.Writer) error {
 			return writeStepUtil(w, tr)
@@ -430,12 +426,12 @@ func runSingle(algo, topoSpec, size, engineName, faultSpec string, replan bool, 
 	}
 }
 
-// writeStepUtil emits per-step link utilization two ways: measured from
-// the trace's link-acquired events, and statically from the schedule's
-// per-step link sets. The two columns must agree — the static number is
-// the paper's Fig. 3/4 utilization metric.
+// writeStepUtil emits per-step link utilization two ways: folded by the
+// run's metrics from its link-acquired events, and statically from the
+// schedule's per-step link sets. The two columns must agree — the static
+// number is the paper's Fig. 3/4 utilization metric.
 func writeStepUtil(w io.Writer, tr *experiments.TracedResult) error {
-	traced := obs.StepLinkUtilization(tr.Events.Events, len(tr.Sched.Topo.Links()))
+	traced := tr.Metrics.StepLinkUtilization(len(tr.Sched.Topo.Links()))
 	static := collective.StepUtilization(tr.Sched)
 	if _, err := fmt.Fprintln(w, "step,trace_util,static_util"); err != nil {
 		return err

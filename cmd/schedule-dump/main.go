@@ -276,14 +276,16 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 		path, s.Algorithm, topo.Name(), len(s.Transfers), dataBytes, hint)
 }
 
-// traceSchedule simulates the MultiTree schedule with the fluid engine
-// under tracing, then replays the compiled Fig. 5 tables through the
-// Fig. 6 NI machine with the same recorder, so the export shows both the
-// network's link timelines and the NIs' table walks.
+// traceSchedule simulates the MultiTree schedule with the fluid engine,
+// then replays the compiled Fig. 5 tables through the Fig. 6 NI machine,
+// streaming both into one metrics collector (and into a recorder when a
+// Chrome trace is requested), so the exports show both the network's
+// link timelines and the NIs' table walks.
 func traceSchedule(sched *collective.Schedule, traceOut, linkstats string, bin float64) {
-	rec := &obs.Recorder{}
+	met := obs.NewMetrics(bin)
+	rec, writeTrace := cliutil.ChromeTrace(traceOut)
 	cfg := network.DefaultConfig()
-	cfg.Tracer = rec
+	cfg.Tracer = obs.Tee(rec, met)
 	res, err := network.SimulateFluid(sched, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -293,30 +295,16 @@ func traceSchedule(sched *collective.Schedule, traceOut, linkstats string, bin f
 		log.Fatal(err)
 	}
 	m := ni.NewMachine(nt, len(sched.Flows))
-	m.Trace = rec
+	m.Trace = cfg.Tracer
 	rounds, err := m.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntraced fluid simulation: %d cycles, NI machine: %d issue rounds, %d events\n",
-		res.Cycles, rounds, len(rec.Events))
+		res.Cycles, rounds, met.Events())
 	meta := network.TraceMetaFor(sched, "")
-	if traceOut != "" {
-		cliutil.WriteFile(traceOut, func(w io.Writer) error {
-			return obs.WriteChromeTrace(w, meta, rec.Events)
-		})
-		log.Printf("wrote %s (open in ui.perfetto.dev)", traceOut)
-	}
-	if linkstats != "" {
-		cliutil.WriteFile(linkstats, func(w io.Writer) error {
-			met := obs.NewMetrics(bin)
-			for _, ev := range rec.Events {
-				met.Emit(ev)
-			}
-			return met.WriteLinkCSV(w, meta.LinkNames)
-		})
-		log.Printf("wrote %s", linkstats)
-	}
+	writeTrace(meta)
+	cliutil.WriteLinkStats(linkstats, met, meta.LinkNames)
 }
 
 // printPhase lists a schedule's transfers of one opcode grouped by step.

@@ -28,7 +28,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"strings"
 
@@ -150,7 +149,8 @@ func traceGradientAllReduce(topo *topology.Topology, modelName, algo, traceOut, 
 		log.Fatalf("algorithm %q does not support %s", spec.Name, topo.Name())
 	}
 	alg := experiments.AlgSpec{Name: algo, Msg: msg}
-	tr, err := experiments.TraceAllReduce(topo, alg, net.GradientBytes(), experiments.Fluid, bin, nil, run.BuildOptions())
+	rec, writeTrace := cliutil.ChromeTrace(traceOut)
+	tr, err := experiments.TraceAllReduce(topo, alg, net.GradientBytes(), experiments.Fluid, bin, nil, rec, run.BuildOptions())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -168,17 +168,9 @@ func traceGradientAllReduce(topo *topology.Topology, modelName, algo, traceOut, 
 		run.Report.Sim.BandwidthGBps = p.BandwidthGBps
 	}
 	fmt.Printf("%s gradient all-reduce: %s on %s, %d bytes, %d cycles, %.2f GB/s, %d events\n",
-		net.Name, p.Algorithm, p.Topology, p.DataBytes, p.Cycles, p.BandwidthGBps, len(tr.Events.Events))
-	if traceOut != "" {
-		cliutil.WriteFile(traceOut, tr.WriteChromeTrace)
-		log.Printf("wrote %s (open in ui.perfetto.dev)", traceOut)
-	}
-	if linkstats != "" {
-		cliutil.WriteFile(linkstats, func(w io.Writer) error {
-			return tr.Metrics.WriteLinkCSV(w, tr.Meta.LinkNames)
-		})
-		log.Printf("wrote %s", linkstats)
-	}
+		net.Name, p.Algorithm, p.Topology, p.DataBytes, p.Cycles, p.BandwidthGBps, tr.Metrics.Events())
+	writeTrace(tr.Meta)
+	cliutil.WriteLinkStats(linkstats, tr.Metrics, tr.Meta.LinkNames)
 }
 
 // printLayerProfile dumps the per-layer compute/gradient/all-reduce

@@ -167,6 +167,34 @@ func WriteFile(path string, fn func(io.Writer) error) {
 	}
 }
 
+// ChromeTrace returns the tracer that records a run for a Chrome trace at
+// path, and the function that writes the trace once the run is done.
+// With an empty path the tracer is nil and the writer does nothing: every
+// other export streams through obs.Metrics, so only a Chrome trace holds
+// the raw event stream in memory.
+func ChromeTrace(path string) (obs.Tracer, func(obs.TraceMeta)) {
+	if path == "" {
+		return nil, func(obs.TraceMeta) {}
+	}
+	rec := &obs.Recorder{}
+	return rec, func(meta obs.TraceMeta) {
+		WriteFile(path, func(w io.Writer) error {
+			return obs.WriteChromeTrace(w, meta, rec.Events)
+		})
+		log.Printf("wrote %s (open in ui.perfetto.dev)", path)
+	}
+}
+
+// WriteLinkStats writes m's per-link utilization CSV to path, naming the
+// links by names; an empty path writes nothing.
+func WriteLinkStats(path string, m *obs.Metrics, names []string) {
+	if path == "" {
+		return
+	}
+	WriteFile(path, func(w io.Writer) error { return m.WriteLinkCSV(w, names) })
+	log.Printf("wrote %s", path)
+}
+
 // Config selects the observability surfaces of one tool invocation,
 // straight from its flags.
 type Config struct {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"io"
-
 	"multitree/internal/algorithms"
 	"multitree/internal/collective"
 	"multitree/internal/faults"
@@ -12,34 +10,27 @@ import (
 )
 
 // TracedResult is one traced all-reduce run: the measurement plus the
-// full event recording and streaming metrics, ready for Chrome-trace or
-// CSV export.
+// streaming metrics every CSV export and event count reads, and the
+// track metadata a Chrome-trace export needs.
 type TracedResult struct {
 	Point   AllReducePoint
 	Sched   *collective.Schedule
 	Meta    obs.TraceMeta
-	Events  *obs.Recorder
 	Metrics *obs.Metrics
 }
 
-// WriteChromeTrace exports the recording as Chrome-trace JSON for
-// ui.perfetto.dev.
-func (tr *TracedResult) WriteChromeTrace(w io.Writer) error {
-	return obs.WriteChromeTrace(w, tr.Meta, tr.Events.Events)
-}
-
 // TraceAllReduce measures one (topology, algorithm, size) point like
-// MeasureAllReduce while recording every simulation event and streaming
-// it into a metrics collector with binCycles-wide utilization bins. A
-// non-nil plan injects engine-layer faults: they activate mid-flight
-// during the traced run (EvLinkFault events land in the recording),
-// without re-planning the schedule around them.
-func TraceAllReduce(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64, plan *faults.Plan, opts algorithms.Options) (*TracedResult, error) {
-	rec := &obs.Recorder{}
+// MeasureAllReduce while streaming every simulation event into a metrics
+// collector with binCycles-wide utilization bins, and into extra when it
+// is non-nil (a Recorder for a Chrome trace). A non-nil plan injects
+// engine-layer faults: they activate mid-flight during the traced run
+// (EvLinkFault events reach the tracers), without re-planning the
+// schedule around them.
+func TraceAllReduce(topo *topology.Topology, alg AlgSpec, dataBytes int64, engine Engine, binCycles float64, plan *faults.Plan, extra obs.Tracer, opts algorithms.Options) (*TracedResult, error) {
 	met := obs.NewMetrics(binCycles)
 	cfg := network.DefaultConfig()
 	cfg.Faults = plan
-	cfg.Tracer = obs.Tee(rec, met)
+	cfg.Tracer = obs.Tee(extra, met)
 	p, s, err := measure(topo, alg, dataBytes, engine, cfg, opts)
 	if err != nil {
 		return nil, err
@@ -48,7 +39,6 @@ func TraceAllReduce(topo *topology.Topology, alg AlgSpec, dataBytes int64, engin
 		Point:   p,
 		Sched:   s,
 		Meta:    network.TraceMetaFor(s, ""),
-		Events:  rec,
 		Metrics: met,
 	}, nil
 }

@@ -80,12 +80,13 @@ func TestCrossEngineAgreement(t *testing.T) {
 		}
 	}
 
-	// The dynamic per-step link utilization measured from either trace
-	// equals the static schedule analysis exactly: same links, same steps.
+	// The dynamic per-step link utilization folded from either engine's
+	// event stream equals the static schedule analysis exactly: same
+	// links, same steps.
 	static := collective.StepUtilization(s)
 	links := len(s.Topo.Links())
-	for name, rec := range map[string]*obs.Recorder{"fluid": fluidRec, "packet": packetRec} {
-		dyn := obs.StepLinkUtilization(rec.Events, links)
+	for name, met := range map[string]*obs.Metrics{"fluid": fluidMet, "packet": packetMet} {
+		dyn := met.StepLinkUtilization(links)
 		if len(dyn) != len(static) {
 			t.Fatalf("%s: step count %d, static %d", name, len(dyn)-1, len(static)-1)
 		}

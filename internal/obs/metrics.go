@@ -3,15 +3,15 @@ package obs
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 )
 
 // Metrics is a streaming collector implementing Tracer: it folds the event
-// stream into per-link time-binned utilization histograms, a per-transfer
-// queueing-delay distribution, and NI table-occupancy counters, without
-// retaining the events themselves. Attach it directly, or Tee it with a
-// Recorder when the raw trace is also wanted.
+// stream into per-link time-binned utilization histograms, per-step link
+// sets, a per-transfer queueing-delay distribution, and NI table-occupancy
+// counters, without retaining the events themselves. Every export except
+// the Chrome trace reads it; Tee it with a Recorder only when a Chrome
+// trace is wanted, since WriteChromeTrace needs the raw stream.
 type Metrics struct {
 	// BinCycles is the utilization histogram bin width in cycles; 0
 	// collects per-link totals only.
@@ -21,9 +21,10 @@ type Metrics struct {
 	linkBins [][]float64 // busy-equivalent cycles per (link, bin)
 	lastAt   float64     // latest span end seen, bounds the histogram
 
+	stepLinks [][]bool // per step: the links that carried its traffic
+
 	// Queueing delay: ready (deps cleared) -> first byte on a link.
-	readyAt   map[int32]float64
-	firstLink map[int32]bool
+	transfers []transferDelay // indexed by transfer id
 	delays    []float64
 
 	niIssued  []int64 // per node: schedule-table entries issued
@@ -35,35 +36,40 @@ type Metrics struct {
 	events     int64
 }
 
+// transferDelay tracks one transfer's queueing delay.
+type transferDelay struct {
+	readyAt       float64
+	ready, linked bool // ready event seen; first link span seen
+}
+
 // NewMetrics returns a collector with the given utilization bin width in
 // cycles (0 keeps totals only).
 func NewMetrics(binCycles float64) *Metrics {
-	return &Metrics{
-		BinCycles: binCycles,
-		readyAt:   make(map[int32]float64),
-		firstLink: make(map[int32]bool),
-	}
+	return &Metrics{BinCycles: binCycles}
 }
 
 // Emit folds one event into the collector.
 func (m *Metrics) Emit(ev Event) {
 	m.events++
 	switch ev.Kind {
-	case EvTransferReady:
-		if _, ok := m.readyAt[ev.Transfer]; !ok {
-			m.readyAt[ev.Transfer] = ev.At
-		}
-	case EvTransferInjected:
-		// Fallback for streams without ready events.
-		if _, ok := m.readyAt[ev.Transfer]; !ok {
-			m.readyAt[ev.Transfer] = ev.At
+	case EvTransferReady, EvTransferInjected:
+		// Injection is the fallback for streams without ready events.
+		m.transfers = grow(m.transfers, int(ev.Transfer))
+		if td := &m.transfers[ev.Transfer]; !td.ready {
+			td.ready, td.readyAt = true, ev.At
 		}
 	case EvLinkAcquired:
 		m.addSpan(ev.Link, ev.At, ev.Dur, ev.Busy)
-		if !m.firstLink[ev.Transfer] {
-			m.firstLink[ev.Transfer] = true
-			if ready, ok := m.readyAt[ev.Transfer]; ok {
-				if d := ev.At - ready; d > 0 {
+		if ev.Step > 0 {
+			m.stepLinks = grow(m.stepLinks, int(ev.Step))
+			m.stepLinks[ev.Step] = grow(m.stepLinks[ev.Step], int(ev.Link))
+			m.stepLinks[ev.Step][ev.Link] = true
+		}
+		m.transfers = grow(m.transfers, int(ev.Transfer))
+		if td := &m.transfers[ev.Transfer]; !td.linked {
+			td.linked = true
+			if td.ready {
+				if d := ev.At - td.readyAt; d > 0 {
 					m.delays = append(m.delays, d)
 				} else {
 					m.delays = append(m.delays, 0)
@@ -77,19 +83,21 @@ func (m *Metrics) Emit(ev Event) {
 			m.queueMax = ev.Bytes
 		}
 	case EvNIEntryActivated:
-		m.niIssued = growCounters(m.niIssued, int(ev.Node))
+		m.niIssued = grow(m.niIssued, int(ev.Node))
 		m.niIssued[ev.Node]++
 	case EvNIDepCleared:
-		m.niCleared = growCounters(m.niCleared, int(ev.Node))
+		m.niCleared = grow(m.niCleared, int(ev.Node))
 		m.niCleared[ev.Node]++
 	case EvNILockstep:
 		m.niNOPs++
 	}
 }
 
-func growCounters(s []int64, idx int) []int64 {
+// grow extends s with zero values until idx is a valid index.
+func grow[T any](s []T, idx int) []T {
+	var zero T
 	for len(s) <= idx {
-		s = append(s, 0)
+		s = append(s, zero)
 	}
 	return s
 }
@@ -98,10 +106,8 @@ func growCounters(s []int64, idx int) []int64 {
 // into the link's histogram bins.
 func (m *Metrics) addSpan(link int32, at, dur, busy float64) {
 	l := int(link)
-	for len(m.linkBusy) <= l {
-		m.linkBusy = append(m.linkBusy, 0)
-		m.linkBins = append(m.linkBins, nil)
-	}
+	m.linkBusy = grow(m.linkBusy, l)
+	m.linkBins = grow(m.linkBins, l)
 	m.linkBusy[l] += busy
 	if end := at + dur; end > m.lastAt {
 		m.lastAt = end
@@ -111,25 +117,18 @@ func (m *Metrics) addSpan(link int32, at, dur, busy float64) {
 	}
 	if dur <= 0 {
 		b := int(at / m.BinCycles)
-		m.linkBins[l] = growBins(m.linkBins[l], b)
+		m.linkBins[l] = grow(m.linkBins[l], b)
 		m.linkBins[l][b] += busy
 		return
 	}
 	density := busy / dur
 	end := at + dur
 	for b := int(at / m.BinCycles); float64(b)*m.BinCycles < end; b++ {
-		lo := math.Max(at, float64(b)*m.BinCycles)
-		hi := math.Min(end, float64(b+1)*m.BinCycles)
-		m.linkBins[l] = growBins(m.linkBins[l], b)
+		lo := max(at, float64(b)*m.BinCycles)
+		hi := min(end, float64(b+1)*m.BinCycles)
+		m.linkBins[l] = grow(m.linkBins[l], b)
 		m.linkBins[l][b] += (hi - lo) * density
 	}
-}
-
-func growBins(s []float64, idx int) []float64 {
-	for len(s) <= idx {
-		s = append(s, 0)
-	}
-	return s
 }
 
 // Events returns the number of events folded in.
@@ -147,6 +146,28 @@ func (m *Metrics) LinkBins(link int) []float64 {
 		return nil
 	}
 	return m.linkBins[link]
+}
+
+// StepLinkUtilization reports, per algorithmic step, the fraction of the
+// topology's totalLinks directed links that carried traffic of that step:
+// the dynamic counterpart of collective.StepUtilization, folded from
+// EvLinkAcquired events as they arrived. Index 0 is unused (steps are
+// 1-based); nil when totalLinks is 0 or no link event carried a step.
+func (m *Metrics) StepLinkUtilization(totalLinks int) []float64 {
+	if totalLinks == 0 || len(m.stepLinks) == 0 {
+		return nil
+	}
+	out := make([]float64, len(m.stepLinks))
+	for step := 1; step < len(m.stepLinks); step++ {
+		used := 0
+		for _, u := range m.stepLinks[step] {
+			if u {
+				used++
+			}
+		}
+		out[step] = float64(used) / float64(totalLinks)
+	}
+	return out
 }
 
 // QueueingDelays returns the sorted per-transfer queueing delays in

@@ -183,41 +183,3 @@ func Tee(ts ...Tracer) Tracer {
 	}
 	return out
 }
-
-// StepLinkUtilization reports, per algorithmic step, the fraction of the
-// topology's directed links that carried traffic of that step — the
-// dynamic counterpart of collective.StepUtilization, measured from
-// EvLinkAcquired events instead of the static schedule. Index 0 is unused
-// (steps are 1-based).
-func StepLinkUtilization(events []Event, totalLinks int) []float64 {
-	if totalLinks == 0 {
-		return nil
-	}
-	maxStep := 0
-	for i := range events {
-		if events[i].Kind == EvLinkAcquired && int(events[i].Step) > maxStep {
-			maxStep = int(events[i].Step)
-		}
-	}
-	if maxStep == 0 {
-		return nil
-	}
-	used := make([]map[int32]bool, maxStep+1)
-	for i := range events {
-		ev := &events[i]
-		if ev.Kind != EvLinkAcquired {
-			continue
-		}
-		m := used[ev.Step]
-		if m == nil {
-			m = make(map[int32]bool)
-			used[ev.Step] = m
-		}
-		m[ev.Link] = true
-	}
-	out := make([]float64, maxStep+1)
-	for step := 1; step <= maxStep; step++ {
-		out[step] = float64(len(used[step])) / float64(totalLinks)
-	}
-	return out
-}

@@ -157,14 +157,18 @@ func TestStepLinkUtilization(t *testing.T) {
 		{Kind: EvLinkAcquired, Link: 2, Step: 2},
 		{Kind: EvTransferReady, Step: 2}, // not a link event
 	}
-	u := StepLinkUtilization(events, 4)
+	m := NewMetrics(0)
+	for _, ev := range events {
+		m.Emit(ev)
+	}
+	u := m.StepLinkUtilization(4)
 	if len(u) != 3 {
 		t.Fatalf("len = %d, want 3", len(u))
 	}
 	if u[1] != 0.25 || u[2] != 0.5 {
 		t.Fatalf("utilization = %v, want [_ 0.25 0.5]", u)
 	}
-	if StepLinkUtilization(nil, 4) != nil || StepLinkUtilization(events, 0) != nil {
+	if NewMetrics(0).StepLinkUtilization(4) != nil || m.StepLinkUtilization(0) != nil {
 		t.Fatalf("empty inputs should yield nil")
 	}
 }
