@@ -233,3 +233,27 @@ func TestCheckBin(t *testing.T) {
 		}
 	}
 }
+
+// TestChromeTraceOnlyForPath pins that a run records its events only when
+// a Chrome trace is requested, and that the recording reaches the file.
+func TestChromeTraceOnlyForPath(t *testing.T) {
+	if rec, write := ChromeTrace(""); rec != nil {
+		t.Fatalf("no -trace path: tracer %v, want nil", rec)
+	} else {
+		write(obs.TraceMeta{}) // a no-op, writes nothing
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	rec, write := ChromeTrace(path)
+	if rec == nil {
+		t.Fatal("-trace path: nil tracer")
+	}
+	rec.Emit(obs.Event{Kind: obs.EvLinkAcquired, Dur: 4, Busy: 4, Step: 1})
+	write(obs.TraceMeta{LinkNames: []string{"n0->n1"}})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"name":"t0 f0 s1","ph":"X"`) {
+		t.Errorf("trace file lacks the recorded link span:\n%s", data)
+	}
+}
