@@ -215,67 +215,6 @@ func BenchmarkAblation_Lockstep(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_TreeOrder compares the round-robin-by-root turn order
-// against remaining-height prioritization on an asymmetric Mesh
-// (§III-C1's note on asymmetric networks).
-func BenchmarkAblation_TreeOrder(b *testing.B) {
-	b.ReportAllocs()
-	topo := topology.Mesh(4, 8, topology.DefaultLinkConfig())
-	for _, order := range []core.TreeOrder{core.RoundRobinByRoot, core.ByRemainingHeight} {
-		name := "roundRobin"
-		if order == core.ByRemainingHeight {
-			name = "remainingHeight"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var s *collective.Schedule
-			var err error
-			for i := 0; i < b.N; i++ {
-				s, err = core.Build(topo, (1<<20)/4, core.Options{Order: order})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			res, err := network.SimulateFluid(s, network.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(s.Steps), "steps")
-			b.ReportMetric(res.BandwidthBytesPerCycle(1<<20), "GB/s")
-		})
-	}
-}
-
-// BenchmarkAblation_DimOrder compares Y-before-X link allocation (the
-// paper's preference) against X-before-Y on a Torus.
-func BenchmarkAblation_DimOrder(b *testing.B) {
-	b.ReportAllocs()
-	topo := topology.Torus(8, 8, topology.DefaultLinkConfig())
-	for _, reverse := range []bool{false, true} {
-		name := "Yfirst"
-		if reverse {
-			name = "Xfirst"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var s *collective.Schedule
-			var err error
-			for i := 0; i < b.N; i++ {
-				s, err = core.Build(topo, (1<<20)/4, core.Options{ReverseNeighborOrder: reverse})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			res, err := network.SimulateFluid(s, network.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(s.Steps), "steps")
-			b.ReportMetric(res.BandwidthBytesPerCycle(1<<20), "GB/s")
-		})
-	}
-}
-
 // BenchmarkAblation_PayloadSize sweeps the baseline packet payload across
 // Fig. 2's 64-256 B range end to end, against the message-based flow
 // control.

@@ -16,41 +16,28 @@ func disconnectedPair() *topology.Topology {
 	return c.BuildUnchecked()
 }
 
-// TestEccentricitiesUnreachableSentinel pins the degraded-topology
-// contract: a source that cannot reach every node reports
-// EccUnreachable instead of the silently-truncated max the old code
-// produced, which under-scored exactly the roots that cannot grow a
-// full tree.
-func TestEccentricitiesUnreachableSentinel(t *testing.T) {
-	ecc := eccentricities(disconnectedPair(), nil)
-	for i, e := range ecc {
-		if e != EccUnreachable {
-			t.Fatalf("node %d: ecc %d, want EccUnreachable on a split fabric", i, e)
-		}
+// disconnectedSwitches builds a switch fabric with two components: two
+// unconnected switches with three nodes on each.
+func disconnectedSwitches() *topology.Topology {
+	c := topology.NewCustom("split-switches", 6, 2)
+	for n := 0; n < 6; n++ {
+		c.Link(n, c.SwitchVertex(n/3), cfg())
 	}
-	// A connected fabric keeps real values: corners of a 4x4 mesh are 6
-	// hops from the far corner, inner nodes 4.
-	ecc = eccentricities(topology.Mesh(4, 4, cfg()), nil)
-	for i, want := range map[int]int{0: 6, 3: 6, 5: 4, 10: 4, 15: 6} {
-		if ecc[i] != want {
-			t.Fatalf("mesh-4x4 node %d: ecc %d, want %d", i, ecc[i], want)
-		}
-	}
+	return c.BuildUnchecked()
 }
 
 // TestGrowthRefusesDisconnected verifies both entry points into growth
-// error out with a witness pair instead of growing partial trees: the
-// eccentricity ordering up front, and the in-step stall diagnosis for
-// the default order.
+// error out with a witness pair instead of growing partial trees, on a
+// direct fabric (the candidate-link scan) and on a switch fabric (the
+// breadth-first search, where end nodes do not relay).
 func TestGrowthRefusesDisconnected(t *testing.T) {
-	topo := disconnectedPair()
-	for _, opts := range []Options{{}, {Order: ByRemainingHeight}} {
-		_, err := BuildTrees(topo, opts)
-		if err == nil {
-			t.Fatalf("order=%v: BuildTrees succeeded on a disconnected fabric", opts.Order)
+	for _, topo := range []*topology.Topology{disconnectedPair(), disconnectedSwitches()} {
+		opts := DefaultOptions(topo)
+		if _, err := BuildTrees(topo, opts); err == nil || !strings.Contains(err.Error(), "cannot reach node") {
+			t.Errorf("%s: BuildTrees error %v does not name the unreachable pair", topo.Name(), err)
 		}
-		if !strings.Contains(err.Error(), "cannot reach node") {
-			t.Fatalf("order=%v: error %q does not name the unreachable pair", opts.Order, err)
+		if _, err := Build(topo, 256, opts); err == nil || !strings.Contains(err.Error(), "cannot reach node") {
+			t.Errorf("%s: Build error %v does not name the unreachable pair", topo.Name(), err)
 		}
 	}
 }

@@ -56,16 +56,10 @@ type growth struct {
 	parents [][]topology.NodeID
 	dead    [][]bool
 
-	ecc []int // by root node id
-
 	avail  bitset // the step's link pool: set = free
 	finder *pathFinder
 
 	c obs.PlanCounters
-
-	// treeOrder scratch, reused every round.
-	orderIdx []int
-	orderRem []int
 }
 
 // growTrees is the tree-growth phase body: Algorithm 1's main loop with
@@ -122,33 +116,17 @@ func newGrowth(topo *topology.Topology, members []bool, opts Options) (*growth, 
 			g.dead[i] = make([]bool, n)
 		}
 	}
-	if opts.Order == ByRemainingHeight {
-		g.ecc = eccentricities(topo, members)
-		for _, root := range roots {
-			if g.ecc[root] == EccUnreachable {
-				u := newEccScratch(topo, members).firstUnreachable(int(root))
-				return nil, fmt.Errorf("multitree: root %d cannot reach node %d on %s: refusing to grow a partial tree", root, u, topo.Name())
-			}
-		}
-	}
 	g.avail = newBitset(len(topo.Links()))
-	g.finder = newPathFinder(topo, opts.ReverseNeighborOrder)
+	g.finder = newPathFinder(topo)
 	g.finder.members = members
 	g.finder.shortestFirst = opts.ShortestPathFirst
-	g.orderIdx = make([]int, k)
-	g.orderRem = make([]int, k)
 	return g, nil
 }
 
 // appendCands appends v's out-links that lead out of tree ti to list, in
 // the search's link-preference order.
 func (g *growth) appendCands(list []candidate, ti int, v topology.NodeID) []candidate {
-	links := g.topo.Out(int(v))
-	for li := range links {
-		id := links[li]
-		if g.opts.ReverseNeighborOrder {
-			id = links[len(links)-1-li]
-		}
+	for _, id := range g.topo.Out(int(v)) {
 		if w := g.topo.Link(id).Dst; !g.inTree[ti][w] {
 			list = append(list, candidate{link: int32(id), dst: int32(w)})
 		}
@@ -232,7 +210,7 @@ func (g *growth) stallError(t int32) error {
 			continue
 		}
 		root := int(tr.Root)
-		if u := newEccScratch(g.topo, tr.Members).firstUnreachable(root); u >= 0 {
+		if u := firstUnreachable(g.topo, tr.Members, root); u >= 0 {
 			return fmt.Errorf("multitree: root %d cannot reach node %d on %s: topology is disconnected", root, u, g.topo.Name())
 		}
 		break // this root reaches everything; no cheap witness, report generically
@@ -240,11 +218,11 @@ func (g *growth) stallError(t int32) error {
 	return fmt.Errorf("multitree: no progress at step %d on %s (disconnected graph?)", t, g.topo.Name())
 }
 
-// round gives every unfinished, unstalled tree one turn in order,
-// committing each result before the next tree searches.
+// round gives every unfinished, unstalled tree one turn in ascending
+// root order, committing each result before the next tree searches.
 func (g *growth) round(t int32) int {
 	added := 0
-	for _, ti := range g.order() {
+	for ti := range g.trees {
 		if g.attached[ti] == g.span || g.next[ti] < 0 {
 			continue
 		}
@@ -283,34 +261,6 @@ func (g *growth) commit(ti int, child, parent topology.NodeID, path []topology.L
 	g.pending[ti] = append(g.pending[ti], child)
 }
 
-// order returns the indices of the trees in the order they take turns
-// this round, into scratch reused across rounds.
-func (g *growth) order() []int {
-	idx := g.orderIdx
-	for i := range idx {
-		idx[i] = i
-	}
-	if g.opts.Order != ByRemainingHeight {
-		return idx // ascending root id
-	}
-	remaining := g.orderRem
-	for i, tr := range g.trees {
-		remaining[i] = g.ecc[tr.Root] - tr.Height()
-	}
-	// Insertion sort, descending remaining height, ties by root id.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0; j-- {
-			a, b := idx[j], idx[j-1]
-			if remaining[a] > remaining[b] || (remaining[a] == remaining[b] && a < b) {
-				idx[j], idx[j-1] = idx[j-1], idx[j]
-			} else {
-				break
-			}
-		}
-	}
-	return idx
-}
-
 func complete(attached []int, span int) bool {
 	for _, m := range attached {
 		if m != span {
@@ -320,65 +270,14 @@ func complete(attached []int, span int) bool {
 	return true
 }
 
-// EccUnreachable is the eccentricity sentinel for a source that cannot
-// reach every node. On degraded or disconnected topologies the max-hop
-// figure is undefined; silently skipping the unreachable nodes (the old
-// behavior) under-scored exactly the roots that cannot grow a full tree,
-// so callers must treat a sentinel root as an error, not a short tree.
-const EccUnreachable = -1
-
-// eccentricities returns each node's maximum hop distance to any other
-// node (any member, when members is non-nil), measured over the full
-// (unallocated) topology graph, traversing switches freely, or
-// EccUnreachable for sources that cannot reach every such node. It
-// estimates the final height of the tree rooted there.
-func eccentricities(topo *topology.Topology, members []bool) []int {
-	out := make([]int, topo.Nodes())
-	s := newEccScratch(topo, members)
-	for src := range out {
-		out[src] = s.from(src)
-	}
-	return out
-}
-
-// eccScratch is the reusable hop-distance state for eccentricities.
-type eccScratch struct {
-	topo    *topology.Topology
-	members []bool // nodes whose distance counts; nil: every node
-	dist    []int32
-	queue   []int32
-}
-
-func newEccScratch(topo *topology.Topology, members []bool) *eccScratch {
-	return &eccScratch{topo: topo, members: members, dist: make([]int32, topo.Vertices())}
-}
-
-func (s *eccScratch) from(src int) int {
-	s.queue = s.topo.HopDistances(src, s.dist, s.queue)
-	// Node-distance in construction steps: switch hops are internal to a
-	// single scheduled edge, so eccentricity counts destination nodes
-	// only. A conservative proxy is the max node distance in links, which
-	// orders roots correctly on grids and trees alike.
-	ecc := 0
-	for d := 0; d < s.topo.Nodes(); d++ {
-		if s.members != nil && !s.members[d] {
-			continue
-		}
-		if s.dist[d] < 0 {
-			return EccUnreachable
-		}
-		ecc = max(ecc, int(s.dist[d]))
-	}
-	return ecc
-}
-
 // firstUnreachable returns the lowest-numbered node (member, when
-// members is set) src cannot reach, or -1 when every such node is
-// reachable.
-func (s *eccScratch) firstUnreachable(src int) topology.NodeID {
-	s.queue = s.topo.HopDistances(src, s.dist, s.queue)
-	for d := 0; d < s.topo.Nodes(); d++ {
-		if s.dist[d] < 0 && (s.members == nil || s.members[d]) {
+// members is set) src cannot reach over the full (unallocated) topology
+// graph, or -1 when every such node is reachable.
+func firstUnreachable(topo *topology.Topology, members []bool, src int) topology.NodeID {
+	dist := make([]int32, topo.Vertices())
+	topo.HopDistances(src, dist, nil)
+	for d := 0; d < topo.Nodes(); d++ {
+		if dist[d] < 0 && (members == nil || members[d]) {
 			return topology.NodeID(d)
 		}
 	}

@@ -173,28 +173,6 @@ func TestBuildCorrectness(t *testing.T) {
 	}
 }
 
-// TestOptionsVariantsStayValid: both tree orders and both neighbor orders
-// keep the invariants and correctness.
-func TestOptionsVariantsStayValid(t *testing.T) {
-	topo := topology.Mesh(4, 8, cfg())
-	for _, opts := range []Options{
-		{Order: RoundRobinByRoot},
-		{Order: ByRemainingHeight},
-		{ReverseNeighborOrder: true},
-		{Order: ByRemainingHeight, ReverseNeighborOrder: true},
-	} {
-		trees := buildOrFail(t, topo, opts)
-		checkInvariants(t, topo, trees)
-		s, err := collective.TreesToSchedule(Algorithm, topo, 512, trees)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := collective.VerifyAllReduce(s, collective.RampInputs(topo.Nodes(), 512)); err != nil {
-			t.Errorf("%+v: %v", opts, err)
-		}
-	}
-}
-
 func TestBuildRejectsTinySystems(t *testing.T) {
 	topo := topology.Mesh(2, 2, cfg())
 	if _, err := Build(topo, 16, Options{}); err != nil {

@@ -18,7 +18,7 @@ import (
 // traffic.
 func TestPlanObserverNilZeroAlloc(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
-	f := newPathFinder(topo, false)
+	f := newPathFinder(topo)
 	inTree := make([]bool, topo.Nodes())
 	for i := range inTree {
 		inTree[i] = true // every node attached: the search must miss

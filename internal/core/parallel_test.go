@@ -18,7 +18,7 @@ import (
 // lowering), Build emits a schedule
 // byte-identical (through the canonical binary IR encoding) to the
 // sequential one, on direct, switch-based and degraded fabrics, under
-// both tree orders and both allocation strategies.
+// both allocation strategies.
 func TestParallelGrowthIdenticalSchedules(t *testing.T) {
 	cfgs := []struct {
 		name string
@@ -31,12 +31,6 @@ func TestParallelGrowthIdenticalSchedules(t *testing.T) {
 		{"bigraph-4x4", topology.BiGraph(4, 4, cfg()), DefaultOptions}, // Auto: both variants + scoring
 		{"fattree", topology.FatTree(4, 4, 4, cfg()), DefaultOptions},
 		{"torus-8x8-faulted", degradedTorus8x8(t), DefaultOptions}, // custom rebuild: no grid coords
-		{"torus-4x4-byheight", topology.Torus(4, 4, cfg()), func(*topology.Topology) Options {
-			return Options{Order: ByRemainingHeight}
-		}},
-		{"mesh-4x4-reverse", topology.Mesh(4, 4, cfg()), func(*topology.Topology) Options {
-			return Options{ReverseNeighborOrder: true}
-		}},
 		{"bigraph-shortest", topology.BiGraph(4, 4, cfg()), func(*topology.Topology) Options {
 			return Options{ShortestPathFirst: true}
 		}},
@@ -71,27 +65,10 @@ func TestShardedGrowthIdenticalSchedules(t *testing.T) {
 			"8e82e36007bb7786597af7a0ba3876ef852fea905155855ad4804e5118b0305b"},
 		{"torus-8x8", topology.Torus(8, 8, cfg()), DefaultOptions,
 			"a00d71cd63eb66f84864b366e323031142a28dbe1080ec57b0f3680a9e137759"},
-		{"torus-8x8-byheight", topology.Torus(8, 8, cfg()), func(*topology.Topology) Options {
-			return Options{Order: ByRemainingHeight}
-		}, "a00d71cd63eb66f84864b366e323031142a28dbe1080ec57b0f3680a9e137759"},
-		{"mesh-8x8-reverse", topology.Mesh(8, 8, cfg()), func(*topology.Topology) Options {
-			return Options{ReverseNeighborOrder: true}
-		}, "6e5988faea71576b19be07fea467ad2b15fcc1baf200656c623484e56e4a1724"},
 		{"bigraph-4x4", topology.BiGraph(4, 4, cfg()), DefaultOptions,
 			"045b5bab4b5faa6cb08739bd5e8b85b0f7fa13a5cb454ebdbf8b65835ad9384a"},
 		{"torus-8x8-faulted", degradedTorus8x8(t), DefaultOptions,
 			"25b1a6f3f6bb6225d7105aeb938a3a5a4c892a42e0f296b700ea8ee5a54099c6"},
-		// ByRemainingHeight on a direct grid, two switch fabrics (the relay
-		// rule) and a custom degraded rebuild, recorded from the
-		// incremental and per-source eccentricity passes.
-		{"mesh-4x8-byheight", topology.Mesh(4, 8, cfg()), byHeight,
-			"1cf0d67911614f7316c279c1bd754c4654de8e62a2dc3b3fae40d716c881bdbf"},
-		{"fattree-byheight", topology.FatTree(4, 4, 4, cfg()), byHeight,
-			"922ed51bc1606413e72286cdaa394c5eb69dc22b578e72112926259dae5cfce3"},
-		{"bigraph-4x4-byheight", topology.BiGraph(4, 4, cfg()), byHeight,
-			"aa53d0f3931610be0126803aa6ed18f40d808515e7814de3a7975571d87058d3"},
-		{"torus-8x8-faulted-byheight", degradedTorus8x8(t), byHeight,
-			"224fa4c1918126a1aece6cb7856a0e76f4096727781401edf59492bc3fb1b6d6"},
 	}
 	for _, tc := range cfgs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -104,8 +81,6 @@ func TestShardedGrowthIdenticalSchedules(t *testing.T) {
 		})
 	}
 }
-
-func byHeight(*topology.Topology) Options { return Options{Order: ByRemainingHeight} }
 
 // degradedTorus8x8 applies a non-disconnecting fault plan to a torus-8x8
 // and returns the rebuilt (custom, coordinate-free) fabric, the shape a

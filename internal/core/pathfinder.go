@@ -19,8 +19,7 @@ type candidate struct {
 // entries before the cursor are proven unable to extend the tree until
 // the step ends.
 type pathFinder struct {
-	topo    *topology.Topology
-	reverse bool
+	topo *topology.Topology
 
 	// members, when non-nil, restricts candidate children to member nodes
 	// (subset all-reduce, §VII-B); in direct networks non-member nodes'
@@ -50,10 +49,9 @@ type pathFinder struct {
 	rev       []topology.LinkID
 }
 
-func newPathFinder(topo *topology.Topology, reverse bool) *pathFinder {
+func newPathFinder(topo *topology.Topology) *pathFinder {
 	return &pathFinder{
 		topo:      topo,
-		reverse:   reverse,
 		visitedAt: make([]uint64, topo.Vertices()),
 		via:       make([]topology.LinkID, topo.Vertices()),
 	}
@@ -140,8 +138,8 @@ func (f *pathFinder) find(parents []topology.NodeID, inTree []bool, avail bitset
 // passes only through switch vertices (and, in direct networks,
 // non-member nodes); the first node vertex found that is not yet in the
 // tree is returned together with its link path. Out-links are scanned in
-// the topology's preference order (or reversed for the ablation), so
-// one-hop children and Y-dimension neighbors win ties.
+// the topology's preference order, so one-hop children and Y-dimension
+// neighbors win ties.
 func (f *pathFinder) bfs(start int, inTree []bool, avail bitset) (topology.NodeID, []topology.LinkID) {
 	t := f.topo
 	all := t.Links() // indexed in place: t.Link copies the whole struct
@@ -158,12 +156,7 @@ func (f *pathFinder) bfs(start int, inTree []bool, avail bitset) (topology.NodeI
 	f.queue = append(f.queue, start)
 	for qi := 0; qi < len(f.queue); qi++ {
 		v := f.queue[qi]
-		links := t.Out(v)
-		for li := 0; li < len(links); li++ {
-			id := links[li]
-			if f.reverse {
-				id = links[len(links)-1-li]
-			}
+		for _, id := range t.Out(v) {
 			f.linksScanned++
 			if !avail.test(int(id)) {
 				f.linkConflicts++

@@ -120,8 +120,8 @@ func TestSubsetFullMembershipDelegates(t *testing.T) {
 
 // TestSubsetHonorsOptions: subset trees grow in the same loop as the full
 // set, so every construction option applies — the trees are rooted at the
-// members in ascending order, the remaining-height order runs, and an
-// observer sees the growth phase count one tree per member.
+// members in ascending order, and an observer sees the growth phase
+// count one tree per member.
 func TestSubsetHonorsOptions(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
 	members := []topology.NodeID{15, 0, 3, 5, 10, 12} // any order
@@ -139,7 +139,7 @@ func TestSubsetHonorsOptions(t *testing.T) {
 		}
 	}
 	p := obs.NewPlanProfile()
-	s, err := BuildSubset(topo, members, 600, Options{Order: ByRemainingHeight, Observer: p})
+	s, err := BuildSubset(topo, members, 600, Options{Observer: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,17 +191,15 @@ func TestSubsetAutoOnSwitchFabric(t *testing.T) {
 }
 
 // TestSubsetUnreachableMember: on a split fabric a subset confined to one
-// component builds under every order, and a subset spanning both names
-// the member it cannot reach.
+// component builds, and a subset spanning both names the member it
+// cannot reach.
 func TestSubsetUnreachableMember(t *testing.T) {
 	topo := disconnectedPair() // ring 0-3, pair 4-5
-	for _, opts := range []Options{{}, {Order: ByRemainingHeight}} {
-		if _, err := BuildSubsetTrees(topo, []topology.NodeID{0, 2}, opts); err != nil {
-			t.Errorf("order=%v: subset inside one component: %v", opts.Order, err)
-		}
-		_, err := BuildSubsetTrees(topo, []topology.NodeID{0, 1, 4}, opts)
-		if err == nil || !strings.Contains(err.Error(), "cannot reach node 4") {
-			t.Errorf("order=%v: error %v does not name member 4", opts.Order, err)
-		}
+	if _, err := BuildSubsetTrees(topo, []topology.NodeID{0, 2}, Options{}); err != nil {
+		t.Errorf("subset inside one component: %v", err)
+	}
+	_, err := BuildSubsetTrees(topo, []topology.NodeID{0, 1, 4}, Options{})
+	if err == nil || !strings.Contains(err.Error(), "cannot reach node 4") {
+		t.Errorf("error %v does not name member 4", err)
 	}
 }

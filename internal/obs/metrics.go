@@ -3,15 +3,14 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 )
 
 // Metrics is a streaming collector implementing Tracer: it folds the event
 // stream into per-link time-binned utilization histograms, per-step link
-// sets, a per-transfer queueing-delay distribution, and NI table-occupancy
-// counters, without retaining the events themselves. Every export except
-// the Chrome trace reads it; Tee it with a Recorder only when a Chrome
-// trace is wanted, since WriteChromeTrace needs the raw stream.
+// sets, and NI table-occupancy counters, without retaining the events
+// themselves. Every export except the Chrome trace reads it; Tee it with
+// a Recorder only when a Chrome trace is wanted, since WriteChromeTrace
+// needs the raw stream.
 type Metrics struct {
 	// BinCycles is the utilization histogram bin width in cycles; 0
 	// collects per-link totals only.
@@ -23,10 +22,6 @@ type Metrics struct {
 
 	stepLinks [][]bool // per step: the links that carried its traffic
 
-	// Queueing delay: ready (deps cleared) -> first byte on a link.
-	transfers []transferDelay // indexed by transfer id
-	delays    []float64
-
 	niIssued  []int64 // per node: schedule-table entries issued
 	niCleared []int64 // per node: dependencies cleared by received messages
 	niNOPs    int64   // lockstep down-counter NOP elapses
@@ -34,12 +29,6 @@ type Metrics struct {
 	stepEnters int64
 	queueMax   int64 // peak pending-event count in the discrete-event core
 	events     int64
-}
-
-// transferDelay tracks one transfer's queueing delay.
-type transferDelay struct {
-	readyAt       float64
-	ready, linked bool // ready event seen; first link span seen
 }
 
 // NewMetrics returns a collector with the given utilization bin width in
@@ -52,29 +41,12 @@ func NewMetrics(binCycles float64) *Metrics {
 func (m *Metrics) Emit(ev Event) {
 	m.events++
 	switch ev.Kind {
-	case EvTransferReady, EvTransferInjected:
-		// Injection is the fallback for streams without ready events.
-		m.transfers = grow(m.transfers, int(ev.Transfer))
-		if td := &m.transfers[ev.Transfer]; !td.ready {
-			td.ready, td.readyAt = true, ev.At
-		}
 	case EvLinkAcquired:
 		m.addSpan(ev.Link, ev.At, ev.Dur, ev.Busy)
 		if ev.Step > 0 {
 			m.stepLinks = grow(m.stepLinks, int(ev.Step))
 			m.stepLinks[ev.Step] = grow(m.stepLinks[ev.Step], int(ev.Link))
 			m.stepLinks[ev.Step][ev.Link] = true
-		}
-		m.transfers = grow(m.transfers, int(ev.Transfer))
-		if td := &m.transfers[ev.Transfer]; !td.linked {
-			td.linked = true
-			if td.ready {
-				if d := ev.At - td.readyAt; d > 0 {
-					m.delays = append(m.delays, d)
-				} else {
-					m.delays = append(m.delays, 0)
-				}
-			}
 		}
 	case EvStepEnter:
 		m.stepEnters++
@@ -168,32 +140,6 @@ func (m *Metrics) StepLinkUtilization(totalLinks int) []float64 {
 		out[step] = float64(used) / float64(totalLinks)
 	}
 	return out
-}
-
-// QueueingDelays returns the sorted per-transfer queueing delays in
-// cycles: the wait between a transfer becoming ready and its first byte
-// starting across a link.
-func (m *Metrics) QueueingDelays() []float64 {
-	out := append([]float64(nil), m.delays...)
-	sort.Float64s(out)
-	return out
-}
-
-// QueueingDelayQuantile returns the q-quantile (0..1) of the queueing
-// delay distribution, or 0 when no delays were observed.
-func (m *Metrics) QueueingDelayQuantile(q float64) float64 {
-	d := m.QueueingDelays()
-	if len(d) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(d)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(d) {
-		idx = len(d) - 1
-	}
-	return d[idx]
 }
 
 // NIEntriesIssued returns per-node counts of schedule-table entries the

@@ -2,7 +2,7 @@
 // zero-dependency (stdlib-only) event vocabulary shared by the network
 // engines, the discrete-event core and the NI state machine, plus
 // collectors that turn the event stream into per-link utilization
-// histograms, queueing-delay distributions and a Chrome-trace/Perfetto
+// histograms, per-step link sets, NI counters and a Chrome-trace/Perfetto
 // export.
 //
 // The design center is cost when disabled: every emit site in the

@@ -107,23 +107,6 @@ func TestMetricsLinkBinning(t *testing.T) {
 	}
 }
 
-func TestMetricsQueueingDelay(t *testing.T) {
-	m := NewMetrics(0)
-	m.Emit(Event{Kind: EvTransferReady, Transfer: 1, At: 100})
-	m.Emit(Event{Kind: EvTransferReady, Transfer: 2, At: 100})
-	// Transfer 1 waits 50 cycles for its first link, transfer 2 none.
-	m.Emit(Event{Kind: EvLinkAcquired, Transfer: 1, Link: 0, At: 150, Dur: 10, Busy: 10})
-	m.Emit(Event{Kind: EvLinkAcquired, Transfer: 1, Link: 1, At: 400, Dur: 10, Busy: 10}) // later hop: ignored
-	m.Emit(Event{Kind: EvLinkAcquired, Transfer: 2, Link: 2, At: 100, Dur: 10, Busy: 10})
-	d := m.QueueingDelays()
-	if len(d) != 2 || d[0] != 0 || d[1] != 50 {
-		t.Fatalf("QueueingDelays = %v, want [0 50]", d)
-	}
-	if got := m.QueueingDelayQuantile(1); got != 50 {
-		t.Fatalf("p100 = %v, want 50", got)
-	}
-}
-
 func TestMetricsCounters(t *testing.T) {
 	m := NewMetrics(0)
 	m.Emit(Event{Kind: EvStepEnter, Step: 1})
