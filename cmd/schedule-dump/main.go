@@ -174,7 +174,7 @@ func main() {
 	}
 
 	if *traceOut != "" || *linkstats != "" {
-		traceSchedule(lowered(), *traceOut, *linkstats, *bin)
+		traceSchedule(lowered(), *traceOut, *linkstats, *bin, run)
 	}
 
 	if *tables {
@@ -280,8 +280,10 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 // then replays the compiled Fig. 5 tables through the Fig. 6 NI machine,
 // streaming both into one metrics collector (and into a recorder when a
 // Chrome trace is requested), so the exports show both the network's
-// link timelines and the NIs' table walks.
-func traceSchedule(sched *collective.Schedule, traceOut, linkstats string, bin float64) {
+// link timelines and the NIs' table walks. The run report's sim block
+// carries the fluid run's cycles and the collector's totals, NI counters
+// included.
+func traceSchedule(sched *collective.Schedule, traceOut, linkstats string, bin float64, run *cliutil.Run) {
 	met := obs.NewMetrics(bin)
 	rec, writeTrace := cliutil.ChromeTrace(traceOut)
 	cfg := network.DefaultConfig()
@@ -302,6 +304,12 @@ func traceSchedule(sched *collective.Schedule, traceOut, linkstats string, bin f
 	}
 	fmt.Printf("\ntraced fluid simulation: %d cycles, NI machine: %d issue rounds, %d events\n",
 		res.Cycles, rounds, met.Events())
+	run.ObserveSim(met)
+	if run.Report.Sim != nil {
+		run.Report.Sim.Engine = "fluid"
+		run.Report.Sim.Cycles = uint64(res.Cycles)
+		run.Report.Sim.BandwidthGBps = res.BandwidthBytesPerCycle(int64(sched.Elems) * collective.WordSize)
+	}
 	meta := network.TraceMetaFor(sched, "")
 	writeTrace(meta)
 	cliutil.WriteLinkStats(linkstats, met, meta.LinkNames)

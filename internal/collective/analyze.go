@@ -9,7 +9,8 @@ import (
 // Analysis summarizes the static properties of a schedule that Table I of
 // the paper compares: algorithmic step count, per-node traffic volume
 // relative to the bandwidth-optimal 2(N-1)/N * S, hop counts, and worst
-// same-step link contention.
+// same-step link contention. Per-step link utilization is
+// StepUtilization's.
 type Analysis struct {
 	Algorithm string
 	Topology  string
@@ -31,10 +32,6 @@ type Analysis struct {
 	// share one directed link. 1 means contention-free under lockstep
 	// scheduling.
 	MaxLinkOverlap int
-
-	// BusiestStepLinks is the fraction of directed links used at the
-	// busiest step, a link-utilization proxy (§I's 25% ring example).
-	BusiestStepLinks float64
 }
 
 // BandwidthOverhead returns TotalBytes / OptimalBytes; 1.0 is
@@ -56,8 +53,8 @@ func (a Analysis) String() string {
 		a.BandwidthOverhead(), a.MaxHops, a.MaxLinkOverlap)
 }
 
-// Analyze computes the static schedule properties used by Table I and the
-// ablation benches.
+// Analyze computes the static schedule properties used by Table I, the
+// facade's ContentionFree/BandwidthOverhead and schedule-inspector.
 func Analyze(s *Schedule) Analysis {
 	a := Analysis{
 		Algorithm: s.Algorithm,
@@ -76,7 +73,6 @@ func Analyze(s *Schedule) Analysis {
 		link topology.LinkID
 	}
 	usage := make(map[key]int)
-	stepLinks := make(map[int]map[topology.LinkID]bool)
 	for i := range s.Transfers {
 		step := int(s.Transfers[i].Step)
 		path := s.PathOf(i)
@@ -85,27 +81,12 @@ func Analyze(s *Schedule) Analysis {
 		}
 		for _, l := range path {
 			usage[key{step, l}]++
-			m := stepLinks[step]
-			if m == nil {
-				m = make(map[topology.LinkID]bool)
-				stepLinks[step] = m
-			}
-			m[l] = true
 		}
 	}
 	for _, c := range usage {
 		if c > a.MaxLinkOverlap {
 			a.MaxLinkOverlap = c
 		}
-	}
-	busiest := 0
-	for _, m := range stepLinks {
-		if len(m) > busiest {
-			busiest = len(m)
-		}
-	}
-	if nl := len(s.Topo.Links()); nl > 0 {
-		a.BusiestStepLinks = float64(busiest) / float64(nl)
 	}
 	return a
 }
@@ -119,14 +100,4 @@ func PerNodeBytes(s *Schedule) []int64 {
 		out[t.Src] += s.Bytes(t)
 	}
 	return out
-}
-
-// StepHistogram returns the number of transfers at each step (1-based
-// index 0 unused), useful for inspecting schedule balance.
-func StepHistogram(s *Schedule) []int {
-	h := make([]int, s.Steps+1)
-	for i := range s.Transfers {
-		h[s.Transfers[i].Step]++
-	}
-	return h
 }

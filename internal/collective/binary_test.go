@@ -129,12 +129,8 @@ func TestBinaryStreamMatchesBuffered(t *testing.T) {
 	}
 }
 
-// TestBinaryImportRejects covers the rejection paths that matter for a
-// cache that must never serve a wrong plan: foreign files, files of any
-// other format version, topology mismatch, and truncation anywhere in
-// the stream.
-// TestJSONImportNamesBinaryPlan: the JSON importers recognize a binary
-// plan by its header and say what to do instead of reporting a JSON
+// TestJSONImportNamesBinaryPlan: the JSON importer recognizes a binary
+// plan by its header and says what to do instead of reporting a JSON
 // syntax error.
 func TestJSONImportNamesBinaryPlan(t *testing.T) {
 	torus := topology.Torus(4, 4, topology.DefaultLinkConfig())
@@ -143,15 +139,16 @@ func TestJSONImportNamesBinaryPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := collective.Import(bytes.NewReader(buf.Bytes()))
-	_, errInto := collective.ImportInto(bytes.NewReader(buf.Bytes()), torus)
-	for _, err := range []error{err, errInto} {
-		if err == nil || !strings.Contains(err.Error(), "binary plans load only onto a live topology") ||
-			!strings.Contains(err.Error(), "JSON export") {
-			t.Errorf("importing a binary plan as JSON: %v", err)
-		}
+	if err == nil || !strings.Contains(err.Error(), "binary plans load only onto a live topology") ||
+		!strings.Contains(err.Error(), "JSON export") {
+		t.Errorf("importing a binary plan as JSON: %v", err)
 	}
 }
 
+// TestBinaryImportRejects covers the rejection paths that matter for a
+// cache that must never serve a wrong plan: foreign files, files of any
+// other format version, topology mismatch, and truncation anywhere in
+// the stream.
 func TestBinaryImportRejects(t *testing.T) {
 	torus := topology.Torus(4, 4, topology.DefaultLinkConfig())
 	mesh := topology.Mesh(4, 4, topology.DefaultLinkConfig())

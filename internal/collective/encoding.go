@@ -189,22 +189,6 @@ func Import(r io.Reader) (*Schedule, error) {
 	return assemble(f, topo)
 }
 
-// ImportInto reads a schedule IR file onto an existing topology instead
-// of reconstructing one. The topology must match the file's fingerprint;
-// this keeps native routing metadata (grid shape, ring orders)
-// available on the imported schedule's topology.
-func ImportInto(r io.Reader, topo *topology.Topology) (*Schedule, error) {
-	f, err := decodeIR(r)
-	if err != nil {
-		return nil, err
-	}
-	if got := TopologyFingerprint(topo); got != f.Topology.Fingerprint {
-		return nil, fmt.Errorf("collective: topology %s does not match schedule file (fingerprint %s, file has %s for %s)",
-			topo.Name(), got, f.Topology.Fingerprint, f.Topology.Name)
-	}
-	return assemble(f, topo)
-}
-
 func decodeIR(r io.Reader) (*scheduleFile, error) {
 	br := bufio.NewReader(r)
 	if head, _ := br.Peek(len(binaryMagic)); string(head) == binaryMagic {

@@ -27,8 +27,8 @@ func fluidCycles(t *testing.T, s *collective.Schedule) uint64 {
 }
 
 // TestExportImportRoundTrip: export → import reproduces the simulated
-// finish time and the all-reduce semantics, re-export is byte-identical,
-// and ImportInto accepts the original topology object.
+// finish time and the all-reduce semantics, and re-export is
+// byte-identical.
 func TestExportImportRoundTrip(t *testing.T) {
 	topo := topology.Torus(4, 4, topology.DefaultLinkConfig())
 	const elems = 1 << 12
@@ -73,30 +73,6 @@ func TestExportImportRoundTrip(t *testing.T) {
 		if !bytes.Equal(file, again.Bytes()) {
 			t.Fatalf("%s: re-export is not byte-identical", orig.Algorithm)
 		}
-
-		into, err := collective.ImportInto(bytes.NewReader(file), topo)
-		if err != nil {
-			t.Fatalf("%s: ImportInto: %v", orig.Algorithm, err)
-		}
-		if into.Topo != topo {
-			t.Fatalf("%s: ImportInto did not keep the provided topology", orig.Algorithm)
-		}
-	}
-}
-
-// TestImportIntoRejectsWrongTopology: a schedule exported on one fabric
-// must not load onto a structurally different one.
-func TestImportIntoRejectsWrongTopology(t *testing.T) {
-	torus := topology.Torus(4, 4, topology.DefaultLinkConfig())
-	mesh := topology.Mesh(4, 4, topology.DefaultLinkConfig())
-	var buf bytes.Buffer
-	if err := collective.Export(&buf, ring.Build(torus, 256)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := collective.ImportInto(bytes.NewReader(buf.Bytes()), mesh); err == nil {
-		t.Fatal("ImportInto accepted a mesh for a torus schedule")
-	} else if !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("unexpected error: %v", err)
 	}
 }
 

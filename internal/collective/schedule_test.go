@@ -193,17 +193,6 @@ func TestAnalyzeContention(t *testing.T) {
 	}
 }
 
-func TestStepHistogram(t *testing.T) {
-	s := NewSchedule("unit", testTopo(), 100, 1)
-	s.Add(Transfer{Src: 0, Dst: 1, Op: Gather, Flow: 0, Step: 1}, nil, nil)
-	s.Add(Transfer{Src: 1, Dst: 3, Op: Gather, Flow: 0, Step: 2}, nil, nil)
-	s.Add(Transfer{Src: 2, Dst: 0, Op: Gather, Flow: 0, Step: 2}, nil, nil)
-	h := StepHistogram(s)
-	if len(h) != 3 || h[1] != 1 || h[2] != 2 {
-		t.Errorf("histogram = %v", h)
-	}
-}
-
 func TestExecuteRejectsBadInputs(t *testing.T) {
 	s := NewSchedule("unit", testTopo(), 100, 1)
 	if _, err := Execute(s, make([][]float32, 3)); err == nil {

@@ -37,8 +37,10 @@ func StepUtilization(s *Schedule) []float64 {
 }
 
 // MeanUtilization averages StepUtilization over the schedule's steps.
-func MeanUtilization(s *Schedule) float64 {
-	u := StepUtilization(s)
+func MeanUtilization(s *Schedule) float64 { return mean(StepUtilization(s)) }
+
+// mean averages a 1-based per-step series (index 0 unused).
+func mean(u []float64) float64 {
 	if len(u) <= 1 {
 		return 0
 	}
@@ -58,7 +60,7 @@ func UtilizationChart(s *Schedule, width int) string {
 	u := StepUtilization(s)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s on %s: link utilization per step (mean %.0f%%)\n",
-		s.Algorithm, s.Topo.Name(), 100*MeanUtilization(s))
+		s.Algorithm, s.Topo.Name(), 100*mean(u))
 	for step := 1; step < len(u); step++ {
 		bars := int(u[step]*float64(width) + 0.5)
 		fmt.Fprintf(&b, "step %3d |%-*s| %3.0f%%\n",

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the tree-growth engine behind BuildTrees and
-// BuildSubsetTrees: Algorithm 1's main loop over a word-packed per-step
+// BuildSubset: Algorithm 1's main loop over a word-packed per-step
 // link pool. Each round gives every unfinished tree one turn in order,
 // and each turn commits before the next tree searches — the paper's
 // sequential greedy, run as written.

@@ -90,7 +90,7 @@ func BuildTrees(topo *topology.Topology, opts Options) ([]*collective.Tree, erro
 }
 
 // buildTrees is BuildTrees over a member mask: nil spans every node, a
-// subset mask spans its members only (BuildSubsetTrees).
+// subset mask spans its members only (BuildSubset).
 func buildTrees(topo *topology.Topology, members []bool, opts Options) ([]*collective.Tree, error) {
 	if opts.Auto {
 		return buildAuto(topo, members, opts)

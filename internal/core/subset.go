@@ -15,21 +15,11 @@ import (
 // take no part in the collective, but in direct networks their integrated
 // routers still forward traffic, so tree edges may pass through them.
 
-// BuildSubsetTrees runs Algorithm 1 restricted to the member nodes (which
+// BuildSubset runs Algorithm 1 restricted to the member nodes (which
 // must contain at least two distinct nodes): the same growth loop and
 // options as BuildTrees, with one tree per member, rooted there in
-// ascending node order. The returned trees span the members only; full
-// membership returns the standard trees.
-func BuildSubsetTrees(topo *topology.Topology, members []topology.NodeID, opts Options) ([]*collective.Tree, error) {
-	set, err := memberSet(topo, members)
-	if err != nil {
-		return nil, err
-	}
-	return buildTrees(topo, set, opts)
-}
-
-// BuildSubset builds the subset trees and lowers them exactly as Build
-// does; flow i is rooted at the i-th member (in ascending node order).
+// ascending node order, spanning the members only. It lowers the trees
+// exactly as Build does; flow i is rooted at the i-th member.
 func BuildSubset(topo *topology.Topology, members []topology.NodeID, elems int, opts Options) (*collective.Schedule, error) {
 	set, err := memberSet(topo, members)
 	if err != nil {

@@ -109,7 +109,7 @@ func TestSubsetFullMembershipDelegates(t *testing.T) {
 	for n := 0; n < topo.Nodes(); n++ {
 		all = append(all, topology.NodeID(n))
 	}
-	trees, err := BuildSubsetTrees(topo, all, Options{})
+	trees, err := subsetTrees(topo, all, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSubsetFullMembershipDelegates(t *testing.T) {
 func TestSubsetHonorsOptions(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
 	members := []topology.NodeID{15, 0, 3, 5, 10, 12} // any order
-	trees, err := BuildSubsetTrees(topo, members, Options{})
+	trees, err := subsetTrees(topo, members, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestSubsetHonorsOptions(t *testing.T) {
 }
 
 // TestSubsetAutoOnSwitchFabric: Auto picks between the two allocation
-// strategies for subsets as it does for the full set — BuildSubsetTrees
+// strategies for subsets as it does for the full set — the subset growth
 // keeps the variant with fewer steps.
 func TestSubsetAutoOnSwitchFabric(t *testing.T) {
 	topo := topology.BiGraph(4, 4, cfg())
@@ -166,15 +166,15 @@ func TestSubsetAutoOnSwitchFabric(t *testing.T) {
 	for n := 0; n < topo.Nodes(); n += 3 {
 		members = append(members, topology.NodeID(n))
 	}
-	first, err := BuildSubsetTrees(topo, members, Options{})
+	first, err := subsetTrees(topo, members, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shortest, err := BuildSubsetTrees(topo, members, Options{ShortestPathFirst: true})
+	shortest, err := subsetTrees(topo, members, Options{ShortestPathFirst: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := BuildSubsetTrees(topo, members, Options{Auto: true})
+	auto, err := subsetTrees(topo, members, Options{Auto: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +195,20 @@ func TestSubsetAutoOnSwitchFabric(t *testing.T) {
 // cannot reach.
 func TestSubsetUnreachableMember(t *testing.T) {
 	topo := disconnectedPair() // ring 0-3, pair 4-5
-	if _, err := BuildSubsetTrees(topo, []topology.NodeID{0, 2}, Options{}); err != nil {
+	if _, err := subsetTrees(topo, []topology.NodeID{0, 2}, Options{}); err != nil {
 		t.Errorf("subset inside one component: %v", err)
 	}
-	_, err := BuildSubsetTrees(topo, []topology.NodeID{0, 1, 4}, Options{})
+	_, err := subsetTrees(topo, []topology.NodeID{0, 1, 4}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "cannot reach node 4") {
 		t.Errorf("error %v does not name member 4", err)
 	}
+}
+
+// subsetTrees grows the subset trees BuildSubset lowers.
+func subsetTrees(topo *topology.Topology, members []topology.NodeID, opts Options) ([]*collective.Tree, error) {
+	set, err := memberSet(topo, members)
+	if err != nil {
+		return nil, err
+	}
+	return buildTrees(topo, set, opts)
 }

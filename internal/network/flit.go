@@ -1,9 +1,6 @@
 package network
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // FlitType enumerates the packet and sub-packet flit encodings of
 // Table II. The high bit distinguishes the co-design's sub-packet flits
@@ -44,89 +41,11 @@ func (t FlitType) String() string {
 	return fmt.Sprintf("FlitType(%d)", uint8(t))
 }
 
-// IsSubPacket reports whether the flit belongs to a message-based
-// big-gradient transfer.
-func (t FlitType) IsSubPacket() bool { return t&0b100 != 0 }
-
-// IsHead reports whether the flit carries packet info (routing metadata).
-func (t FlitType) IsHead() bool {
-	return t == FlitHead || t == FlitHeadTail || t == FlitSubHead
-}
-
-// Flit is the decoded head-flit metadata of Fig. 8. Body flits carry only
-// VC + Type + payload and leave the routing fields zero.
-type Flit struct {
-	VC   uint8
-	Type FlitType
-
-	// Normal packets route by (Dest, Src) node ids under distributed
-	// routing (Fig. 8c).
-	Dest, Src uint16
-
-	// All-reduce sub-packets are source-routed between neighbors: Next is
-	// the output port at the source router, Eject the ejection port at the
-	// destination, and Tree the flow (tree) id used to clear schedule
-	// dependencies (Fig. 8d). Next is kept toward the destination so the
-	// receiver can identify which child the message came from (§IV-B).
-	Next, Eject uint8
-	Tree        uint16
-}
-
-// flit byte layout (within a 16-byte flit, metadata occupies the first 6
-// bytes; the rest is payload):
-//
-//	byte 0: VC (high nibble) | Type (low 3 bits)
-//	bytes 1-2: Dest or (Next | Eject)
-//	bytes 3-4: Src or Tree
-//	byte 5: reserved
-const flitMetaBytes = 6
-
-// EncodeFlit packs the flit metadata into buf, which must be at least one
-// flit wide.
-func EncodeFlit(f Flit, buf []byte, flitBytes int) error {
-	if len(buf) < flitBytes || flitBytes < flitMetaBytes {
-		return fmt.Errorf("network: flit buffer %dB too small (flit %dB)", len(buf), flitBytes)
-	}
-	if f.VC > 0xF {
-		return fmt.Errorf("network: VC %d out of range", f.VC)
-	}
-	buf[0] = f.VC<<4 | uint8(f.Type)
-	if f.Type.IsSubPacket() {
-		buf[1] = f.Next
-		buf[2] = f.Eject
-		binary.LittleEndian.PutUint16(buf[3:5], f.Tree)
-	} else {
-		binary.LittleEndian.PutUint16(buf[1:3], f.Dest)
-		binary.LittleEndian.PutUint16(buf[3:5], f.Src)
-	}
-	buf[5] = 0
-	return nil
-}
-
-// DecodeFlit unpacks flit metadata from buf.
-func DecodeFlit(buf []byte, flitBytes int) (Flit, error) {
-	var f Flit
-	if len(buf) < flitBytes || flitBytes < flitMetaBytes {
-		return f, fmt.Errorf("network: flit buffer %dB too small (flit %dB)", len(buf), flitBytes)
-	}
-	f.VC = buf[0] >> 4
-	f.Type = FlitType(buf[0] & 0b111)
-	if f.Type.IsSubPacket() {
-		f.Next = buf[1]
-		f.Eject = buf[2]
-		f.Tree = binary.LittleEndian.Uint16(buf[3:5])
-	} else {
-		f.Dest = binary.LittleEndian.Uint16(buf[1:3])
-		f.Src = binary.LittleEndian.Uint16(buf[3:5])
-	}
-	return f, nil
-}
-
 // Flitize returns the per-flit type sequence for a transfer of payload
 // bytes under the configured flow control — the exact on-wire framing of
-// Fig. 7. It is used by the flit-format tests and by diagnostics; the
-// simulators use the closed-form Config.WireBytes, which tests check for
-// agreement with len(Flitize(...)).
+// Fig. 7. It is the tests' framing oracle: the simulators use the
+// closed-form Config.WireBytes, which tests check for agreement with
+// len(Flitize(...)).
 func (c Config) Flitize(payload int64) []FlitType {
 	if payload <= 0 {
 		return nil

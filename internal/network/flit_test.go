@@ -2,94 +2,30 @@ package network_test
 
 import (
 	"testing"
-	"testing/quick"
 
 	"multitree/internal/network"
 )
 
-// TestFlitCodecRoundTrip covers the Fig. 8 flit formats: normal packets
-// carry (Dest, Src) route info, sub-packets carry (Next, Eject, Tree).
-func TestFlitCodecRoundTrip(t *testing.T) {
-	const flitBytes = 16
-	cases := []network.Flit{
-		{VC: 0, Type: network.FlitHead, Dest: 63, Src: 0},
-		{VC: 3, Type: network.FlitHeadTail, Dest: 255, Src: 254},
-		{VC: 1, Type: network.FlitSubHead, Next: 4, Eject: 2, Tree: 63},
-		{VC: 2, Type: network.FlitMsgTail, Next: 1, Eject: 7, Tree: 1023},
-		{VC: 0, Type: network.FlitBody},
-		{VC: 0, Type: network.FlitSubTail, Tree: 5},
-	}
-	buf := make([]byte, flitBytes)
-	for _, f := range cases {
-		if err := network.EncodeFlit(f, buf, flitBytes); err != nil {
-			t.Fatalf("encode %+v: %v", f, err)
-		}
-		got, err := network.DecodeFlit(buf, flitBytes)
-		if err != nil {
-			t.Fatalf("decode %+v: %v", f, err)
-		}
-		if got != f {
-			t.Errorf("round trip changed flit: %+v -> %+v", f, got)
-		}
-	}
-}
-
-// TestFlitCodecProperty round-trips arbitrary field values.
-func TestFlitCodecProperty(t *testing.T) {
-	const flitBytes = 16
-	f := func(vc uint8, ty uint8, a, b uint16) bool {
-		fl := network.Flit{VC: vc & 0xF, Type: network.FlitType(ty & 0b111)}
-		if fl.Type.IsSubPacket() {
-			fl.Next = uint8(a)
-			fl.Eject = uint8(b)
-			fl.Tree = b
-		} else {
-			fl.Dest = a
-			fl.Src = b
-		}
-		buf := make([]byte, flitBytes)
-		if err := network.EncodeFlit(fl, buf, flitBytes); err != nil {
-			return false
-		}
-		got, err := network.DecodeFlit(buf, flitBytes)
-		return err == nil && got == fl
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFlitCodecErrors(t *testing.T) {
-	if err := network.EncodeFlit(network.Flit{VC: 16}, make([]byte, 16), 16); err == nil {
-		t.Error("VC overflow accepted")
-	}
-	if err := network.EncodeFlit(network.Flit{}, make([]byte, 4), 16); err == nil {
-		t.Error("short buffer accepted")
-	}
-	if _, err := network.DecodeFlit(make([]byte, 2), 16); err == nil {
-		t.Error("short decode accepted")
-	}
-}
-
-// TestFlitTypeTable pins the Table II encodings.
+// TestFlitTypeTable pins the Table II encodings: the 3-bit code and name
+// of each flit type, sub-packet types carrying the high bit.
 func TestFlitTypeTable(t *testing.T) {
-	want := map[network.FlitType]struct {
+	want := []struct {
+		ty   network.FlitType
+		code uint8
 		name string
-		sub  bool
-		head bool
 	}{
-		network.FlitHead:     {"Head", false, true},
-		network.FlitBody:     {"Body", false, false},
-		network.FlitTail:     {"Tail", false, false},
-		network.FlitHeadTail: {"Head&Tail", false, true},
-		network.FlitSubHead:  {"SubHead", true, true},
-		network.FlitSubBody:  {"SubBody", true, false},
-		network.FlitSubTail:  {"SubTail", true, false},
-		network.FlitMsgTail:  {"MsgTail", true, false},
+		{network.FlitHead, 0b000, "Head"},
+		{network.FlitBody, 0b001, "Body"},
+		{network.FlitTail, 0b010, "Tail"},
+		{network.FlitHeadTail, 0b011, "Head&Tail"},
+		{network.FlitSubHead, 0b100, "SubHead"},
+		{network.FlitSubBody, 0b101, "SubBody"},
+		{network.FlitSubTail, 0b110, "SubTail"},
+		{network.FlitMsgTail, 0b111, "MsgTail"},
 	}
-	for ty, w := range want {
-		if ty.String() != w.name || ty.IsSubPacket() != w.sub || ty.IsHead() != w.head {
-			t.Errorf("%v: String=%s sub=%v head=%v, want %+v", ty, ty.String(), ty.IsSubPacket(), ty.IsHead(), w)
+	for _, w := range want {
+		if uint8(w.ty) != w.code || w.ty.String() != w.name {
+			t.Errorf("%v: code %03b, want %03b %s", w.ty, uint8(w.ty), w.code, w.name)
 		}
 	}
 }

@@ -40,6 +40,9 @@ func TestMachineTracing(t *testing.T) {
 		if ev.At < 0 || int(ev.At) >= rounds {
 			t.Fatalf("event round %v outside [0,%d)", ev.At, rounds)
 		}
+		if ev.Node < 0 || int(ev.Node) >= topo.Nodes() {
+			t.Fatalf("event node %d outside the %d-node topology", ev.Node, topo.Nodes())
+		}
 	}
 	if activated == 0 || cleared == 0 {
 		t.Fatalf("no NI activity traced: activated=%d cleared=%d", activated, cleared)
@@ -57,17 +60,11 @@ func TestMachineTracing(t *testing.T) {
 		t.Fatalf("traced %d lockstep NOPs, tables hold %d", nops, wantNOPs)
 	}
 
-	issued := met.NIEntriesIssued()
-	totalIssued := int64(0)
-	for _, c := range issued {
-		totalIssued += c
-	}
-	if totalIssued != int64(activated) || met.NILockstepNOPs() != int64(nops) {
-		t.Fatalf("metrics disagree with recorder: issued=%d activated=%d nops=%d/%d",
-			totalIssued, activated, met.NILockstepNOPs(), nops)
-	}
-	if len(issued) > topo.Nodes() {
-		t.Fatalf("issued counters cover %d nodes, topology has %d", len(issued), topo.Nodes())
+	sim := obs.SimReportFrom(met)
+	if sim.NIEntriesIssued != int64(activated) || sim.NIDepsCleared != int64(cleared) ||
+		sim.NILockstepNOPs != int64(nops) || sim.Events != int64(len(rec.Events)) {
+		t.Fatalf("metrics disagree with recorder: %+v, recorded activated=%d cleared=%d nops=%d events=%d",
+			*sim, activated, cleared, nops, len(rec.Events))
 	}
 
 	// A machine without a tracer behaves identically.

@@ -7,10 +7,11 @@ import (
 
 // Metrics is a streaming collector implementing Tracer: it folds the event
 // stream into per-link time-binned utilization histograms, per-step link
-// sets, and NI table-occupancy counters, without retaining the events
-// themselves. Every export except the Chrome trace reads it; Tee it with
-// a Recorder only when a Chrome trace is wanted, since WriteChromeTrace
-// needs the raw stream.
+// sets, and run totals (events, step entries, peak queue depth, NI table
+// activity), without retaining the events themselves. Every export
+// except the Chrome trace reads it, the totals through SimReportFrom;
+// Tee it with a Recorder only when a Chrome trace is wanted, since
+// WriteChromeTrace needs the raw stream.
 type Metrics struct {
 	// BinCycles is the utilization histogram bin width in cycles; 0
 	// collects per-link totals only.
@@ -22,9 +23,9 @@ type Metrics struct {
 
 	stepLinks [][]bool // per step: the links that carried its traffic
 
-	niIssued  []int64 // per node: schedule-table entries issued
-	niCleared []int64 // per node: dependencies cleared by received messages
-	niNOPs    int64   // lockstep down-counter NOP elapses
+	niIssued  int64 // schedule-table entries issued
+	niCleared int64 // dependencies cleared by received messages
+	niNOPs    int64 // lockstep down-counter NOP elapses
 
 	stepEnters int64
 	queueMax   int64 // peak pending-event count in the discrete-event core
@@ -55,11 +56,9 @@ func (m *Metrics) Emit(ev Event) {
 			m.queueMax = ev.Bytes
 		}
 	case EvNIEntryActivated:
-		m.niIssued = grow(m.niIssued, int(ev.Node))
-		m.niIssued[ev.Node]++
+		m.niIssued++
 	case EvNIDepCleared:
-		m.niCleared = grow(m.niCleared, int(ev.Node))
-		m.niCleared[ev.Node]++
+		m.niCleared++
 	case EvNILockstep:
 		m.niNOPs++
 	}
@@ -110,16 +109,6 @@ func (m *Metrics) Events() int64 { return m.events }
 // link id; links beyond the highest seen are absent).
 func (m *Metrics) LinkBusy() []float64 { return m.linkBusy }
 
-// LinkBins returns the utilization histogram of one link: busy-equivalent
-// cycles per BinCycles-wide bin. Nil when binning is off or the link never
-// carried traffic.
-func (m *Metrics) LinkBins(link int) []float64 {
-	if link < 0 || link >= len(m.linkBins) {
-		return nil
-	}
-	return m.linkBins[link]
-}
-
 // StepLinkUtilization reports, per algorithmic step, the fraction of the
 // topology's totalLinks directed links that carried traffic of that step:
 // the dynamic counterpart of collective.StepUtilization, folded from
@@ -141,23 +130,6 @@ func (m *Metrics) StepLinkUtilization(totalLinks int) []float64 {
 	}
 	return out
 }
-
-// NIEntriesIssued returns per-node counts of schedule-table entries the
-// NI machine issued — the table-occupancy counters of the Fig. 6 model.
-func (m *Metrics) NIEntriesIssued() []int64 { return m.niIssued }
-
-// NIDepsCleared returns per-node counts of dependency-clearing receives.
-func (m *Metrics) NIDepsCleared() []int64 { return m.niCleared }
-
-// NILockstepNOPs returns the total lockstep down-counter NOP elapses.
-func (m *Metrics) NILockstepNOPs() int64 { return m.niNOPs }
-
-// StepEnters returns the number of lockstep step entries across nodes.
-func (m *Metrics) StepEnters() int64 { return m.stepEnters }
-
-// EngineQueueMax returns the peak pending-event count observed in the
-// discrete-event core (0 when the packet engine did not run).
-func (m *Metrics) EngineQueueMax() int64 { return m.queueMax }
 
 // WriteLinkCSV writes the per-link utilization histogram as CSV, one row
 // per (link, bin): link id, optional name, bin bounds in cycles, the

@@ -2,8 +2,8 @@
 // zero-dependency (stdlib-only) event vocabulary shared by the network
 // engines, the discrete-event core and the NI state machine, plus
 // collectors that turn the event stream into per-link utilization
-// histograms, per-step link sets, NI counters and a Chrome-trace/Perfetto
-// export.
+// histograms, per-step link sets, run-total counters (NI table activity
+// included) and a Chrome-trace/Perfetto export.
 //
 // The design center is cost when disabled: every emit site in the
 // simulators is guarded by a nil check on the Tracer interface, so a run

@@ -79,16 +79,16 @@ func TestMetricsLinkBinning(t *testing.T) {
 	if len(busy) != 3 || busy[0] != 10 || busy[1] != 0 || busy[2] != 4 {
 		t.Fatalf("LinkBusy = %v, want [10 0 4]", busy)
 	}
-	b0 := m.LinkBins(0)
+	if len(m.linkBins) != 3 || m.linkBins[1] != nil {
+		t.Fatalf("link bins = %v, want 3 links with link 1 empty", m.linkBins)
+	}
+	b0 := m.linkBins[0]
 	if len(b0) != 2 || math.Abs(b0[0]-5) > 1e-9 || math.Abs(b0[1]-5) > 1e-9 {
 		t.Fatalf("link 0 bins = %v, want [5 5]", b0)
 	}
-	b2 := m.LinkBins(2)
+	b2 := m.linkBins[2]
 	if len(b2) != 3 || math.Abs(b2[2]-4) > 1e-9 {
 		t.Fatalf("link 2 bins = %v, want busy 4 in bin 2", b2)
-	}
-	if m.LinkBins(7) != nil {
-		t.Fatalf("unseen link should have nil bins")
 	}
 
 	var csv bytes.Buffer
@@ -117,18 +117,10 @@ func TestMetricsCounters(t *testing.T) {
 	m.Emit(Event{Kind: EvNIEntryActivated, Node: 2})
 	m.Emit(Event{Kind: EvNIDepCleared, Node: 0})
 	m.Emit(Event{Kind: EvNILockstep, Node: 1})
-	if m.StepEnters() != 1 || m.EngineQueueMax() != 9 || m.NILockstepNOPs() != 1 {
-		t.Fatalf("counters wrong: steps=%d qmax=%d nops=%d",
-			m.StepEnters(), m.EngineQueueMax(), m.NILockstepNOPs())
-	}
-	if got := m.NIEntriesIssued(); len(got) != 3 || got[2] != 2 {
-		t.Fatalf("NIEntriesIssued = %v, want [0 0 2]", got)
-	}
-	if got := m.NIDepsCleared(); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("NIDepsCleared = %v, want [1]", got)
-	}
-	if m.Events() != 8 {
-		t.Fatalf("Events = %d, want 8", m.Events())
+	want := SimReport{Events: 8, StepEnters: 1, EngineQueueMax: 9,
+		NIEntriesIssued: 2, NIDepsCleared: 1, NILockstepNOPs: 1}
+	if got := SimReportFrom(m); *got != want {
+		t.Fatalf("SimReportFrom = %+v, want %+v", *got, want)
 	}
 }
 

@@ -444,9 +444,9 @@ func (p *PlanProfile) WriteCSV(w io.Writer) error {
 // Two output styles, selected by Interactive:
 //
 //   - Interactive (stderr is a terminal): a single line rewritten in
-//     place with \r, erased cleanly at phase end.
+//     place with \r at most every 100ms, erased cleanly at phase end.
 //   - Non-interactive (CI logs, redirected files): plain line-buffered
-//     samples at most once per MinInterval, no control characters.
+//     samples at most once every 2s, no control characters.
 type Progress struct {
 	// W receives the progress output; typically os.Stderr.
 	W io.Writer
@@ -454,13 +454,6 @@ type Progress struct {
 	// Interactive selects the \r-rewriting single-line style. Leave
 	// false when W is not a terminal (cmd tools detect this).
 	Interactive bool
-
-	// Label prefixes every line, e.g. the topology name. Optional.
-	Label string
-
-	// MinInterval throttles output; 0 defaults to 100ms interactive,
-	// 2s non-interactive.
-	MinInterval time.Duration
 
 	mu            sync.Mutex
 	phaseStart    [NumPlanPhases]int64
@@ -486,20 +479,10 @@ func (p *Progress) clock() int64 {
 }
 
 func (p *Progress) interval() time.Duration {
-	if p.MinInterval > 0 {
-		return p.MinInterval
-	}
 	if p.Interactive {
 		return 100 * time.Millisecond
 	}
 	return 2 * time.Second
-}
-
-func (p *Progress) prefix() string {
-	if p.Label != "" {
-		return p.Label + " "
-	}
-	return ""
 }
 
 // pipeline renders the "phase i/N" suffix; empty until announced.
@@ -519,7 +502,7 @@ func (p *Progress) PhaseStart(ph PlanPhase) {
 		p.phaseStart[ph] = t
 	}
 	if !p.Interactive {
-		fmt.Fprintf(p.W, "%splan: %s started%s\n", p.prefix(), ph, p.pipeline())
+		fmt.Fprintf(p.W, "plan: %s started%s\n", ph, p.pipeline())
 	}
 }
 
@@ -533,7 +516,7 @@ func (p *Progress) PhaseEnd(ph PlanPhase, c PlanCounters) {
 		wall = time.Duration(t - p.phaseStart[ph])
 	}
 	p.closeLine()
-	fmt.Fprintf(p.W, "%splan: %s done in %s%s\n", p.prefix(), ph, wall.Round(time.Millisecond), p.detail(ph, c))
+	fmt.Fprintf(p.W, "plan: %s done in %s%s\n", ph, wall.Round(time.Millisecond), p.detail(ph, c))
 	p.lastEmit = 0 // next phase's first sample prints immediately
 }
 
@@ -595,8 +578,8 @@ func (p *Progress) PlanProgress(ph PlanPhase, done, total int64) {
 		rem := time.Duration(float64(elapsed) * float64(total-done) / float64(done))
 		eta = " eta " + rem.Round(time.Second).String()
 	}
-	line := fmt.Sprintf("%splan: %s %d/%d (%.1f%%)%s elapsed %s%s",
-		p.prefix(), ph, done, total, pct, p.pipeline(), elapsed.Round(time.Second), eta)
+	line := fmt.Sprintf("plan: %s %d/%d (%.1f%%)%s elapsed %s%s",
+		ph, done, total, pct, p.pipeline(), elapsed.Round(time.Second), eta)
 	if p.Interactive {
 		// \r-rewrite one line; pad-erase is handled by closeLine at end.
 		fmt.Fprintf(p.W, "\r\x1b[K%s", line)

@@ -168,8 +168,8 @@ func TestProgressNonInteractive(t *testing.T) {
 func TestProgressNonInteractiveThrottles(t *testing.T) {
 	var buf bytes.Buffer
 	p := NewProgress(&buf, false)
-	p.MinInterval = time.Hour
-	clk := &fakeClock{t: time.Unix(1000, 0), step: time.Second}
+	// 101 readings 10ms apart stay inside the 2s non-interactive interval.
+	clk := &fakeClock{t: time.Unix(1000, 0), step: 10 * time.Millisecond}
 	p.now = clk.now
 
 	p.PhaseStart(PhaseTreeGrowth)
@@ -179,7 +179,7 @@ func TestProgressNonInteractiveThrottles(t *testing.T) {
 	// One start line plus exactly two samples: the first, and the final
 	// 100% sample, which bypasses the throttle so a phase never ends
 	// without its completion figure on record. Everything in between
-	// falls inside MinInterval.
+	// falls inside the interval.
 	if got := strings.Count(buf.String(), "\n"); got != 3 {
 		t.Fatalf("throttling failed: %d lines\n%s", got, buf.String())
 	}

@@ -206,22 +206,18 @@ func SimReportFrom(m *Metrics) *SimReport {
 		return nil
 	}
 	s := &SimReport{
-		Events:         m.events,
-		StepEnters:     m.stepEnters,
-		EngineQueueMax: m.queueMax,
-		NILockstepNOPs: m.niNOPs,
+		Events:          m.events,
+		StepEnters:      m.stepEnters,
+		EngineQueueMax:  m.queueMax,
+		NIEntriesIssued: m.niIssued,
+		NIDepsCleared:   m.niCleared,
+		NILockstepNOPs:  m.niNOPs,
 	}
 	for _, b := range m.linkBusy {
 		s.LinkBusyCycles += b
 		if b > 0 {
 			s.LinksActive++
 		}
-	}
-	for _, v := range m.niIssued {
-		s.NIEntriesIssued += v
-	}
-	for _, v := range m.niCleared {
-		s.NIDepsCleared += v
 	}
 	return s
 }
