@@ -5,6 +5,7 @@ import (
 
 	"multitree/internal/collective"
 	"multitree/internal/network"
+	"multitree/internal/obs"
 	"multitree/internal/sim"
 	"multitree/internal/topology"
 )
@@ -182,6 +183,38 @@ func TestZeroByteFlows(t *testing.T) {
 		}
 		if res.Cycles < 300 {
 			t.Errorf("%s: %d cycles, want >= two link latencies", name, res.Cycles)
+		}
+	}
+}
+
+// queueSamples counts EvEngineQueue samples: one per executed event.
+type queueSamples int
+
+func (q *queueSamples) Emit(ev obs.Event) {
+	if ev.Kind == obs.EvEngineQueue {
+		*q++
+	}
+}
+
+// TestPacketEventCounts: a packet costs one event per hop to finish
+// serializing and one per hop but its last to arrive; only the transfer's
+// final packet schedules its delivery. So a k-hop transfer of n packets
+// executes n(2k-1)+2 events, counting its release.
+func TestPacketEventCounts(t *testing.T) {
+	for _, dst := range []topology.NodeID{1, 2, 10} {
+		s := collective.NewSchedule("unit", torus4x4(), 4096, 1)
+		s.Add(collective.Transfer{Src: 0, Dst: dst, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
+		cfg := network.DefaultConfig()
+		cfg.Lockstep = false
+		var events queueSamples
+		cfg.Tracer = &events
+		if _, err := network.SimulatePackets(s, cfg); err != nil {
+			t.Fatal(err)
+		}
+		k := len(s.PathOf(0))
+		n := int((s.Bytes(&s.Transfers[0]) + int64(cfg.PayloadBytes) - 1) / int64(cfg.PayloadBytes))
+		if want := n*(2*k-1) + 2; int(events) != want {
+			t.Errorf("%d-hop transfer of %d packets executed %d events, want %d", k, n, events, want)
 		}
 	}
 }

@@ -93,6 +93,40 @@ func TestFaultAddedLatency(t *testing.T) {
 	}
 }
 
+// TestFaultAddedLatencyZeroByte: a zero-byte transfer still crosses its
+// path, so a lat+ fault delays its delivery in both engines.
+func TestFaultAddedLatencyZeroByte(t *testing.T) {
+	s := collective.NewSchedule("unit", torus4x4(), 1, 2) // flow 1 gets zero elems
+	s.Add(collective.Transfer{Src: 0, Dst: 1, Op: collective.Gather, Flow: 1, Step: 1}, nil, nil)
+	if s.Bytes(&s.Transfers[0]) != 0 {
+		t.Fatal("test needs a zero-byte transfer")
+	}
+	base := network.DefaultConfig()
+	base.Lockstep = false
+	faulty := base
+	faulty.Faults = mustPlan(t, "link:0-1:lat+100")
+
+	for _, eng := range []struct {
+		name string
+		run  func(*collective.Schedule, network.Config) (*network.Result, error)
+	}{
+		{"fluid", network.SimulateFluid},
+		{"packet", network.SimulatePackets},
+	} {
+		r0, err := eng.run(s, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r1, err := eng.run(s, faulty)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int64(r1.Cycles) - int64(r0.Cycles); got != 100 {
+			t.Errorf("%s: added latency shifted a zero-byte delivery by %d cycles, want 100", eng.name, got)
+		}
+	}
+}
+
 // TestFaultLinkDownStalls: a transfer that must cross a dead link stalls
 // both engines with a descriptive error naming the transfer and link.
 func TestFaultLinkDownStalls(t *testing.T) {

@@ -6,11 +6,16 @@
 // The engine is built for an allocation-free steady state. Events due
 // within wheelSize cycles of now, which is nearly every event the packet
 // engine schedules, go into a timing wheel of one-cycle slots, each an
-// intrusive FIFO list over one pooled record arena, so scheduling and
-// popping them is O(1). Farther events wait in a value-based 4-ary
-// min-heap. Both tiers are ordered by (at, seq) and reuse their storage,
-// so scheduling allocates nothing once the arena and heap have grown to
-// the simulation's high-water mark. Every event is typed (a Kind plus two
+// intrusive FIFO list over one pooled arena of 16-byte records, so
+// scheduling and popping them is O(1). A wheel record carries no time and
+// no sequence number: its slot fixes its cycle and its place in the
+// slot's list fixes its order. Farther events wait in a value-based 4-ary
+// min-heap ordered by (at, seq). Events run in (at, seq) order, where seq
+// is the order they were scheduled in: a heap event due in the same cycle
+// as a wheel event was scheduled at least wheelSize cycles before it, so
+// the heap root wins every tie. Both tiers reuse their storage, so
+// scheduling allocates nothing once the arena and heap have grown to the
+// simulation's high-water mark. Every event is typed (a Kind plus two
 // int32 arguments) and handed to a single Dispatch function, avoiding both
 // closure allocation and interface boxing.
 package sim
@@ -28,22 +33,27 @@ type Time uint64
 // engine's user.
 type Kind uint8
 
-// event is one queued record. seq breaks ties so that events scheduled
-// earlier at the same cycle run first, keeping runs deterministic
-// regardless of which tier holds them. next links a wheel record to the
-// one after it in its slot, or a free arena record to the next free one;
-// it sits in what would otherwise be padding.
-type event struct {
-	at   Time
-	seq  uint64
+// wheelRec is one near event in the wheel's arena, 16 bytes. next links
+// it to the record after it in its slot, or a free record to the next
+// free one.
+type wheelRec struct {
 	kind Kind
 	next int32
 	a, b int32
 }
 
+// heapRec is one far event. seq breaks ties so that events scheduled
+// earlier at the same cycle run first.
+type heapRec struct {
+	at   Time
+	seq  uint64
+	kind Kind
+	a, b int32
+}
+
 // wheelSize is the timing wheel's span in one-cycle slots. Every event in
 // the wheel lies in [now, now+wheelSize), so a slot only ever holds one
-// cycle's events, and they are appended in seq order.
+// cycle's events, and they are appended in the order they were scheduled.
 const (
 	wheelSize = 1 << 12
 	wheelMask = wheelSize - 1
@@ -58,14 +68,14 @@ type slot struct{ head, tail int32 }
 // use.
 type Engine struct {
 	now    Time
-	nextID uint64
+	nextID uint64 // seq of the next heap event
 
 	slots [wheelSize]slot
 	occ   [wheelSize / 64]uint64 // bit s set: slots[s] is non-empty
-	arena []event                // wheel records, live and free
+	arena []wheelRec             // wheel records, live and free
 	free  int32                  // head of the arena's free list
 	nfree int                    // records on the free list
-	heap  []event                // events wheelSize or more cycles ahead when scheduled
+	heap  []heapRec              // events wheelSize or more cycles ahead when scheduled
 
 	// Dispatch receives the events scheduled with ScheduleKind/AfterKind.
 	// It must be set before the first event fires.
@@ -89,12 +99,11 @@ func (e *Engine) ScheduleKind(at Time, kind Kind, a, b int32) {
 	if at < e.now {
 		at = e.now
 	}
-	ev := event{at: at, seq: e.nextID, kind: kind, a: a, b: b}
-	e.nextID++
 	if at-e.now < wheelSize {
-		e.enwheel(ev)
+		e.enwheel(at, wheelRec{kind: kind, a: a, b: b})
 	} else {
-		e.push(ev)
+		e.push(heapRec{at: at, seq: e.nextID, kind: kind, a: a, b: b})
+		e.nextID++
 	}
 }
 
@@ -122,9 +131,9 @@ func (e *Engine) Reset() {
 // Step runs the single earliest pending event and returns true, or returns
 // false if the queue is empty.
 func (e *Engine) Step() bool {
-	s, _, ok := e.first()
+	s, at, ok := e.first()
 	if ok {
-		e.run(s)
+		e.run(s, at)
 	}
 	return ok
 }
@@ -147,17 +156,20 @@ func (e *Engine) RunUntil(deadline Time) bool {
 		if at > deadline {
 			return false
 		}
-		e.run(s)
+		e.run(s, at)
 	}
 }
 
 // first locates the earliest pending event by (at, seq): wheel slot s, or
-// the heap root when s < 0. ok is false when nothing is pending.
+// the heap root when s < 0. The heap root wins a tie, since it was
+// scheduled at least wheelSize cycles before any wheel event due in the
+// same cycle. ok is false when nothing is pending.
 func (e *Engine) first() (s int, at Time, ok bool) {
 	if len(e.arena) > e.nfree {
 		s = e.firstSlot()
-		if ev := &e.arena[e.slots[s].head]; len(e.heap) == 0 || before(ev, &e.heap[0]) {
-			return s, ev.at, true
+		at = e.now + Time((s-int(e.now&wheelMask))&wheelMask)
+		if len(e.heap) == 0 || at < e.heap[0].at {
+			return s, at, true
 		}
 	}
 	if len(e.heap) == 0 {
@@ -184,18 +196,21 @@ func (e *Engine) firstSlot() int {
 	panic("sim: empty wheel")
 }
 
-// run removes the earliest event, from wheel slot s or from the heap root
-// when s < 0, advances time to it and dispatches it.
-func (e *Engine) run(s int) {
-	var ev event
+// run removes the earliest event, due at cycle at, from wheel slot s or
+// from the heap root when s < 0, advances time to it and dispatches it.
+func (e *Engine) run(s int, at Time) {
+	var kind Kind
+	var a, b int32
 	if s >= 0 {
-		ev = e.unwheel(s)
+		ev := e.unwheel(s)
+		kind, a, b = ev.kind, ev.a, ev.b
 	} else {
-		ev = e.heap[0]
+		ev := &e.heap[0]
+		kind, a, b = ev.kind, ev.a, ev.b
 		e.pop()
 	}
-	e.now = ev.at
-	e.Dispatch(ev.kind, ev.a, ev.b)
+	e.now = at
+	e.Dispatch(kind, a, b)
 	if e.Trace != nil {
 		e.Trace.Emit(obs.Event{
 			Kind: obs.EvEngineQueue, At: float64(e.now), Bytes: int64(e.Pending()),
@@ -203,9 +218,9 @@ func (e *Engine) run(s int) {
 	}
 }
 
-// enwheel appends a near event to its slot's list, taking an arena record
-// from the free list or growing the arena.
-func (e *Engine) enwheel(ev event) {
+// enwheel appends a near event due at cycle at to its slot's list, taking
+// an arena record from the free list or growing the arena.
+func (e *Engine) enwheel(at Time, ev wheelRec) {
 	var i int32
 	if e.nfree > 0 {
 		i = e.free
@@ -216,7 +231,7 @@ func (e *Engine) enwheel(ev event) {
 		i = int32(len(e.arena))
 		e.arena = append(e.arena, ev)
 	}
-	s := int(ev.at & wheelMask)
+	s := int(at & wheelMask)
 	sl := &e.slots[s]
 	if bit := uint64(1) << (s & 63); e.occ[s>>6]&bit == 0 {
 		e.occ[s>>6] |= bit
@@ -229,7 +244,7 @@ func (e *Engine) enwheel(ev event) {
 
 // unwheel removes and returns the head of slot s, returning its record to
 // the free list.
-func (e *Engine) unwheel(s int) event {
+func (e *Engine) unwheel(s int) wheelRec {
 	sl := &e.slots[s]
 	i := sl.head
 	ev := e.arena[i]
@@ -244,20 +259,18 @@ func (e *Engine) unwheel(s int) event {
 	return ev
 }
 
-// before orders events by (at, seq) — a strict total order, so the
-// dispatch sequence is independent of which tier holds an event and of
-// heap arity and layout.
-func before(x, y *event) bool {
+// less orders heap records by (at, seq) — a strict total order, so the
+// dispatch sequence is independent of heap arity and layout.
+func (e *Engine) less(i, j int) bool {
+	x, y := &e.heap[i], &e.heap[j]
 	if x.at != y.at {
 		return x.at < y.at
 	}
 	return x.seq < y.seq
 }
 
-func (e *Engine) less(i, j int) bool { return before(&e.heap[i], &e.heap[j]) }
-
 // push appends a far record and sifts it up the 4-ary heap.
-func (e *Engine) push(ev event) {
+func (e *Engine) push(ev heapRec) {
 	e.heap = append(e.heap, ev)
 	i := len(e.heap) - 1
 	for i > 0 {

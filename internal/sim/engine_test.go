@@ -241,3 +241,38 @@ func TestTypedScheduleZeroAlloc(t *testing.T) {
 		t.Errorf("typed schedule/run loop allocates %.1f per run, want 0", allocs)
 	}
 }
+
+// TestHeapWinsTies: a far (heap) event and near (wheel) events due in the
+// same cycle run heap-first, which is (at, seq) order: the heap event was
+// scheduled at least wheelSize cycles before any wheel event of its cycle.
+// An event the heap event schedules for its own cycle runs after the wheel
+// events already waiting there.
+func TestHeapWinsTies(t *testing.T) {
+	var e Engine
+	var got []stamp
+	e.Dispatch = func(_ Kind, a, b int32) {
+		got = append(got, stamp{e.Now(), a})
+		if b != 0 {
+			e.AfterKind(0, 1, b, 0)
+		}
+	}
+	const tie = 2 * wheelSize
+	e.ScheduleKind(tie, 1, 1, 4) // far when pushed: the heap
+	e.ScheduleKind(wheelSize+10, 1, 2, 0)
+	e.Step() // now = wheelSize+10, within one span of tie
+	e.ScheduleKind(tie, 1, 3, 0)
+	e.ScheduleKind(tie, 1, 5, 0)
+	if len(e.heap) != 1 || e.Pending() != 3 {
+		t.Fatalf("heap holds %d of %d pending events, want 1 of 3", len(e.heap), e.Pending())
+	}
+	e.Run()
+	want := []stamp{{wheelSize + 10, 2}, {tie, 1}, {tie, 3}, {tie, 5}, {tie, 4}}
+	if len(got) != len(want) {
+		t.Fatalf("events ran as %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("events ran as %v, want %v", got, want)
+		}
+	}
+}
