@@ -772,8 +772,9 @@ func BenchmarkLowerMesh32x32(b *testing.B) {
 
 // BenchmarkPacketEngineSteadyState is the zero-allocation guard for the
 // discrete-event hot path: a reusable PacketSim re-simulates a 16 MiB
-// MultiTree all-reduce on an 8x8 Torus, reusing its event wheel and heap,
-// packet arena and link ring deques across runs. The benchmark fails
+// MultiTree all-reduce on an 8x8 Torus, reusing its event wheel and heap
+// and link ring deques across runs (its one-hop packets never need the
+// packet arena). The benchmark fails
 // outright if the steady-state event loop allocates, so an accidental
 // closure or slice regrowth in the engine cannot land silently.
 func BenchmarkPacketEngineSteadyState(b *testing.B) {

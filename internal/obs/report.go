@@ -144,9 +144,11 @@ type PlanCacheReport struct {
 type SimReport struct {
 	Engine string `json:"engine,omitempty"`
 
-	// Events is the number of typed simulator events dispatched;
-	// EngineQueueMax the high-water mark of the discrete-event queue's
-	// pending events.
+	// Events is the number of traced events the collector folded, of
+	// every kind: link spans, transfer and step events, NI events and
+	// the EvEngineQueue sample the discrete-event core emits after each
+	// event it executes. EngineQueueMax is the high-water mark of the
+	// discrete-event queue's pending events.
 	Events         int64 `json:"events"`
 	StepEnters     int64 `json:"step_enters,omitempty"`
 	EngineQueueMax int64 `json:"engine_queue_max,omitempty"`
