@@ -26,14 +26,6 @@ func (tb *TopologyBuilder) Connect(a, b int) *TopologyBuilder {
 	return tb
 }
 
-// ConnectLinks adds a full-duplex cable with custom bandwidth/latency.
-// Wider links can be modeled by calling this multiple times for the same
-// vertex pair (the multigraph treatment of §VII-B).
-func (tb *TopologyBuilder) ConnectLinks(a, b int, lc LinkConfig) *TopologyBuilder {
-	tb.b.Link(a, b, lc.internal())
-	return tb
-}
-
 // Build validates connectivity and returns the topology.
 func (tb *TopologyBuilder) Build() (*Topology, error) {
 	t, err := tb.b.Build()

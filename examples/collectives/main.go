@@ -26,7 +26,7 @@ func main() {
 	}
 	var ops []namedSchedule
 
-	ar, err := multitree.BuildSchedule(topo, multitree.MultiTree, dataBytes, multitree.PlanOptions{})
+	ar, err := multitree.BuildSchedule(topo, multitree.MultiTree, dataBytes)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func main() {
 		topo.Name(), topo.Nodes(), dataBytes>>20)
 
 	for _, alg := range []multitree.Algorithm{multitree.Ring, multitree.DBTree, multitree.MultiTree} {
-		sched, err := multitree.BuildSchedule(topo, alg, dataBytes, multitree.PlanOptions{})
+		sched, err := multitree.BuildSchedule(topo, alg, dataBytes)
 		if err != nil {
 			log.Fatal(err)
 		}

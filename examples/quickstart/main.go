@@ -22,7 +22,7 @@ func main() {
 		if !topo.Supports(alg) {
 			continue
 		}
-		sched, err := multitree.BuildSchedule(topo, alg, dataBytes, multitree.PlanOptions{})
+		sched, err := multitree.BuildSchedule(topo, alg, dataBytes)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func main() {
 
 	// The co-designed message-based flow control (§IV-B) recovers the
 	// per-packet head-flit overhead for big gradients.
-	sched, err := multitree.BuildSchedule(topo, multitree.MultiTree, dataBytes, multitree.PlanOptions{})
+	sched, err := multitree.BuildSchedule(topo, multitree.MultiTree, dataBytes)
 	if err != nil {
 		log.Fatal(err)
 	}

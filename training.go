@@ -4,8 +4,6 @@ import (
 	"multitree/internal/accel"
 	"multitree/internal/experiments"
 	"multitree/internal/model"
-	"multitree/internal/network"
-	"multitree/internal/sim"
 	"multitree/internal/training"
 )
 
@@ -45,9 +43,6 @@ func DescribeModel(name string) (ModelInfo, error) {
 
 // TrainingOptions configures a training-iteration simulation.
 type TrainingOptions struct {
-	// BatchPerNode defaults to 16 samples per accelerator (§V-B).
-	BatchPerNode int
-
 	// Overlapped selects layer-wise all-reduce (Fig. 11b) instead of the
 	// non-overlapped forward+backward+all-reduce sequence (Fig. 11a).
 	Overlapped bool
@@ -70,15 +65,6 @@ type TrainingResult struct {
 	TotalCycles    uint64
 }
 
-// CommFraction returns exposed communication as a fraction of iteration
-// time.
-func (r TrainingResult) CommFraction() float64 {
-	if r.TotalCycles == 0 {
-		return 0
-	}
-	return float64(r.ExposedCycles) / float64(r.TotalCycles)
-}
-
 // SimulateTraining runs one data-parallel training iteration of the named
 // model on the topology with the chosen all-reduce algorithm.
 func SimulateTraining(t *Topology, alg Algorithm, modelName string, opt TrainingOptions) (TrainingResult, error) {
@@ -86,18 +72,12 @@ func SimulateTraining(t *Topology, alg Algorithm, modelName string, opt Training
 	if err != nil {
 		return TrainingResult{}, err
 	}
-	if opt.BatchPerNode <= 0 {
-		opt.BatchPerNode = 16
-	}
 	cfg := training.Config{
 		Topo:         t.t,
 		Accel:        accel.Default(),
-		BatchPerNode: opt.BatchPerNode,
+		BatchPerNode: 16, // samples per accelerator (§V-B)
 		Net:          opt.Sim.internal(),
 		Build:        experiments.ScheduleBuilder(string(alg)),
-	}
-	if opt.Sim.PacketLevel {
-		cfg.Engine = network.SimulatePackets
 	}
 	var (
 		b    training.Breakdown
@@ -122,5 +102,3 @@ func SimulateTraining(t *Topology, alg Algorithm, modelName string, opt Training
 		TotalCycles:    uint64(b.Total),
 	}, nil
 }
-
-func simTime(ns int) sim.Time { return sim.Time(ns) }
