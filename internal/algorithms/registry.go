@@ -184,11 +184,6 @@ func Resolve(name string) (spec Spec, msg bool, err error) {
 	return spec, base != name, nil
 }
 
-// Specs returns every algorithm in plotting order.
-func Specs() []Spec {
-	return append([]Spec(nil), specs...)
-}
-
 // Names returns the algorithm names in plotting order.
 func Names() []string {
 	out := make([]string, len(specs))

@@ -90,14 +90,3 @@ func Analyze(s *Schedule) Analysis {
 	}
 	return a
 }
-
-// PerNodeBytes returns, for each node, the payload bytes it injects
-// (sends). Bandwidth-optimal algorithms inject 2(N-1)/N * S per node.
-func PerNodeBytes(s *Schedule) []int64 {
-	out := make([]int64, s.Topo.Nodes())
-	for i := range s.Transfers {
-		t := &s.Transfers[i]
-		out[t.Src] += s.Bytes(t)
-	}
-	return out
-}

@@ -167,9 +167,12 @@ func TestTotalBytesAndPerNode(t *testing.T) {
 	if got := s.TotalBytes(); got != want {
 		t.Errorf("TotalBytes = %d, want %d", got, want)
 	}
-	per := PerNodeBytes(s)
+	per := make([]int64, s.Topo.Nodes())
+	for i := range s.Transfers {
+		per[s.Transfers[i].Src] += s.Bytes(&s.Transfers[i])
+	}
 	if per[0] != want || per[1] != 0 {
-		t.Errorf("PerNodeBytes = %v", per)
+		t.Errorf("per-node injected bytes = %v", per)
 	}
 }
 

@@ -100,15 +100,19 @@ func TestObserverDoesNotChangeSchedule(t *testing.T) {
 }
 
 // progressRecorder is a PlanObserver keeping the latest PlanProgress
-// sample, so tests can pin what the planner emits to live reporters.
+// and Pipeline samples, so tests can pin what the planner emits to live
+// reporters.
 type progressRecorder struct {
-	phase       obs.PlanPhase
-	done, total int64
+	phase                     obs.PlanPhase
+	done, total               int64
+	pipelineDone, pipelineAll int
 }
 
 func (r *progressRecorder) PhaseStart(obs.PlanPhase)                 {}
 func (r *progressRecorder) PhaseEnd(obs.PlanPhase, obs.PlanCounters) {}
-func (r *progressRecorder) Pipeline(int, int)                        {}
+func (r *progressRecorder) Pipeline(done, total int) {
+	r.pipelineDone, r.pipelineAll = done, total
+}
 func (r *progressRecorder) PlanProgress(ph obs.PlanPhase, done, total int64) {
 	r.phase, r.done, r.total = ph, done, total
 }
@@ -158,9 +162,8 @@ func TestPlanProfilePhases(t *testing.T) {
 	if rec.phase != obs.PhaseLowering || rec.done != rec.total || rec.total != int64(len(s.Transfers)) {
 		t.Errorf("final progress %v %d/%d", rec.phase, rec.done, rec.total)
 	}
-	pdone, ptotal := p.PipelineProgress()
-	if ptotal == 0 || pdone != ptotal {
-		t.Errorf("pipeline did not complete: %d/%d", pdone, ptotal)
+	if rec.pipelineAll == 0 || rec.pipelineDone != rec.pipelineAll {
+		t.Errorf("pipeline did not complete: %d/%d", rec.pipelineDone, rec.pipelineAll)
 	}
 
 	// The NI compilation joins the same profile as its own phase.

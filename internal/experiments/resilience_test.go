@@ -155,8 +155,8 @@ func TestRegistryReplanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	supported := 0
-	for _, spec := range algorithms.Specs() {
-		spec := spec
+	for _, name := range algorithms.Names() {
+		spec, _ := algorithms.Lookup(name)
 		t.Run(spec.Name, func(t *testing.T) {
 			if !spec.Supports(deg.Topo) {
 				t.Logf("%s reports unsupported on the degraded graph (ok)", spec.Name)

@@ -291,9 +291,6 @@ type PlanProfile struct {
 	depth  [NumPlanPhases]int   // concurrently-open runs per phase
 	openAt [NumPlanPhases]int64 // start of the current open interval
 
-	pipelineDone  int
-	pipelineTotal int
-
 	now func() time.Time // test hook; nil means time.Now
 }
 
@@ -350,20 +347,9 @@ func (p *PlanProfile) PhaseEnd(ph PlanPhase, c PlanCounters) {
 // phases only; within-phase samples are for live reporters (Progress).
 func (p *PlanProfile) PlanProgress(PlanPhase, int64, int64) {}
 
-// Pipeline implements PlanObserver.
-func (p *PlanProfile) Pipeline(completed, total int) {
-	p.mu.Lock()
-	p.pipelineDone, p.pipelineTotal = completed, total
-	p.mu.Unlock()
-}
-
-// PipelineProgress returns the latest completed/total phase-execution
-// counts.
-func (p *PlanProfile) PipelineProgress() (completed, total int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.pipelineDone, p.pipelineTotal
-}
+// Pipeline implements PlanObserver. Like PlanProgress, the pipeline
+// position is for live reporters only.
+func (p *PlanProfile) Pipeline(int, int) {}
 
 // Phases returns the phases that ran, in pipeline order.
 func (p *PlanProfile) Phases() []PhaseProfile {

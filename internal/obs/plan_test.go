@@ -49,9 +49,6 @@ func TestPlanProfileAggregates(t *testing.T) {
 	if got := p.TotalWallNanos(); got != int64(2*time.Second) {
 		t.Fatalf("total wall %d, want 2s", got)
 	}
-	if done, total := p.PipelineProgress(); done != 2 || total != 2 {
-		t.Fatalf("pipeline = %d/%d", done, total)
-	}
 
 	rep := p.Report()
 	if rep.TotalNanos != int64(2*time.Second) || len(rep.Phases) != 2 {
@@ -119,16 +116,29 @@ func TestTeePlan(t *testing.T) {
 	if got := TeePlan(nil, a); got != a {
 		t.Fatal("single observer should pass through")
 	}
-	tee := TeePlan(a, b)
+	rec := &pipelineRecorder{}
+	tee := TeePlan(a, b, rec)
 	tee.PhaseStart(PhaseLowering)
 	tee.PhaseEnd(PhaseLowering, PlanCounters{Transfers: 4})
+	tee.Pipeline(1, 2)
 	for _, p := range []*PlanProfile{a, b} {
 		phases := p.Phases()
 		if len(phases) != 1 || phases[0].Counters.Transfers != 4 {
 			t.Fatalf("tee did not fan out: %+v", phases)
 		}
 	}
+	if rec.done != 1 || rec.total != 2 {
+		t.Fatalf("tee pipeline = %d/%d, want 1/2", rec.done, rec.total)
+	}
 }
+
+// pipelineRecorder is a PlanObserver keeping the latest Pipeline call.
+type pipelineRecorder struct{ done, total int }
+
+func (r *pipelineRecorder) PhaseStart(PlanPhase)                 {}
+func (r *pipelineRecorder) PhaseEnd(PlanPhase, PlanCounters)     {}
+func (r *pipelineRecorder) PlanProgress(PlanPhase, int64, int64) {}
+func (r *pipelineRecorder) Pipeline(done, total int)             { r.done, r.total = done, total }
 
 func TestProgressNonInteractive(t *testing.T) {
 	var buf bytes.Buffer

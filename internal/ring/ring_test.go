@@ -51,7 +51,10 @@ func TestContentionFreeOnTorus(t *testing.T) {
 func TestPerNodeInjectionBalanced(t *testing.T) {
 	topo := topology.Torus(4, 4, cfg())
 	s := ring.Build(topo, 1600)
-	per := collective.PerNodeBytes(s)
+	per := make([]int64, topo.Nodes())
+	for i := range s.Transfers {
+		per[s.Transfers[i].Src] += s.Bytes(&s.Transfers[i])
+	}
 	for n, b := range per {
 		if b != per[0] {
 			t.Fatalf("node %d injects %d bytes, node 0 injects %d", n, b, per[0])
