@@ -1,7 +1,6 @@
 package collective_test
 
-// Tests of the sectioned binary IR's trust and parallel-decode
-// machinery: the materialized schedule is byte-identical at every worker
+// Tests of the binary IR's trust and parallel-decode machinery: the materialized schedule is byte-identical at every worker
 // count, every single-bit flip is rejected sequentially and fanned out, and the
 // VerifyFull escape hatch runs the full validation pass.
 
@@ -66,11 +65,11 @@ func validateCounters(p *obs.PlanProfile) obs.PlanCounters {
 	return obs.PlanCounters{}
 }
 
-// sweepBitFlips flips one bit at a time across the whole body of an
-// export (meta, every section, footer, trailer) and requires the decoder
-// to reject every variant. Flips that keep the sections decodable must be
-// caught by a digest ("content hash mismatch"), and the sweep must
-// engage that backstop at least once.
+// sweepBitFlips flips one bit at a time across everything after the
+// header of an export (meta, every array, the digests, the root) and
+// requires the decoder to reject every variant. Flips that keep the
+// records in range must be caught by a digest ("content hash
+// mismatch"), and the sweep must engage that backstop at least once.
 func sweepBitFlips(t *testing.T, opts collective.BinaryImportOptions) {
 	t.Helper()
 	topo, s := buildTorus(t)
@@ -79,8 +78,8 @@ func sweepBitFlips(t *testing.T, opts collective.BinaryImportOptions) {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
-	// Body starts after magic(4) + version varint(1) + root hash(32).
-	const bodyOff = 4 + 1 + 32
+	// The meta block starts after magic(4) + version(1).
+	const bodyOff = 4 + 1
 	hashCaught := 0
 	// Step a few bytes at a time to keep the sweep fast; the sampled
 	// offsets still cover every region of the body.
@@ -113,20 +112,35 @@ func TestBinaryV3TamperRejectedParallel(t *testing.T) {
 	sweepBitFlips(t, collective.BinaryImportOptions{Workers: 8})
 }
 
-// TestBinaryV3RootHashCoversTrailer: flipping root-hash bytes
-// themselves must also reject — the stored root no longer matches the
-// recomputed one.
+// TestBinaryV3RootHashCoversTrailer: the root hash, the file's last 32
+// bytes, covers the meta block and the digest list. A flip in the root
+// itself, in a meta field the size check does not see (elems, the
+// witness), or in a chunk digest must fail the root comparison.
 func TestBinaryV3RootHashCoversTrailer(t *testing.T) {
 	topo, s := buildTorus(t)
 	var buf bytes.Buffer
 	if err := collective.ExportBinary(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	for _, off := range []int{5, 20, 36} { // first, middle, last hash byte
+	n := buf.Len()
+	const meta = 4 + 1 // the meta head: two u32 string lengths, then elems
+	for _, c := range []struct {
+		what string
+		off  int
+	}{
+		{"root (first byte)", n - 32},
+		{"root (last byte)", n - 1},
+		{"meta elems", meta + 8},
+		{"meta witness", meta + 8 + 16 + 40},
+		{"last chunk digest", n - 64},
+		// Six arrays of under 2^16 records each: one chunk apiece.
+		{"first chunk digest", n - 32 - 32*6},
+	} {
 		bad := bytes.Clone(buf.Bytes())
-		bad[off] ^= 0x80
-		if _, err := importBytes(bad, topo, collective.BinaryImportOptions{Workers: 4}); err == nil {
-			t.Fatalf("flip in stored root hash at offset %d accepted", off)
+		bad[c.off] ^= 0x80
+		_, err := importBytes(bad, topo, collective.BinaryImportOptions{Workers: 4})
+		if err == nil || !strings.Contains(err.Error(), "content hash mismatch") {
+			t.Fatalf("flip in %s at offset %d: err = %v, want a root mismatch", c.what, c.off, err)
 		}
 	}
 }
@@ -151,8 +165,8 @@ func TestBinaryV3VerifyFull(t *testing.T) {
 }
 
 // TestBinaryV3Truncated: cutting the file at any of a few points —
-// inside the trailer, the footer, a section — must reject, never hang
-// or mis-decode.
+// inside the root, the digests, an array, the meta block — must reject,
+// never hang or mis-decode.
 func TestBinaryV3Truncated(t *testing.T) {
 	topo, s := buildTorus(t)
 	var buf bytes.Buffer

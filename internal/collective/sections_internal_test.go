@@ -1,105 +1,50 @@
 package collective
 
-// Internal tests of the binary IR. The hand-rolled varint decoder's slow
-// path must match encoding/binary.Uvarint bit-for-bit — including the
-// 10th-byte overflow rule — because the encoder writes with
-// binary.PutUvarint and the wire format's tamper rejection depends on
-// every out-of-spec byte sequence being an error, not a silent wrap. The
-// witness test needs a forged summary, which only the encoder's
-// internals can write, and the summary test reads the summary the loader
-// decoded, which only its internals hold.
+// Internal tests of the binary IR. The tamper tests need files whose
+// digests are all consistent but whose content is forged, which only the
+// encoder's internals can write, and the summary test reads the summary
+// the loader decoded, which only its internals hold.
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math"
 	"strings"
 	"testing"
 
 	"multitree/internal/topology"
 )
 
-// varintCorpus mixes boundary values with a deterministic LCG sweep so
-// every encoded length (1..10 bytes) and both zigzag signs appear.
-func varintCorpus() []uint64 {
-	vals := []uint64{
-		0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 0x1fffff, 0x200000,
-		math.MaxUint32, math.MaxUint64, math.MaxUint64 - 1,
-		1 << 62, (1 << 63) - 1, 1 << 63,
+// forgedFile writes s through the encoder with every digest consistent,
+// after forge has edited the schedule and the summary that its strict
+// validation produced.
+func forgedFile(t *testing.T, s *Schedule, forge func(*Schedule, *summary)) []byte {
+	t.Helper()
+	order, err := s.validatedOrder(true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	x := uint64(0x9e3779b97f4a7c15)
-	for i := 0; i < 200; i++ {
-		x = x*6364136223846793005 + 1442695040888963407
-		// Vary the magnitude so short encodings are well represented.
-		vals = append(vals, x>>(x%64))
+	sum := summarize(s, order)
+	forge(s, &sum)
+	var file bytes.Buffer
+	if err := writeBinary(&file, s, sum); err != nil {
+		t.Fatal(err)
 	}
-	return vals
+	return file.Bytes()
 }
 
-func TestSliceDecoderMatchesStdUvarint(t *testing.T) {
-	for _, v := range varintCorpus() {
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutUvarint(buf[:], v)
-		d := &sliceDecoder{buf: buf[:n]}
-		got := d.uint()
-		if d.err != nil {
-			t.Fatalf("decode(%#x): unexpected error %v", v, d.err)
-		}
-		if got != v || d.pos != n {
-			t.Fatalf("decode(%#x) = %#x, pos %d; want %#x, pos %d", v, got, d.pos, v, n)
-		}
+// twoFlowTorus is a two-tree schedule on a 2x2 torus: a chain from node
+// 0 and one from node 1, so it has a flow 1 to forge.
+func twoFlowTorus(t *testing.T) (*topology.Topology, *Schedule) {
+	t.Helper()
+	topo := topology.Torus(2, 2, topology.DefaultLinkConfig())
+	second := NewTree(1, 1, 4)
+	second.SetEdge(1, 0, 1)
+	second.SetEdge(0, 2, 2)
+	second.SetEdge(2, 3, 3)
+	s, err := TreesToSchedule("unit", topo, 400, []*Tree{chainTree(), second})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestSliceDecoderSintRoundTrip(t *testing.T) {
-	signed := []int64{0, 1, -1, 63, -64, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
-	for _, v := range varintCorpus() {
-		signed = append(signed, int64(v), -int64(v))
-	}
-	for _, v := range signed {
-		var w binWriter
-		w.buf = w.buf[:0]
-		w.sint(v)
-		d := &sliceDecoder{buf: w.buf}
-		got := d.sint()
-		if d.err != nil {
-			t.Fatalf("sint(%d): unexpected error %v", v, d.err)
-		}
-		if got != v || !d.done() {
-			t.Fatalf("sint round trip: got %d (done=%v), want %d", got, d.done(), v)
-		}
-	}
-}
-
-func TestSliceDecoderRejectsWhatStdRejects(t *testing.T) {
-	cases := [][]byte{
-		// 10 continuation bytes: longer than any valid encoding.
-		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
-		// 10th byte > 1 would overflow 64 bits (binary.Uvarint returns n<0).
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
-		// Truncated multi-byte varints.
-		{0x80},
-		{0xff, 0xff, 0xff},
-		{},
-	}
-	for i, c := range cases {
-		if v, n := binary.Uvarint(c); n > 0 {
-			t.Fatalf("case %d: corpus error — stdlib accepts %v as %d", i, c, v)
-		}
-		d := &sliceDecoder{buf: c}
-		d.uint()
-		if d.err == nil {
-			t.Fatalf("case %d: decoder accepted invalid varint % x", i, c)
-		}
-	}
-	// The maximum valid encoding (10 bytes, final byte 0x01) must still
-	// decode: it is exactly math.MaxUint64 and the overflow guard must
-	// not fire one value early.
-	max := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}
-	d := &sliceDecoder{buf: max}
-	if got := d.uint(); d.err != nil || got != math.MaxUint64 {
-		t.Fatalf("max encoding: got %#x, err %v", got, d.err)
-	}
+	return topo, s
 }
 
 // TestBinaryV2SummaryLoad: a default load is accepted on the stored
@@ -117,10 +62,7 @@ func TestBinaryV2SummaryLoad(t *testing.T) {
 	if err := ExportBinary(&file, s); err != nil {
 		t.Fatal(err)
 	}
-	ld := &loader{ra: bytes.NewReader(file.Bytes()), topo: topo}
-	if err := ld.readHeader(int64(file.Len())); err != nil {
-		t.Fatal(err)
-	}
+	ld := &loader{ra: bytes.NewReader(file.Bytes()), size: int64(file.Len()), topo: topo}
 	got, err := ld.load()
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +77,7 @@ func TestBinaryV2SummaryLoad(t *testing.T) {
 			links[id] = true
 		}
 	}
-	sum := ld.sum
+	sum := ld.head.Sum
 	if sum.Transfers != int64(len(s.Transfers)) || sum.DepEdges != deps || sum.PathHops != hops {
 		t.Fatalf("summary %+v does not match schedule (%d transfers, %d deps, %d hops)",
 			sum, len(s.Transfers), deps, hops)
@@ -159,18 +101,9 @@ func TestVerifyFullChecksWitness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := s.validatedOrder(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := summarize(s, order)
-	sum.Witness[0] ^= 1
-	var file bufWriteSeeker
-	if err := writeBinary(&file, s, sum); err != nil {
-		t.Fatal(err)
-	}
+	file := forgedFile(t, s, func(_ *Schedule, sum *summary) { sum.Witness[0] ^= 1 })
 	load := func(full bool) error {
-		_, err := ImportBinaryInto(bytes.NewReader(file.buf), int64(len(file.buf)), topo, BinaryImportOptions{VerifyFull: full})
+		_, err := ImportBinaryInto(bytes.NewReader(file), int64(len(file)), topo, BinaryImportOptions{VerifyFull: full})
 		return err
 	}
 	if err := load(false); err != nil {
@@ -182,8 +115,8 @@ func TestVerifyFullChecksWitness(t *testing.T) {
 }
 
 // TestParseMetaBoundsFlowClaim: a meta block claiming more flows than
-// the body could encode (two bytes each at least) is rejected before
-// the flow table is allocated from the claim.
+// the file holds is rejected by the exact-size check before the flow
+// table is allocated from the claim.
 func TestParseMetaBoundsFlowClaim(t *testing.T) {
 	topo := topology.Mesh(2, 2, topology.DefaultLinkConfig())
 	s, err := TreesToSchedule("unit", topo, 400, []*Tree{chainTree()})
@@ -195,15 +128,36 @@ func TestParseMetaBoundsFlowClaim(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := summarize(s, order)
+	var file bytes.Buffer
+	if err := writeBinary(&file, s, sum); err != nil {
+		t.Fatal(err)
+	}
+	size := int64(file.Len())
 	claim := s.WithFlows(s.Elems, make([]Range, 1<<16))
-	meta := encodeMeta(claim, sum)
-	size := int64(7*len(s.Transfers)+s.DepEdges()) + sum.PathHops + 2*int64(len(s.Flows))
 	ld := &loader{topo: topo, size: size}
-	if err := ld.parseMeta(meta); err == nil || !strings.Contains(err.Error(), "65536 flows") {
-		t.Fatalf("parseMeta of a %d-flow claim in a %d-byte body: err = %v, want the claim refused", 1<<16, size, err)
+	if err := ld.parseMeta(encodeMeta(claim, sum)); err == nil || !strings.Contains(err.Error(), "65536 flows") {
+		t.Fatalf("parseMeta of a %d-flow claim in a %d-byte file: err = %v, want the claim refused", 1<<16, size, err)
+	}
+	if ld.s != nil {
+		t.Fatal("parseMeta allocated the schedule for a refused claim")
 	}
 	ld = &loader{topo: topo, size: size}
 	if err := ld.parseMeta(encodeMeta(s, sum)); err != nil {
 		t.Fatalf("parseMeta of the honest meta block: %v", err)
+	}
+}
+
+// TestLoadRejectsFlowPastElems: a file whose digests are all consistent
+// but whose flow 1 runs past Elems is refused on every load. The summary
+// path never looks at flow ranges again, so a load that took the range
+// unchecked would leave Execute to slice past the gradient.
+func TestLoadRejectsFlowPastElems(t *testing.T) {
+	topo, s := twoFlowTorus(t)
+	file := forgedFile(t, s, func(s *Schedule, _ *summary) { s.Flows[1] = Range{Off: 4, Len: 1 << 40} })
+	for _, opts := range []BinaryImportOptions{{}, {Workers: 8}, {VerifyFull: true}} {
+		_, err := ImportBinaryInto(bytes.NewReader(file), int64(len(file)), topo, opts)
+		if err == nil || !strings.Contains(err.Error(), "flow 1: range") {
+			t.Fatalf("%+v: err = %v, want flow 1 refused", opts, err)
+		}
 	}
 }
