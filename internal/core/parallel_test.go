@@ -51,9 +51,12 @@ func TestParallelGrowthIdenticalSchedules(t *testing.T) {
 // TestShardedGrowthIdenticalSchedules pins the bytes of the fabrics the
 // retired speculative growth engines (per-worker turns and quadrant
 // shards) were checked on. The digests are sha256 sums of the binary
-// export recorded from builds by those engines, which matched the
-// sequential build at every worker and shard count; the one sequential
-// loop must reproduce them at any worker count.
+// export, first recorded from builds by those engines, which matched the
+// sequential build at every worker and shard count. They were
+// re-recorded when the binary IR moved to version 4, from builds whose
+// JSON export is byte-identical to that of the builds that reproduced
+// the version-3 digests; the one sequential loop must reproduce them at
+// any worker count.
 func TestShardedGrowthIdenticalSchedules(t *testing.T) {
 	cfgs := []struct {
 		name   string
@@ -62,13 +65,13 @@ func TestShardedGrowthIdenticalSchedules(t *testing.T) {
 		digest string
 	}{
 		{"mesh-16x16", topology.Mesh(16, 16, cfg()), DefaultOptions,
-			"8e82e36007bb7786597af7a0ba3876ef852fea905155855ad4804e5118b0305b"},
+			"1b45c3edc52a40044640acd21c853381bc72a4609e643393fb1b0f505a46c5d8"},
 		{"torus-8x8", topology.Torus(8, 8, cfg()), DefaultOptions,
-			"a00d71cd63eb66f84864b366e323031142a28dbe1080ec57b0f3680a9e137759"},
+			"e0a6ed00a784a3de537f633418fa956b3a4dd959a5ecfb7b3862a115406ed519"},
 		{"bigraph-4x4", topology.BiGraph(4, 4, cfg()), DefaultOptions,
-			"045b5bab4b5faa6cb08739bd5e8b85b0f7fa13a5cb454ebdbf8b65835ad9384a"},
+			"af506e74d4094440aee89dce797c2fcd3d502ec56a783baf103821e8c9eda854"},
 		{"torus-8x8-faulted", degradedTorus8x8(t), DefaultOptions,
-			"25b1a6f3f6bb6225d7105aeb938a3a5a4c892a42e0f296b700ea8ee5a54099c6"},
+			"686fa5795f14497bd2a58f0147465cbe8e35bb88c336256f1456c4e7e67650fe"},
 	}
 	for _, tc := range cfgs {
 		t.Run(tc.name, func(t *testing.T) {
