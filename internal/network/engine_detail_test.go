@@ -10,7 +10,7 @@ import (
 	"multitree/internal/topology"
 )
 
-// twoHopTopo is a 3-node line 0-1-2 for targeted engine tests.
+// lineTopo is a 3-node line 0-1-2 for targeted engine tests.
 func lineTopo(t *testing.T) *topology.Topology {
 	t.Helper()
 	c := topology.NewCustom("line3", 3, 0)
@@ -58,6 +58,41 @@ func TestLockstepNOPStall(t *testing.T) {
 	}
 	if fast.Cycles >= res.Cycles {
 		t.Errorf("disabling lockstep did not remove the stall: %d vs %d", fast.Cycles, res.Cycles)
+	}
+}
+
+// TestPacketTwoHopLatency pins both engines' time for one transfer over
+// the two hops of an idle 3-node line (default config, lockstep off).
+// The packet engine stores and forwards: the middle node receives the
+// whole packet before sending it on, so each hop costs the packet's
+// serialization plus the link latency, 2 × (⌈wire/16⌉ + 150) cycles. The
+// fluid engine charges serialization once over the path, 2 × 150 +
+// ⌈wire/16⌉. EXPERIMENTS "Known deviations" records the gap.
+func TestPacketTwoHopLatency(t *testing.T) {
+	topo := lineTopo(t)
+	cfg := network.DefaultConfig()
+	cfg.Lockstep = false
+	for _, c := range []struct {
+		bytes         int
+		packet, fluid sim.Time
+	}{
+		{256, 2 * (272/16 + 150), 2*150 + 272/16}, // 334 and 317: 272 B on the wire
+		{64, 2 * (80/16 + 150), 2*150 + 80/16},    // 310 and 305: 80 B on the wire
+	} {
+		s := collective.NewSchedule("unit", topo, c.bytes/collective.WordSize, 1)
+		s.Add(collective.Transfer{Src: 0, Dst: 2, Op: collective.Gather, Flow: 0, Step: 1}, nil, nil)
+		pres, err := network.SimulatePackets(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fres, err := network.SimulateFluid(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pres.Cycles != c.packet || fres.Cycles != c.fluid {
+			t.Errorf("%d B over 2 hops: packet %d, fluid %d cycles; want %d and %d",
+				c.bytes, pres.Cycles, fres.Cycles, c.packet, c.fluid)
+		}
 	}
 }
 
