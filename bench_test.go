@@ -667,14 +667,13 @@ func BenchmarkPlanCacheWarmLoad(b *testing.B) {
 	b.ReportMetric(float64(bytesRead), "irBytes")
 }
 
-// BenchmarkWarmLoadMesh32x32Parallel measures the v3 warm path at the
+// BenchmarkWarmLoadMesh32x32Parallel measures the warm path at the
 // 1024-node scale: a stored mesh-32x32 plan (~2.1M transfers) decoded
-// section-by-section with every available worker. Against
+// chunk by chunk with every available worker. Against
 // BenchmarkPlanCacheWarmLoad's sequential 16x16 load this is the
-// headline sub-second-warm-plan number; on multi-core hosts the
-// sectioned decode splits the varint and hashing work across cores,
-// and on single-core ones it bounds the regression of the fan-out
-// bookkeeping.
+// headline sub-second-warm-plan number; on multi-core hosts the chunked
+// decode splits the hashing and decode work across cores, and on
+// single-core ones it bounds the regression of the fan-out bookkeeping.
 func BenchmarkWarmLoadMesh32x32Parallel(b *testing.B) {
 	topo, err := topospec.Parse("mesh-32x32")
 	if err != nil {
@@ -712,7 +711,7 @@ func BenchmarkWarmLoadMesh32x32Parallel(b *testing.B) {
 // BenchmarkMemCacheHit measures the decoded-plan memory tier: the cost
 // of serving an already-materialized mesh-16x16 schedule. This is the
 // floor every warm load above it (disk decode, re-plan) is compared
-// against — a hit is a map lookup and an LRU splice, no I/O, no varint,
+// against — a hit is a map lookup and an LRU splice, no I/O, no decode,
 // no hashing.
 func BenchmarkMemCacheHit(b *testing.B) {
 	topo, err := topospec.Parse("mesh-16x16")

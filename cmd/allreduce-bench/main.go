@@ -40,7 +40,7 @@
 // live planner progress with an ETA on stderr, auto-detecting terminals
 // so CI logs get plain line-buffered output.
 //
-// Planning large fabrics: MultiTree's lowering and the binary-IR section
+// Planning large fabrics: MultiTree's lowering and the binary-IR chunk
 // decode run on GOMAXPROCS goroutines (the schedule is byte-identical for
 // every count), and -plan-cache DIR keeps built schedules in a
 // content-addressed on-disk cache, so repeat runs load a validated plan

@@ -38,7 +38,7 @@
 // -plan-mem-cache-mb N keeps decoded plans in process so repeats skip
 // disk entirely, and -warm-loads N replays the load through the cache
 // tiers to measure it. GOMAXPROCS sets the workers of the planner's
-// lowering pass and of the binary-IR section decode (the schedule is
+// lowering pass and of the binary-IR chunk decode (the schedule is
 // byte-identical for every count).
 //
 //	schedule-dump -topo mesh-32x32 -algo multitree -plan-cache /tmp/plans -export mt.json
@@ -238,8 +238,9 @@ func exportSchedule(topo *topology.Topology, algo, size, path, faultSpec string,
 	run.Option("faults", faultSpec)
 	run.Option("export", path)
 	// A .plan destination writes the compact binary IR — the plan cache's
-	// on-disk format, ~10x smaller and ~20x faster to decode than the
-	// JSON interchange IR, and the practical choice for byte-identity
+	// on-disk format, ~4x smaller and ~60x faster to decode than the JSON
+	// interchange IR (mesh-16x16: 4.6 MB against 19.3 MB, 8 ms against
+	// 0.6 s on one core), and the practical choice for byte-identity
 	// checks on thousand-node schedules whose JSON would run to
 	// gigabytes. Any other extension keeps the JSON interchange IR that
 	// allreduce-bench -schedule consumes.

@@ -39,7 +39,7 @@ const MsgSuffix = "-msg"
 // selects every algorithm's defaults.
 type Options struct {
 	// Workers bounds planner parallelism for algorithms with parallel
-	// passes (multitree's lowering) and the section
+	// passes (multitree's lowering) and the chunk
 	// decode of cached plans; <= 1 means sequential. The schedule built
 	// is identical for every value.
 	Workers int

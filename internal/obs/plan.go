@@ -61,10 +61,10 @@ const (
 	PhaseShardMerge
 
 	// PhaseDecode is binary-IR materialization at load time: reading the
-	// cache entry's section bytes and decoding them into the schedule's
-	// arrays, fanned out over Options.Workers for a v3 entry. It nests
-	// inside cache-lookup on warm loads; its DecodeNanos/VerifyNanos
-	// counters split the per-worker CPU between varint decode and digest
+	// cache entry's chunks and decoding their fixed-width records into the
+	// schedule's arrays, fanned out over Options.Workers. It nests inside
+	// cache-lookup on warm loads; its DecodeNanos/VerifyNanos counters
+	// split the per-worker CPU between read-and-decode and digest
 	// verification (the phase wall covers both).
 	PhaseDecode
 
@@ -157,9 +157,9 @@ type PlanCounters struct {
 	FullValidations    int64 `json:"full_validations,omitempty"`
 
 	// DecodeNanos/VerifyNanos split a binary-IR load's CPU time between
-	// varint materialization and content-digest verification (decode /
-	// validate). Both sum per-worker time, so on a parallel v3 load they
-	// can exceed the phase wall.
+	// reading and decoding the fixed-width records and content-digest
+	// verification (decode / validate). Both sum per-worker time, so on a
+	// parallel load they can exceed the phase wall.
 	DecodeNanos int64 `json:"decode_ns,omitempty"`
 	VerifyNanos int64 `json:"verify_ns,omitempty"`
 

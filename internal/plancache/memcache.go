@@ -24,7 +24,7 @@ type MemStats struct {
 
 // MemCache is an in-process LRU of decoded schedules, keyed by the same
 // content address as the on-disk Cache. It sits above the disk tier: a
-// memory hit skips the file open, the section reads, the varint decode,
+// memory hit skips the file open, the chunk reads, the record decode,
 // and the hash verification entirely — the plan was verified when it
 // entered the process and memory is trusted after that, the same
 // contract the planner applies to a schedule it just built.

@@ -123,8 +123,8 @@ func TestStaleVersionFullValidation(t *testing.T) {
 }
 
 // TestTamperedEntryRebuilt: flipping one bit of a stored entry's
-// transfer section — leaving the header and validation summary intact —
-// is caught (by the content hash when the stream still decodes, by the
+// record arrays — leaving the header and validation summary intact —
+// is caught (by the chunk digest when the record stays in range, by the
 // decoder otherwise), and the entry degrades to a logged miss plus a
 // clean re-store. No byte flip may ever serve as a hit.
 func TestTamperedEntryRebuilt(t *testing.T) {
@@ -148,9 +148,9 @@ func TestTamperedEntryRebuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip a low bit deep in the transfer section: small varint values
-	// stay decodable, so the summary cross-checks pass and only the
-	// content hash can notice.
+	// Flip a low bit deep in the record arrays: the value stays in
+	// range, so the summary cross-checks pass and only the chunk digest
+	// can notice.
 	bad := bytes.Clone(good)
 	bad[len(bad)-len(bad)/4] ^= 0x01
 	if err := os.WriteFile(path, bad, 0o644); err != nil {

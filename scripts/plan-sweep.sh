@@ -19,7 +19,7 @@
 # profile to dir/plan-profile-<topo>.csv.
 #
 # The tool runs at GOMAXPROCS=4 unless GOMAXPROCS is set; that many
-# workers run the lowering and section-decode passes, while tree growth
+# workers run the lowering and chunk-decode passes, while tree growth
 # is sequential. The schedule is byte-identical at any worker count, so
 # the sweep is reproducible modulo wall time.
 set -eu
